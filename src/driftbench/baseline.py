@@ -67,7 +67,6 @@ class BaselineConfig:
     cat_encoder: EncoderKind = EncoderKind.ORDINAL
     mvc_encoder: EncoderKind | None = None
     target_smoothing: float = 10.0
-    co_encode: bool = False           # extend encoder vocabulary with pending test rows
 
     def __post_init__(self) -> None:
         if self.initial_trees < 1 or self.trees_per_block < 1:
@@ -193,10 +192,6 @@ class TrainingPool:
 
     blocks: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
-    @classmethod
-    def start(cls, X: np.ndarray, y: np.ndarray) -> "TrainingPool":
-        return cls(((0, X, y),))
-
     def add(self, block_id: int, X: np.ndarray, y: np.ndarray) -> "TrainingPool":
         return TrainingPool(self.blocks + ((block_id, X, y),))
 
@@ -206,10 +201,6 @@ class TrainingPool:
     @property
     def block_ids(self) -> tuple[int, ...]:
         return tuple(b for b, _, _ in self.blocks)
-
-    @property
-    def n_rows(self) -> int:
-        return sum(X.shape[0] for _, X, _ in self.blocks)
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All rows with their block ids, oldest block first."""
@@ -256,7 +247,9 @@ class BoostedEnsemble:
 
     Scores are ``sigmoid(base_score + sum(rate_t * tree_t(x)))``.  Under the
     full-history policy the tree count after k revealed blocks is
-    ``initial_trees + k * trees_per_block`` exactly.
+    ``initial_trees + k * trees_per_block`` exactly.  ``revealed_blocks``
+    is the id of the newest block taken in: 0 after the first block, -1 for
+    the empty ensemble that ``fit_initial`` grows.
     """
 
     base_score: float
@@ -310,41 +303,24 @@ def _boost(X: np.ndarray, y: np.ndarray, margin: np.ndarray, n_trees: int,
 def fit_initial(X: np.ndarray, y: np.ndarray, config: BaselineConfig) -> BoostedEnsemble:
     """Fit the starting ensemble on the first labeled block.
 
-    A single-class block degenerates to the prior: the base score is set to
-    its (clipped) log-odds and no trees are fitted.
+    This is ``extend`` applied to an empty ensemble whose base score is the
+    block's (clipped) log-odds, so a single-class block degenerates to that
+    prior with no trees.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    pool = TrainingPool.start(X, y)
-    base = _prior_logit(y)
-    if np.all(y == y[0]):
-        return BoostedEnsemble(base, (), (), X.shape[1], 0, pool)
-    Xs, ys, _ = select_training_pool(
-        pool, config.policy, config.subsample_cap,
-        np.random.SeedSequence((config.seed, 0)),
-        window_blocks=config.window_blocks, decay=config.decay,
-    )
-    start = np.full(Xs.shape[0], base)
-    trees, losses = _boost(Xs, ys, start, config.initial_trees,
-                           config.learning_rate, config.max_depth)
-    return BoostedEnsemble(
-        base_score=base,
-        trees=tuple(trees),
-        tree_rates=(config.learning_rate,) * len(trees),
-        n_features=X.shape[1],
-        revealed_blocks=0,
-        pool=pool,
-        loss_history=(losses,),
-    )
+    empty = BoostedEnsemble(_prior_logit(y), (), (), X.shape[1], -1, TrainingPool(()))
+    return extend(empty, X, y, config)
 
 
 def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
            config: BaselineConfig) -> BoostedEnsemble:
     """Grow the ensemble with the newly revealed block.
 
-    Appends ``trees_per_block`` trees fitted on the policy's training pool;
-    prior trees and (for a two-class pool) the base score are untouched.  A
-    pool that has collapsed to a single class updates only the base score.
+    Appends ``initial_trees`` trees for block 0 and ``trees_per_block`` for
+    every later block, fitted on the policy's training pool; prior trees
+    and (for a two-class pool) the base score are untouched.  A pool that
+    has collapsed to a single class updates only the base score.
     """
     X_new = np.asarray(X_new, dtype=np.float64)
     y_new = np.asarray(y_new, dtype=np.float64)
@@ -371,8 +347,8 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
     if config.policy == "adaptive-lr":
         rate = config.learning_rate * config.decay ** k
     start = ensemble_margin(ensemble, Xs)
-    trees, losses = _boost(Xs, ys, start, config.trees_per_block, rate,
-                           config.max_depth)
+    n_trees = config.initial_trees if k == 0 else config.trees_per_block
+    trees, losses = _boost(Xs, ys, start, n_trees, rate, config.max_depth)
     return replace(
         ensemble,
         trees=ensemble.trees + tuple(trees),
@@ -411,27 +387,20 @@ class BaselinePredictor:
                 mvc_kind=self.config.mvc_encoder,
                 smoothing=self.config.target_smoothing,
             )
-            X = transform_rows(schema, rows, self.encoders)
-            self.ensemble = fit_initial(X, np.asarray(labels, dtype=np.float64),
-                                        self.config)
+        elif self.freeze_after_initial:
             return
-        if self.freeze_after_initial:
-            return
-        self._grow_vocabulary(rows)
+        else:
+            for j, (name, _kind) in enumerate(self.schema.columns):
+                enc = self.encoders.get(name)
+                if enc is not None and enc.kind is EncoderKind.ORDINAL:
+                    self.encoders[name] = extend_ordinal(enc, [row[j] for row in rows])
         X = transform_rows(self.schema, rows, self.encoders)
-        self.ensemble = extend(self.ensemble, X, np.asarray(labels, dtype=np.float64),
-                               self.config)
+        y = np.asarray(labels, dtype=np.float64)
+        self.ensemble = (fit_initial(X, y, self.config) if self.ensemble is None
+                         else extend(self.ensemble, X, y, self.config))
 
     def predict(self, rows: Sequence[tuple[str, ...]]) -> np.ndarray:
         if self.ensemble is None:
             raise RuntimeError("predict before any learn call")
-        if self.config.co_encode:
-            self._grow_vocabulary(rows)
         X = transform_rows(self.schema, rows, self.encoders)
         return predict_scores(self.ensemble, X)
-
-    def _grow_vocabulary(self, rows: Sequence[tuple[str, ...]]) -> None:
-        for j, (name, _kind) in enumerate(self.schema.columns):
-            enc = self.encoders.get(name)
-            if enc is not None and enc.kind is EncoderKind.ORDINAL:
-                self.encoders[name] = extend_ordinal(enc, [row[j] for row in rows])

@@ -12,7 +12,7 @@ File formats (shared by every tool in the package):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -128,10 +128,6 @@ class BlockPlan:
     @property
     def n_rows(self) -> int:
         return self.ranges[-1][1]
-
-    def block_size(self, i: int) -> int:
-        lo, hi = self.ranges[i]
-        return hi - lo
 
 
 def plan_blocks(n_rows: int, n_blocks: int) -> BlockPlan:

@@ -48,7 +48,6 @@ class FittedEncoder:
     mapping: Mapping[str, object]
     prior: float = 0.0
     smoothing: float = 0.0
-    n_fit_rows: int = 0
 
     def encode_value(self, value: str) -> float:
         if self.kind is EncoderKind.ORDINAL or self.kind is EncoderKind.COUNT:
@@ -70,16 +69,12 @@ def fit_encoder(kind: EncoderKind, values: Sequence[str],
     with ``m = smoothing`` and prior the global label mean.
     """
     if kind is EncoderKind.ORDINAL:
-        codes: dict[str, int] = {}
-        for v in values:
-            if v not in codes:
-                codes[v] = len(codes) + 1
-        return FittedEncoder(kind, codes, n_fit_rows=len(values))
+        return extend_ordinal(FittedEncoder(kind, {}), values)
     if kind is EncoderKind.COUNT:
         counts: dict[str, int] = {}
         for v in values:
             counts[v] = counts.get(v, 0) + 1
-        return FittedEncoder(kind, counts, n_fit_rows=len(values))
+        return FittedEncoder(kind, counts)
     if kind is EncoderKind.TARGET_MEAN:
         if labels is None:
             raise EncodingError("target-mean encoding needs labels at fit time")
@@ -93,8 +88,7 @@ def fit_encoder(kind: EncoderKind, values: Sequence[str],
             s, c = stats.get(v, (0.0, 0))
             stats[v] = (s + float(y), c + 1)
         prior = float(labels.mean()) if len(labels) else 0.0
-        return FittedEncoder(kind, stats, prior=prior, smoothing=float(smoothing),
-                             n_fit_rows=len(values))
+        return FittedEncoder(kind, stats, prior=prior, smoothing=float(smoothing))
     raise EncodingError(f"unknown encoder kind {kind!r}")
 
 
@@ -110,8 +104,7 @@ def extend_ordinal(encoder: FittedEncoder, values: Sequence[str]) -> FittedEncod
     for v in values:
         if v not in codes:
             codes[v] = len(codes) + 1
-    return FittedEncoder(EncoderKind.ORDINAL, codes,
-                         n_fit_rows=encoder.n_fit_rows + len(values))
+    return FittedEncoder(EncoderKind.ORDINAL, codes)
 
 
 def transform_column(encoder: FittedEncoder, values: Sequence[str]) -> np.ndarray:

@@ -18,6 +18,8 @@ steps so the program can keep state.
 from __future__ import annotations
 
 import math
+import os
+import signal
 import subprocess
 import time
 from dataclasses import dataclass
@@ -32,6 +34,10 @@ from .metrics import BlockScore, DatasetScore, UndefinedAUCError, aggregate_data
 OUTCOME_COMPLETED = "completed"
 OUTCOME_TIMED_OUT = "timed-out"
 OUTCOME_PREDICTOR_ERROR = "predictor-error"
+
+# After a budget kill, how long stderr may still be drained before the
+# pipe is closed; a grandchild that left the process group may hold it.
+_DRAIN_SECONDS = 0.5
 
 
 class PredictorError(RuntimeError):
@@ -120,16 +126,11 @@ class DatasetRef:
 
 @dataclass(frozen=True)
 class PhaseConfig:
-    """One evaluation phase: which datasets, their budgets, how many blocks.
-
-    The daily submission cap is informational; this harness runs whatever
-    it is asked to run.
-    """
+    """One evaluation phase: which datasets, their budgets, how many blocks."""
 
     phase: str
     datasets: tuple[DatasetRef, ...]
     n_blocks: int = 10
-    daily_submission_cap: int = 2
 
     def __post_init__(self) -> None:
         for ref in self.datasets:
@@ -180,9 +181,14 @@ def run_lifelong(dataset: ChronoDataset, plan: BlockPlan, predictor: PredictorAd
     outcome = OUTCOME_COMPLETED
     error = ""
 
+    def overrun(k: int, call: str) -> str:
+        return (f"step {k}: {call} brought the billed time to {clock.consumed:.3f}s, "
+                f"over the budget of {budget_seconds:.3f}s")
+
     for k in range(1, plan.n_blocks):
         reveal_lo, reveal_hi = plan.ranges[k - 1]
         test_lo, test_hi = plan.ranges[k]
+        step_start = clock.consumed
         try:
             clock.charge(
                 predictor, predictor.learn,
@@ -192,7 +198,7 @@ def run_lifelong(dataset: ChronoDataset, plan: BlockPlan, predictor: PredictorAd
                 clock.remaining,
             )
             if clock.remaining < 0:
-                outcome = OUTCOME_TIMED_OUT
+                outcome, error = OUTCOME_TIMED_OUT, overrun(k, "learn")
                 break
             scores = clock.charge(predictor, predictor.predict,
                                   dataset.rows[test_lo:test_hi])
@@ -206,7 +212,7 @@ def run_lifelong(dataset: ChronoDataset, plan: BlockPlan, predictor: PredictorAd
             error = f"{type(exc).__name__}: {exc}"
             break
         if clock.remaining < 0:
-            outcome = OUTCOME_TIMED_OUT
+            outcome, error = OUTCOME_TIMED_OUT, overrun(k, "predict")
             break
 
         block_labels = dataset.labels[test_lo:test_hi]
@@ -220,25 +226,14 @@ def run_lifelong(dataset: ChronoDataset, plan: BlockPlan, predictor: PredictorAd
             step=k,
             trained_rows=reveal_hi,
             block=k,
-            score=BlockScore(block=k, auc=block_auc, elapsed_seconds=clock.consumed),
+            score=BlockScore(block=k, auc=block_auc,
+                             elapsed_seconds=clock.consumed - step_start),
             single_class=single_class,
         ))
 
-    # Per-step elapsed is cumulative; convert to per-block increments.
-    records: list[StepRecord] = []
-    prev = 0.0
-    for rec in steps:
-        records.append(StepRecord(
-            step=rec.step, trained_rows=rec.trained_rows, block=rec.block,
-            score=BlockScore(rec.score.block, rec.score.auc,
-                             rec.score.elapsed_seconds - prev),
-            single_class=rec.single_class,
-        ))
-        prev = rec.score.elapsed_seconds
-
     return EvaluationTrace(
         dataset_id=ds_id,
-        steps=tuple(records),
+        steps=tuple(steps),
         total_elapsed_seconds=clock.consumed,
         outcome=outcome,
         budget_seconds=budget_seconds,
@@ -296,9 +291,11 @@ class SubprocessPredictor:
     """Adapter that drives an external program through the file protocol.
 
     One invocation per step carries the newly revealed train block and the
-    pending test block.  The process is killed the moment the remaining
-    budget expires.  File staging time accumulates in ``unbilled_seconds``
-    and is not billed against the budget.
+    pending test block.  The process runs in a process group of its own,
+    and the whole group is killed the moment the remaining budget expires;
+    a process that left the group cannot hold the harness past a short
+    drain of its stderr.  File staging time accumulates in
+    ``unbilled_seconds`` and is not billed against the budget.
     """
 
     def __init__(self, command: Sequence[str] | str | Path, workdir: str | Path,
@@ -347,19 +344,26 @@ class SubprocessPredictor:
         ]
         run_start = time.perf_counter()
         proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL,
-                                stderr=subprocess.PIPE)
+                                stderr=subprocess.PIPE, start_new_session=True)
         try:
             _, stderr = proc.communicate(timeout=max(self._remaining, 0.0))
         except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.communicate()
+            os.killpg(proc.pid, signal.SIGKILL)
             elapsed = time.perf_counter() - run_start
+            try:
+                proc.communicate(timeout=_DRAIN_SECONDS)
+            except subprocess.TimeoutExpired:
+                proc.stderr.close()
+                proc.wait()
             raise PredictorTimeout(
                 f"step {self._step}: killed after {elapsed:.2f}s "
                 f"(remaining budget was {self._remaining:.2f}s)",
                 elapsed_seconds=elapsed,
             ) from None
-        elapsed = time.perf_counter() - run_start
+        except KeyboardInterrupt:
+            # Its own process group misses the terminal's interrupt; end it here.
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
         if proc.returncode != 0:
             tail = stderr.decode("utf-8", "replace").strip().splitlines()[-3:]
             raise PredictorError(

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .baseline import BaselineConfig, BaselinePredictor
-from .data import load_dataset, read_schema, read_unlabeled
+from .data import load_dataset, read_unlabeled
 from .echo_predictor import protocol_argument_parser
 
 STATE_FILE = "baseline_state.pkl"
@@ -45,8 +45,7 @@ def main(argv=None) -> int:
     train = load_dataset(args.train, args.schema)
     predictor.learn(train.rows, train.labels, train.schema, args.remaining_budget)
 
-    schema = read_schema(args.schema)
-    test_rows = read_unlabeled(args.test, schema)
+    test_rows = read_unlabeled(args.test, train.schema)
     scores = predictor.predict(test_rows)
 
     with open(args.pred_out, "w", encoding="utf-8") as fh:

@@ -16,6 +16,7 @@ from driftbench.baseline import (
     sigmoid,
 )
 from driftbench.data import plan_blocks
+from driftbench.encoding import EncoderKind, fit_dataset_encoders
 from driftbench.metrics import auc
 from driftbench.harness import run_lifelong
 from driftbench.synth import DriftGenSpec, generate_drift_stream
@@ -148,9 +149,8 @@ def test_fit_deterministic_given_seed():
 
 
 def test_empty_ensemble_scores_at_base():
-    pool = TrainingPool.start(np.zeros((1, 2)), np.zeros(1))
     ens = BoostedEnsemble(base_score=0.3, trees=(), tree_rates=(), n_features=2,
-                          revealed_blocks=0, pool=pool)
+                          revealed_blocks=-1, pool=TrainingPool(()))
     scores = predict_scores(ens, np.random.default_rng(0).normal(size=(7, 2)))
     assert scores == pytest.approx(np.full(7, sigmoid(np.array([0.3]))[0]))
 
@@ -159,9 +159,8 @@ def test_manual_stump_scores():
     stump = RegressionTree(feature=[0, -1, -1], threshold=[0.0, 0.0, 0.0],
                            left=[1, -1, -1], right=[2, -1, -1],
                            value=[0.0, -2.0, 2.0])
-    pool = TrainingPool.start(np.zeros((1, 1)), np.zeros(1))
     ens = BoostedEnsemble(base_score=0.0, trees=(stump,), tree_rates=(1.0,),
-                          n_features=1, revealed_blocks=0, pool=pool)
+                          n_features=1, revealed_blocks=0, pool=TrainingPool(()))
     scores = predict_scores(ens, np.array([[-1.0], [0.0], [1.0]]))
     lo, hi = 1 / (1 + np.exp(2)), 1 / (1 + np.exp(-2))
     assert scores == pytest.approx([lo, lo, hi])
@@ -303,6 +302,24 @@ def test_sliding_window_recovers_after_abrupt_drift():
                                    freeze_after_initial=True)
         margins.append(_post_drift_auc(sliding, spec) - _post_drift_auc(frozen, spec))
     assert float(np.mean(margins)) > 0.0
+
+
+@pytest.mark.parametrize("kind", [EncoderKind.COUNT, EncoderKind.TARGET_MEAN])
+def test_non_ordinal_encoders_stay_frozen_on_the_first_block(kind):
+    spec = DriftGenSpec(n_rows=600, n_cat=2, n_num=2, n_mvc=1, n_time=1,
+                        n_blocks=5, drift="gradual", drift_magnitude=1.0, seed=4)
+    ds = generate_drift_stream(spec)
+    plan = plan_blocks(len(ds), spec.n_blocks)
+    cfg = BaselineConfig(cat_encoder=kind, seed=4, **FAST)
+    pred = BaselinePredictor(cfg)
+    trace = run_lifelong(ds, plan, pred, budget_seconds=600, dataset_id="x")
+    assert trace.outcome == "completed"
+    assert len(trace.steps) == spec.n_blocks - 1
+    assert all(np.isfinite(s.score.auc) for s in trace.steps)
+    lo, hi = plan.ranges[0]
+    first = fit_dataset_encoders(ds.schema, ds.rows[lo:hi], ds.labels[lo:hi],
+                                 cat_kind=kind, smoothing=cfg.target_smoothing)
+    assert pred.encoders == first
 
 
 def test_predict_before_learn_raises():

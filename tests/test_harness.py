@@ -112,6 +112,7 @@ def test_overrunning_predictor_is_timed_out_and_zeroed():
     pred = SleepyPredictor(sleep_at_step=1, sleep_seconds=0.7)
     trace = run_lifelong(ds, plan_blocks(30, 3), pred, budget_seconds=0.3)
     assert trace.outcome == "timed-out"
+    assert trace.error
     assert trace.steps == ()
     score = trace.to_score()
     assert score.disqualified and score.mean_auc == 0.0
@@ -375,6 +376,31 @@ def test_sleeping_subprocess_is_killed_at_budget(tmp_path):
     assert wall < 3.0  # killed within 2s of expiry
     score = trace.to_score()
     assert score.disqualified and score.mean_auc == 0.0
+
+
+# The child leaves a grandchild holding stderr: one that stays in the
+# process group, and one that daemonizes out of it.
+DAEMON_SCRIPT = """\
+import os, time
+if os.fork() == 0:
+    os.setsid()
+time.sleep(3)
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["sh", "-c", "sleep 4; true"],
+    [sys.executable, "-c", DAEMON_SCRIPT],
+], ids=["grandchild", "daemon"])
+def test_budget_kill_does_not_wait_for_grandchildren(tmp_path, command):
+    ds = indexed_dataset(30)
+    pred = SubprocessPredictor(command, workdir=tmp_path / "work")
+    t0 = time.perf_counter()
+    trace = run_lifelong(ds, plan_blocks(30, 3), pred, budget_seconds=0.5)
+    wall = time.perf_counter() - t0
+    assert trace.outcome == "timed-out"
+    assert wall < 2.0
+    assert trace.total_elapsed_seconds < 2.0
 
 
 def test_short_predictions_are_a_predictor_error(tmp_path):
