@@ -30,9 +30,8 @@ print(f"stream: {len(ds)} rows, {spec.n_blocks} blocks, gradual drift\n")
 print(f"{'predictor':>18} " + " ".join(f"b{k}" for k in range(1, 10)) + "   mean")
 for name, predictor in predictors.items():
     trace = run_lifelong(ds, plan, predictor, budget_seconds=300, dataset_id="demo")
-    score = trace.to_score()
-    blocks = " ".join(f"{s.score.auc:.2f}"[1:] for s in trace.steps)
-    print(f"{name:>18} {blocks}   {score.mean_auc:.3f} "
+    blocks = " ".join(f"{s.auc:.2f}"[1:] for s in trace.steps)
+    print(f"{name:>18} {blocks}   {trace.mean_auc:.3f} "
           f"({trace.total_elapsed_seconds:.2f}s billed)")
 
 # The budget is enforced: this predictor naps through its allowance and the
@@ -43,6 +42,5 @@ class Napper(ConstantPredictor):
 
 trace = run_lifelong(ds, plan, Napper(name="napper"), budget_seconds=0.2,
                      dataset_id="demo")
-score = trace.to_score()
-print(f"\n{'napper':>18} outcome={trace.outcome} mean_auc={score.mean_auc} "
-      f"disqualified={score.disqualified}")
+print(f"\n{'napper':>18} outcome={trace.outcome} mean_auc={trace.mean_auc} "
+      f"disqualified={trace.disqualified}")

@@ -38,8 +38,8 @@ header = " ".join(f"  b{k}" for k in range(1, spec.n_blocks))
 print(f"{'policy':>18} {header}   post-drift mean")
 for name, predictor in strategies.items():
     trace = run_lifelong(ds, plan, predictor, budget_seconds=300, dataset_id="demo")
-    aucs = [s.score.auc for s in trace.steps]
-    post = float(np.mean([s.score.auc for s in trace.steps if s.block >= mid]))
+    aucs = [s.auc for s in trace.steps]
+    post = float(np.mean([s.auc for s in trace.steps if s.step >= mid]))
     row = " ".join(f"{a:.2f}" for a in aucs)
     print(f"{name:>18} {row}   {post:.3f}")
 

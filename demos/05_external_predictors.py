@@ -43,10 +43,9 @@ with tempfile.TemporaryDirectory() as scratch:
         )
         trace = run_lifelong(ds, plan, predictor, budget_seconds=120,
                              dataset_id="demo")
-        score = trace.to_score()
-        blocks = " ".join(f"{s.score.auc:.2f}" for s in trace.steps)
+        blocks = " ".join(f"{s.auc:.2f}" for s in trace.steps)
         print(f"{module.rsplit('.', 1)[1]:>20}: outcome={trace.outcome} "
-              f"blocks [{blocks}] mean {score.mean_auc:.3f} "
+              f"blocks [{blocks}] mean {trace.mean_auc:.3f} "
               f"billed {trace.total_elapsed_seconds:.2f}s")
 
     print("\nstep files left in the last work directory:")

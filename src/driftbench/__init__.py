@@ -20,7 +20,6 @@ from .data import (
     load_dataset,
     plan_blocks,
     save_dataset,
-    split_blocks,
 )
 from .encoding import EncoderKind, FittedEncoder, encode_dataset, fit_encoder, transform_column
 from .harness import (
@@ -35,7 +34,7 @@ from .harness import (
     run_lifelong,
     run_suite,
 )
-from .metrics import BlockScore, DatasetScore, UndefinedAUCError, aggregate_dataset, auc
+from .metrics import UndefinedAUCError, auc
 from .baseline import (
     BaselineConfig,
     BaselinePredictor,

@@ -265,18 +265,15 @@ class BoostedEnsemble:
         return len(self.trees)
 
 
-def ensemble_margin(ensemble: BoostedEnsemble, X: np.ndarray,
-                    n_trees: int | None = None) -> np.ndarray:
-    """Raw additive score, optionally truncated to the first trees only."""
+def ensemble_margin(ensemble: BoostedEnsemble, X: np.ndarray) -> np.ndarray:
+    """Raw additive score: the base score plus every tree's weighted output."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != ensemble.n_features:
         raise ValueError(
             f"expected rows of width {ensemble.n_features}, got shape {X.shape}"
         )
     margin = np.full(X.shape[0], ensemble.base_score, dtype=np.float64)
-    trees = ensemble.trees if n_trees is None else ensemble.trees[:n_trees]
-    rates = ensemble.tree_rates if n_trees is None else ensemble.tree_rates[:n_trees]
-    for tree, rate in zip(trees, rates):
+    for tree, rate in zip(ensemble.trees, ensemble.tree_rates):
         margin += rate * tree.predict(X)
     return margin
 

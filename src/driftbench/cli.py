@@ -22,8 +22,7 @@ import numpy as np
 
 from .baseline import BaselineConfig, BaselinePredictor
 from .data import save_dataset
-from .harness import DatasetRef, PhaseConfig, SubprocessPredictor, run_suite
-from .metrics import DatasetScore
+from .harness import DatasetRef, EvaluationTrace, PhaseConfig, SubprocessPredictor, run_suite
 from .ranking import (
     SubmissionEntry,
     build_leaderboard,
@@ -201,21 +200,21 @@ def _make_factory(config: RunConfig, pred: PredictorSpec, workdir: Path):
 
 
 def _evaluate_one(config: RunConfig, phase: PhaseConfig, pred: PredictorSpec,
-                  out_dir: Path, workdir: Path) -> list[DatasetScore]:
+                  out_dir: Path, workdir: Path) -> list[EvaluationTrace]:
     pred_dir = out_dir / pred.name
     pred_dir.mkdir(parents=True, exist_ok=True)
 
-    def on_result(score: DatasetScore, trace) -> None:
+    def on_result(trace: EvaluationTrace) -> None:
         score_payload = {
-            "dataset": score.dataset_id,
-            "mean_auc": score.mean_auc,
-            "disqualified": score.disqualified,
+            "dataset": trace.dataset_id,
+            "mean_auc": trace.mean_auc,
+            "disqualified": trace.disqualified,
             "outcome": trace.outcome,
             "budget_seconds": trace.budget_seconds,
-            "total_elapsed_seconds": score.total_elapsed_seconds,
+            "total_elapsed_seconds": trace.total_elapsed_seconds,
             "blocks": [
-                {"block": b.block, "auc": b.auc, "elapsed_seconds": b.elapsed_seconds}
-                for b in score.block_scores
+                {"block": s.step, "auc": s.auc, "elapsed_seconds": s.elapsed_seconds}
+                for s in trace.steps
             ],
         }
         trace_payload = {
@@ -228,30 +227,30 @@ def _evaluate_one(config: RunConfig, phase: PhaseConfig, pred: PredictorSpec,
                 {
                     "step": s.step,
                     "trained_rows": s.trained_rows,
-                    "block": s.block,
-                    "auc": s.score.auc,
-                    "elapsed_seconds": s.score.elapsed_seconds,
+                    "block": s.step,
+                    "auc": s.auc,
+                    "elapsed_seconds": s.elapsed_seconds,
                     "single_class": s.single_class,
                 }
                 for s in trace.steps
             ],
         }
         for suffix, payload in (("score", score_payload), ("trace", trace_payload)):
-            out = pred_dir / f"{score.dataset_id}.{suffix}.json"
+            out = pred_dir / f"{trace.dataset_id}.{suffix}.json"
             out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                            encoding="utf-8")
 
-    scores = run_suite(phase, _make_factory(config, pred, workdir),
+    traces = run_suite(phase, _make_factory(config, pred, workdir),
                        on_result=on_result)
     entry = SubmissionEntry(
         team=pred.name,
         bundle=pred.bundle,
-        aucs={s.dataset_id: s.mean_auc for s in scores},
-        duration_seconds=sum(s.total_elapsed_seconds for s in scores),
-        disqualified={s.dataset_id: s.disqualified for s in scores},
+        aucs={t.dataset_id: t.mean_auc for t in traces},
+        duration_seconds=sum(t.total_elapsed_seconds for t in traces),
+        disqualified={t.dataset_id: t.disqualified for t in traces},
     )
     write_submission(pred_dir / "submission.json", entry)
-    return scores
+    return traces
 
 
 def cmd_evaluate(config: RunConfig, phase_name: str, predictor_names: list[str],

@@ -150,10 +150,6 @@ def plan_blocks(n_rows: int, n_blocks: int) -> BlockPlan:
     return BlockPlan(tuple(ranges))
 
 
-def split_blocks(dataset: ChronoDataset, n_blocks: int) -> BlockPlan:
-    return plan_blocks(len(dataset), n_blocks)
-
-
 # ---------------------------------------------------------------------------
 # schema file I/O
 

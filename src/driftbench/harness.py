@@ -4,8 +4,9 @@ A dataset cut into N blocks is evaluated in N-1 steps: at step k the
 predictor learns from the newly revealed labeled block k-1 (its own job to
 buffer history) and then scores the unlabeled block k.  Wall-clock spent
 inside the predictor's ``learn`` and ``predict`` calls counts against the
-dataset's time budget; harness file I/O does not.  Exceeding the budget, or
-crashing, zeroes the dataset's AUC.
+dataset's time budget; harness file I/O does not.  The dataset's score is
+the mean of its block AUCs, or 0 when the predictor exceeded the budget
+or crashed.
 
 External predictors speak a file protocol: per step the harness writes a
 train file (with labels), a test file (without) and the schema file, then
@@ -28,8 +29,8 @@ from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .data import BlockPlan, ChronoDataset, FeatureSchema, load_dataset, split_blocks, write_rows, write_schema
-from .metrics import BlockScore, DatasetScore, UndefinedAUCError, aggregate_dataset, auc
+from .data import BlockPlan, ChronoDataset, FeatureSchema, load_dataset, plan_blocks, write_rows, write_schema
+from .metrics import UndefinedAUCError, auc
 
 OUTCOME_COMPLETED = "completed"
 OUTCOME_TIMED_OUT = "timed-out"
@@ -86,19 +87,21 @@ class ConstantPredictor:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One predict-then-reveal step: trained on blocks [0, block), scored
-    on ``block``.  ``single_class`` flags an unscorable all-one-label test
-    block, which receives the neutral AUC 0.5."""
+    """One predict-then-reveal step: trained on blocks [0, step), scored
+    on block ``step``.  ``single_class`` flags an unscorable all-one-label
+    test block, which receives the neutral AUC 0.5."""
 
     step: int
     trained_rows: int
-    block: int
-    score: BlockScore
+    auc: float
+    elapsed_seconds: float
     single_class: bool = False
 
 
 @dataclass(frozen=True)
 class EvaluationTrace:
+    """The result of one dataset's run, and the dataset's score."""
+
     dataset_id: str
     steps: tuple[StepRecord, ...]
     total_elapsed_seconds: float
@@ -106,14 +109,16 @@ class EvaluationTrace:
     budget_seconds: float
     error: str = ""
 
-    def to_score(self) -> DatasetScore:
-        return aggregate_dataset(
-            (s.score for s in self.steps),
-            self.budget_seconds,
-            dataset_id=self.dataset_id,
-            failed=self.outcome != OUTCOME_COMPLETED,
-            total_elapsed_seconds=self.total_elapsed_seconds,
-        )
+    @property
+    def disqualified(self) -> bool:
+        return self.outcome != OUTCOME_COMPLETED
+
+    @property
+    def mean_auc(self) -> float:
+        """Mean block AUC; 0 for a run that timed out or failed."""
+        if self.disqualified:
+            return 0.0
+        return float(np.mean([s.auc for s in self.steps]))
 
 
 @dataclass(frozen=True)
@@ -169,8 +174,10 @@ def run_lifelong(dataset: ChronoDataset, plan: BlockPlan, predictor: PredictorAd
 
     Steps 1..N-1: reveal block k-1 to ``learn``, score ``predict`` on block
     k.  Aborts on budget overrun (timed-out) or any predictor failure
-    (predictor-error); either way the dataset is later scored 0.
+    (predictor-error); either way the dataset scores 0.
     """
+    if plan.n_blocks < 2:
+        raise ValueError(f"need at least 2 blocks to score one, plan has {plan.n_blocks}")
     if plan.n_rows != len(dataset):
         raise ValueError(f"plan covers {plan.n_rows} rows, dataset has {len(dataset)}")
     if budget_seconds <= 0:
@@ -225,9 +232,8 @@ def run_lifelong(dataset: ChronoDataset, plan: BlockPlan, predictor: PredictorAd
         steps.append(StepRecord(
             step=k,
             trained_rows=reveal_hi,
-            block=k,
-            score=BlockScore(block=k, auc=block_auc,
-                             elapsed_seconds=clock.consumed - step_start),
+            auc=block_auc,
+            elapsed_seconds=clock.consumed - step_start,
             single_class=single_class,
         ))
 
@@ -254,19 +260,19 @@ def _check_predictions(scores, expected: int) -> None:
 
 def run_suite(phase: PhaseConfig,
               make_predictor: Callable[[DatasetRef], PredictorAdapter],
-              *, on_result: Callable[[DatasetScore, EvaluationTrace], None] | None = None
-              ) -> list[DatasetScore]:
+              *, on_result: Callable[[EvaluationTrace], None] | None = None
+              ) -> list[EvaluationTrace]:
     """Evaluate a fresh predictor on every dataset of a phase, in order.
 
     Failures are isolated: a dataset that cannot be loaded or evaluated is
     scored 0 / disqualified and the suite continues.
     """
-    results: list[DatasetScore] = []
+    results: list[EvaluationTrace] = []
     for ref in phase.datasets:
         try:
             dataset = load_dataset(ref.data_path, ref.schema_path,
                                    provenance=ref.dataset_id)
-            plan = split_blocks(dataset, phase.n_blocks)
+            plan = plan_blocks(len(dataset), phase.n_blocks)
             predictor = make_predictor(ref)
             trace = run_lifelong(dataset, plan, predictor, ref.budget_seconds,
                                  dataset_id=ref.dataset_id)
@@ -276,10 +282,9 @@ def run_suite(phase: PhaseConfig,
                 outcome=OUTCOME_PREDICTOR_ERROR, budget_seconds=ref.budget_seconds,
                 error=f"{type(exc).__name__}: {exc}",
             )
-        score = trace.to_score()
-        results.append(score)
+        results.append(trace)
         if on_result is not None:
-            on_result(score, trace)
+            on_result(trace)
     return results
 
 

@@ -1,4 +1,4 @@
-"""Block-wise ROC AUC scoring and per-dataset aggregation.
+"""Block-wise ROC AUC scoring.
 
 AUC is computed with the rank-statistic (Mann-Whitney) formulation: sum the
 average ranks of the positives, subtract the minimum possible rank sum, and
@@ -7,8 +7,6 @@ This is O(n log n) and equals the brute-force pairwise count exactly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,78 +30,11 @@ def auc(labels, scores) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedAUCError("labels contain a single class; AUC is undefined")
 
-    order = np.argsort(s, kind="mergesort")
-    sorted_scores = s[order]
     # Average rank (1-based) per tie group.
-    ranks = np.empty(len(s), dtype=np.float64)
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    starts = np.cumsum(counts) - counts
+    ranks = (starts + 0.5 * (counts - 1) + 1.0)[group]
 
     rank_sum_pos = float(ranks[y == 1].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
-
-
-@dataclass(frozen=True)
-class BlockScore:
-    """Score of one evaluated block."""
-
-    block: int
-    auc: float
-    elapsed_seconds: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.auc <= 1.0):
-            raise ValueError(f"block {self.block}: AUC {self.auc} outside [0, 1]")
-        if self.elapsed_seconds < 0:
-            raise ValueError(f"block {self.block}: negative elapsed time")
-
-
-@dataclass(frozen=True)
-class DatasetScore:
-    """Aggregate over the evaluated blocks of one dataset.
-
-    ``disqualified`` submissions (budget overrun or predictor failure)
-    carry a mean AUC of 0 regardless of the blocks they completed.
-    """
-
-    dataset_id: str
-    block_scores: tuple[BlockScore, ...]
-    mean_auc: float
-    total_elapsed_seconds: float
-    disqualified: bool
-
-    def __post_init__(self) -> None:
-        if self.disqualified and self.mean_auc != 0.0:
-            raise ValueError("disqualified scores must carry mean AUC 0")
-
-
-def aggregate_dataset(block_scores, budget_seconds: float, *,
-                      dataset_id: str = "", failed: bool = False,
-                      total_elapsed_seconds: float | None = None) -> DatasetScore:
-    """Average block AUCs and apply the budget penalty.
-
-    A submission whose accumulated predictor time exceeds the dataset budget
-    (or that failed outright) is disqualified: its mean AUC is set to 0.
-    ``total_elapsed_seconds`` overrides the sum of the block times, so time
-    burned in an aborted step still counts.
-    """
-    scores = tuple(block_scores)
-    if not scores and not failed:
-        raise ValueError("need at least one block score")
-    total = (sum(b.elapsed_seconds for b in scores)
-             if total_elapsed_seconds is None else float(total_elapsed_seconds))
-    disqualified = failed or total > budget_seconds
-    mean = 0.0 if disqualified else float(np.mean([b.auc for b in scores]))
-    return DatasetScore(
-        dataset_id=dataset_id,
-        block_scores=scores,
-        mean_auc=mean,
-        total_elapsed_seconds=total,
-        disqualified=disqualified,
-    )

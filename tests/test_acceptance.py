@@ -174,18 +174,17 @@ def test_criterion_5_budget_enforcement(tmp_path):
     t0 = time.perf_counter()
     trace = run_lifelong(ds, plan_blocks(30, 3), predictor, budget_seconds=budget)
     wall = time.perf_counter() - t0
-    score = trace.to_score()
 
     ok = (trace.outcome == "timed-out"
           and wall < budget + 2.0
           and wall < 2 * budget
-          and score.mean_auc == 0.0
-          and score.disqualified)
+          and trace.mean_auc == 0.0
+          and trace.disqualified)
     _report(5, ok, f"killed {wall - budget:+.2f}s after expiry")
     assert trace.outcome == "timed-out"
     assert wall < budget + 2.0, "kill happened more than 2s after expiry"
     assert wall < 2 * budget
-    assert score.mean_auc == 0.0 and score.disqualified
+    assert trace.mean_auc == 0.0 and trace.disqualified
 
 
 def _lifelong_mean_auc(predictor, spec, post_drift_only=False):
@@ -195,8 +194,8 @@ def _lifelong_mean_auc(predictor, spec, post_drift_only=False):
     assert trace.outcome == "completed"
     blocks = trace.steps
     if post_drift_only:
-        blocks = [s for s in blocks if s.block >= spec.n_blocks // 2]
-    return float(np.mean([s.score.auc for s in blocks]))
+        blocks = [s for s in blocks if s.step >= spec.n_blocks // 2]
+    return float(np.mean([s.auc for s in blocks]))
 
 
 def test_criterion_6_baseline_competence():

@@ -11,7 +11,6 @@ from driftbench.data import (
     plan_blocks,
     read_schema,
     save_dataset,
-    split_blocks,
     write_schema,
 )
 from driftbench.synth import desk_spec, generate_drift_stream
@@ -175,13 +174,13 @@ def test_split_rejects_bad_counts():
         plan_blocks(100, 1)
 
 
-def test_split_blocks_on_dataset(tmp_path):
+def test_plan_blocks_on_dataset(tmp_path):
     data, schema = write_pair(
         tmp_path,
         "x,color,y\n" + "".join(f"{i},c,{i % 2}\n" for i in range(10)),
         SCHEMA_2COL,
     )
-    plan = split_blocks(load_dataset(data, schema), 5)
+    plan = plan_blocks(len(load_dataset(data, schema)), 5)
     assert plan.n_blocks == 5
     assert plan.n_rows == 10
 

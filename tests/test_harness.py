@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from driftbench.data import ChronoDataset, FeatureKind, FeatureSchema, plan_blocks, save_dataset
+from driftbench.data import BlockPlan, ChronoDataset, FeatureKind, FeatureSchema, plan_blocks, save_dataset
 from driftbench.harness import (
     ConstantPredictor,
     DatasetRef,
@@ -79,8 +79,8 @@ def test_oracle_predictor_scores_one_everywhere():
     pred = RecordingPredictor(
         score_fn=lambda rows: np.array([float(ds.labels[int(r[0])]) for r in rows]))
     trace = run_lifelong(ds, plan, pred, budget_seconds=60)
-    assert [s.score.auc for s in trace.steps] == [1.0, 1.0]
-    assert trace.to_score().mean_auc == 1.0
+    assert [s.auc for s in trace.steps] == [1.0, 1.0]
+    assert trace.mean_auc == 1.0
 
 
 def test_single_class_block_gets_half_and_flag():
@@ -89,8 +89,14 @@ def test_single_class_block_gets_half_and_flag():
     ds = ChronoDataset(SCHEMA, rows, labels)
     trace = run_lifelong(ds, plan_blocks(30, 3), RecordingPredictor(), budget_seconds=60)
     assert trace.steps[-1].single_class
-    assert trace.steps[-1].score.auc == 0.5
+    assert trace.steps[-1].auc == 0.5
     assert not trace.steps[0].single_class
+
+
+def test_plan_with_one_block_is_rejected():
+    with pytest.raises(ValueError, match="plan has 1"):
+        run_lifelong(indexed_dataset(10), BlockPlan(((0, 10),)), RecordingPredictor(),
+                     budget_seconds=60)
 
 
 class SleepyPredictor(RecordingPredictor):
@@ -114,8 +120,7 @@ def test_overrunning_predictor_is_timed_out_and_zeroed():
     assert trace.outcome == "timed-out"
     assert trace.error
     assert trace.steps == ()
-    score = trace.to_score()
-    assert score.disqualified and score.mean_auc == 0.0
+    assert trace.disqualified and trace.mean_auc == 0.0
 
 
 class CrashingPredictor(RecordingPredictor):
@@ -141,8 +146,7 @@ def test_bad_predictors_score_zero(cls):
     trace = run_lifelong(ds, plan_blocks(30, 3), cls(), budget_seconds=60)
     assert trace.outcome == "predictor-error"
     assert trace.error
-    score = trace.to_score()
-    assert score.disqualified and score.mean_auc == 0.0
+    assert trace.disqualified and trace.mean_auc == 0.0
 
 
 class StagingPredictor(RecordingPredictor):
@@ -182,10 +186,8 @@ def test_deterministic_predictor_yields_identical_traces():
     ]
     a, b = traces
     assert a.outcome == b.outcome
-    assert [(s.step, s.trained_rows, s.block, s.score.auc, s.single_class)
-            for s in a.steps] == \
-           [(s.step, s.trained_rows, s.block, s.score.auc, s.single_class)
-            for s in b.steps]
+    assert [(s.step, s.trained_rows, s.auc, s.single_class) for s in a.steps] == \
+           [(s.step, s.trained_rows, s.auc, s.single_class) for s in b.steps]
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +348,7 @@ def test_echo_predictor_scores_half(tmp_path):
                                workdir=tmp_path / "echo", name="echo")
     trace = run_lifelong(ds, plan_blocks(40, 4), pred, budget_seconds=60)
     assert trace.outcome == "completed"
-    assert [s.score.auc for s in trace.steps] == [0.5, 0.5, 0.5]
+    assert [s.auc for s in trace.steps] == [0.5, 0.5, 0.5]
 
 
 def test_subprocess_sees_exactly_the_revealed_blocks(tmp_path):
@@ -374,8 +376,7 @@ def test_sleeping_subprocess_is_killed_at_budget(tmp_path):
     wall = time.perf_counter() - t0
     assert trace.outcome == "timed-out"
     assert wall < 3.0  # killed within 2s of expiry
-    score = trace.to_score()
-    assert score.disqualified and score.mean_auc == 0.0
+    assert trace.disqualified and trace.mean_auc == 0.0
 
 
 # The child leaves a grandchild holding stderr: one that stays in the

@@ -1,13 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from driftbench.metrics import (
-    BlockScore,
-    DatasetScore,
-    UndefinedAUCError,
-    aggregate_dataset,
-    auc,
-)
+from driftbench.data import plan_blocks
+from driftbench.harness import EvaluationTrace, run_lifelong
+from driftbench.metrics import UndefinedAUCError, auc
+
+from test_harness import indexed_dataset
 
 
 def pairwise_auc(labels, scores):
@@ -85,62 +85,102 @@ def test_length_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# aggregation
+# dataset score: the lifelong trace's mean block AUC, 0 when disqualified
 
 
-def block(i, value, seconds=1.0):
-    return BlockScore(block=i, auc=value, elapsed_seconds=seconds)
+@pytest.fixture
+def clock(monkeypatch):
+    """Replace the harness's clock with one that moves only when a
+    predictor advances it, so billed times are exact."""
+    fake = SimpleNamespace(now=0.0)
+    fake.perf_counter = lambda: fake.now
+    monkeypatch.setattr("driftbench.harness.time", fake)
+    return fake
 
 
-def test_mean_over_blocks():
-    score = aggregate_dataset([block(1, 0.6), block(2, 0.8)], budget_seconds=100,
-                              dataset_id="d")
-    assert score.mean_auc == pytest.approx(0.7)
-    assert not score.disqualified
+class ScriptedPredictor:
+    """Each ``learn`` takes ``learn_seconds`` on the fake clock.  Step k is
+    scored per ``aucs[k - 1]``: 1.0 ranks the block's labels perfectly, 0.5
+    scores every row alike, ``None`` crashes."""
+
+    name = "scripted"
+
+    def __init__(self, clock, aucs, learn_seconds=0.5):
+        self.clock = clock
+        self.aucs = aucs
+        self.learn_seconds = learn_seconds
+        self.step = 0
+
+    def learn(self, rows, labels, schema, remaining_budget_seconds):
+        self.clock.now += self.learn_seconds
+
+    def predict(self, rows):
+        self.step += 1
+        target = self.aucs[self.step - 1]
+        if target is None:
+            raise RuntimeError("boom")
+        if target == 1.0:
+            return np.array([float(int(r[0]) % 2) for r in rows])
+        return np.full(len(rows), 0.5)
 
 
-def test_budget_overrun_zeroes_the_dataset():
-    blocks = [block(1, 0.9, 300.5), block(2, 0.9, 300.5)]
-    score = aggregate_dataset(blocks, budget_seconds=600.0)
-    assert score.total_elapsed_seconds == pytest.approx(601.0)
-    assert score.disqualified
-    assert score.mean_auc == 0.0
+def scripted_run(clock, aucs, budget_seconds):
+    """Run ``len(aucs)`` steps of 10-row blocks."""
+    n_blocks = len(aucs) + 1
+    return run_lifelong(indexed_dataset(10 * n_blocks), plan_blocks(10 * n_blocks, n_blocks),
+                        ScriptedPredictor(clock, aucs), budget_seconds)
 
 
-def test_exactly_on_budget_is_fine():
-    score = aggregate_dataset([block(1, 0.7, 600.0)], budget_seconds=600.0)
-    assert not score.disqualified
-    assert score.mean_auc == pytest.approx(0.7)
+def test_mean_over_blocks(clock):
+    trace = scripted_run(clock, (1.0, 0.5), budget_seconds=100)
+    assert [s.auc for s in trace.steps] == [1.0, 0.5]
+    assert trace.mean_auc == pytest.approx(0.75)
+    assert not trace.disqualified
 
 
-def test_single_block():
-    score = aggregate_dataset([block(1, 0.55)], budget_seconds=10)
-    assert score.mean_auc == pytest.approx(0.55)
+def test_budget_overrun_zeroes_the_dataset(clock):
+    trace = scripted_run(clock, (1.0, 1.0), budget_seconds=0.75)
+    assert trace.outcome == "timed-out"
+    assert [s.auc for s in trace.steps] == [1.0]
+    assert trace.disqualified
+    assert trace.mean_auc == 0.0
 
 
-def test_explicit_total_elapsed_counts_aborted_time():
-    score = aggregate_dataset([block(1, 0.9, 1.0)], budget_seconds=5.0,
-                              total_elapsed_seconds=6.0)
-    assert score.disqualified
+def test_exactly_on_budget_is_fine(clock):
+    trace = scripted_run(clock, (1.0, 1.0), budget_seconds=1.0)
+    assert trace.total_elapsed_seconds == 1.0
+    assert trace.outcome == "completed"
+    assert not trace.disqualified
+    assert trace.mean_auc == 1.0
+    clock.now = 0.0
+    assert scripted_run(clock, (1.0, 1.0), budget_seconds=0.999).outcome == "timed-out"
 
 
-def test_failed_run_is_disqualified_even_within_budget():
-    score = aggregate_dataset([block(1, 0.9, 1.0)], budget_seconds=100.0, failed=True)
-    assert score.disqualified
-    assert score.mean_auc == 0.0
+def test_single_block(clock):
+    trace = scripted_run(clock, (1.0,), budget_seconds=10)
+    assert len(trace.steps) == 1
+    assert trace.mean_auc == 1.0
 
 
-def test_empty_blocks_need_failure_flag():
-    with pytest.raises(ValueError):
-        aggregate_dataset([], budget_seconds=10)
-    score = aggregate_dataset([], budget_seconds=10, failed=True)
-    assert score.mean_auc == 0.0 and score.disqualified
+def test_explicit_total_elapsed_counts_aborted_time(clock):
+    trace = scripted_run(clock, (1.0, 1.0), budget_seconds=0.75)
+    assert [s.elapsed_seconds for s in trace.steps] == [0.5]
+    assert trace.total_elapsed_seconds == 1.0
+    assert trace.disqualified
 
 
-def test_block_score_validation():
-    with pytest.raises(ValueError):
-        BlockScore(block=0, auc=1.2, elapsed_seconds=0.0)
-    with pytest.raises(ValueError):
-        BlockScore(block=0, auc=0.5, elapsed_seconds=-1.0)
-    with pytest.raises(ValueError):
-        DatasetScore("d", (), mean_auc=0.3, total_elapsed_seconds=0.0, disqualified=True)
+def test_failed_run_is_disqualified_even_within_budget(clock):
+    trace = scripted_run(clock, (1.0, None), budget_seconds=100.0)
+    assert trace.outcome == "predictor-error"
+    assert [s.auc for s in trace.steps] == [1.0]
+    assert trace.disqualified
+    assert trace.mean_auc == 0.0
+
+
+def test_empty_blocks_need_failure_flag(clock):
+    trace = scripted_run(clock, (None,), budget_seconds=10)
+    assert trace.steps == ()
+    assert trace.mean_auc == 0.0 and trace.disqualified
+    unloadable = EvaluationTrace("d", (), total_elapsed_seconds=0.0,
+                                 outcome="predictor-error", budget_seconds=10.0)
+    assert unloadable.mean_auc == 0.0 and unloadable.disqualified
