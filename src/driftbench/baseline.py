@@ -83,9 +83,21 @@ class BaselineConfig:
             raise ValueError(f"policy must be one of {DRIFT_POLICIES}, got {self.policy!r}")
 
 
+#: Most cells (features x node rows) one split-search pass holds at once;
+#: bounds the scratch memory of wide nodes.
+_SPLIT_CELLS = 1 << 15
+
+
+def presort(X: np.ndarray) -> np.ndarray:
+    """Each column's row order, ties in row order: a ``(features, rows)``
+    int32 block, so that ``X[order[j], j]`` is column ``j`` sorted."""
+    return np.argsort(X.T, axis=1, kind="stable").astype(np.int32)
+
+
 class RegressionTree:
-    """Axis-aligned regression tree fitted by exact greedy variance
-    reduction on the residuals, with midpoint thresholds.
+    """Axis-aligned regression tree fitted to the residuals by variance
+    reduction: exact greedy splits over columns presorted once per boosting
+    round, with midpoint thresholds.
 
     Nodes live in parallel arrays; ``feature[i] < 0`` marks node ``i`` as a
     leaf carrying ``value[i]``.
@@ -101,41 +113,49 @@ class RegressionTree:
         self.value = np.asarray(value, dtype=np.float64)
 
     @classmethod
-    def fit(cls, X: np.ndarray, residual: np.ndarray, max_depth: int) -> "RegressionTree":
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        value: list[float] = []
+    def fit(cls, X: np.ndarray, residual: np.ndarray, max_depth: int,
+            order: np.ndarray | None = None) -> "RegressionTree":
+        """Fit one tree to ``residual``; ``order`` is ``presort(X)``, computed
+        here when not given.
 
-        def new_node() -> int:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(0.0)
-            return len(feature) - 1
-
-        def grow(node: int, idx: np.ndarray, depth: int) -> None:
+        Each node holds its rows twice: ascending (``idx``, for its value)
+        and sorted per feature (``srt``, for its split search).  A child's
+        ``srt`` is a stable filter of its parent's, which is the child's own
+        stable sort, so no node sorts again.
+        """
+        if order is None:
+            order = presort(X)
+        n_features = order.shape[0]
+        feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
+        # The left child is pushed last and so grown first: nodes are
+        # numbered in preorder, each split's children next to each other.
+        stack = [(0, np.arange(X.shape[0]), order, 0)]
+        while stack:
+            node, idx, srt, depth = stack.pop()
             r = residual[idx]
             value[node] = float(r.mean())
             if depth >= max_depth or idx.size < 2:
-                return
-            split = _best_split(X[idx], r)
+                continue
+            split = _best_split(X, residual, srt, r.sum())
             if split is None:
-                return
+                continue
             j, thr = split
-            go_left = X[idx, j] <= thr
-            node_l, node_r = new_node(), new_node()
-            feature[node] = j
-            threshold[node] = thr
-            left[node] = node_l
-            right[node] = node_r
-            grow(node_l, idx[go_left], depth + 1)
-            grow(node_r, idx[~go_left], depth + 1)
-
-        root = new_node()
-        grow(root, np.arange(X.shape[0]), 0)
+            go_left = X[:, j] <= thr
+            keep = go_left[srt].ravel()
+            at_left = go_left[idx]
+            idx_l, idx_r = idx[at_left], idx[~at_left]
+            node_l = len(feature)
+            feature[node], threshold[node] = j, thr
+            left[node], right[node] = node_l, node_l + 1
+            feature += [-1, -1]
+            threshold += [0.0, 0.0]
+            left += [-1, -1]
+            right += [-1, -1]
+            value += [0.0, 0.0]
+            stack.append((node_l + 1, idx_r,
+                          srt.compress(~keep).reshape(n_features, idx_r.size), depth + 1))
+            stack.append((node_l, idx_l,
+                          srt.compress(keep).reshape(n_features, idx_l.size), depth + 1))
         return cls(feature, threshold, left, right, value)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -155,35 +175,46 @@ class RegressionTree:
         return len(self.feature)
 
 
-def _best_split(X: np.ndarray, r: np.ndarray):
+def _best_split(X: np.ndarray, residual: np.ndarray, srt: np.ndarray, total: float):
     """Best (feature, midpoint threshold) by variance reduction, or None.
 
-    Maximizing sum-of-squared-child-sums over child sizes is equivalent to
-    maximizing variance reduction for a fixed node, so prefix sums over the
-    per-feature sort suffice.
+    ``srt`` holds the node's rows sorted per feature, and ``total`` is the
+    sum of their residuals in ascending row order.  Maximizing
+    sum-of-squared-child-sums over child sizes is equivalent to maximizing
+    variance reduction for a fixed node, so prefix sums along each
+    feature's order suffice.  Features are searched ``_SPLIT_CELLS`` cells
+    at a time and compared in index order; the first best cut wins.
     """
-    n = r.shape[0]
-    total = r.sum()
+    n_features, n = srt.shape
+    base = total * total / n
+    n_left = np.arange(1, n, dtype=np.float64)
+    n_right = n - n_left
+    step = max(1, _SPLIT_CELLS // n)
     best_gain = 0.0
     best = None
-    base = total * total / n
-    for j in range(X.shape[1]):
-        v = X[:, j]
-        order = np.argsort(v, kind="mergesort")
-        vs = v[order]
-        cum = np.cumsum(r[order])
-        cuts = np.nonzero(vs[:-1] < vs[1:])[0]
-        if cuts.size == 0:
-            continue
-        n_left = cuts + 1
-        s_left = cum[cuts]
+    for lo in range(0, n_features, step):
+        rows = srt[lo:lo + step]
+        vs = X[rows, np.arange(lo, lo + rows.shape[0])[:, None]]
+        s_left = np.cumsum(residual[rows[:, :-1]], axis=1)
         s_right = total - s_left
-        gain = s_left * s_left / n_left + s_right * s_right / (n - n_left) - base
-        i = int(np.argmax(gain))
-        if gain[i] > best_gain + 1e-12:
-            best_gain = float(gain[i])
-            best = (j, float(0.5 * (vs[cuts[i]] + vs[cuts[i] + 1])))
-    return best
+        gain = s_left * s_left
+        gain /= n_left
+        s_right *= s_right
+        s_right /= n_right
+        gain += s_right
+        gain -= base
+        # Only a step between distinct values is a cut.
+        gain.ravel()[np.flatnonzero(~(vs[:, :-1] < vs[:, 1:]))] = -np.inf
+        at = gain.argmax(axis=1)
+        tops = gain[np.arange(at.size), at]
+        for f, (i, g) in enumerate(zip(at.tolist(), tops.tolist())):
+            if g > best_gain + 1e-12:
+                best_gain = g
+                best = (lo + f, i)
+    if best is None:
+        return None
+    j, i = best
+    return j, float(0.5 * (X[srt[j, i], j] + X[srt[j, i + 1], j]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,9 +319,10 @@ def _boost(X: np.ndarray, y: np.ndarray, margin: np.ndarray, n_trees: int,
     trees: list[RegressionTree] = []
     losses = [log_loss(y, sigmoid(margin))]
     margin = margin.copy()
+    order = presort(X)
     for _ in range(n_trees):
         residual = y - sigmoid(margin)
-        tree = RegressionTree.fit(X, residual, max_depth)
+        tree = RegressionTree.fit(X, residual, max_depth, order)
         trees.append(tree)
         margin += rate * tree.predict(X)
         losses.append(log_loss(y, sigmoid(margin)))

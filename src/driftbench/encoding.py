@@ -173,8 +173,8 @@ def transform_rows(schema: FeatureSchema,
     """Assemble the numeric matrix for ``rows``, one column per schema
     feature in schema order.
 
-    Numeric cells parse to float (missing -> 0), time cells to int, and
-    categorical / multi-valued cells go through their fitted encoder.
+    Numeric cells parse to finite floats (missing -> 0), time cells to int,
+    and categorical / multi-valued cells go through their fitted encoder.
     """
     n = len(rows)
     out = np.zeros((n, schema.n_features), dtype=np.float64)
@@ -191,6 +191,12 @@ def transform_rows(schema: FeatureSchema,
                         f"row {i}, column {name!r}: cannot parse {cell!r} as "
                         f"{'a number' if kind is FeatureKind.NUMERICAL else 'an integer'}"
                     ) from None
+            bad = np.flatnonzero(~np.isfinite(out[:, j]))
+            if bad.size:
+                i = int(bad[0])
+                raise DatasetFormatError(
+                    f"row {i}, column {name!r}: {rows[i][j]!r} is not a finite number"
+                )
         elif kind is FeatureKind.CATEGORICAL:
             out[:, j] = transform_column(encoders[name], [row[j] for row in rows])
         else:

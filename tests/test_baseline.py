@@ -1,6 +1,9 @@
+import gc
+
 import numpy as np
 import pytest
 
+from driftbench import baseline
 from driftbench.baseline import (
     BaselineConfig,
     BaselinePredictor,
@@ -12,14 +15,15 @@ from driftbench.baseline import (
     fit_initial,
     log_loss,
     predict_scores,
+    presort,
     select_training_pool,
     sigmoid,
 )
-from driftbench.data import plan_blocks
-from driftbench.encoding import EncoderKind, fit_dataset_encoders
+from driftbench.data import ChronoDataset, FeatureKind, plan_blocks
+from driftbench.encoding import EncoderKind, encode_dataset, fit_dataset_encoders
 from driftbench.metrics import auc
-from driftbench.harness import run_lifelong
-from driftbench.synth import DriftGenSpec, generate_drift_stream
+from driftbench.harness import OUTCOME_PREDICTOR_ERROR, run_lifelong
+from driftbench.synth import DriftGenSpec, desk_spec, generate_drift_stream
 
 FAST = dict(initial_trees=30, trees_per_block=8, max_depth=3, learning_rate=0.2)
 
@@ -113,6 +117,163 @@ def test_tree_on_constant_features_stays_leaf():
 
 
 # ---------------------------------------------------------------------------
+# reference split search: one stable sort per node and feature
+
+
+def reference_fit(X, residual, max_depth):
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        return len(feature) - 1
+
+    def grow(node, idx, depth):
+        r = residual[idx]
+        value[node] = float(r.mean())
+        if depth >= max_depth or idx.size < 2:
+            return
+        split = reference_best_split(X[idx], r)
+        if split is None:
+            return
+        j, thr = split
+        go_left = X[idx, j] <= thr
+        node_l, node_r = new_node(), new_node()
+        feature[node] = j
+        threshold[node] = thr
+        left[node] = node_l
+        right[node] = node_r
+        grow(node_l, idx[go_left], depth + 1)
+        grow(node_r, idx[~go_left], depth + 1)
+
+    root = new_node()
+    grow(root, np.arange(X.shape[0]), 0)
+    return RegressionTree(feature, threshold, left, right, value)
+
+
+def reference_best_split(X, r):
+    n = r.shape[0]
+    total = r.sum()
+    best_gain = 0.0
+    best = None
+    base = total * total / n
+    for j in range(X.shape[1]):
+        v = X[:, j]
+        order = np.argsort(v, kind="mergesort")
+        vs = v[order]
+        cum = np.cumsum(r[order])
+        cuts = np.nonzero(vs[:-1] < vs[1:])[0]
+        if cuts.size == 0:
+            continue
+        n_left = cuts + 1
+        s_left = cum[cuts]
+        s_right = total - s_left
+        gain = s_left * s_left / n_left + s_right * s_right / (n - n_left) - base
+        i = int(np.argmax(gain))
+        if gain[i] > best_gain + 1e-12:
+            best_gain = float(gain[i])
+            best = (j, float(0.5 * (vs[cuts[i]] + vs[cuts[i] + 1])))
+    return best
+
+
+def assert_same_tree(got, want):
+    for attr in ("feature", "threshold", "left", "right", "value"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
+def random_split_case(rng):
+    n = int(rng.integers(2, 401))
+    d = int(rng.integers(1, 13))
+    X = np.round(rng.normal(scale=3.0, size=(n, d)), int(rng.integers(0, 3)))
+    kind = rng.integers(4)
+    if kind == 1:
+        X[:, rng.integers(d)] = 1.5                     # one constant column
+    elif kind == 2:
+        X[:] = -2.0                                     # nothing to split on
+    elif kind == 3:
+        X[rng.random(n) < 0.3, rng.integers(d)] = np.nan
+    residual = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+    if rng.random() < 0.3:
+        # Sums over 16 orders of magnitude change with the order of their
+        # terms, so any other summation order shows.
+        residual *= 10.0 ** rng.integers(-8, 9, size=n)
+    return X, residual, int(rng.integers(1, 7))
+
+
+def test_presort_orders_ties_by_row():
+    rng = np.random.default_rng(7)
+    X = rng.integers(0, 4, size=(60, 3)).astype(np.float64)
+    X[rng.random(60) < 0.2, 2] = np.nan
+    want = [sorted(range(60), key=lambda i: (np.isnan(v[i]), 0.0 if np.isnan(v[i]) else v[i], i))
+            for v in X.T]
+    got = presort(X)
+    assert got.dtype == np.int32
+    assert got.tolist() == want
+
+
+# 64 cells split every node's search into chunks of one or a few features.
+@pytest.mark.parametrize("split_cells", [baseline._SPLIT_CELLS, 64])
+def test_presorted_fit_matches_reference_tree_for_tree(split_cells, monkeypatch):
+    monkeypatch.setattr(baseline, "_SPLIT_CELLS", split_cells)
+    rng = np.random.default_rng(split_cells)
+    for _ in range(250):
+        X, residual, depth = random_split_case(rng)
+        assert_same_tree(RegressionTree.fit(X, residual, depth),
+                         reference_fit(X, residual, depth))
+
+
+@pytest.mark.parametrize("shape", ["A", "D"])
+def test_boosting_matches_reference_fit(shape, monkeypatch):
+    ds = generate_drift_stream(desk_spec(shape, 450, n_blocks=3, drift="gradual",
+                                         drift_magnitude=1.0, seed=5))
+    X, _ = encode_dataset(ds)
+    y = np.asarray(ds.labels, float)
+    cfg = BaselineConfig(initial_trees=6, trees_per_block=3, max_depth=4,
+                         learning_rate=0.3, seed=5)
+
+    def grow():
+        (a0, a1), (b0, b1), (c0, c1) = plan_blocks(len(ds), 3).ranges
+        ens = fit_initial(X[a0:a1], y[a0:a1], cfg)
+        ens = extend(ens, X[b0:b1], y[b0:b1], cfg)
+        return extend(ens, X[c0:c1], y[c0:c1], cfg)
+
+    got = grow()
+    monkeypatch.setattr(RegressionTree, "fit", classmethod(
+        lambda cls, X, residual, max_depth, order=None: reference_fit(X, residual, max_depth)))
+    want = grow()
+    assert got.n_trees == want.n_trees == 12
+    for g, w in zip(got.trees, want.trees):
+        assert_same_tree(g, w)
+    assert np.array_equal(ensemble_margin(got, X), ensemble_margin(want, X))
+
+
+def _unreachable_after(work):
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_tree_fit_leaves_no_reference_cycles():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(300, 6))
+    r = rng.normal(size=300)
+    assert _unreachable_after(lambda: RegressionTree.fit(X, r, 4)) == 0
+
+
+def test_fit_initial_leaves_no_reference_cycles():
+    X, y = separable_data(n=300, seed=4)
+    cfg = BaselineConfig(initial_trees=5, trees_per_block=1, max_depth=4, seed=4)
+    assert _unreachable_after(lambda: fit_initial(X, y, cfg)) == 0
+
+
+# ---------------------------------------------------------------------------
 # boosting
 
 
@@ -135,7 +296,6 @@ def test_fit_deterministic_given_seed():
     spec = DriftGenSpec(n_rows=600, n_cat=2, n_num=3, n_mvc=0, n_time=0,
                         n_blocks=3, seed=4)
     ds = generate_drift_stream(spec)
-    from driftbench.encoding import encode_dataset
     X, _ = encode_dataset(ds)
     y = np.asarray(ds.labels, float)
     cfg = BaselineConfig(seed=77, **FAST)
@@ -204,7 +364,6 @@ def test_training_loss_non_increasing_per_iteration():
     spec = DriftGenSpec(n_rows=900, n_cat=2, n_num=3, n_mvc=1, n_time=1,
                         n_blocks=3, seed=6)
     ds = generate_drift_stream(spec)
-    from driftbench.encoding import encode_dataset
     X, _ = encode_dataset(ds)
     y = np.asarray(ds.labels, float)
     plan = plan_blocks(len(ds), 3)
@@ -321,6 +480,23 @@ def test_non_ordinal_encoders_stay_frozen_on_the_first_block(kind):
     first = fit_dataset_encoders(ds.schema, ds.rows[lo:hi], ds.labels[lo:hi],
                                  cat_kind=kind, smoothing=cfg.target_smoothing)
     assert pred.encoders == first
+
+
+def test_non_finite_numeric_cell_is_a_predictor_error():
+    spec = desk_spec("D", 600, n_blocks=5, drift="gradual", drift_magnitude=1.0, seed=4)
+    ds = generate_drift_stream(spec)
+    plan = plan_blocks(len(ds), spec.n_blocks)
+    j = next(j for j, (_, kind) in enumerate(ds.schema.columns)
+             if kind is FeatureKind.NUMERICAL)
+    name = ds.schema.columns[j][0]
+    lo, hi = plan.ranges[0]
+    rows = tuple(row[:j] + ("inf",) + row[j + 1:] if lo <= i < hi and ds.labels[i] == 1
+                 else row for i, row in enumerate(ds.rows))
+    poisoned = ChronoDataset(ds.schema, rows, ds.labels)
+    trace = run_lifelong(poisoned, plan, BaselinePredictor(BaselineConfig(seed=4, **FAST)),
+                         budget_seconds=600, dataset_id="x")
+    assert trace.outcome == OUTCOME_PREDICTOR_ERROR
+    assert f"column {name!r}: 'inf' is not a finite number" in trace.error
 
 
 def test_predict_before_learn_raises():

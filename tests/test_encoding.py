@@ -127,6 +127,13 @@ def test_bad_numeric_names_row_and_column():
         encode_dataset(ds)
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e309"])
+def test_non_finite_numeric_names_row_and_column(cell):
+    ds = _dataset([("1.0",), (cell,)], [0, 1], kinds=("num",))
+    with pytest.raises(DatasetFormatError, match=f"row 1, column 'c0': '{cell}'"):
+        encode_dataset(ds)
+
+
 def test_time_column_passes_through_as_integer():
     ds = _dataset([("100",), ("101",)], [0, 1], kinds=("time",))
     matrix, _ = encode_dataset(ds)
