@@ -10,50 +10,4 @@ policies ships both as an in-process adapter and as an external program
 speaking the harness file protocol.
 """
 
-from .data import (
-    BlockPlan,
-    BlockPlanError,
-    ChronoDataset,
-    DatasetFormatError,
-    FeatureKind,
-    FeatureSchema,
-    load_dataset,
-    plan_blocks,
-    save_dataset,
-)
-from .encoding import EncoderKind, FittedEncoder, encode_dataset, fit_encoder, transform_column
-from .harness import (
-    ConstantPredictor,
-    DatasetRef,
-    EvaluationTrace,
-    PhaseConfig,
-    PredictorAdapter,
-    PredictorError,
-    PredictorTimeout,
-    SubprocessPredictor,
-    run_lifelong,
-    run_suite,
-)
-from .metrics import UndefinedAUCError, auc
-from .baseline import (
-    BaselineConfig,
-    BaselinePredictor,
-    BoostedEnsemble,
-    TrainingPool,
-    extend,
-    fit_initial,
-    predict_scores,
-    select_training_pool,
-)
-from .ranking import (
-    Leaderboard,
-    SubmissionEntry,
-    average_rank,
-    build_leaderboard,
-    merge_bundles,
-    rank_within_dataset,
-    render_leaderboard_csv,
-)
-from .synth import DATASET_SHAPES, DriftGenSpec, desk_spec, generate_drift_stream
-
 __version__ = "0.1.0"

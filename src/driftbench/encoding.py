@@ -1,27 +1,25 @@
-"""Categorical feature encoders and whole-dataset matrix assembly.
+"""Categorical feature encoders and whole-table matrix assembly.
 
 Three encoders cover the strategies that work on power-law categorical
 columns without exploding dimensionality: ordinal codes in order of first
-appearance, occurrence counts, and smoothed target means.  Values never
-seen at fit time map to 0 (ordinal, count) or to the global prior (target
-mean), so transforms cannot fail on later blocks of a stream.
+appearance, occurrence counts, and smoothed target means.  Each fitted
+encoder is one lookup table from value to number; target means are
+smoothed toward the global label mean at fit time.  Values never seen at
+fit time map to the encoder's ``unseen`` number (0, or that label mean for
+target mean), so transforms cannot fail on later blocks of a stream.
+:func:`transform_rows` encodes one whole column at a time.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import (
-    MVC_SEPARATOR,
-    ChronoDataset,
-    DatasetFormatError,
-    FeatureKind,
-    FeatureSchema,
-)
+from .data import MVC_SEPARATOR, DatasetFormatError, FeatureKind, FeatureSchema
 
 
 class EncodingError(ValueError):
@@ -36,38 +34,20 @@ class EncoderKind(enum.Enum):
 
 @dataclass(frozen=True)
 class FittedEncoder:
-    """Immutable per-column encoder state.
+    """Immutable per-column encoder: a value seen at fit time encodes to
+    ``mapping[value]``, any other value to ``unseen``.
 
-    ``mapping`` holds, per category value: the 1-based first-appearance code
-    (ordinal), the occurrence count (count), or a ``(label_sum, count)``
-    pair (target mean).  Code 0 / count 0 / the prior are reserved for
-    values unseen at fit time.
+    ``mapping`` holds the 1-based first-appearance code (ordinal), the
+    occurrence count (count) or the smoothed label mean (target mean).
     """
 
     kind: EncoderKind
-    mapping: Mapping[str, object]
-    prior: float = 0.0
-    smoothing: float = 0.0
-
-    def encode_value(self, value: str) -> float:
-        if self.kind is EncoderKind.ORDINAL or self.kind is EncoderKind.COUNT:
-            return float(self.mapping.get(value, 0))
-        stats = self.mapping.get(value)
-        if stats is None:
-            return self.prior
-        label_sum, count = stats
-        return (label_sum + self.smoothing * self.prior) / (count + self.smoothing)
+    mapping: Mapping[str, float]
+    unseen: float = 0
 
 
-def fit_encoder(kind: EncoderKind, values: Sequence[str],
-                labels: Sequence[int] | np.ndarray | None = None,
-                smoothing: float = 10.0) -> FittedEncoder:
-    """Fit one encoder on a column of raw values.
-
-    Target-mean encoding needs ``labels`` aligned with ``values``; the
-    encoded value of category v is ``(sum_v + m * prior) / (count_v + m)``
-    with ``m = smoothing`` and prior the global label mean.
-    """
+def _fit(kind: EncoderKind, values: Sequence[str],
+         labels: Sequence[float] | np.ndarray | None, smoothing: float) -> FittedEncoder:
     if kind is EncoderKind.ORDINAL:
         return extend_ordinal(FittedEncoder(kind, {}), values)
     if kind is EncoderKind.COUNT:
@@ -75,21 +55,17 @@ def fit_encoder(kind: EncoderKind, values: Sequence[str],
         for v in values:
             counts[v] = counts.get(v, 0) + 1
         return FittedEncoder(kind, counts)
-    if kind is EncoderKind.TARGET_MEAN:
-        if labels is None:
-            raise EncodingError("target-mean encoding needs labels at fit time")
-        labels = np.asarray(labels, dtype=np.float64)
-        if len(labels) != len(values):
-            raise EncodingError(
-                f"{len(values)} values but {len(labels)} labels at fit time"
-            )
-        stats: dict[str, tuple[float, int]] = {}
-        for v, y in zip(values, labels):
-            s, c = stats.get(v, (0.0, 0))
-            stats[v] = (s + float(y), c + 1)
-        prior = float(labels.mean()) if len(labels) else 0.0
-        return FittedEncoder(kind, stats, prior=prior, smoothing=float(smoothing))
-    raise EncodingError(f"unknown encoder kind {kind!r}")
+    if labels is None:
+        raise EncodingError("target-mean encoding needs labels at fit time")
+    labels = np.asarray(labels, dtype=np.float64)
+    stats: dict[str, tuple[float, int]] = {}
+    for v, y in zip(values, labels):
+        s, c = stats.get(v, (0.0, 0))
+        stats[v] = (s + float(y), c + 1)
+    prior = float(labels.mean()) if len(labels) else 0.0
+    m = float(smoothing)
+    means = {v: (s + m * prior) / (c + m) for v, (s, c) in stats.items()}
+    return FittedEncoder(kind, means, prior)
 
 
 def extend_ordinal(encoder: FittedEncoder, values: Sequence[str]) -> FittedEncoder:
@@ -107,120 +83,103 @@ def extend_ordinal(encoder: FittedEncoder, values: Sequence[str]) -> FittedEncod
     return FittedEncoder(EncoderKind.ORDINAL, codes)
 
 
-def transform_column(encoder: FittedEncoder, values: Sequence[str]) -> np.ndarray:
-    """Encode a column; length-preserving and total (unseen values follow
-    the encoder's unseen rule instead of failing)."""
-    return np.array([encoder.encode_value(v) for v in values], dtype=np.float64)
-
-
-def transform_mvc_column(encoder: FittedEncoder, cells: Sequence[str]) -> np.ndarray:
-    """Encode a multi-valued column as the mean of per-token encodings.
-
-    Empty cells encode to 0.  Ordinal encoders treat the whole joined cell
-    as one value instead (token order matters there by construction).
-    """
-    if encoder.kind is EncoderKind.ORDINAL:
-        return transform_column(encoder, cells)
-    out = np.zeros(len(cells), dtype=np.float64)
-    for i, cell in enumerate(cells):
-        if not cell:
-            continue
-        tokens = cell.split(MVC_SEPARATOR)
-        out[i] = sum(encoder.encode_value(t) for t in tokens) / len(tokens)
-    return out
-
-
-def mvc_fit_tokens(cells: Sequence[str],
-                   labels: Sequence[int] | np.ndarray | None = None):
-    """Explode multi-valued cells into tokens (labels repeated per token)."""
-    tokens: list[str] = []
-    token_labels: list[float] = [] if labels is not None else None  # type: ignore[assignment]
-    for i, cell in enumerate(cells):
-        if not cell:
-            continue
-        for t in cell.split(MVC_SEPARATOR):
-            tokens.append(t)
-            if labels is not None:
-                token_labels.append(float(labels[i]))
-    return tokens, token_labels
-
-
 def fit_dataset_encoders(schema: FeatureSchema,
                          rows: Sequence[tuple[str, ...]],
                          labels: Sequence[int] | np.ndarray | None,
                          cat_kind: EncoderKind = EncoderKind.ORDINAL,
                          mvc_kind: EncoderKind | None = None,
                          smoothing: float = 10.0) -> dict[str, FittedEncoder]:
-    """Fit one encoder per categorical / multi-valued column of ``rows``."""
+    """Fit one encoder per categorical / multi-valued column of ``rows``.
+
+    Target mean needs ``labels`` aligned with ``rows``; category v encodes
+    to ``(sum_v + m * prior) / (count_v + m)`` with ``m = smoothing`` and
+    prior the mean label.  A multi-valued column is fitted on its cells'
+    tokens (each token carrying its row's label), except under ordinal
+    encoding, which codes each whole cell.
+    """
+    if labels is not None and len(labels) != len(rows):
+        raise EncodingError(f"{len(rows)} rows but {len(labels)} labels at fit time")
     mvc_kind = cat_kind if mvc_kind is None else mvc_kind
     encoders: dict[str, FittedEncoder] = {}
     for j, (name, kind) in enumerate(schema.columns):
-        column = [row[j] for row in rows]
         if kind is FeatureKind.CATEGORICAL:
-            encoders[name] = fit_encoder(cat_kind, column, labels, smoothing)
+            encoders[name] = _fit(cat_kind, [row[j] for row in rows], labels, smoothing)
         elif kind is FeatureKind.MULTI_CATEGORICAL:
             if mvc_kind is EncoderKind.ORDINAL:
-                encoders[name] = fit_encoder(EncoderKind.ORDINAL, column)
-            else:
-                tokens, token_labels = mvc_fit_tokens(column, labels)
-                encoders[name] = fit_encoder(mvc_kind, tokens, token_labels, smoothing)
+                encoders[name] = _fit(mvc_kind, [row[j] for row in rows], None, smoothing)
+                continue
+            tokens: list[str] = []
+            token_labels: list[float] | None = None if labels is None else []
+            for i, row in enumerate(rows):
+                if row[j]:
+                    cell_tokens = row[j].split(MVC_SEPARATOR)
+                    tokens += cell_tokens
+                    if token_labels is not None:
+                        token_labels += [float(labels[i])] * len(cell_tokens)
+            encoders[name] = _fit(mvc_kind, tokens, token_labels, smoothing)
     return encoders
+
+
+def _token_mean(cell: str, get, unseen: float) -> float:
+    if not cell:
+        return 0.0
+    tokens = cell.split(MVC_SEPARATOR)
+    return sum([get(t, unseen) for t in tokens]) / len(tokens)
+
+
+def _int_float(cell: str) -> float:
+    return float(int(cell))
+
+
+def _parse_cell(parse, name: str, kind: FeatureKind, i: int, cell: str) -> float:
+    try:
+        return parse(cell) if cell else 0.0
+    except OverflowError:
+        return math.inf  # an integer past float range; named below
+    except ValueError:
+        raise DatasetFormatError(
+            f"row {i}, column {name!r}: cannot parse {cell!r} as "
+            f"{'a number' if kind is FeatureKind.NUMERICAL else 'an integer'}"
+        ) from None
+
+
+def _parse_column(name: str, kind: FeatureKind, cells: Sequence[str]) -> np.ndarray:
+    """Numeric or time column as finite floats (missing -> 0)."""
+    parse = float if kind is FeatureKind.NUMERICAL else _int_float
+    try:
+        values = [parse(c) if c else 0.0 for c in cells]
+    except (ValueError, OverflowError):  # scan again to name the first bad row
+        values = [_parse_cell(parse, name, kind, i, c) for i, c in enumerate(cells)]
+    column = np.array(values, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(column))
+    if bad.size:
+        i = int(bad[0])
+        raise DatasetFormatError(f"row {i}, column {name!r}: {cells[i]!r} is not a finite number")
+    return column
 
 
 def transform_rows(schema: FeatureSchema,
                    rows: Sequence[tuple[str, ...]],
                    encoders: Mapping[str, FittedEncoder]) -> np.ndarray:
-    """Assemble the numeric matrix for ``rows``, one column per schema
-    feature in schema order.
+    """Assemble the C-ordered ``(rows, features)`` float matrix for
+    ``rows``, one column per schema feature in schema order.
 
-    Numeric cells parse to finite floats (missing -> 0), time cells to int,
-    and categorical / multi-valued cells go through their fitted encoder.
+    Numeric cells parse to finite floats (missing -> 0), time cells to
+    int, and categorical / multi-valued cells go through their fitted
+    encoder.  A multi-valued cell encodes to the mean of its tokens'
+    numbers (empty -> 0), except under ordinal encoding, which codes the
+    whole cell.
     """
-    n = len(rows)
-    out = np.zeros((n, schema.n_features), dtype=np.float64)
+    out = np.empty((len(rows), schema.n_features), dtype=np.float64)
     for j, (name, kind) in enumerate(schema.columns):
+        cells = [row[j] for row in rows]
         if kind is FeatureKind.NUMERICAL or kind is FeatureKind.TIME:
-            for i, row in enumerate(rows):
-                cell = row[j]
-                if cell == "":
-                    continue
-                try:
-                    out[i, j] = float(cell) if kind is FeatureKind.NUMERICAL else int(cell)
-                except ValueError:
-                    raise DatasetFormatError(
-                        f"row {i}, column {name!r}: cannot parse {cell!r} as "
-                        f"{'a number' if kind is FeatureKind.NUMERICAL else 'an integer'}"
-                    ) from None
-            bad = np.flatnonzero(~np.isfinite(out[:, j]))
-            if bad.size:
-                i = int(bad[0])
-                raise DatasetFormatError(
-                    f"row {i}, column {name!r}: {rows[i][j]!r} is not a finite number"
-                )
-        elif kind is FeatureKind.CATEGORICAL:
-            out[:, j] = transform_column(encoders[name], [row[j] for row in rows])
+            out[:, j] = _parse_column(name, kind, cells)
+            continue
+        encoder = encoders[name]
+        get, unseen = encoder.mapping.get, encoder.unseen
+        if kind is FeatureKind.CATEGORICAL or encoder.kind is EncoderKind.ORDINAL:
+            out[:, j] = [get(c, unseen) for c in cells]
         else:
-            out[:, j] = transform_mvc_column(encoders[name], [row[j] for row in rows])
+            out[:, j] = [_token_mean(c, get, unseen) for c in cells]
     return out
-
-
-def encode_dataset(dataset: ChronoDataset,
-                   cat_kind: EncoderKind = EncoderKind.ORDINAL,
-                   mvc_kind: EncoderKind | None = None,
-                   fit_rows: tuple[int, int] | None = None,
-                   smoothing: float = 10.0) -> tuple[np.ndarray, dict[str, FittedEncoder]]:
-    """Encode a whole dataset into a float matrix.
-
-    Encoders are fitted on the half-open row range ``fit_rows`` (default:
-    every row) and applied to every row, so nothing past the fit range can
-    leak into the encoder state.
-    """
-    lo, hi = fit_rows if fit_rows is not None else (0, len(dataset))
-    if not (0 <= lo <= hi <= len(dataset)):
-        raise EncodingError(f"fit range [{lo}, {hi}) outside dataset of {len(dataset)} rows")
-    encoders = fit_dataset_encoders(
-        dataset.schema, dataset.rows[lo:hi], dataset.labels[lo:hi],
-        cat_kind=cat_kind, mvc_kind=mvc_kind, smoothing=smoothing,
-    )
-    matrix = transform_rows(dataset.schema, dataset.rows, encoders)
-    return matrix, encoders

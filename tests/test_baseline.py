@@ -20,7 +20,7 @@ from driftbench.baseline import (
     sigmoid,
 )
 from driftbench.data import ChronoDataset, FeatureKind, plan_blocks
-from driftbench.encoding import EncoderKind, encode_dataset, fit_dataset_encoders
+from driftbench.encoding import EncoderKind, fit_dataset_encoders, transform_rows
 from driftbench.metrics import auc
 from driftbench.harness import OUTCOME_PREDICTOR_ERROR, run_lifelong
 from driftbench.synth import DriftGenSpec, desk_spec, generate_drift_stream
@@ -229,7 +229,7 @@ def test_presorted_fit_matches_reference_tree_for_tree(split_cells, monkeypatch)
 def test_boosting_matches_reference_fit(shape, monkeypatch):
     ds = generate_drift_stream(desk_spec(shape, 450, n_blocks=3, drift="gradual",
                                          drift_magnitude=1.0, seed=5))
-    X, _ = encode_dataset(ds)
+    X = transform_rows(ds.schema, ds.rows, fit_dataset_encoders(ds.schema, ds.rows, ds.labels))
     y = np.asarray(ds.labels, float)
     cfg = BaselineConfig(initial_trees=6, trees_per_block=3, max_depth=4,
                          learning_rate=0.3, seed=5)
@@ -296,7 +296,7 @@ def test_fit_deterministic_given_seed():
     spec = DriftGenSpec(n_rows=600, n_cat=2, n_num=3, n_mvc=0, n_time=0,
                         n_blocks=3, seed=4)
     ds = generate_drift_stream(spec)
-    X, _ = encode_dataset(ds)
+    X = transform_rows(ds.schema, ds.rows, fit_dataset_encoders(ds.schema, ds.rows, ds.labels))
     y = np.asarray(ds.labels, float)
     cfg = BaselineConfig(seed=77, **FAST)
     e1 = fit_initial(X, y, cfg)
@@ -364,7 +364,7 @@ def test_training_loss_non_increasing_per_iteration():
     spec = DriftGenSpec(n_rows=900, n_cat=2, n_num=3, n_mvc=1, n_time=1,
                         n_blocks=3, seed=6)
     ds = generate_drift_stream(spec)
-    X, _ = encode_dataset(ds)
+    X = transform_rows(ds.schema, ds.rows, fit_dataset_encoders(ds.schema, ds.rows, ds.labels))
     y = np.asarray(ds.labels, float)
     plan = plan_blocks(len(ds), 3)
     cfg = BaselineConfig(seed=5, **FAST)

@@ -5,7 +5,7 @@ import pytest
 
 from driftbench.baseline import BaselineConfig, fit_initial, predict_scores
 from driftbench.data import FeatureKind, plan_blocks, save_dataset
-from driftbench.encoding import EncoderKind, encode_dataset
+from driftbench.encoding import fit_dataset_encoders, transform_rows
 from driftbench.metrics import auc
 from driftbench.synth import DATASET_SHAPES, DriftGenSpec, desk_spec, generate_drift_stream
 
@@ -83,7 +83,8 @@ def test_invalid_specs_rejected():
 
 def _linear_scores(ds, fit_rows):
     """Least-squares linear scorer; low-variance reference predictor."""
-    X, _ = encode_dataset(ds, EncoderKind.ORDINAL, fit_rows=(0, fit_rows))
+    X = transform_rows(ds.schema, ds.rows,
+                       fit_dataset_encoders(ds.schema, ds.rows[:fit_rows], ds.labels[:fit_rows]))
     y = np.asarray(ds.labels, dtype=np.float64)
     A = np.hstack([X, np.ones((len(ds), 1))])
     w, *_ = np.linalg.lstsq(A[:fit_rows], y[:fit_rows], rcond=None)
@@ -113,7 +114,8 @@ def test_abrupt_drift_degrades_stale_model():
         plan = plan_blocks(len(ds), spec.n_blocks)
         mid = spec.n_blocks // 2
         train_hi = plan.ranges[mid - 2][1]
-        X, _ = encode_dataset(ds, EncoderKind.ORDINAL, fit_rows=(0, train_hi))
+        X = transform_rows(ds.schema, ds.rows,
+                           fit_dataset_encoders(ds.schema, ds.rows[:train_hi], ds.labels[:train_hi]))
         y = np.asarray(ds.labels, dtype=np.float64)
         config = BaselineConfig(initial_trees=30, trees_per_block=8, max_depth=3,
                                 learning_rate=0.2, seed=seed)
