@@ -362,7 +362,7 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
     if config.policy == "sliding-window":
         pool = pool.keep_last(config.window_blocks)
 
-    _, y_all, _ = pool.stacked()
+    y_all = np.concatenate([y for _, _, y in pool.blocks])
     if np.all(y_all == y_all[0]):
         return replace(ensemble, base_score=_prior_logit(y_all),
                        revealed_blocks=k, pool=pool)

@@ -98,6 +98,8 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     for i, d in enumerate(raw.get("datasets", [])):
         try:
             dataset_id = d["id"]
+            if any(spec.dataset_id == dataset_id for spec in datasets):
+                raise ConfigError(f"dataset entry {i}: duplicate id {dataset_id!r}")
             phase = d.get("phase", "feedback")
             if phase not in PHASES:
                 raise ConfigError(f"dataset {dataset_id}: unknown phase {phase!r}")
@@ -117,9 +119,11 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
                 seed=_derived_seed(seed, i),
                 dataset_id=dataset_id,
             )
+            budget = float(d["budget_seconds"])
+            if not budget > 0:
+                raise ConfigError(f"dataset {dataset_id}: budget_seconds must be > 0, got {budget}")
             datasets.append(DatasetSpec(
-                dataset_id=dataset_id, phase=phase, gen=gen,
-                budget_seconds=float(d["budget_seconds"]),
+                dataset_id=dataset_id, phase=phase, gen=gen, budget_seconds=budget,
             ))
         except (KeyError, ValueError, TypeError) as exc:
             if isinstance(exc, ConfigError):
@@ -129,6 +133,8 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     predictors = []
     for i, p in enumerate(raw.get("predictors", [])):
         try:
+            if any(spec.name == p["name"] for spec in predictors):
+                raise ConfigError(f"predictor entry {i}: duplicate name {p['name']!r}")
             kind = p.get("type", "baseline")
             if kind not in ("baseline", "command"):
                 raise ConfigError(f"predictor {p.get('name', i)}: unknown type {kind!r}")

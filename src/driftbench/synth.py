@@ -17,6 +17,11 @@ from .data import ChronoDataset, FeatureKind, FeatureSchema, plan_blocks
 
 DRIFT_PROFILES = ("none", "gradual", "abrupt")
 
+#: Slope of the logistic link from the standardized latent score to P(label=1).
+LABEL_SHARPNESS = 3.0
+#: Tokens drawn per multi-valued cell: 1 to this many, duplicates dropped.
+MVC_MAX_TOKENS = 3
+
 #: Feature-type mix (cat, num, mvc, time) and time budget in seconds of the
 #: five public challenge streams; used to shape desk-scale analogs.
 DATASET_SHAPES = {
@@ -43,8 +48,6 @@ class DriftGenSpec:
     cat_cardinality: int = 30
     power_exponent: float = 1.3
     seed: int = 0
-    label_sharpness: float = 3.0
-    mvc_max_tokens: int = 3
     dataset_id: str = "synth"
 
     def __post_init__(self) -> None:
@@ -58,7 +61,9 @@ class DriftGenSpec:
             raise ValueError("power-law exponent must be > 0")
         if min(self.n_rows, self.n_blocks) < 1 or self.n_blocks > self.n_rows:
             raise ValueError("need 1 <= n_blocks <= n_rows")
-        if self.n_cat + self.n_num + self.n_mvc + self.n_time < 1:
+        if min(self.n_cat, self.n_num, self.n_mvc, self.n_time) < 0:
+            raise ValueError("feature column counts must be >= 0")
+        if self.n_features < 1:
             raise ValueError("spec declares no feature columns")
 
     @property
@@ -88,108 +93,76 @@ def _rotated(theta_a: np.ndarray, theta_b: np.ndarray, angle: np.ndarray) -> np.
 
 
 def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
-    """Generate one stream per ``spec``; deterministic given the seed."""
+    """Generate one stream per ``spec``; deterministic given the seed.
+
+    Every feature column is built once, as a list of cells in schema order,
+    and the rows are its transpose.
+    """
     rng = np.random.default_rng(spec.seed)
-    n = spec.n_rows
-    plan = plan_blocks(n, spec.n_blocks) if spec.n_blocks >= 2 else None
+    n, card = spec.n_rows, spec.cat_cardinality
 
-    block_of_row = np.zeros(n, dtype=np.int64)
-    if plan is not None:
-        for b, (lo, hi) in enumerate(plan.ranges):
-            block_of_row[lo:hi] = b
-
-    # Drift position t in [0, 1] per row.
+    # Drift position t in [0, 1] per row, from the row's block index.
     if spec.drift == "none" or spec.drift_magnitude == 0.0 or spec.n_blocks < 2:
         t = np.zeros(n)
-    elif spec.drift == "gradual":
-        t = block_of_row / max(spec.n_blocks - 1, 1)
-    else:  # abrupt: switch at the midpoint block
-        t = (block_of_row >= spec.n_blocks // 2).astype(np.float64)
+    else:
+        sizes = [hi - lo for lo, hi in plan_blocks(n, spec.n_blocks).ranges]
+        block = np.repeat(np.arange(spec.n_blocks), sizes)
+        if spec.drift == "gradual":
+            t = block / (spec.n_blocks - 1)
+        else:  # abrupt: switch at the midpoint block
+            t = (block >= spec.n_blocks // 2).astype(np.float64)
     angle = t * spec.drift_magnitude
 
     # Latent parameters: a base direction and an orthogonal drift target,
     # drawn for the numeric weights and for every categorical effect table.
     w_a = rng.standard_normal(spec.n_num)
     w_b = rng.standard_normal(spec.n_num)
-    cat_probs = power_law_probs(spec.cat_cardinality, spec.power_exponent)
-    cat_eff = [
-        (rng.standard_normal(spec.cat_cardinality), rng.standard_normal(spec.cat_cardinality))
-        for _ in range(spec.n_cat)
-    ]
-    mvc_eff = [
-        (rng.standard_normal(spec.cat_cardinality), rng.standard_normal(spec.cat_cardinality))
-        for _ in range(spec.n_mvc)
-    ]
+    probs = power_law_probs(card, spec.power_exponent)
+    cat_eff = [(rng.standard_normal(card), rng.standard_normal(card)) for _ in range(spec.n_cat)]
+    mvc_eff = [(rng.standard_normal(card), rng.standard_normal(card)) for _ in range(spec.n_mvc)]
 
     score = np.zeros(n)
-
-    cat_codes = []
-    for j in range(spec.n_cat):
-        codes = rng.choice(spec.cat_cardinality, size=n, p=cat_probs)
-        cat_codes.append(codes)
-        e_a, e_b = cat_eff[j]
-        eff = _rotated(e_a, e_b, angle)
-        score += eff[np.arange(n), codes]
+    columns: list[list[str]] = []
+    # One draw for all categorical columns reads the same stream as one per
+    # column; made before any cell string, it also keeps peak memory down.
+    for (e_a, e_b), codes in zip(cat_eff, rng.choice(card, size=(spec.n_cat, n), p=probs)):
+        score += _rotated(e_a, e_b, angle)[np.arange(n), codes]
+        columns.append([f"v{code + 1}" for code in codes.tolist()])
 
     x_num = rng.standard_normal((n, spec.n_num))
     if spec.n_num:
-        w = _rotated(w_a, w_b, angle)
-        score += np.einsum("ij,ij->i", x_num, w)
+        score += np.einsum("ij,ij->i", x_num, _rotated(w_a, w_b, angle))
+    columns += [[f"{x:.6f}" for x in col.tolist()] for col in x_num.T]
 
-    mvc_cells = []
-    for j in range(spec.n_mvc):
-        counts = rng.integers(1, spec.mvc_max_tokens + 1, size=n)
-        token_draws = rng.choice(spec.cat_cardinality, size=(n, spec.mvc_max_tokens), p=cat_probs)
-        e_a, e_b = mvc_eff[j]
+    for e_a, e_b in mvc_eff:
+        counts = rng.integers(1, MVC_MAX_TOKENS + 1, size=n)
+        draws = rng.choice(card, size=(n, MVC_MAX_TOKENS), p=probs)
         eff = _rotated(e_a, e_b, angle)
-        cells = []
-        cell_effect = np.zeros(n)
-        for i in range(n):
-            toks = token_draws[i, : counts[i]]
-            seen: list[int] = []
-            for tok in toks.tolist():
-                if tok not in seen:
-                    seen.append(tok)
-            cells.append("|".join(f"v{tok + 1}" for tok in seen))
-            cell_effect[i] = eff[i, seen].mean()
-        mvc_cells.append(cells)
-        score += cell_effect
+        tokens = [list(dict.fromkeys(row[:k])) for row, k in zip(draws.tolist(), counts.tolist())]
+        # One mean per row, summed in token order, so every score keeps its bits.
+        score += np.array([eff[i, toks].mean() for i, toks in enumerate(tokens)])
+        columns.append(["|".join(f"v{tok + 1}" for tok in toks) for toks in tokens])
 
-    time_cols = []
     for _ in range(spec.n_time):
         ticks = np.cumsum(rng.integers(0, 3, size=n))
-        time_cols.append(1_600_000_000 + ticks)
+        columns.append([str(tick) for tick in (1_600_000_000 + ticks).tolist()])
 
     std = score.std()
     if std > 0:
         score = score / std
-    p = 1.0 / (1.0 + np.exp(-spec.label_sharpness * score))
+    p = 1.0 / (1.0 + np.exp(-LABEL_SHARPNESS * score))
     labels = (rng.random(n) < p).astype(np.int64)
-
-    rows = []
-    for i in range(n):
-        cells: list[str] = []
-        for j in range(spec.n_cat):
-            cells.append(f"v{cat_codes[j][i] + 1}")
-        for j in range(spec.n_num):
-            cells.append(f"{x_num[i, j]:.6f}")
-        for j in range(spec.n_mvc):
-            cells.append(mvc_cells[j][i])
-        for j in range(spec.n_time):
-            cells.append(str(int(time_cols[j][i])))
-        rows.append(tuple(cells))
 
     return ChronoDataset(
         schema=build_schema(spec),
-        rows=tuple(rows),
+        rows=tuple(zip(*columns)),
         labels=labels,
         provenance=f"{spec.dataset_id}(seed={spec.seed},drift={spec.drift})",
     )
 
 
 def desk_spec(shape: str, n_rows: int, *, n_blocks: int = 10, drift: str = "none",
-              drift_magnitude: float = 0.0, seed: int = 0,
-              cat_cardinality: int = 30, power_exponent: float = 1.3) -> DriftGenSpec:
+              drift_magnitude: float = 0.0, seed: int = 0) -> DriftGenSpec:
     """A desk-scale spec with the feature-type mix of one of the five
     public challenge streams (see :data:`DATASET_SHAPES`)."""
     if shape not in DATASET_SHAPES:
@@ -198,6 +171,5 @@ def desk_spec(shape: str, n_rows: int, *, n_blocks: int = 10, drift: str = "none
     return DriftGenSpec(
         n_rows=n_rows, n_cat=n_cat, n_num=n_num, n_mvc=n_mvc, n_time=n_time,
         n_blocks=n_blocks, drift=drift, drift_magnitude=drift_magnitude,
-        cat_cardinality=cat_cardinality, power_exponent=power_exponent,
         seed=seed, dataset_id=shape,
     )

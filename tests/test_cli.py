@@ -1,6 +1,8 @@
+import hashlib
 import json
 import sys
 
+import pytest
 
 from driftbench.cli import main
 from driftbench.ranking import SubmissionEntry, write_submission
@@ -89,6 +91,43 @@ def test_generate_table_shaped_specs(tmp_path, capsys):
     assert len(header.split(",")) == 26  # 25 features + label
 
 
+# SHA-256 of every file `generate` writes for PINNED_DATASETS at seed 2018.
+# Any change to a generated byte fails here; update the pins only together
+# with a note saying why the streams changed.
+PINNED_DATASETS = (("A", "none", 0.0), ("B", "gradual", 0.8), ("C", "abrupt", 2.5),
+                   ("D", "gradual", 0.8), ("E", "abrupt", 2.5))
+PINNED_SHA256 = {
+    "A.data.csv": "fe9e42ab3b8ccdbb85d72d5aad7434337281a3160e366a82887c645aa717749b",
+    "A.schema.csv": "bf9f6b78048858d6af2382195c7d1f400ef7264bf5515570bca20309eef7251f",
+    "B.data.csv": "626db68fddcc9d6e29841becc12db2ce082078b1386f5f0045a326f3a3012e48",
+    "B.schema.csv": "ad5958b967d01a6b0cd5f6a8f73aa1583aef5319fe14ea365bae4e516a721fd3",
+    "C.data.csv": "e22ec9385868b3e28be4165775e22b892920b0e23a3761ccb614b37ca09b1a1c",
+    "C.schema.csv": "2bb23a1a77c01240a92071490a9853cc92c5ccaf7e5ed196f3be31ff4dd48fe5",
+    "D.data.csv": "08696d8a7d0fac38455bee5cb80d2667aa25997ae2ed7f593ea7b1a5d2a89b90",
+    "D.schema.csv": "04c06b02332e5e0feb62dcf232cb4d8f5e87beaf500962fa274608d4919b165a",
+    "E.data.csv": "4c744907af5471b956b63c852ab61b03119e2b8534081adeca501bb907380c08",
+    "E.schema.csv": "91025c382665b0a030e3b173c1041c9d5505eb1202cc9fbd2aae830934d09ea5",
+}
+
+
+def test_generated_bytes_are_pinned(tmp_path):
+    config = {
+        "seed": 2018, "n_blocks": 4, "data_dir": "data",
+        "datasets": [
+            {"id": shape, "rows": 200, "shape": shape, "budget_seconds": 10.0,
+             "drift": drift, "drift_magnitude": magnitude}
+            for shape, drift, magnitude in PINNED_DATASETS
+        ],
+        "predictors": [],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["generate", "--config", str(path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "data").iterdir()}
+    assert digests == PINNED_SHA256
+
+
 def test_evaluate_writes_scores_and_exits_zero(tmp_path):
     config = write_config(tmp_path, n_datasets=5)
     main(["generate", "--config", str(config)])
@@ -161,6 +200,39 @@ def test_evaluate_before_generate_is_config_error(tmp_path, capsys):
 
 def test_missing_config_is_config_error(tmp_path, capsys):
     assert main(["generate", "--config", str(tmp_path / "nope.json")]) == 1
+
+
+@pytest.mark.parametrize("budget", [0.0, -5.0, float("nan")])
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_nonpositive_budget_is_config_error(tmp_path, capsys, command, budget):
+    config = write_config(tmp_path, n_datasets=1)
+    raw = json.loads(config.read_text())
+    raw["datasets"][0]["budget_seconds"] = budget
+    config.write_text(json.dumps(raw))
+    argv = [command, "--config", str(config)]
+    if command == "evaluate":
+        argv += ["--predictor", "baseline"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: dataset d0: budget_seconds must be > 0" in err
+
+
+def test_duplicate_dataset_id_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, n_datasets=2)
+    raw = json.loads(config.read_text())
+    raw["datasets"][1]["id"] = "d0"
+    config.write_text(json.dumps(raw))
+    assert main(["generate", "--config", str(config)]) == 1
+    assert "duplicate id 'd0'" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_duplicate_predictor_name_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, extra_predictors=[
+        {"name": "echo", "type": "baseline", "options": FAST_BASELINE},
+    ])
+    assert main(["generate", "--config", str(config)]) == 1
+    assert "duplicate name 'echo'" in capsys.readouterr().err
 
 
 def test_evaluate_workdir_env_fallback(tmp_path, monkeypatch):

@@ -7,7 +7,15 @@ from driftbench.baseline import BaselineConfig, fit_initial, predict_scores
 from driftbench.data import FeatureKind, plan_blocks, save_dataset
 from driftbench.encoding import fit_dataset_encoders, transform_rows
 from driftbench.metrics import auc
-from driftbench.synth import DATASET_SHAPES, DriftGenSpec, desk_spec, generate_drift_stream
+from driftbench.synth import (
+    DATASET_SHAPES,
+    DriftGenSpec,
+    _rotated,
+    build_schema,
+    desk_spec,
+    generate_drift_stream,
+    power_law_probs,
+)
 
 SMALL = dict(n_rows=2500, n_cat=3, n_num=4, n_mvc=1, n_time=1, n_blocks=10,
              cat_cardinality=20, power_exponent=1.3)
@@ -79,6 +87,10 @@ def test_invalid_specs_rejected():
         DriftGenSpec(n_rows=10, n_cat=1, n_num=1, power_exponent=0.0)
     with pytest.raises(ValueError):
         DriftGenSpec(n_rows=10, n_cat=0, n_num=0, n_mvc=0, n_time=0)
+    for kind in ("n_cat", "n_num", "n_mvc", "n_time"):
+        counts = {"n_cat": 1, "n_num": 2, "n_mvc": 1, "n_time": 1, kind: -1}
+        with pytest.raises(ValueError, match=">= 0"):
+            DriftGenSpec(n_rows=10, **counts)
 
 
 def _linear_scores(ds, fit_rows):
@@ -128,3 +140,143 @@ def test_abrupt_drift_degrades_stale_model():
         ]
         drops.append(pre - float(np.mean(post)))
     assert float(np.mean(drops)) >= 0.10
+
+
+# ---------------------------------------------------------------------------
+# the row-by-row generator, kept as the oracle for the column-wise one
+
+
+def _reference_generate(spec):
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n_rows
+    plan = plan_blocks(n, spec.n_blocks) if spec.n_blocks >= 2 else None
+
+    block_of_row = np.zeros(n, dtype=np.int64)
+    if plan is not None:
+        for b, (lo, hi) in enumerate(plan.ranges):
+            block_of_row[lo:hi] = b
+
+    if spec.drift == "none" or spec.drift_magnitude == 0.0 or spec.n_blocks < 2:
+        t = np.zeros(n)
+    elif spec.drift == "gradual":
+        t = block_of_row / max(spec.n_blocks - 1, 1)
+    else:
+        t = (block_of_row >= spec.n_blocks // 2).astype(np.float64)
+    angle = t * spec.drift_magnitude
+
+    w_a = rng.standard_normal(spec.n_num)
+    w_b = rng.standard_normal(spec.n_num)
+    cat_probs = power_law_probs(spec.cat_cardinality, spec.power_exponent)
+    cat_eff = [
+        (rng.standard_normal(spec.cat_cardinality), rng.standard_normal(spec.cat_cardinality))
+        for _ in range(spec.n_cat)
+    ]
+    mvc_eff = [
+        (rng.standard_normal(spec.cat_cardinality), rng.standard_normal(spec.cat_cardinality))
+        for _ in range(spec.n_mvc)
+    ]
+
+    score = np.zeros(n)
+
+    cat_codes = []
+    for j in range(spec.n_cat):
+        codes = rng.choice(spec.cat_cardinality, size=n, p=cat_probs)
+        cat_codes.append(codes)
+        e_a, e_b = cat_eff[j]
+        eff = _rotated(e_a, e_b, angle)
+        score += eff[np.arange(n), codes]
+
+    x_num = rng.standard_normal((n, spec.n_num))
+    if spec.n_num:
+        w = _rotated(w_a, w_b, angle)
+        score += np.einsum("ij,ij->i", x_num, w)
+
+    mvc_cells = []
+    for j in range(spec.n_mvc):
+        counts = rng.integers(1, 3 + 1, size=n)
+        token_draws = rng.choice(spec.cat_cardinality, size=(n, 3), p=cat_probs)
+        e_a, e_b = mvc_eff[j]
+        eff = _rotated(e_a, e_b, angle)
+        cells = []
+        cell_effect = np.zeros(n)
+        for i in range(n):
+            toks = token_draws[i, : counts[i]]
+            seen = []
+            for tok in toks.tolist():
+                if tok not in seen:
+                    seen.append(tok)
+            cells.append("|".join(f"v{tok + 1}" for tok in seen))
+            cell_effect[i] = eff[i, seen].mean()
+        mvc_cells.append(cells)
+        score += cell_effect
+
+    time_cols = []
+    for _ in range(spec.n_time):
+        ticks = np.cumsum(rng.integers(0, 3, size=n))
+        time_cols.append(1_600_000_000 + ticks)
+
+    std = score.std()
+    if std > 0:
+        score = score / std
+    p = 1.0 / (1.0 + np.exp(-3.0 * score))
+    labels = (rng.random(n) < p).astype(np.int64)
+
+    rows = []
+    for i in range(n):
+        cells = []
+        for j in range(spec.n_cat):
+            cells.append(f"v{cat_codes[j][i] + 1}")
+        for j in range(spec.n_num):
+            cells.append(f"{x_num[i, j]:.6f}")
+        for j in range(spec.n_mvc):
+            cells.append(mvc_cells[j][i])
+        for j in range(spec.n_time):
+            cells.append(str(int(time_cols[j][i])))
+        rows.append(tuple(cells))
+
+    return build_schema(spec), tuple(rows), labels, \
+        f"{spec.dataset_id}(seed={spec.seed},drift={spec.drift})"
+
+
+def _assert_matches_reference(spec):
+    ds = generate_drift_stream(spec)
+    schema, rows, labels, provenance = _reference_generate(spec)
+    assert ds.schema == schema
+    assert ds.rows == rows
+    assert ds.labels.dtype == labels.dtype and np.array_equal(ds.labels, labels)
+    assert ds.provenance == provenance
+
+
+DRIFTS = (("none", 0.0), ("none", 1.5), ("gradual", 0.8), ("gradual", 0.0),
+          ("abrupt", 2.5), ("abrupt", 0.0))
+
+
+@pytest.mark.parametrize("shape", sorted(DATASET_SHAPES))
+def test_column_generator_matches_reference(shape):
+    # Every drift setting, seed and block count on one challenge shape.
+    for drift, magnitude in DRIFTS:
+        for seed in (1, 7, 12345):
+            for n_blocks in (1, 2, 3, 10):
+                _assert_matches_reference(desk_spec(
+                    shape, n_rows=41, n_blocks=n_blocks, drift=drift,
+                    drift_magnitude=magnitude, seed=seed))
+
+
+@pytest.mark.parametrize("spec", [
+    DriftGenSpec(n_rows=50, n_cat=2, n_num=1, n_mvc=2, n_time=1, n_blocks=5,
+                 drift="gradual", drift_magnitude=1.0, cat_cardinality=1, seed=3),
+    DriftGenSpec(n_rows=30, n_cat=0, n_num=3, n_mvc=0, n_time=0, n_blocks=3,
+                 drift="abrupt", drift_magnitude=2.0, seed=4),
+    DriftGenSpec(n_rows=30, n_cat=2, n_num=0, n_mvc=0, n_time=0, n_blocks=2,
+                 drift="gradual", drift_magnitude=0.5, seed=5),
+    DriftGenSpec(n_rows=30, n_cat=0, n_num=0, n_mvc=3, n_time=0, n_blocks=10,
+                 drift="abrupt", drift_magnitude=1.0, cat_cardinality=4, seed=6),
+    DriftGenSpec(n_rows=20, n_cat=0, n_num=0, n_mvc=0, n_time=2, n_blocks=4,
+                 drift="gradual", drift_magnitude=1.0, seed=7),
+    DriftGenSpec(n_rows=1, n_cat=1, n_num=1, n_mvc=1, n_time=1, n_blocks=1, seed=8),
+    DriftGenSpec(n_rows=10, n_cat=1, n_num=1, n_mvc=1, n_time=1, n_blocks=10,
+                 drift="gradual", drift_magnitude=3.0, power_exponent=0.2, seed=9),
+], ids=["cardinality-1", "num-only", "cat-only", "mvc-only", "time-only",
+        "one-row", "one-row-blocks"])
+def test_column_generator_matches_reference_edge_specs(spec):
+    _assert_matches_reference(spec)
