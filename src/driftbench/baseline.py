@@ -90,8 +90,9 @@ _SPLIT_CELLS = 1 << 15
 
 def presort(X: np.ndarray) -> np.ndarray:
     """Each column's row order, ties in row order: a ``(features, rows)``
-    int32 block, so that ``X[order[j], j]`` is column ``j`` sorted."""
-    return np.argsort(X.T, axis=1, kind="stable").astype(np.int32)
+    block of ``intp`` row ids (the index type ``take`` reads without a
+    cast), so that ``X[order[j], j]`` is column ``j`` sorted."""
+    return np.argsort(X.T, axis=1, kind="stable")
 
 
 class RegressionTree:
@@ -118,31 +119,34 @@ class RegressionTree:
         """Fit one tree to ``residual``; ``order`` is ``presort(X)``, computed
         here when not given.
 
-        Each node holds its rows twice: ascending (``idx``, for its value)
-        and sorted per feature (``srt``, for its split search).  A child's
-        ``srt`` is a stable filter of its parent's, which is the child's own
-        stable sort, so no node sorts again.
+        Node values are read with ``take`` from a feature-major copy of
+        ``X``, which a Fortran-ordered ``X`` already is.  Each node holds its
+        rows twice: ascending (``idx``, for its value) and sorted per feature
+        (``srt``, for its split search).  A child's ``srt`` is a stable
+        filter of its parent's, which is the child's own stable sort, so no
+        node sorts again.
         """
+        cols = np.ascontiguousarray(X.T)
         if order is None:
             order = presort(X)
         n_features = order.shape[0]
         feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
         # The left child is pushed last and so grown first: nodes are
         # numbered in preorder, each split's children next to each other.
-        stack = [(0, np.arange(X.shape[0]), order, 0)]
+        stack = [(0, np.arange(cols.shape[1]), order, 0)]
         while stack:
             node, idx, srt, depth = stack.pop()
-            r = residual[idx]
+            r = residual.take(idx)
             value[node] = float(r.mean())
             if depth >= max_depth or idx.size < 2:
                 continue
-            split = _best_split(X, residual, srt, r.sum())
+            split = _best_split(cols, residual, srt, r.sum())
             if split is None:
                 continue
             j, thr = split
-            go_left = X[:, j] <= thr
-            keep = go_left[srt].ravel()
-            at_left = go_left[idx]
+            go_left = cols[j] <= thr
+            keep = go_left.take(srt).ravel()
+            at_left = go_left.take(idx)
             idx_l, idx_r = idx[at_left], idx[~at_left]
             node_l = len(feature)
             feature[node], threshold[node] = j, thr
@@ -159,33 +163,26 @@ class RegressionTree:
         return cls(feature, threshold, left, right, value)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int32)
-        while True:
-            feats = self.feature[node]
-            active = np.nonzero(feats >= 0)[0]
-            if active.size == 0:
-                break
-            cur = node[active]
-            go_left = X[active, self.feature[cur]] <= self.threshold[cur]
-            node[active] = np.where(go_left, self.left[cur], self.right[cur])
-        return self.value[node]
+        return _tree_outputs((self,), X)[0]
 
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
 
 
-def _best_split(X: np.ndarray, residual: np.ndarray, srt: np.ndarray, total: float):
+def _best_split(cols: np.ndarray, residual: np.ndarray, srt: np.ndarray, total: float):
     """Best (feature, midpoint threshold) by variance reduction, or None.
 
-    ``srt`` holds the node's rows sorted per feature, and ``total`` is the
-    sum of their residuals in ascending row order.  Maximizing
-    sum-of-squared-child-sums over child sizes is equivalent to maximizing
-    variance reduction for a fixed node, so prefix sums along each
-    feature's order suffice.  Features are searched ``_SPLIT_CELLS`` cells
-    at a time and compared in index order; the first best cut wins.
+    ``cols`` is the fit's feature-major ``X``, ``srt`` holds the node's rows
+    sorted per feature, and ``total`` is the sum of their residuals in
+    ascending row order.  Maximizing sum-of-squared-child-sums over child
+    sizes is equivalent to maximizing variance reduction for a fixed node,
+    so prefix sums along each feature's order suffice.  Features are
+    searched ``_SPLIT_CELLS`` cells at a time and compared in index order;
+    the first best cut wins.
     """
     n_features, n = srt.shape
+    flat, stride = cols.ravel(), cols.shape[1]
     base = total * total / n
     n_left = np.arange(1, n, dtype=np.float64)
     n_right = n - n_left
@@ -194,8 +191,8 @@ def _best_split(X: np.ndarray, residual: np.ndarray, srt: np.ndarray, total: flo
     best = None
     for lo in range(0, n_features, step):
         rows = srt[lo:lo + step]
-        vs = X[rows, np.arange(lo, lo + rows.shape[0])[:, None]]
-        s_left = np.cumsum(residual[rows[:, :-1]], axis=1)
+        vs = flat.take(rows + stride * np.arange(lo, lo + rows.shape[0])[:, None])
+        s_left = np.cumsum(residual.take(rows[:, :-1]), axis=1)
         s_right = total - s_left
         gain = s_left * s_left
         gain /= n_left
@@ -204,7 +201,7 @@ def _best_split(X: np.ndarray, residual: np.ndarray, srt: np.ndarray, total: flo
         gain += s_right
         gain -= base
         # Only a step between distinct values is a cut.
-        gain.ravel()[np.flatnonzero(~(vs[:, :-1] < vs[:, 1:]))] = -np.inf
+        gain[~(vs[:, :-1] < vs[:, 1:])] = -np.inf
         at = gain.argmax(axis=1)
         tops = gain[np.arange(at.size), at]
         for f, (i, g) in enumerate(zip(at.tolist(), tops.tolist())):
@@ -214,38 +211,86 @@ def _best_split(X: np.ndarray, residual: np.ndarray, srt: np.ndarray, total: flo
     if best is None:
         return None
     j, i = best
-    return j, float(0.5 * (X[srt[j, i], j] + X[srt[j, i + 1], j]))
+    return j, float(0.5 * (cols[j, srt[j, i]] + cols[j, srt[j, i + 1]]))
+
+
+def _tree_outputs(trees: Sequence[RegressionTree], X: np.ndarray) -> np.ndarray:
+    """Every tree's leaf value for every row, as a ``(trees, rows)`` block.
+
+    All trees are walked at once: their node arrays are concatenated with
+    offsets, and one node index per (tree, row) steps down a level per pass
+    until every index rests on a leaf.
+    """
+    n_rows, width = X.shape
+    if not trees or n_rows == 0:
+        return np.zeros((len(trees), n_rows))
+    offsets = np.cumsum([0] + [t.n_nodes for t in trees[:-1]])
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    left = np.concatenate([t.left + o for t, o in zip(trees, offsets)])
+    right = np.concatenate([t.right + o for t, o in zip(trees, offsets)])
+    value = np.concatenate([t.value for t in trees])
+    cells = np.ascontiguousarray(X, dtype=np.float64).ravel()
+    node = np.repeat(offsets, n_rows)
+    row_at = np.tile(np.arange(0, n_rows * width, width), len(trees))
+    live = np.flatnonzero(feature.take(node) >= 0)
+    while live.size:
+        cur = node.take(live)
+        go_left = cells.take(row_at.take(live) + feature.take(cur)) <= threshold.take(cur)
+        cur = np.where(go_left, left.take(cur), right.take(cur))
+        node[live] = cur
+        live = live[feature.take(cur) >= 0]
+    return value.take(node).reshape(len(trees), n_rows)
+
+
+def _add_trees(margin: np.ndarray, trees: Sequence[RegressionTree],
+               rates: Sequence[float], X: np.ndarray) -> np.ndarray:
+    """``margin`` plus each tree's weighted output, added in tree order."""
+    for rate, out in zip(rates, _tree_outputs(trees, X)):
+        margin += rate * out
+    return margin
 
 
 @dataclass(frozen=True, eq=False)
 class TrainingPool:
-    """Labeled rows retained across blocks, tagged with their block id."""
+    """Labeled rows retained across blocks, tagged with their block id.
 
-    blocks: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    Each block also carries its rows' margins under the current ensemble,
+    or None where they are not known yet, so that a row goes through the
+    ensemble's past trees once.
+    """
+
+    blocks: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray | None], ...]
 
     def add(self, block_id: int, X: np.ndarray, y: np.ndarray) -> "TrainingPool":
-        return TrainingPool(self.blocks + ((block_id, X, y),))
+        return TrainingPool(self.blocks + ((block_id, X, y, None),))
 
     def keep_last(self, k: int) -> "TrainingPool":
         return TrainingPool(self.blocks[-k:])
 
+    def with_margins(self, margins: Sequence[np.ndarray | None]) -> "TrainingPool":
+        return TrainingPool(tuple((b, X, y, m) for (b, X, y, _), m
+                                  in zip(self.blocks, margins)))
+
     @property
     def block_ids(self) -> tuple[int, ...]:
-        return tuple(b for b, _, _ in self.blocks)
+        return tuple(b for b, _, _, _ in self.blocks)
 
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All rows with their block ids, oldest block first."""
-        X = np.concatenate([X for _, X, _ in self.blocks])
-        y = np.concatenate([y for _, _, y in self.blocks])
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """All rows with their block ids and margins, oldest block first."""
+        X = np.concatenate([X for _, X, _, _ in self.blocks])
+        y = np.concatenate([y for _, _, y, _ in self.blocks])
         ids = np.concatenate([
-            np.full(Xb.shape[0], b, dtype=np.int64) for b, Xb, _ in self.blocks
+            np.full(Xb.shape[0], b, dtype=np.int64) for b, Xb, _, _ in self.blocks
         ])
-        return X, y, ids
+        margin = np.concatenate([m for _, _, _, m in self.blocks])
+        return X, y, ids, margin
 
 
 def select_training_pool(pool: TrainingPool, policy: str, cap: int, seed,
                          *, window_blocks: int = 2, decay: float = 0.8):
-    """Pick at most ``cap`` rows from the pool for one fit call.
+    """Pick at most ``cap`` rows from the pool for one fit call: their
+    features, labels, block ids and margins.
 
     Sliding-window restricts eligibility to the last ``window_blocks``
     blocks and samples uniformly; the full-history policies sample with
@@ -256,10 +301,10 @@ def select_training_pool(pool: TrainingPool, policy: str, cap: int, seed,
         raise ValueError(f"policy must be one of {DRIFT_POLICIES}, got {policy!r}")
     if policy == "sliding-window":
         pool = pool.keep_last(window_blocks)
-    X, y, ids = pool.stacked()
+    X, y, ids, margin = pool.stacked()
     n = X.shape[0]
     if n <= cap:
-        return X, y, ids
+        return X, y, ids, margin
     rng = np.random.default_rng(seed)
     if policy == "sliding-window":
         pick = rng.choice(n, size=cap, replace=False)
@@ -268,7 +313,7 @@ def select_training_pool(pool: TrainingPool, policy: str, cap: int, seed,
         weights = decay ** age.astype(np.float64)
         pick = rng.choice(n, size=cap, replace=False, p=weights / weights.sum())
     pick.sort()  # keep chronological order inside the sample
-    return X[pick], y[pick], ids[pick]
+    return X[pick], y[pick], ids[pick], margin[pick]
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,16 +342,15 @@ class BoostedEnsemble:
 
 
 def ensemble_margin(ensemble: BoostedEnsemble, X: np.ndarray) -> np.ndarray:
-    """Raw additive score: the base score plus every tree's weighted output."""
+    """Raw additive score: the base score plus every tree's weighted output,
+    summed in tree order."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != ensemble.n_features:
         raise ValueError(
             f"expected rows of width {ensemble.n_features}, got shape {X.shape}"
         )
     margin = np.full(X.shape[0], ensemble.base_score, dtype=np.float64)
-    for tree, rate in zip(ensemble.trees, ensemble.tree_rates):
-        margin += rate * tree.predict(X)
-    return margin
+    return _add_trees(margin, ensemble.trees, ensemble.tree_rates, X)
 
 
 def predict_scores(ensemble: BoostedEnsemble, X: np.ndarray) -> np.ndarray:
@@ -316,17 +360,22 @@ def predict_scores(ensemble: BoostedEnsemble, X: np.ndarray) -> np.ndarray:
 
 def _boost(X: np.ndarray, y: np.ndarray, margin: np.ndarray, n_trees: int,
            rate: float, max_depth: int):
+    """Fit ``n_trees`` trees in turn, each to the residual left by the ones
+    before; returns the trees, the loss before and after each, and the
+    rows' final margin."""
     trees: list[RegressionTree] = []
-    losses = [log_loss(y, sigmoid(margin))]
     margin = margin.copy()
-    order = presort(X)
+    p = sigmoid(margin)
+    losses = [log_loss(y, p)]
+    cols = np.asfortranarray(X)  # feature-major, shared by every tree of the round
+    order = presort(cols)
     for _ in range(n_trees):
-        residual = y - sigmoid(margin)
-        tree = RegressionTree.fit(X, residual, max_depth, order)
+        tree = RegressionTree.fit(cols, y - p, max_depth, order)
         trees.append(tree)
         margin += rate * tree.predict(X)
-        losses.append(log_loss(y, sigmoid(margin)))
-    return trees, np.asarray(losses)
+        p = sigmoid(margin)
+        losses.append(log_loss(y, p))
+    return trees, np.asarray(losses), margin
 
 
 def fit_initial(X: np.ndarray, y: np.ndarray, config: BaselineConfig) -> BoostedEnsemble:
@@ -349,7 +398,10 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
     Appends ``initial_trees`` trees for block 0 and ``trees_per_block`` for
     every later block, fitted on the policy's training pool; prior trees
     and (for a two-class pool) the base score are untouched.  A pool that
-    has collapsed to a single class updates only the base score.
+    has collapsed to a single class updates only the base score, which
+    drops every pool margin.  Otherwise the new block's rows go through the
+    ensemble once, and every pool row's margin is brought up to the grown
+    ensemble.
     """
     X_new = np.asarray(X_new, dtype=np.float64)
     y_new = np.asarray(y_new, dtype=np.float64)
@@ -362,12 +414,14 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
     if config.policy == "sliding-window":
         pool = pool.keep_last(config.window_blocks)
 
-    y_all = np.concatenate([y for _, _, y in pool.blocks])
+    y_all = np.concatenate([y for _, _, y, _ in pool.blocks])
     if np.all(y_all == y_all[0]):
-        return replace(ensemble, base_score=_prior_logit(y_all),
-                       revealed_blocks=k, pool=pool)
+        return replace(ensemble, base_score=_prior_logit(y_all), revealed_blocks=k,
+                       pool=pool.with_margins([None] * len(pool.blocks)))
 
-    Xs, ys, _ = select_training_pool(
+    pool = pool.with_margins([ensemble_margin(ensemble, X) if m is None else m
+                              for _, X, _, m in pool.blocks])
+    Xs, ys, _, start = select_training_pool(
         pool, config.policy, config.subsample_cap,
         np.random.SeedSequence((config.seed, k)),
         window_blocks=config.window_blocks, decay=config.decay,
@@ -375,15 +429,21 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
     rate = config.learning_rate
     if config.policy == "adaptive-lr":
         rate = config.learning_rate * config.decay ** k
-    start = ensemble_margin(ensemble, Xs)
     n_trees = config.initial_trees if k == 0 else config.trees_per_block
-    trees, losses = _boost(Xs, ys, start, n_trees, rate, config.max_depth)
+    trees, losses, margin = _boost(Xs, ys, start, n_trees, rate, config.max_depth)
+    rates = (rate,) * len(trees)
+    if Xs.shape[0] == y_all.shape[0]:
+        # The sample is the whole pool, in pool order.
+        bounds = np.cumsum([y.shape[0] for _, _, y, _ in pool.blocks[:-1]])
+        margins = np.split(margin, bounds)
+    else:
+        margins = [_add_trees(m.copy(), trees, rates, X) for _, X, _, m in pool.blocks]
     return replace(
         ensemble,
         trees=ensemble.trees + tuple(trees),
-        tree_rates=ensemble.tree_rates + (rate,) * len(trees),
+        tree_rates=ensemble.tree_rates + rates,
         revealed_blocks=k,
-        pool=pool,
+        pool=pool.with_margins(margins),
         loss_history=ensemble.loss_history + (losses,),
     )
 

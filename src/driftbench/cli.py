@@ -77,6 +77,22 @@ class RunConfig:
                           + ", ".join(p.name for p in self.predictors))
 
 
+_DATASET_KEYS = frozenset({
+    "id", "phase", "rows", "budget_seconds", "shape", "cat", "num", "mvc", "time",
+    "n_blocks", "drift", "drift_magnitude", "cat_cardinality", "power_exponent",
+})
+_PREDICTOR_KEYS = frozenset({"name", "type", "bundle", "options", "command"})
+
+
+def _reject_unknown_keys(entry, known: frozenset, where: str) -> None:
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(entry).__name__}")
+    # A misspelled option would otherwise silently take its default.
+    unknown = sorted(set(entry) - known)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key " + ", ".join(map(repr, unknown)))
+
+
 def _derived_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
@@ -97,6 +113,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     datasets = []
     for i, d in enumerate(raw.get("datasets", [])):
         try:
+            _reject_unknown_keys(d, _DATASET_KEYS, f"dataset entry {i}")
             dataset_id = d["id"]
             if any(spec.dataset_id == dataset_id for spec in datasets):
                 raise ConfigError(f"dataset entry {i}: duplicate id {dataset_id!r}")
@@ -133,6 +150,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     predictors = []
     for i, p in enumerate(raw.get("predictors", [])):
         try:
+            _reject_unknown_keys(p, _PREDICTOR_KEYS, f"predictor entry {i}")
             if any(spec.name == p["name"] for spec in predictors):
                 raise ConfigError(f"predictor entry {i}: duplicate name {p['name']!r}")
             kind = p.get("type", "baseline")

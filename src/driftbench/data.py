@@ -225,14 +225,12 @@ def write_rows(path: str | Path, schema: FeatureSchema,
         header.append(schema.label)
         if len(labels) != len(rows):
             raise DatasetFormatError(f"{len(rows)} rows but {len(labels)} labels")
-    out = [",".join(header)]
-    if labels is None:
-        for row in rows:
-            out.append(",".join(row))
-    else:
-        for row, y in zip(rows, labels):
-            out.append(",".join(row) + f",{int(y)}")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        if labels is None:
+            fh.writelines(",".join(row) + "\n" for row in rows)
+        else:
+            fh.writelines(f"{','.join(row)},{int(y)}\n" for row, y in zip(rows, labels))
 
 
 def _read_lines(path: str | Path) -> list[str]:

@@ -5,6 +5,7 @@ import pytest
 
 from driftbench import baseline
 from driftbench.baseline import (
+    DRIFT_POLICIES,
     BaselineConfig,
     BaselinePredictor,
     BoostedEnsemble,
@@ -30,7 +31,8 @@ FAST = dict(initial_trees=30, trees_per_block=8, max_depth=3, learning_rate=0.2)
 
 def toy_pool(rows_per_block=1000, n_blocks=10, width=2):
     blocks = tuple(
-        (b, np.full((rows_per_block, width), float(b)), np.zeros(rows_per_block))
+        (b, np.full((rows_per_block, width), float(b)), np.zeros(rows_per_block),
+         np.full(rows_per_block, -float(b)))
         for b in range(n_blocks)
     )
     return TrainingPool(blocks)
@@ -42,17 +44,19 @@ def toy_pool(rows_per_block=1000, n_blocks=10, width=2):
 
 def test_small_history_returned_whole():
     pool = toy_pool(rows_per_block=10, n_blocks=3)
-    X, y, ids = select_training_pool(pool, "grow-full-history", cap=1000, seed=0)
+    X, y, ids, margin = select_training_pool(pool, "grow-full-history", cap=1000, seed=0)
     assert X.shape[0] == 30
     assert list(ids) == [0] * 10 + [1] * 10 + [2] * 10
+    assert np.array_equal(margin, -ids)
 
 
 def test_capped_selection_prefers_recent_blocks():
     pool = toy_pool(rows_per_block=1000, n_blocks=10)
     newest, oldest = [], []
     for seed in range(50):
-        _, _, ids = select_training_pool(pool, "grow-full-history", cap=100, seed=seed)
+        X, _, ids, margin = select_training_pool(pool, "grow-full-history", cap=100, seed=seed)
         assert ids.shape[0] == 100
+        assert np.array_equal(X[:, 0], ids) and np.array_equal(margin, -ids)
         newest.append(int(np.sum(ids == 9)))
         oldest.append(int(np.sum(ids == 0)))
     assert np.mean(newest) > np.mean(oldest)
@@ -67,8 +71,8 @@ def test_selection_deterministic_given_seed():
 
 def test_sliding_window_restricts_to_newest_blocks():
     pool = toy_pool(rows_per_block=20, n_blocks=5)
-    _, _, ids = select_training_pool(pool, "sliding-window", cap=1000, seed=0,
-                                     window_blocks=1)
+    _, _, ids, _ = select_training_pool(pool, "sliding-window", cap=1000, seed=0,
+                                        window_blocks=1)
     assert set(ids.tolist()) == {4}
 
 
@@ -210,7 +214,7 @@ def test_presort_orders_ties_by_row():
     want = [sorted(range(60), key=lambda i: (np.isnan(v[i]), 0.0 if np.isnan(v[i]) else v[i], i))
             for v in X.T]
     got = presort(X)
-    assert got.dtype == np.int32
+    assert got.dtype == np.intp
     assert got.tolist() == want
 
 
@@ -248,6 +252,72 @@ def test_boosting_matches_reference_fit(shape, monkeypatch):
     for g, w in zip(got.trees, want.trees):
         assert_same_tree(g, w)
     assert np.array_equal(ensemble_margin(got, X), ensemble_margin(want, X))
+
+
+# ---------------------------------------------------------------------------
+# ensemble walk: every tree at once, against one tree at a time
+
+
+def reference_predict(tree, X):
+    node = np.zeros(X.shape[0], dtype=np.int32)
+    while True:
+        active = np.nonzero(tree.feature[node] >= 0)[0]
+        if active.size == 0:
+            break
+        cur = node[active]
+        go_left = X[active, tree.feature[cur]] <= tree.threshold[cur]
+        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
+    return tree.value[node]
+
+
+def reference_margin(ensemble, X):
+    margin = np.full(X.shape[0], ensemble.base_score)
+    for tree, rate in zip(ensemble.trees, ensemble.tree_rates):
+        margin += rate * reference_predict(tree, X)
+    return margin
+
+
+def random_ensemble(rng, width):
+    trees = []
+    for _ in range(int(rng.integers(0, 12))):
+        if rng.random() < 0.25:
+            trees.append(RegressionTree([-1], [0.0], [-1], [-1], [rng.normal()]))
+            continue
+        n = int(rng.integers(1, 120))
+        X = np.round(rng.normal(size=(n, width)), 1)
+        X[rng.random((n, width)) < 0.1] = np.nan
+        residual = rng.normal(size=n) * 10.0 ** rng.integers(-6, 7, size=n)
+        trees.append(RegressionTree.fit(X, residual, int(rng.integers(0, 6))))
+    rates = tuple(float(r) for r in rng.uniform(0.01, 1.0, size=len(trees)))
+    return BoostedEnsemble(base_score=float(rng.normal()), trees=tuple(trees),
+                           tree_rates=rates, n_features=width, revealed_blocks=0,
+                           pool=TrainingPool(()))
+
+
+def test_one_walk_matches_tree_by_tree():
+    rng = np.random.default_rng(21)
+    for case in range(150):
+        width = int(rng.integers(1, 7))
+        ens = random_ensemble(rng, width)
+        n = (0, 1, int(rng.integers(2, 300)))[case % 3]
+        X = np.round(rng.normal(size=(n, width)), 1)
+        X[rng.random((n, width)) < 0.1] = np.nan
+        for view in (X, np.asfortranarray(X), np.repeat(X, 2, axis=1)[:, ::2]):
+            assert np.array_equal(ensemble_margin(ens, view), reference_margin(ens, X))
+        for tree in ens.trees:
+            assert np.array_equal(tree.predict(X), reference_predict(tree, X))
+
+
+def test_empty_ensemble_and_no_rows():
+    rng = np.random.default_rng(5)
+    empty = BoostedEnsemble(base_score=-0.7, trees=(), tree_rates=(), n_features=3,
+                            revealed_blocks=-1, pool=TrainingPool(()))
+    assert np.array_equal(ensemble_margin(empty, rng.normal(size=(4, 3))), np.full(4, -0.7))
+    assert ensemble_margin(empty, np.zeros((0, 3))).shape == (0,)
+    X = rng.normal(size=(50, 3))
+    ens = fit_initial(X, (X[:, 0] > 0).astype(float), BaselineConfig(seed=5, **FAST))
+    assert ensemble_margin(ens, np.zeros((0, 3))).shape == (0,)
+    assert ens.trees[0].predict(np.zeros((0, 3))).shape == (0,)
 
 
 def _unreachable_after(work):
@@ -410,6 +480,55 @@ def test_extend_never_changes_prior_trees():
     assert grown.tree_rates[:ens.n_trees] == ens.tree_rates
     assert grown.base_score == ens.base_score
     assert np.array_equal(ensemble_margin(ens, X[200:]), before)
+
+
+# Blocks of unequal sizes; block 0 holds one class, and so do blocks 3 and 4,
+# so a two-block window collapses to one class after block 4.
+SINGLE_CLASS_BLOCKS = (0, 3, 4)
+
+
+def drifting_blocks(seed, n_blocks=8):
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for b in range(n_blocks):
+        X = np.round(rng.normal(size=(40 + 9 * b, 4)), 2)
+        y = (X[:, 0] + 0.5 * rng.normal(size=X.shape[0]) > 0).astype(np.float64)
+        blocks.append((X, np.full_like(y, float(b > 0)) if b in SINGLE_CLASS_BLOCKS else y))
+    return blocks
+
+
+@pytest.mark.parametrize("cap", [100_000, 50])
+@pytest.mark.parametrize("policy", DRIFT_POLICIES)
+def test_cached_margins_match_a_fresh_walk(policy, cap):
+    cfg = BaselineConfig(initial_trees=4, trees_per_block=3, max_depth=3, learning_rate=0.3,
+                         policy=policy, window_blocks=2, subsample_cap=cap, seed=3)
+    blocks = drifting_blocks(3)
+    ens, resets = None, 0
+    for X, y in blocks:
+        ens = fit_initial(X, y, cfg) if ens is None else extend(ens, X, y, cfg)
+        y_pool = np.concatenate([yb for _, _, yb, _ in ens.pool.blocks])
+        if np.all(y_pool == y_pool[0]):
+            resets += 1
+            assert all(m is None for *_, m in ens.pool.blocks)
+            continue
+        for _, Xb, _, m in ens.pool.blocks:
+            assert np.array_equal(m, ensemble_margin(ens, Xb))
+    # The first block, and a two-block window over blocks 3 and 4, hold one class.
+    assert resets == (2 if policy == "sliding-window" else 1)
+    assert len(ens.pool.blocks) == (2 if policy == "sliding-window" else len(blocks))
+
+
+def test_extend_walks_past_trees_over_new_rows_only(monkeypatch):
+    X, y = separable_data(n=400, seed=2)
+    cfg = BaselineConfig(seed=2, **FAST)
+    ens = fit_initial(X[:100], y[:100], cfg)
+    walked = []
+    fresh = baseline.ensemble_margin
+    monkeypatch.setattr(baseline, "ensemble_margin",
+                        lambda e, rows: walked.append(rows.shape[0]) or fresh(e, rows))
+    for lo in (100, 200, 300):
+        ens = extend(ens, X[lo:lo + 100], y[lo:lo + 100], cfg)
+    assert walked == [100, 100, 100]
 
 
 def test_adaptive_lr_decays_per_block():

@@ -1,10 +1,11 @@
 import hashlib
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
-from driftbench.cli import main
+from driftbench.cli import load_config, main
 from driftbench.ranking import SubmissionEntry, write_submission
 
 from published_results import DATASETS, FEEDBACK_TOP10, FEEDBACK_TOP6, FIELD_FILLER
@@ -233,6 +234,48 @@ def test_duplicate_predictor_name_is_config_error(tmp_path, capsys):
     ])
     assert main(["generate", "--config", str(config)]) == 1
     assert "duplicate name 'echo'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_unknown_dataset_key_is_config_error(tmp_path, capsys, command):
+    config = write_config(tmp_path, n_datasets=2)
+    raw = json.loads(config.read_text())
+    raw["datasets"][1]["drift_magnitud"] = raw["datasets"][1].pop("drift_magnitude")
+    config.write_text(json.dumps(raw))
+    argv = [command, "--config", str(config)]
+    if command == "evaluate":
+        argv += ["--predictor", "baseline"]
+    assert main(argv) == 1
+    assert "error: dataset entry 1: unknown key 'drift_magnitud'" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_unknown_predictor_key_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, extra_predictors=[
+        {"name": "slow", "type": "baseline", "option": FAST_BASELINE, "bundel": "x"},
+    ])
+    assert main(["generate", "--config", str(config)]) == 1
+    assert "error: predictor entry 2: unknown key 'bundel', 'option'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["datasets", "predictors"])
+def test_non_object_entry_is_config_error(tmp_path, capsys, section):
+    config = write_config(tmp_path, n_datasets=1)
+    raw = json.loads(config.read_text())
+    raw[section].insert(0, "gbt")
+    config.write_text(json.dumps(raw))
+    assert main(["generate", "--config", str(config)]) == 1
+    assert f"{section[:-1]} entry 0: expected an object, got str" in capsys.readouterr().err
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.json"
+    path.write_text(example)
+    config = load_config(path)
+    assert [d.dataset_id for d in config.datasets] == ["A", "X"]
+    assert [p.name for p in config.predictors] == ["baseline", "echo"]
 
 
 def test_evaluate_workdir_env_fallback(tmp_path, monkeypatch):
