@@ -253,67 +253,56 @@ def _add_trees(margin: np.ndarray, trees: Sequence[RegressionTree],
 
 @dataclass(frozen=True, eq=False)
 class TrainingPool:
-    """Labeled rows retained across blocks, tagged with their block id.
+    """Labeled rows retained across blocks, oldest first, with each row's
+    block id in ``ids``.
 
-    Each block also carries its rows' margins under the current ensemble,
-    or None where they are not known yet, so that a row goes through the
-    ensemble's past trees once.
+    ``margin`` holds the current ensemble's margins of the first
+    ``len(margin)`` rows; the rows past it have not been walked yet, so
+    that a row goes through the ensemble's past trees once.
     """
 
-    blocks: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray | None], ...]
+    X: np.ndarray
+    y: np.ndarray
+    ids: np.ndarray
+    margin: np.ndarray
+
+    @classmethod
+    def empty(cls, width: int) -> "TrainingPool":
+        return cls(np.empty((0, width)), np.empty(0), np.empty(0, dtype=np.int64), np.empty(0))
 
     def add(self, block_id: int, X: np.ndarray, y: np.ndarray) -> "TrainingPool":
-        return TrainingPool(self.blocks + ((block_id, X, y, None),))
+        ids = np.full(y.shape[0], block_id, dtype=np.int64)
+        return TrainingPool(np.concatenate([self.X, X]), np.concatenate([self.y, y]),
+                            np.concatenate([self.ids, ids]), self.margin)
 
     def keep_last(self, k: int) -> "TrainingPool":
-        return TrainingPool(self.blocks[-k:])
-
-    def with_margins(self, margins: Sequence[np.ndarray | None]) -> "TrainingPool":
-        return TrainingPool(tuple((b, X, y, m) for (b, X, y, _), m
-                                  in zip(self.blocks, margins)))
-
-    @property
-    def block_ids(self) -> tuple[int, ...]:
-        return tuple(b for b, _, _, _ in self.blocks)
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """All rows with their block ids and margins, oldest block first."""
-        X = np.concatenate([X for _, X, _, _ in self.blocks])
-        y = np.concatenate([y for _, _, y, _ in self.blocks])
-        ids = np.concatenate([
-            np.full(Xb.shape[0], b, dtype=np.int64) for b, Xb, _, _ in self.blocks
-        ])
-        margin = np.concatenate([m for _, _, _, m in self.blocks])
-        return X, y, ids, margin
+        """The rows of the newest ``k`` blocks (block ids run without gaps)."""
+        start = int(np.searchsorted(self.ids, self.ids[-1] - k, side="right"))
+        return TrainingPool(self.X[start:], self.y[start:], self.ids[start:],
+                            self.margin[start:])
 
 
-def select_training_pool(pool: TrainingPool, policy: str, cap: int, seed,
-                         *, window_blocks: int = 2, decay: float = 0.8):
+def select_training_pool(pool: TrainingPool, cap: int, seed, *,
+                         decay: float | None = 0.8):
     """Pick at most ``cap`` rows from the pool for one fit call: their
-    features, labels, block ids and margins.
+    features, labels and margins, which must cover every pool row.
 
-    Sliding-window restricts eligibility to the last ``window_blocks``
-    blocks and samples uniformly; the full-history policies sample with
-    probability proportional to ``decay ** age`` (age in blocks, newest is
-    0), so recent rows are preferred.  Deterministic given the seed.
+    Rows are sampled with probability proportional to ``decay ** age``
+    (age in blocks, newest is 0), so recent rows are preferred, or
+    uniformly when ``decay`` is None.  Deterministic given the seed.
     """
-    if policy not in DRIFT_POLICIES:
-        raise ValueError(f"policy must be one of {DRIFT_POLICIES}, got {policy!r}")
-    if policy == "sliding-window":
-        pool = pool.keep_last(window_blocks)
-    X, y, ids, margin = pool.stacked()
-    n = X.shape[0]
+    n = pool.X.shape[0]
     if n <= cap:
-        return X, y, ids, margin
+        return pool.X, pool.y, pool.margin
     rng = np.random.default_rng(seed)
-    if policy == "sliding-window":
+    if decay is None:
         pick = rng.choice(n, size=cap, replace=False)
     else:
-        age = ids.max() - ids
+        age = pool.ids.max() - pool.ids
         weights = decay ** age.astype(np.float64)
         pick = rng.choice(n, size=cap, replace=False, p=weights / weights.sum())
     pick.sort()  # keep chronological order inside the sample
-    return X[pick], y[pick], ids[pick], margin[pick]
+    return pool.X[pick], pool.y[pick], pool.margin[pick]
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,22 +312,28 @@ class BoostedEnsemble:
 
     Scores are ``sigmoid(base_score + sum(rate_t * tree_t(x)))``.  Under the
     full-history policy the tree count after k revealed blocks is
-    ``initial_trees + k * trees_per_block`` exactly.  ``revealed_blocks``
-    is the id of the newest block taken in: 0 after the first block, -1 for
-    the empty ensemble that ``fit_initial`` grows.
+    ``initial_trees + k * trees_per_block`` exactly.
     """
 
     base_score: float
     trees: tuple[RegressionTree, ...]
     tree_rates: tuple[float, ...]
-    n_features: int
-    revealed_blocks: int
     pool: TrainingPool
     loss_history: tuple[np.ndarray, ...] = ()
 
     @property
     def n_trees(self) -> int:
         return len(self.trees)
+
+    @property
+    def n_features(self) -> int:
+        return self.pool.X.shape[1]
+
+    @property
+    def revealed_blocks(self) -> int:
+        """Id of the newest block taken in: 0 after the first block, -1 for
+        the empty ensemble that ``fit_initial`` grows."""
+        return int(self.pool.ids[-1]) if self.pool.ids.size else -1
 
 
 def ensemble_margin(ensemble: BoostedEnsemble, X: np.ndarray) -> np.ndarray:
@@ -361,8 +356,7 @@ def predict_scores(ensemble: BoostedEnsemble, X: np.ndarray) -> np.ndarray:
 def _boost(X: np.ndarray, y: np.ndarray, margin: np.ndarray, n_trees: int,
            rate: float, max_depth: int):
     """Fit ``n_trees`` trees in turn, each to the residual left by the ones
-    before; returns the trees, the loss before and after each, and the
-    rows' final margin."""
+    before; returns the trees and the loss before and after each."""
     trees: list[RegressionTree] = []
     margin = margin.copy()
     p = sigmoid(margin)
@@ -375,7 +369,7 @@ def _boost(X: np.ndarray, y: np.ndarray, margin: np.ndarray, n_trees: int,
         margin += rate * tree.predict(X)
         p = sigmoid(margin)
         losses.append(log_loss(y, p))
-    return trees, np.asarray(losses), margin
+    return trees, np.asarray(losses)
 
 
 def fit_initial(X: np.ndarray, y: np.ndarray, config: BaselineConfig) -> BoostedEnsemble:
@@ -387,7 +381,7 @@ def fit_initial(X: np.ndarray, y: np.ndarray, config: BaselineConfig) -> Boosted
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    empty = BoostedEnsemble(_prior_logit(y), (), (), X.shape[1], -1, TrainingPool(()))
+    empty = BoostedEnsemble(_prior_logit(y), (), (), TrainingPool.empty(X.shape[1]))
     return extend(empty, X, y, config)
 
 
@@ -399,9 +393,10 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
     every later block, fitted on the policy's training pool; prior trees
     and (for a two-class pool) the base score are untouched.  A pool that
     has collapsed to a single class updates only the base score, which
-    drops every pool margin.  Otherwise the new block's rows go through the
+    drops every pool margin.  Otherwise the rows past the pool's margin
+    prefix (the new block, or every row after a reset) go through the
     ensemble once, and every pool row's margin is brought up to the grown
-    ensemble.
+    ensemble by the new trees alone.
     """
     X_new = np.asarray(X_new, dtype=np.float64)
     y_new = np.asarray(y_new, dtype=np.float64)
@@ -414,36 +409,27 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
     if config.policy == "sliding-window":
         pool = pool.keep_last(config.window_blocks)
 
-    y_all = np.concatenate([y for _, _, y, _ in pool.blocks])
-    if np.all(y_all == y_all[0]):
-        return replace(ensemble, base_score=_prior_logit(y_all), revealed_blocks=k,
-                       pool=pool.with_margins([None] * len(pool.blocks)))
+    if np.all(pool.y == pool.y[0]):
+        return replace(ensemble, base_score=_prior_logit(pool.y),
+                       pool=replace(pool, margin=np.empty(0)))
 
-    pool = pool.with_margins([ensemble_margin(ensemble, X) if m is None else m
-                              for _, X, _, m in pool.blocks])
-    Xs, ys, _, start = select_training_pool(
-        pool, config.policy, config.subsample_cap,
-        np.random.SeedSequence((config.seed, k)),
-        window_blocks=config.window_blocks, decay=config.decay,
+    pool = replace(pool, margin=np.concatenate([
+        pool.margin, ensemble_margin(ensemble, pool.X[len(pool.margin):])]))
+    Xs, ys, start = select_training_pool(
+        pool, config.subsample_cap, np.random.SeedSequence((config.seed, k)),
+        decay=None if config.policy == "sliding-window" else config.decay,
     )
     rate = config.learning_rate
     if config.policy == "adaptive-lr":
         rate = config.learning_rate * config.decay ** k
     n_trees = config.initial_trees if k == 0 else config.trees_per_block
-    trees, losses, margin = _boost(Xs, ys, start, n_trees, rate, config.max_depth)
+    trees, losses = _boost(Xs, ys, start, n_trees, rate, config.max_depth)
     rates = (rate,) * len(trees)
-    if Xs.shape[0] == y_all.shape[0]:
-        # The sample is the whole pool, in pool order.
-        bounds = np.cumsum([y.shape[0] for _, _, y, _ in pool.blocks[:-1]])
-        margins = np.split(margin, bounds)
-    else:
-        margins = [_add_trees(m.copy(), trees, rates, X) for _, X, _, m in pool.blocks]
     return replace(
         ensemble,
         trees=ensemble.trees + tuple(trees),
         tree_rates=ensemble.tree_rates + rates,
-        revealed_blocks=k,
-        pool=pool.with_margins(margins),
+        pool=replace(pool, margin=_add_trees(pool.margin, trees, rates, pool.X)),
         loss_history=ensemble.loss_history + (losses,),
     )
 

@@ -77,6 +77,7 @@ class RunConfig:
                           + ", ".join(p.name for p in self.predictors))
 
 
+_CONFIG_KEYS = frozenset({"seed", "n_blocks", "data_dir", "output_dir", "datasets", "predictors"})
 _DATASET_KEYS = frozenset({
     "id", "phase", "rows", "budget_seconds", "shape", "cat", "num", "mvc", "time",
     "n_blocks", "drift", "drift_magnitude", "cat_cardinality", "power_exponent",
@@ -93,6 +94,13 @@ def _reject_unknown_keys(entry, known: frozenset, where: str) -> None:
         raise ConfigError(f"{where}: unknown key " + ", ".join(map(repr, unknown)))
 
 
+def _config_int(raw: dict, key: str, default: int) -> int:
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _derived_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
@@ -106,9 +114,13 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})")
 
+    _reject_unknown_keys(raw, _CONFIG_KEYS, str(path))
     base = path.parent
-    seed = int(raw.get("seed", 0)) if seed_override is None else seed_override
-    n_blocks = int(raw.get("n_blocks", 10))
+    seed = _config_int(raw, "seed", 0) if seed_override is None else seed_override
+    n_blocks = _config_int(raw, "n_blocks", 10)
+    if n_blocks < 2:
+        # evaluate cuts every dataset into this many blocks.
+        raise ConfigError(f"n_blocks must be >= 2, got {n_blocks}")
 
     datasets = []
     for i, d in enumerate(raw.get("datasets", [])):
@@ -121,6 +133,10 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
             if phase not in PHASES:
                 raise ConfigError(f"dataset {dataset_id}: unknown phase {phase!r}")
             if "shape" in d:
+                mixed = [k for k in ("cat", "num", "mvc", "time") if k in d]
+                if mixed:
+                    raise ConfigError(f"dataset entry {i}: 'shape' sets the column counts; "
+                                      "drop " + ", ".join(map(repr, mixed)))
                 n_cat, n_num, n_mvc, n_time, _ = DATASET_SHAPES[d["shape"]]
             else:
                 n_cat, n_num = int(d["cat"]), int(d["num"])
@@ -326,7 +342,7 @@ def cmd_leaderboard(score_dirs: list[Path], merge: bool, out_dir: Path) -> int:
             raise ConfigError(f"{d}: no submission.json found")
         try:
             entries.append(read_submission(sub))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{sub}: malformed submission file ({exc})")
     if not entries:
         raise ConfigError("no score directories given")

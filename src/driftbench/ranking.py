@@ -171,8 +171,14 @@ def write_submission(path: str | Path, entry: SubmissionEntry) -> None:
 
 
 def read_submission(path: str | Path) -> SubmissionEntry:
+    """Read a file written by :func:`write_submission`; one of another
+    structure raises KeyError, TypeError or ValueError."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected an object, got {type(payload).__name__}")
     datasets = payload["datasets"]
+    if not isinstance(datasets, dict):
+        raise ValueError(f"'datasets' must be an object, got {type(datasets).__name__}")
     return SubmissionEntry(
         team=payload["team"],
         bundle=payload["bundle"],

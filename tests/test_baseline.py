@@ -1,4 +1,5 @@
 import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -30,12 +31,9 @@ FAST = dict(initial_trees=30, trees_per_block=8, max_depth=3, learning_rate=0.2)
 
 
 def toy_pool(rows_per_block=1000, n_blocks=10, width=2):
-    blocks = tuple(
-        (b, np.full((rows_per_block, width), float(b)), np.zeros(rows_per_block),
-         np.full(rows_per_block, -float(b)))
-        for b in range(n_blocks)
-    )
-    return TrainingPool(blocks)
+    ids = np.repeat(np.arange(n_blocks), rows_per_block)
+    return TrainingPool(np.repeat(ids[:, None], width, axis=1).astype(float),
+                        np.zeros(ids.size), ids, -ids.astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -44,19 +42,20 @@ def toy_pool(rows_per_block=1000, n_blocks=10, width=2):
 
 def test_small_history_returned_whole():
     pool = toy_pool(rows_per_block=10, n_blocks=3)
-    X, y, ids, margin = select_training_pool(pool, "grow-full-history", cap=1000, seed=0)
+    X, y, margin = select_training_pool(pool, cap=1000, seed=0)
     assert X.shape[0] == 30
-    assert list(ids) == [0] * 10 + [1] * 10 + [2] * 10
-    assert np.array_equal(margin, -ids)
+    assert list(X[:, 0]) == [0] * 10 + [1] * 10 + [2] * 10
+    assert np.array_equal(margin, -X[:, 0])
 
 
 def test_capped_selection_prefers_recent_blocks():
     pool = toy_pool(rows_per_block=1000, n_blocks=10)
     newest, oldest = [], []
     for seed in range(50):
-        X, _, ids, margin = select_training_pool(pool, "grow-full-history", cap=100, seed=seed)
+        X, _, margin = select_training_pool(pool, cap=100, seed=seed)
+        ids = X[:, 0]
         assert ids.shape[0] == 100
-        assert np.array_equal(X[:, 0], ids) and np.array_equal(margin, -ids)
+        assert np.array_equal(margin, -ids)
         newest.append(int(np.sum(ids == 9)))
         oldest.append(int(np.sum(ids == 0)))
     assert np.mean(newest) > np.mean(oldest)
@@ -64,21 +63,21 @@ def test_capped_selection_prefers_recent_blocks():
 
 def test_selection_deterministic_given_seed():
     pool = toy_pool()
-    a = select_training_pool(pool, "grow-full-history", cap=50, seed=123)[2]
-    b = select_training_pool(pool, "grow-full-history", cap=50, seed=123)[2]
+    a = select_training_pool(pool, cap=50, seed=123)[0]
+    b = select_training_pool(pool, cap=50, seed=123)[0]
     assert np.array_equal(a, b)
 
 
 def test_sliding_window_restricts_to_newest_blocks():
     pool = toy_pool(rows_per_block=20, n_blocks=5)
-    _, _, ids, _ = select_training_pool(pool, "sliding-window", cap=1000, seed=0,
-                                        window_blocks=1)
-    assert set(ids.tolist()) == {4}
-
-
-def test_unknown_policy_rejected():
-    with pytest.raises(ValueError):
-        select_training_pool(toy_pool(), "mystery", cap=10, seed=0)
+    for k, ids in ((1, [4]), (2, [3, 4]), (5, [0, 1, 2, 3, 4]), (9, [0, 1, 2, 3, 4])):
+        kept = pool.keep_last(k)
+        assert np.array_equal(kept.ids, np.repeat(ids, 20))
+        assert np.array_equal(kept.X[:, 0], kept.ids) and np.array_equal(kept.margin, -kept.ids)
+    # A margin prefix shrinks by the rows cut from the front.
+    short = TrainingPool(pool.X, pool.y, pool.ids, pool.margin[:50])
+    assert np.array_equal(short.keep_last(4).margin, pool.margin[20:50])
+    assert short.keep_last(2).margin.size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +289,7 @@ def random_ensemble(rng, width):
         trees.append(RegressionTree.fit(X, residual, int(rng.integers(0, 6))))
     rates = tuple(float(r) for r in rng.uniform(0.01, 1.0, size=len(trees)))
     return BoostedEnsemble(base_score=float(rng.normal()), trees=tuple(trees),
-                           tree_rates=rates, n_features=width, revealed_blocks=0,
-                           pool=TrainingPool(()))
+                           tree_rates=rates, pool=TrainingPool.empty(width))
 
 
 def test_one_walk_matches_tree_by_tree():
@@ -310,8 +308,8 @@ def test_one_walk_matches_tree_by_tree():
 
 def test_empty_ensemble_and_no_rows():
     rng = np.random.default_rng(5)
-    empty = BoostedEnsemble(base_score=-0.7, trees=(), tree_rates=(), n_features=3,
-                            revealed_blocks=-1, pool=TrainingPool(()))
+    empty = BoostedEnsemble(base_score=-0.7, trees=(), tree_rates=(),
+                            pool=TrainingPool.empty(3))
     assert np.array_equal(ensemble_margin(empty, rng.normal(size=(4, 3))), np.full(4, -0.7))
     assert ensemble_margin(empty, np.zeros((0, 3))).shape == (0,)
     X = rng.normal(size=(50, 3))
@@ -379,8 +377,8 @@ def test_fit_deterministic_given_seed():
 
 
 def test_empty_ensemble_scores_at_base():
-    ens = BoostedEnsemble(base_score=0.3, trees=(), tree_rates=(), n_features=2,
-                          revealed_blocks=-1, pool=TrainingPool(()))
+    ens = BoostedEnsemble(base_score=0.3, trees=(), tree_rates=(),
+                          pool=TrainingPool.empty(2))
     scores = predict_scores(ens, np.random.default_rng(0).normal(size=(7, 2)))
     assert scores == pytest.approx(np.full(7, sigmoid(np.array([0.3]))[0]))
 
@@ -390,7 +388,7 @@ def test_manual_stump_scores():
                            left=[1, -1, -1], right=[2, -1, -1],
                            value=[0.0, -2.0, 2.0])
     ens = BoostedEnsemble(base_score=0.0, trees=(stump,), tree_rates=(1.0,),
-                          n_features=1, revealed_blocks=0, pool=TrainingPool(()))
+                          pool=TrainingPool.empty(1))
     scores = predict_scores(ens, np.array([[-1.0], [0.0], [1.0]]))
     lo, hi = 1 / (1 + np.exp(2)), 1 / (1 + np.exp(-2))
     assert scores == pytest.approx([lo, lo, hi])
@@ -467,7 +465,9 @@ def test_sliding_window_pool_keeps_last_two_blocks():
     for k in range(4):
         lo = 100 * (k + 1)
         ens = extend(ens, X[lo:lo + 100], y[lo:lo + 100], cfg)
-    assert ens.pool.block_ids == (3, 4)
+    assert ens.revealed_blocks == 4
+    assert np.array_equal(ens.pool.ids, np.repeat([3, 4], 100))
+    assert np.array_equal(ens.pool.X, X[300:500]) and np.array_equal(ens.pool.y, y[300:500])
 
 
 def test_extend_never_changes_prior_trees():
@@ -506,16 +506,14 @@ def test_cached_margins_match_a_fresh_walk(policy, cap):
     ens, resets = None, 0
     for X, y in blocks:
         ens = fit_initial(X, y, cfg) if ens is None else extend(ens, X, y, cfg)
-        y_pool = np.concatenate([yb for _, _, yb, _ in ens.pool.blocks])
-        if np.all(y_pool == y_pool[0]):
+        if np.all(ens.pool.y == ens.pool.y[0]):
             resets += 1
-            assert all(m is None for *_, m in ens.pool.blocks)
+            assert ens.pool.margin.size == 0
             continue
-        for _, Xb, _, m in ens.pool.blocks:
-            assert np.array_equal(m, ensemble_margin(ens, Xb))
+        assert np.array_equal(ens.pool.margin, ensemble_margin(ens, ens.pool.X))
     # The first block, and a two-block window over blocks 3 and 4, hold one class.
     assert resets == (2 if policy == "sliding-window" else 1)
-    assert len(ens.pool.blocks) == (2 if policy == "sliding-window" else len(blocks))
+    assert len(set(ens.pool.ids.tolist())) == (2 if policy == "sliding-window" else len(blocks))
 
 
 def test_extend_walks_past_trees_over_new_rows_only(monkeypatch):
@@ -622,3 +620,37 @@ def test_predict_before_learn_raises():
     pred = BaselinePredictor(BaselineConfig(**FAST))
     with pytest.raises(RuntimeError):
         pred.predict([("1.0",)])
+
+
+# SHA-256 of every `predict` output of one replay, in step order.  The cap
+# of 150 binds once the pool holds two blocks of 100 rows, so the capped
+# sample and the margins of the rows it leaves out are pinned too.
+PREDICTION_PINS = {
+    ("A", "grow-full-history", 100_000): "e962693e79da9cc0b59e6bc0f3a5243802c79473111492cfa750c979f66c82e2",
+    ("A", "grow-full-history", 150): "df7d0c3ebd03e37bdf6fb935881e607d5e99f535e098367f8f010ea2cc3d6b9e",
+    ("A", "sliding-window", 100_000): "fdd92d3c186b6b0b3d8ace27cfdda9e59d7edacb2e5dd5d514ce0cc4fa06a0c6",
+    ("A", "sliding-window", 150): "d6cc2632b29307ee07c3cd3425275655ae977f75712c1e45b0a9bd51408300c1",
+    ("A", "adaptive-lr", 100_000): "db97b8ffe384f29f120d8d1d8e7b5259ecc61b07f2906db609b3b6d027d66401",
+    ("A", "adaptive-lr", 150): "dc7c4efce34ff5d736825bb16c2cdcbee8fe4d807318b435a78beccf34b3e66e",
+    ("D", "grow-full-history", 100_000): "f2d95a46937e0fc6121da21c73407971bce54eb247c1aeedf0a158de02acb7e2",
+    ("D", "grow-full-history", 150): "41e3215ac71b7f384de884fbc62792ca4d98dfd057578cec3c8ab952eff9d913",
+    ("D", "sliding-window", 100_000): "d463c5a827dd08ad44f814f72beb1e5227b1f2e76f7164bdd42cde73c5786cf9",
+    ("D", "sliding-window", 150): "f1d5cafcdd56f1028d2ae2c8ef35dfe767e2ef04746531b7bda566cf4c4d3b46",
+    ("D", "adaptive-lr", 100_000): "b3ab1f4b18be0ce8cd8d264f30fdf932271cd60ea6bc3be385c7dff3ea39127e",
+    ("D", "adaptive-lr", 150): "11705d9f2227483fac577ef1d999ab273bc4b83c30570419793d47353de0824f",
+}
+
+
+@pytest.mark.parametrize("cap", [100_000, 150])
+@pytest.mark.parametrize("policy", DRIFT_POLICIES)
+@pytest.mark.parametrize("shape", ["A", "D"])
+def test_predictions_are_pinned(shape, policy, cap):
+    ds = generate_drift_stream(desk_spec(shape, 600, n_blocks=6, drift="gradual",
+                                         drift_magnitude=1.0, seed=8))
+    pred = BaselinePredictor(BaselineConfig(policy=policy, subsample_cap=cap, seed=8, **FAST))
+    digest = hashlib.sha256()
+    ranges = plan_blocks(len(ds), 6).ranges
+    for (lo, hi), (nlo, nhi) in zip(ranges, ranges[1:]):
+        pred.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
+        digest.update(pred.predict(ds.rows[nlo:nhi]).tobytes())
+    assert digest.hexdigest() == PREDICTION_PINS[shape, policy, cap]

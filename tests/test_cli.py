@@ -268,6 +268,33 @@ def test_non_object_entry_is_config_error(tmp_path, capsys, section):
     assert f"{section[:-1]} entry 0: expected an object, got str" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: [1, 2], "expected an object, got list"),
+    (lambda raw: dict(raw, sead=3), "unknown key 'sead'"),
+    (lambda raw: dict(raw, seed="x"), "seed must be an integer, got 'x'"),
+    (lambda raw: dict(raw, n_blocks=6.5), "n_blocks must be an integer, got 6.5"),
+    (lambda raw: dict(raw, n_blocks=1), "n_blocks must be >= 2, got 1"),
+], ids=["not-an-object", "unknown-key", "seed-not-int", "n-blocks-not-int", "n-blocks-below-2"])
+def test_top_level_config_fault_is_config_error(tmp_path, capsys, edit, message):
+    config = write_config(tmp_path, n_datasets=1)
+    assert main(["generate", "--config", str(config)]) == 0
+    config.write_text(json.dumps(edit(json.loads(config.read_text()))))
+    assert main(["evaluate", "--config", str(config), "--predictor", "baseline"]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_shape_with_column_counts_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, n_datasets=2)
+    raw = json.loads(config.read_text())
+    raw["datasets"][1]["shape"] = "B"
+    config.write_text(json.dumps(raw))
+    assert main(["generate", "--config", str(config)]) == 1
+    assert ("error: dataset entry 1: 'shape' sets the column counts; "
+            "drop 'cat', 'num', 'mvc', 'time'") in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 def test_readme_example_config_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = readme.split("```json\n", 1)[1].split("```", 1)[0]
@@ -374,9 +401,13 @@ def test_leaderboard_missing_submission_is_config_error(tmp_path, capsys):
 def test_leaderboard_malformed_submission_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad"
     bad.mkdir()
-    (bad / "submission.json").write_text('{"team": "x"}')
-    assert main(["leaderboard", str(bad), "--out", str(tmp_path)]) == 1
-    assert "malformed" in capsys.readouterr().err
+    header = {"team": "x", "bundle": "Py3", "duration_seconds": 1.0}
+    for payload in ({"team": "x"}, dict(header, datasets={"a": 1}),
+                    dict(header, datasets=[]), []):
+        (bad / "submission.json").write_text(json.dumps(payload))
+        assert main(["leaderboard", str(bad), "--out", str(tmp_path)]) == 1
+        assert f"error: {bad / 'submission.json'}: malformed submission file (" \
+            in capsys.readouterr().err
 
 
 def test_leaderboard_mismatched_datasets_is_config_error(tmp_path, capsys):
