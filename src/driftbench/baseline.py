@@ -81,6 +81,10 @@ class BaselineConfig:
             raise ValueError("window must span >= 1 block")
         if self.policy not in DRIFT_POLICIES:
             raise ValueError(f"policy must be one of {DRIFT_POLICIES}, got {self.policy!r}")
+        # Names (as a JSON config gives them) become kinds; an unknown one raises.
+        object.__setattr__(self, "cat_encoder", EncoderKind(self.cat_encoder))
+        if self.mvc_encoder is not None:
+            object.__setattr__(self, "mvc_encoder", EncoderKind(self.mvc_encoder))
 
 
 #: Most cells (features x node rows) one split-search pass holds at once;

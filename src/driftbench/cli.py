@@ -51,9 +51,8 @@ class DatasetSpec:
 @dataclass(frozen=True)
 class PredictorSpec:
     name: str
-    kind: str               # "baseline" or "command"
     bundle: str
-    options: dict
+    baseline: BaselineConfig | None     # None for a command predictor
     command: tuple[str, ...]
 
 
@@ -101,6 +100,13 @@ def _config_int(raw: dict, key: str, default: int) -> int:
     return value
 
 
+def _config_list(raw: dict, key: str) -> list:
+    value = raw.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _derived_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
@@ -123,7 +129,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         raise ConfigError(f"n_blocks must be >= 2, got {n_blocks}")
 
     datasets = []
-    for i, d in enumerate(raw.get("datasets", [])):
+    for i, d in enumerate(_config_list(raw, "datasets")):
         try:
             _reject_unknown_keys(d, _DATASET_KEYS, f"dataset entry {i}")
             dataset_id = d["id"]
@@ -164,26 +170,32 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
             raise ConfigError(f"dataset entry {i}: {exc}")
 
     predictors = []
-    for i, p in enumerate(raw.get("predictors", [])):
+    for i, p in enumerate(_config_list(raw, "predictors")):
         try:
             _reject_unknown_keys(p, _PREDICTOR_KEYS, f"predictor entry {i}")
-            if any(spec.name == p["name"] for spec in predictors):
-                raise ConfigError(f"predictor entry {i}: duplicate name {p['name']!r}")
-            kind = p.get("type", "baseline")
-            if kind not in ("baseline", "command"):
-                raise ConfigError(f"predictor {p.get('name', i)}: unknown type {kind!r}")
-            command = tuple(str(c) for c in p.get("command", ()))
-            if kind == "command" and not command:
-                raise ConfigError(f"predictor {p.get('name', i)}: command predictors need a command")
-            predictors.append(PredictorSpec(
-                name=p["name"],
-                kind=kind,
-                bundle=p.get("bundle", "default"),
-                options=dict(p.get("options", {})),
-                command=command,
-            ))
+            name = p["name"]
         except KeyError as exc:
             raise ConfigError(f"predictor entry {i}: missing key {exc}")
+        if any(spec.name == name for spec in predictors):
+            raise ConfigError(f"predictor entry {i}: duplicate name {name!r}")
+        kind = p.get("type", "baseline")
+        if kind not in ("baseline", "command"):
+            raise ConfigError(f"predictor {name}: unknown type {kind!r}")
+        command = tuple(str(c) for c in p.get("command", ()))
+        if kind == "command" and not command:
+            raise ConfigError(f"predictor {name}: command predictors need a command")
+        options = p.get("options", {})
+        if not isinstance(options, dict):
+            raise ConfigError(f"predictor {name}: options must be an object, "
+                              f"got {type(options).__name__}")
+        baseline = None
+        if kind == "baseline":
+            try:
+                baseline = BaselineConfig(**{"seed": seed, **options})
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"predictor {name}: {exc}")
+        predictors.append(PredictorSpec(name=name, bundle=p.get("bundle", "default"),
+                                        baseline=baseline, command=command))
 
     return RunConfig(
         seed=seed,
@@ -219,13 +231,11 @@ def cmd_generate(config: RunConfig) -> int:
     return 0
 
 
-def _make_factory(config: RunConfig, pred: PredictorSpec, workdir: Path):
-    if pred.kind == "baseline":
-        options = dict(pred.options)
-        options.setdefault("seed", config.seed)
+def _make_factory(pred: PredictorSpec, workdir: Path):
+    if pred.baseline is not None:
 
         def factory(ref: DatasetRef) -> BaselinePredictor:
-            return BaselinePredictor(BaselineConfig(**options), name=pred.name)
+            return BaselinePredictor(pred.baseline, name=pred.name)
 
         return factory
 
@@ -239,8 +249,8 @@ def _make_factory(config: RunConfig, pred: PredictorSpec, workdir: Path):
     return factory
 
 
-def _evaluate_one(config: RunConfig, phase: PhaseConfig, pred: PredictorSpec,
-                  out_dir: Path, workdir: Path) -> list[EvaluationTrace]:
+def _evaluate_one(phase: PhaseConfig, pred: PredictorSpec, out_dir: Path,
+                  workdir: Path) -> list[EvaluationTrace]:
     pred_dir = out_dir / pred.name
     pred_dir.mkdir(parents=True, exist_ok=True)
 
@@ -280,7 +290,7 @@ def _evaluate_one(config: RunConfig, phase: PhaseConfig, pred: PredictorSpec,
             out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                            encoding="utf-8")
 
-    traces = run_suite(phase, _make_factory(config, pred, workdir),
+    traces = run_suite(phase, _make_factory(pred, workdir),
                        on_result=on_result)
     entry = SubmissionEntry(
         team=pred.name,
@@ -310,19 +320,18 @@ def cmd_evaluate(config: RunConfig, phase_name: str, predictor_names: list[str],
             )
         refs.append(DatasetRef(spec.dataset_id, data_path, schema_path,
                                spec.budget_seconds))
-    phase = PhaseConfig(phase=phase_name, datasets=tuple(refs),
-                        n_blocks=config.n_blocks)
+    phase = PhaseConfig(datasets=tuple(refs), n_blocks=config.n_blocks)
     predictors = [config.predictor(name) for name in predictor_names]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     if jobs > 1 and len(predictors) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             all_scores = list(pool.map(
-                lambda p: _evaluate_one(config, phase, p, out_dir, workdir),
+                lambda p: _evaluate_one(phase, p, out_dir, workdir),
                 predictors,
             ))
     else:
-        all_scores = [_evaluate_one(config, phase, p, out_dir, workdir)
+        all_scores = [_evaluate_one(phase, p, out_dir, workdir)
                       for p in predictors]
 
     any_disqualified = any(s.disqualified for scores in all_scores for s in scores)

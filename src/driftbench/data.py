@@ -69,9 +69,6 @@ class FeatureSchema:
     def n_features(self) -> int:
         return len(self.columns)
 
-    def count(self, kind: FeatureKind) -> int:
-        return sum(1 for _, k in self.columns if k is kind)
-
 
 @dataclass(frozen=True, eq=False)
 class ChronoDataset:

@@ -4,9 +4,9 @@ A dataset cut into N blocks is evaluated in N-1 steps: at step k the
 predictor learns from the newly revealed labeled block k-1 (its own job to
 buffer history) and then scores the unlabeled block k.  Wall-clock spent
 inside the predictor's ``learn`` and ``predict`` calls counts against the
-dataset's time budget; harness file I/O does not.  The dataset's score is
-the mean of its block AUCs, or 0 when the predictor exceeded the budget
-or crashed.
+dataset's time budget, whether the call returns or raises; harness file
+I/O does not.  The dataset's score is the mean of its block AUCs, or 0
+when the predictor exceeded the budget or crashed.
 
 External predictors speak a file protocol: per step the harness writes a
 train file (with labels), a test file (without) and the schema file, then
@@ -47,10 +47,6 @@ class PredictorError(RuntimeError):
 
 class PredictorTimeout(RuntimeError):
     """The predictor exceeded its remaining budget and was stopped."""
-
-    def __init__(self, message: str, elapsed_seconds: float):
-        super().__init__(message)
-        self.elapsed_seconds = elapsed_seconds
 
 
 @runtime_checkable
@@ -133,7 +129,6 @@ class DatasetRef:
 class PhaseConfig:
     """One evaluation phase: which datasets, their budgets, how many blocks."""
 
-    phase: str
     datasets: tuple[DatasetRef, ...]
     n_blocks: int = 10
 
@@ -144,7 +139,8 @@ class PhaseConfig:
 
 
 class _BudgetClock:
-    """Accumulates billable predictor time against a budget."""
+    """Bills predictor calls against a budget: each call's wall time, less
+    the adapter's ``unbilled_seconds`` gained during it."""
 
     def __init__(self, budget_seconds: float):
         self.budget = budget_seconds
@@ -154,17 +150,20 @@ class _BudgetClock:
     def remaining(self) -> float:
         return self.budget - self.consumed
 
-    def charge(self, predictor, fn, *args) -> object:
+    def charge(self, call: str, predictor, fn, *args) -> object:
+        """Return ``fn(*args)``, billed whether it returns or raises; a
+        return that leaves the budget spent raises PredictorTimeout."""
         before_unbilled = float(getattr(predictor, "unbilled_seconds", 0.0))
         t0 = time.perf_counter()
         try:
             result = fn(*args)
-        except PredictorTimeout as exc:
-            self.consumed += exc.elapsed_seconds
-            raise
-        wall = time.perf_counter() - t0
-        after_unbilled = float(getattr(predictor, "unbilled_seconds", 0.0))
-        self.consumed += max(0.0, wall - (after_unbilled - before_unbilled))
+        finally:
+            wall = time.perf_counter() - t0
+            unbilled = float(getattr(predictor, "unbilled_seconds", 0.0)) - before_unbilled
+            self.consumed += max(0.0, wall - unbilled)
+        if self.remaining < 0:
+            raise PredictorTimeout(f"{call} brought the billed time to {self.consumed:.3f}s, "
+                                   f"over the budget of {self.budget:.3f}s")
         return result
 
 
@@ -174,7 +173,8 @@ def run_lifelong(dataset: ChronoDataset, plan: BlockPlan, predictor: PredictorAd
 
     Steps 1..N-1: reveal block k-1 to ``learn``, score ``predict`` on block
     k.  Aborts on budget overrun (timed-out) or any predictor failure
-    (predictor-error); either way the dataset scores 0.
+    (predictor-error), with an error that names the step; either way the
+    dataset scores 0.
     """
     if plan.n_blocks < 2:
         raise ValueError(f"need at least 2 blocks to score one, plan has {plan.n_blocks}")
@@ -187,39 +187,26 @@ def run_lifelong(dataset: ChronoDataset, plan: BlockPlan, predictor: PredictorAd
     steps: list[StepRecord] = []
     outcome = OUTCOME_COMPLETED
     error = ""
-
-    def overrun(k: int, call: str) -> str:
-        return (f"step {k}: {call} brought the billed time to {clock.consumed:.3f}s, "
-                f"over the budget of {budget_seconds:.3f}s")
-
     for k in range(1, plan.n_blocks):
         reveal_lo, reveal_hi = plan.ranges[k - 1]
         test_lo, test_hi = plan.ranges[k]
         step_start = clock.consumed
         try:
             clock.charge(
-                predictor, predictor.learn,
+                "learn", predictor, predictor.learn,
                 dataset.rows[reveal_lo:reveal_hi],
                 dataset.labels[reveal_lo:reveal_hi],
                 dataset.schema,
                 clock.remaining,
             )
-            if clock.remaining < 0:
-                outcome, error = OUTCOME_TIMED_OUT, overrun(k, "learn")
-                break
-            scores = clock.charge(predictor, predictor.predict,
+            scores = clock.charge("predict", predictor, predictor.predict,
                                   dataset.rows[test_lo:test_hi])
             _check_predictions(scores, test_hi - test_lo)
         except PredictorTimeout as exc:
-            outcome = OUTCOME_TIMED_OUT
-            error = str(exc)
+            outcome, error = OUTCOME_TIMED_OUT, f"step {k}: {exc}"
             break
         except Exception as exc:  # noqa: BLE001 -- predictor code is untrusted
-            outcome = OUTCOME_PREDICTOR_ERROR
-            error = f"{type(exc).__name__}: {exc}"
-            break
-        if clock.remaining < 0:
-            outcome, error = OUTCOME_TIMED_OUT, overrun(k, "predict")
+            outcome, error = OUTCOME_PREDICTOR_ERROR, f"step {k}: {type(exc).__name__}: {exc}"
             break
 
         block_labels = dataset.labels[test_lo:test_hi]
@@ -251,11 +238,9 @@ def _check_predictions(scores, expected: int) -> None:
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] != expected:
         raise PredictorError(
-            f"predictor returned {arr.shape[0] if arr.ndim == 1 else 'non-flat'} "
-            f"scores for {expected} rows"
-        )
+            f"{arr.shape[0] if arr.ndim == 1 else 'non-flat'} predictions for {expected} rows")
     if not np.all(np.isfinite(arr)):
-        raise PredictorError("predictor returned a non-finite score")
+        raise PredictorError("non-finite prediction")
 
 
 def run_suite(phase: PhaseConfig,
@@ -299,8 +284,9 @@ class SubprocessPredictor:
     pending test block.  The process runs in a process group of its own,
     and the whole group is killed the moment the remaining budget expires;
     a process that left the group cannot hold the harness past a short
-    drain of its stderr.  File staging time accumulates in
-    ``unbilled_seconds`` and is not billed against the budget.
+    drain of its stderr.  File staging, reading the predictions and the
+    drain after a budget kill accumulate in ``unbilled_seconds`` and are
+    not billed against the budget.
     """
 
     def __init__(self, command: Sequence[str] | str | Path, workdir: str | Path,
@@ -354,16 +340,17 @@ class SubprocessPredictor:
             _, stderr = proc.communicate(timeout=max(self._remaining, 0.0))
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
-            elapsed = time.perf_counter() - run_start
+            killed = time.perf_counter()
             try:
                 proc.communicate(timeout=_DRAIN_SECONDS)
             except subprocess.TimeoutExpired:
                 proc.stderr.close()
                 proc.wait()
+            # The run is billed up to the kill, not through the drain.
+            self.unbilled_seconds += time.perf_counter() - killed
             raise PredictorTimeout(
-                f"step {self._step}: killed after {elapsed:.2f}s "
-                f"(remaining budget was {self._remaining:.2f}s)",
-                elapsed_seconds=elapsed,
+                f"killed after {killed - run_start:.2f}s "
+                f"(remaining budget was {self._remaining:.2f}s)"
             ) from None
         except KeyboardInterrupt:
             # Its own process group misses the terminal's interrupt; end it here.
@@ -372,27 +359,19 @@ class SubprocessPredictor:
         if proc.returncode != 0:
             tail = stderr.decode("utf-8", "replace").strip().splitlines()[-3:]
             raise PredictorError(
-                f"step {self._step}: exit code {proc.returncode}"
+                f"exit code {proc.returncode}"
                 + (f"; stderr: {' | '.join(tail)}" if tail else "")
             )
 
+        # Count and finiteness are left to the harness, as for any adapter.
         t1 = time.perf_counter()
-        scores = self._read_predictions(pred_path, expected=len(rows))
-        self.unbilled_seconds += time.perf_counter() - t1
-        return scores
-
-    def _read_predictions(self, path: Path, expected: int) -> np.ndarray:
-        if not path.exists():
-            raise PredictorError(f"step {self._step}: predictions file not written")
-        lines = [ln for ln in path.read_text(encoding="utf-8").split("\n") if ln]
-        if len(lines) != expected:
-            raise PredictorError(
-                f"step {self._step}: {len(lines)} predictions for {expected} test rows"
-            )
         try:
-            scores = np.array([float(ln) for ln in lines], dtype=np.float64)
-        except ValueError as exc:
-            raise PredictorError(f"step {self._step}: unparseable prediction: {exc}")
-        if not np.all(np.isfinite(scores)):
-            raise PredictorError(f"step {self._step}: non-finite prediction")
-        return scores
+            if not pred_path.exists():
+                raise PredictorError("predictions file not written")
+            lines = [ln for ln in pred_path.read_text(encoding="utf-8").split("\n") if ln]
+            try:
+                return np.array([float(ln) for ln in lines], dtype=np.float64)
+            except ValueError as exc:
+                raise PredictorError(f"unparseable prediction: {exc}")
+        finally:
+            self.unbilled_seconds += time.perf_counter() - t1

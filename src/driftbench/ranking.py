@@ -179,6 +179,8 @@ def read_submission(path: str | Path) -> SubmissionEntry:
     datasets = payload["datasets"]
     if not isinstance(datasets, dict):
         raise ValueError(f"'datasets' must be an object, got {type(datasets).__name__}")
+    if not datasets:
+        raise ValueError("'datasets' is empty")
     return SubmissionEntry(
         team=payload["team"],
         bundle=payload["bundle"],

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ChronoDataset, FeatureKind, FeatureSchema, plan_blocks
+from .data import MVC_SEPARATOR, ChronoDataset, FeatureKind, FeatureSchema, plan_blocks
 
 DRIFT_PROFILES = ("none", "gradual", "abrupt")
 
@@ -137,11 +137,18 @@ def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
     for e_a, e_b in mvc_eff:
         counts = rng.integers(1, MVC_MAX_TOKENS + 1, size=n)
         draws = rng.choice(card, size=(n, MVC_MAX_TOKENS), p=probs)
-        eff = _rotated(e_a, e_b, angle)
-        tokens = [list(dict.fromkeys(row[:k])) for row, k in zip(draws.tolist(), counts.tolist())]
-        # One mean per row, summed in token order, so every score keeps its bits.
-        score += np.array([eff[i, toks].mean() for i, toks in enumerate(tokens)])
-        columns.append(["|".join(f"v{tok + 1}" for tok in toks) for toks in tokens])
+        eff = _rotated(e_a, e_b, angle)[np.arange(n)[:, None], draws]
+        # A cell's tokens are its first `count` draws, duplicates dropped.
+        # Their effects are summed in draw order and divided by their count:
+        # the same operations, so the same bits, as a mean per row.
+        keep = np.arange(MVC_MAX_TOKENS) < counts[:, None]
+        total = eff[:, 0].copy()
+        for j in range(1, MVC_MAX_TOKENS):
+            keep[:, j] &= (draws[:, :j] != draws[:, j:j + 1]).all(axis=1)
+            np.add(total, eff[:, j], out=total, where=keep[:, j])
+        score += total / keep.sum(axis=1)
+        columns.append([MVC_SEPARATOR.join(f"v{tok + 1}" for tok, kept in zip(row, keeps) if kept)
+                        for row, keeps in zip(draws.tolist(), keep.tolist())])
 
     for _ in range(spec.n_time):
         ticks = np.cumsum(rng.integers(0, 3, size=n))

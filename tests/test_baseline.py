@@ -24,6 +24,7 @@ from driftbench.baseline import (
 from driftbench.data import ChronoDataset, FeatureKind, plan_blocks
 from driftbench.encoding import EncoderKind, fit_dataset_encoders, transform_rows
 from driftbench.metrics import auc
+from driftbench.reference_predictor import _config_from_env
 from driftbench.harness import OUTCOME_PREDICTOR_ERROR, run_lifelong
 from driftbench.synth import DriftGenSpec, desk_spec, generate_drift_stream
 
@@ -552,6 +553,17 @@ def test_config_validation():
         BaselineConfig(policy="nope")
     with pytest.raises(ValueError):
         BaselineConfig(window_blocks=0)
+    for field in ("cat_encoder", "mvc_encoder"):
+        with pytest.raises(ValueError, match="'onehot' is not a valid EncoderKind"):
+            BaselineConfig(**{field: "onehot"})
+
+
+@pytest.mark.parametrize("kind", list(EncoderKind))
+def test_encoder_names_select_the_encoder(kind, monkeypatch):
+    named = BaselineConfig(cat_encoder=kind.value, mvc_encoder=kind.value)
+    assert named == BaselineConfig(cat_encoder=kind, mvc_encoder=kind)
+    monkeypatch.setenv("DRIFTBENCH_BASELINE_CONFIG", f'{{"cat_encoder": "{kind.value}"}}')
+    assert _config_from_env().cat_encoder is kind
 
 
 # ---------------------------------------------------------------------------

@@ -268,13 +268,31 @@ def test_non_object_entry_is_config_error(tmp_path, capsys, section):
     assert f"{section[:-1]} entry 0: expected an object, got str" in capsys.readouterr().err
 
 
+def _baseline_options(raw, options):
+    return dict(raw, predictors=[dict(raw["predictors"][0], options=options)])
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda raw: [1, 2], "expected an object, got list"),
     (lambda raw: dict(raw, sead=3), "unknown key 'sead'"),
     (lambda raw: dict(raw, seed="x"), "seed must be an integer, got 'x'"),
     (lambda raw: dict(raw, n_blocks=6.5), "n_blocks must be an integer, got 6.5"),
     (lambda raw: dict(raw, n_blocks=1), "n_blocks must be >= 2, got 1"),
-], ids=["not-an-object", "unknown-key", "seed-not-int", "n-blocks-not-int", "n-blocks-below-2"])
+    (lambda raw: dict(raw, datasets=5), "datasets must be a list, got int"),
+    (lambda raw: dict(raw, predictors=3), "predictors must be a list, got int"),
+    (lambda raw: dict(raw, datasets={"A": raw["datasets"][0]}),
+     "datasets must be a list, got dict"),
+    (lambda raw: _baseline_options(raw, [1]),
+     "predictor baseline: options must be an object, got list"),
+    (lambda raw: _baseline_options(raw, {"max_dept": 3}),
+     "predictor baseline: BaselineConfig.__init__() got an unexpected keyword argument 'max_dept'"),
+    (lambda raw: _baseline_options(raw, {"max_depth": 0}),
+     "predictor baseline: tree depth must be >= 1"),
+    (lambda raw: _baseline_options(raw, {"cat_encoder": "onehot"}),
+     "predictor baseline: 'onehot' is not a valid EncoderKind"),
+], ids=["not-an-object", "unknown-key", "seed-not-int", "n-blocks-not-int", "n-blocks-below-2",
+        "datasets-int", "predictors-int", "datasets-object", "options-list",
+        "unknown-option", "invalid-option", "unknown-encoder"])
 def test_top_level_config_fault_is_config_error(tmp_path, capsys, edit, message):
     config = write_config(tmp_path, n_datasets=1)
     assert main(["generate", "--config", str(config)]) == 0
@@ -282,6 +300,17 @@ def test_top_level_config_fault_is_config_error(tmp_path, capsys, edit, message)
     assert main(["evaluate", "--config", str(config), "--predictor", "baseline"]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_encoder_names_reach_the_baseline(tmp_path):
+    config = write_config(tmp_path, n_datasets=1)
+    raw = json.loads(config.read_text())
+    raw["predictors"][0]["options"] = dict(FAST_BASELINE, cat_encoder="count",
+                                           mvc_encoder="target-mean")
+    config.write_text(json.dumps(raw))
+    baseline = load_config(config).predictor("baseline").baseline
+    assert (baseline.cat_encoder.value, baseline.mvc_encoder.value) == ("count", "target-mean")
+    assert baseline.seed == 11
 
 
 def test_shape_with_column_counts_is_config_error(tmp_path, capsys):
@@ -403,7 +432,7 @@ def test_leaderboard_malformed_submission_is_config_error(tmp_path, capsys):
     bad.mkdir()
     header = {"team": "x", "bundle": "Py3", "duration_seconds": 1.0}
     for payload in ({"team": "x"}, dict(header, datasets={"a": 1}),
-                    dict(header, datasets=[]), []):
+                    dict(header, datasets=[]), dict(header, datasets={}), []):
         (bad / "submission.json").write_text(json.dumps(payload))
         assert main(["leaderboard", str(bad), "--out", str(tmp_path)]) == 1
         assert f"error: {bad / 'submission.json'}: malformed submission file (" \

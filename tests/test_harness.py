@@ -149,6 +149,33 @@ def test_bad_predictors_score_zero(cls):
     assert trace.disqualified and trace.mean_auc == 0.0
 
 
+class SlowCrashPredictor(RecordingPredictor):
+    def predict(self, rows):
+        time.sleep(0.2)
+        raise RuntimeError("boom")
+
+
+def test_call_that_raises_is_billed_and_names_its_step():
+    trace = run_lifelong(indexed_dataset(30), plan_blocks(30, 3), SlowCrashPredictor(),
+                         budget_seconds=60)
+    assert trace.outcome == "predictor-error"
+    assert trace.total_elapsed_seconds >= 0.2
+    assert trace.error == "step 1: RuntimeError: boom"
+
+
+class SlowShortPredictor(RecordingPredictor):
+    def predict(self, rows):
+        time.sleep(0.3)
+        return np.full(len(rows) - 1, 0.5)
+
+
+def test_overrun_is_checked_before_the_predictions():
+    trace = run_lifelong(indexed_dataset(30), plan_blocks(30, 3), SlowShortPredictor(),
+                         budget_seconds=0.2)
+    assert trace.outcome == "timed-out"
+    assert trace.error.startswith("step 1: predict brought the billed time to ")
+
+
 class StagingPredictor(RecordingPredictor):
     """Burns wall time but credits it as unbilled staging."""
 
@@ -204,7 +231,7 @@ def suite_on_disk(tmp_path, n_datasets=3, rows=200, budget=60.0):
         schema = tmp_path / f"ds{i}.schema.csv"
         save_dataset(ds, data, schema)
         refs.append(DatasetRef(f"ds{i}", data, schema, budget))
-    return PhaseConfig(phase="feedback", datasets=tuple(refs), n_blocks=5)
+    return PhaseConfig(datasets=tuple(refs), n_blocks=5)
 
 
 def test_suite_runs_every_dataset(tmp_path):
@@ -216,7 +243,7 @@ def test_suite_runs_every_dataset(tmp_path):
 
 
 def test_empty_suite():
-    phase = PhaseConfig(phase="feedback", datasets=())
+    phase = PhaseConfig(datasets=())
     assert run_suite(phase, lambda ref: ConstantPredictor()) == []
 
 
@@ -243,7 +270,7 @@ def test_baseline_suite_regression_pin(tmp_path):
         schema = tmp_path / f"{i}.schema.csv"
         save_dataset(generate_drift_stream(spec), data, schema)
         refs.append(DatasetRef(f"suite{i}", data, schema, 120.0))
-    phase = PhaseConfig(phase="feedback", datasets=tuple(refs), n_blocks=8)
+    phase = PhaseConfig(datasets=tuple(refs), n_blocks=8)
 
     def factory(ref):
         from driftbench.baseline import BaselineConfig, BaselinePredictor
@@ -274,7 +301,6 @@ def test_suite_isolates_failures(tmp_path):
 def test_suite_isolates_missing_files(tmp_path):
     phase = suite_on_disk(tmp_path, n_datasets=2)
     broken = PhaseConfig(
-        phase="feedback",
         datasets=(DatasetRef("gone", tmp_path / "missing.csv",
                              tmp_path / "missing.schema.csv", 60.0),)
         + phase.datasets,
@@ -286,8 +312,7 @@ def test_suite_isolates_missing_files(tmp_path):
 
 def test_budget_must_be_positive():
     with pytest.raises(ValueError):
-        PhaseConfig(phase="feedback",
-                    datasets=(DatasetRef("d", "x", "y", 0.0),))
+        PhaseConfig(datasets=(DatasetRef("d", "x", "y", 0.0),))
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +429,16 @@ def test_budget_kill_does_not_wait_for_grandchildren(tmp_path, command):
     assert trace.total_elapsed_seconds < 2.0
 
 
+def test_budget_kill_is_billed_up_to_the_kill(tmp_path):
+    # The daemon holds stderr past the kill, so the drain takes its full
+    # allowance; that wait is the harness's, not the predictor's.
+    pred = SubprocessPredictor([sys.executable, "-c", DAEMON_SCRIPT], workdir=tmp_path / "work")
+    trace = run_lifelong(indexed_dataset(30), plan_blocks(30, 3), pred, budget_seconds=0.5)
+    assert trace.outcome == "timed-out"
+    assert trace.error.startswith("step 1: killed after ")
+    assert 0.5 <= trace.total_elapsed_seconds < 0.9
+
+
 def test_short_predictions_are_a_predictor_error(tmp_path):
     ds = indexed_dataset(30)
     pred = script_predictor(tmp_path, SHORT_SCRIPT, "short")
@@ -418,6 +453,17 @@ def test_nonzero_exit_is_a_predictor_error(tmp_path):
     trace = run_lifelong(ds, plan_blocks(30, 3), pred, budget_seconds=60)
     assert trace.outcome == "predictor-error"
     assert "exit code 3" in trace.error
+
+
+SLOW_FAIL_SCRIPT = "import sys, time; time.sleep(0.3); sys.exit(3)\n"
+
+
+def test_failing_subprocess_is_billed(tmp_path):
+    pred = script_predictor(tmp_path, SLOW_FAIL_SCRIPT, "slowfail")
+    trace = run_lifelong(indexed_dataset(30), plan_blocks(30, 3), pred, budget_seconds=60)
+    assert trace.outcome == "predictor-error"
+    assert trace.total_elapsed_seconds >= 0.3
+    assert trace.error == "step 1: PredictorError: exit code 3"
 
 
 def test_reference_predictor_speaks_the_protocol(tmp_path, monkeypatch):
