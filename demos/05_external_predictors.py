@@ -1,14 +1,20 @@
-"""Evaluate an external program through the file protocol.
+"""Evaluate an external program through the request loop.
 
-Per step the harness writes a labeled train file, an unlabeled test file
-and the schema, then runs
+The harness launches the program once per dataset as
 
-    <command> --train F --test F --schema F --pred-out F \\
-              --remaining-budget S --step K --workdir D
+    <command> --schema F --workdir D
 
-and reads one score per line back.  The work directory persists across
-steps, so the program can keep its model warm; the process is killed the
-moment the remaining budget runs out.
+Per step it writes a labeled train file and an unlabeled test file, sends
+one JSON request line on the program's stdin
+
+    {"step": k, "train": F, "test": F, "pred_out": F, "remaining_budget": S}
+
+and waits for the answer ``{"step": k}`` on its stdout, which carries
+nothing else; the program logs to stderr, which lands in
+``<workdir>/stderr.txt``.  The harness then reads one score per line from
+``pred_out``.  The program keeps its model in memory between steps; it is
+killed the moment the remaining budget runs out, and told to exit by the
+end of its stdin once the run is over.
 
 Two external predictors ship with the package:
 
@@ -19,6 +25,7 @@ Two external predictors ship with the package:
 import os
 import sys
 import tempfile
+import textwrap
 
 from driftbench.data import plan_blocks
 from driftbench.harness import SubprocessPredictor, run_lifelong
@@ -48,7 +55,7 @@ with tempfile.TemporaryDirectory() as scratch:
               f"blocks [{blocks}] mean {trace.mean_auc:.3f} "
               f"billed {trace.total_elapsed_seconds:.2f}s")
 
-    print("\nstep files left in the last work directory:")
+    print("\nfiles left in the last work directory (no model state: it lived in memory):")
     workdir = os.path.join(scratch, "reference_predictor")
-    for name in sorted(os.listdir(workdir))[:6]:
-        print("  ", name)
+    print(textwrap.fill("  ".join(sorted(os.listdir(workdir))), width=76,
+                        initial_indent="   ", subsequent_indent="   "))

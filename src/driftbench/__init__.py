@@ -7,7 +7,7 @@ under per-dataset time budgets, score blocks with ROC AUC, and turn many
 scored submissions into tie-broken, mergeable leaderboards.  An
 incrementally grown gradient-boosted tree baseline with pluggable drift
 policies ships both as an in-process adapter and as an external program
-speaking the harness file protocol.
+answering the harness request loop.
 """
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -161,6 +162,9 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
             budget = float(d["budget_seconds"])
             if not budget > 0:
                 raise ConfigError(f"dataset {dataset_id}: budget_seconds must be > 0, got {budget}")
+            if not math.isfinite(budget):
+                # JSON reads Infinity; a budget must give the kill a deadline.
+                raise ConfigError(f"dataset {dataset_id}: budget_seconds must be finite, got {budget}")
             datasets.append(DatasetSpec(
                 dataset_id=dataset_id, phase=phase, gen=gen, budget_seconds=budget,
             ))
@@ -181,6 +185,9 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         kind = p.get("type", "baseline")
         if kind not in ("baseline", "command"):
             raise ConfigError(f"predictor {name}: unknown type {kind!r}")
+        unread = "options" if kind == "command" else "command"
+        if unread in p:
+            raise ConfigError(f"predictor {name}: {kind} predictors take no {unread!r}")
         command = tuple(str(c) for c in p.get("command", ()))
         if kind == "command" and not command:
             raise ConfigError(f"predictor {name}: command predictors need a command")

@@ -1,35 +1,49 @@
 """Reference external predictor: scores every test row with 0.5.
 
-Speaks the harness file protocol and serves as the minimal conformance
-fixture; run it as ``python -m driftbench.echo_predictor``.
+Answers the harness request loop and serves as the minimal conformance
+fixture; run it as ``python -m driftbench.echo_predictor --schema F
+--workdir D``.  :func:`serve` is the loop itself, for any Python predictor
+to reuse; it needs only the standard library, so this module leaves numpy
+unimported.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 
-def protocol_argument_parser(description: str) -> argparse.ArgumentParser:
-    """Parser for the documented external-predictor invocation."""
+def serve(description: str, step_fn, argv=None) -> int:
+    """Answer the harness's requests until stdin closes.
+
+    Parses ``--schema F --workdir D`` from ``argv``.  For each JSON request
+    line on stdin (``step``, ``train``, ``test``, ``pred_out``,
+    ``remaining_budget``) calls ``step_fn(args, request)``, which writes one
+    score per test row to ``request["pred_out"]``, then answers
+    ``{"step": k}`` on stdout.  Stdout carries only answers: ``step_fn``
+    must log to stderr.
+    """
     parser = argparse.ArgumentParser(description=description)
-    parser.add_argument("--train", required=True)
-    parser.add_argument("--test", required=True)
     parser.add_argument("--schema", required=True)
-    parser.add_argument("--pred-out", required=True)
-    parser.add_argument("--remaining-budget", type=float, required=True)
-    parser.add_argument("--step", type=int, required=True)
     parser.add_argument("--workdir", required=True)
-    return parser
+    args = parser.parse_args(argv)
+    for line in sys.stdin:
+        request = json.loads(line)
+        step_fn(args, request)
+        print(json.dumps({"step": request["step"]}), flush=True)
+    return 0
+
+
+def _score_half(args, request) -> None:
+    with open(request["test"], encoding="utf-8") as fh:
+        n_rows = sum(1 for _ in fh) - 1  # header line
+    with open(request["pred_out"], "w", encoding="utf-8") as fh:
+        fh.write("0.5\n" * n_rows)
 
 
 def main(argv=None) -> int:
-    args = protocol_argument_parser(__doc__).parse_args(argv)
-    with open(args.test, encoding="utf-8") as fh:
-        n_rows = sum(1 for _ in fh) - 1  # header line
-    with open(args.pred_out, "w", encoding="utf-8") as fh:
-        fh.write("0.5\n" * n_rows)
-    return 0
+    return serve(__doc__, _score_half, argv)
 
 
 if __name__ == "__main__":

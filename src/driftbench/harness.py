@@ -8,24 +8,28 @@ dataset's time budget, whether the call returns or raises; harness file
 I/O does not.  The dataset's score is the mean of its block AUCs, or 0
 when the predictor exceeded the budget or crashed.
 
-External predictors speak a file protocol: per step the harness writes a
-train file (with labels), a test file (without) and the schema file, then
-invokes ``<command> --train F --test F --schema F --pred-out F
---remaining-budget S --step K --workdir D`` and reads one decimal score per
-test row from the predictions file.  The work directory persists across
-steps so the program can keep state.
+External predictors answer a request loop.  The harness launches
+``<command> --schema F --workdir D`` once per dataset and keeps it running
+for every step.  Per step it writes a train file (with labels) and a test
+file (without), sends one JSON request line on the program's stdin
+(``step``, ``train``, ``test``, ``pred_out``, ``remaining_budget``) and
+waits for the answer line ``{"step": k}`` on its stdout, then reads one
+decimal score per test row from the predictions file.  The program keeps
+its model in memory between steps; closing its stdin tells it to exit.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
+import select
 import signal
 import subprocess
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, NoReturn, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -35,11 +39,6 @@ from .metrics import UndefinedAUCError, auc
 OUTCOME_COMPLETED = "completed"
 OUTCOME_TIMED_OUT = "timed-out"
 OUTCOME_PREDICTOR_ERROR = "predictor-error"
-
-# After a budget kill, how long stderr may still be drained before the
-# pipe is closed; a grandchild that left the process group may hold it.
-_DRAIN_SECONDS = 0.5
-
 
 class PredictorError(RuntimeError):
     """The predictor crashed or returned malformed predictions."""
@@ -56,7 +55,9 @@ class PredictorAdapter(Protocol):
     ``learn`` receives only the newly revealed labeled block; the adapter
     holds all cross-step state.  ``predict`` returns exactly one finite
     real per input row.  Adapters may accumulate time the harness should
-    not bill (their own file staging) in an ``unbilled_seconds`` attribute.
+    not bill (their own file staging) in an ``unbilled_seconds`` attribute,
+    and may offer ``close()``, which the harness calls, unbilled, once the
+    dataset's run is over.
     """
 
     name: str
@@ -134,8 +135,8 @@ class PhaseConfig:
 
     def __post_init__(self) -> None:
         for ref in self.datasets:
-            if ref.budget_seconds <= 0:
-                raise ValueError(f"{ref.dataset_id}: budget must be positive")
+            if not 0 < ref.budget_seconds < math.inf:
+                raise ValueError(f"{ref.dataset_id}: budget must be positive and finite")
 
 
 class _BudgetClock:
@@ -174,55 +175,62 @@ def run_lifelong(dataset: ChronoDataset, plan: BlockPlan, predictor: PredictorAd
     Steps 1..N-1: reveal block k-1 to ``learn``, score ``predict`` on block
     k.  Aborts on budget overrun (timed-out) or any predictor failure
     (predictor-error), with an error that names the step; either way the
-    dataset scores 0.
+    dataset scores 0.  The predictor's optional ``close()`` runs last,
+    whatever the outcome, and is not billed.
     """
     if plan.n_blocks < 2:
         raise ValueError(f"need at least 2 blocks to score one, plan has {plan.n_blocks}")
     if plan.n_rows != len(dataset):
         raise ValueError(f"plan covers {plan.n_rows} rows, dataset has {len(dataset)}")
-    if budget_seconds <= 0:
-        raise ValueError("budget must be positive")
+    if not 0 < budget_seconds < math.inf:
+        # An infinite budget would leave a child's deadline unrepresentable.
+        raise ValueError("budget must be positive and finite")
     ds_id = dataset_id if dataset_id is not None else dataset.provenance
     clock = _BudgetClock(budget_seconds)
     steps: list[StepRecord] = []
     outcome = OUTCOME_COMPLETED
     error = ""
-    for k in range(1, plan.n_blocks):
-        reveal_lo, reveal_hi = plan.ranges[k - 1]
-        test_lo, test_hi = plan.ranges[k]
-        step_start = clock.consumed
-        try:
-            clock.charge(
-                "learn", predictor, predictor.learn,
-                dataset.rows[reveal_lo:reveal_hi],
-                dataset.labels[reveal_lo:reveal_hi],
-                dataset.schema,
-                clock.remaining,
-            )
-            scores = clock.charge("predict", predictor, predictor.predict,
-                                  dataset.rows[test_lo:test_hi])
-            _check_predictions(scores, test_hi - test_lo)
-        except PredictorTimeout as exc:
-            outcome, error = OUTCOME_TIMED_OUT, f"step {k}: {exc}"
-            break
-        except Exception as exc:  # noqa: BLE001 -- predictor code is untrusted
-            outcome, error = OUTCOME_PREDICTOR_ERROR, f"step {k}: {type(exc).__name__}: {exc}"
-            break
+    try:
+        for k in range(1, plan.n_blocks):
+            reveal_lo, reveal_hi = plan.ranges[k - 1]
+            test_lo, test_hi = plan.ranges[k]
+            step_start = clock.consumed
+            try:
+                clock.charge(
+                    "learn", predictor, predictor.learn,
+                    dataset.rows[reveal_lo:reveal_hi],
+                    dataset.labels[reveal_lo:reveal_hi],
+                    dataset.schema,
+                    clock.remaining,
+                )
+                scores = clock.charge("predict", predictor, predictor.predict,
+                                      dataset.rows[test_lo:test_hi])
+                _check_predictions(scores, test_hi - test_lo)
+            except PredictorTimeout as exc:
+                outcome, error = OUTCOME_TIMED_OUT, f"step {k}: {exc}"
+                break
+            except Exception as exc:  # noqa: BLE001 -- predictor code is untrusted
+                outcome, error = OUTCOME_PREDICTOR_ERROR, f"step {k}: {type(exc).__name__}: {exc}"
+                break
 
-        block_labels = dataset.labels[test_lo:test_hi]
-        try:
-            block_auc = auc(block_labels, np.asarray(scores, dtype=np.float64))
-            single_class = False
-        except UndefinedAUCError:
-            block_auc = 0.5
-            single_class = True
-        steps.append(StepRecord(
-            step=k,
-            trained_rows=reveal_hi,
-            auc=block_auc,
-            elapsed_seconds=clock.consumed - step_start,
-            single_class=single_class,
-        ))
+            block_labels = dataset.labels[test_lo:test_hi]
+            try:
+                block_auc = auc(block_labels, np.asarray(scores, dtype=np.float64))
+                single_class = False
+            except UndefinedAUCError:
+                block_auc = 0.5
+                single_class = True
+            steps.append(StepRecord(
+                step=k,
+                trained_rows=reveal_hi,
+                auc=block_auc,
+                elapsed_seconds=clock.consumed - step_start,
+                single_class=single_class,
+            ))
+    finally:
+        close = getattr(predictor, "close", None)
+        if close is not None:
+            close()
 
     return EvaluationTrace(
         dataset_id=ds_id,
@@ -276,17 +284,26 @@ def run_suite(phase: PhaseConfig,
 # ---------------------------------------------------------------------------
 # subprocess predictors
 
+# After its stdin is closed, how long a child may take to exit before its
+# process group is killed.
+_CLOSE_GRACE_SECONDS = 1.0
+# How much of the end of ``stderr.txt`` a failure's error quotes.
+_STDERR_TAIL_BYTES = 4096
+
 
 class SubprocessPredictor:
-    """Adapter that drives an external program through the file protocol.
+    """Adapter that drives one long-lived external program per dataset.
 
-    One invocation per step carries the newly revealed train block and the
-    pending test block.  The process runs in a process group of its own,
-    and the whole group is killed the moment the remaining budget expires;
-    a process that left the group cannot hold the harness past a short
-    drain of its stderr.  File staging, reading the predictions and the
-    drain after a budget kill accumulate in ``unbilled_seconds`` and are
-    not billed against the budget.
+    At step 1 the program is launched as ``<command> --schema F --workdir
+    D`` in a process group of its own, with its stderr going to
+    ``<workdir>/stderr.txt``.  Each step stages the newly revealed train
+    block and the pending test block as files, writes one JSON request
+    line to the program's stdin and waits for the answer line ``{"step":
+    k}`` on its stdout, which carries nothing else.  The wait from request
+    to answer is billed, and step 1 also bills the launch; staging and
+    reading the predictions file accumulate in ``unbilled_seconds``.  The
+    whole group is killed the moment the remaining budget expires.
+    :meth:`close` ends the program once the dataset's run is over.
     """
 
     def __init__(self, command: Sequence[str] | str | Path, workdir: str | Path,
@@ -301,6 +318,8 @@ class SubprocessPredictor:
         self._step = 0
         self._pending: tuple | None = None
         self._remaining = math.inf
+        self._proc: subprocess.Popen | None = None
+        self._answers = bytearray()     # stdout bytes not yet consumed as answers
 
     def learn(self, rows, labels, schema, remaining_budget_seconds: float) -> None:
         self._pending = (rows, labels, schema)
@@ -320,48 +339,28 @@ class SubprocessPredictor:
         schema_path = self.workdir / "schema.csv"
         write_rows(train_path, schema, train_rows, train_labels)
         write_rows(test_path, schema, rows, None)
-        if self._step == 1:
+        if self._proc is None:
             write_schema(schema, schema_path)
         self.unbilled_seconds += time.perf_counter() - t0
 
-        argv = self.command + [
-            "--train", str(train_path),
-            "--test", str(test_path),
-            "--schema", str(schema_path),
-            "--pred-out", str(pred_path),
-            "--remaining-budget", f"{self._remaining:.3f}",
-            "--step", str(self._step),
-            "--workdir", str(self.workdir),
-        ]
-        run_start = time.perf_counter()
-        proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL,
-                                stderr=subprocess.PIPE, start_new_session=True)
+        start = time.perf_counter()
+        deadline = start + max(self._remaining, 0.0)
+        if self._proc is None:
+            with open(self.workdir / "stderr.txt", "wb") as stderr:
+                self._proc = subprocess.Popen(
+                    self.command + ["--schema", str(schema_path), "--workdir", str(self.workdir)],
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=stderr,
+                    bufsize=0, start_new_session=True)
+        request = {"step": self._step, "train": str(train_path), "test": str(test_path),
+                   "pred_out": str(pred_path), "remaining_budget": round(self._remaining, 3)}
+        line = self._exchange(json.dumps(request).encode() + b"\n", start, deadline)
         try:
-            _, stderr = proc.communicate(timeout=max(self._remaining, 0.0))
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            killed = time.perf_counter()
-            try:
-                proc.communicate(timeout=_DRAIN_SECONDS)
-            except subprocess.TimeoutExpired:
-                proc.stderr.close()
-                proc.wait()
-            # The run is billed up to the kill, not through the drain.
-            self.unbilled_seconds += time.perf_counter() - killed
-            raise PredictorTimeout(
-                f"killed after {killed - run_start:.2f}s "
-                f"(remaining budget was {self._remaining:.2f}s)"
-            ) from None
-        except KeyboardInterrupt:
-            # Its own process group misses the terminal's interrupt; end it here.
-            os.killpg(proc.pid, signal.SIGKILL)
-            raise
-        if proc.returncode != 0:
-            tail = stderr.decode("utf-8", "replace").strip().splitlines()[-3:]
-            raise PredictorError(
-                f"exit code {proc.returncode}"
-                + (f"; stderr: {' | '.join(tail)}" if tail else "")
-            )
+            answer = json.loads(line)
+        except ValueError:
+            answer = None
+        if answer != {"step": self._step} or type(answer["step"]) is not int:
+            text = line.decode("utf-8", "replace")
+            raise PredictorError(f"answer {text!r} is not {{\"step\": {self._step}}}")
 
         # Count and finiteness are left to the harness, as for any adapter.
         t1 = time.perf_counter()
@@ -375,3 +374,57 @@ class SubprocessPredictor:
                 raise PredictorError(f"unparseable prediction: {exc}")
         finally:
             self.unbilled_seconds += time.perf_counter() - t1
+
+    def _exchange(self, request: bytes, start: float, deadline: float) -> bytes:
+        """Send one request line and return the next answer line, without
+        its newline; the child is killed if the deadline passes first."""
+        proc = self._proc
+        try:
+            proc.stdin.write(request)
+        except BrokenPipeError:
+            self._exited(start, deadline)
+        while b"\n" not in self._answers:
+            wait = deadline - time.perf_counter()
+            if wait <= 0 or not select.select([proc.stdout], [], [], wait)[0]:
+                self._kill(start)
+            chunk = os.read(proc.stdout.fileno(), 65536)
+            if not chunk:
+                self._exited(start, deadline)
+            self._answers += chunk
+        line, _, self._answers = self._answers.partition(b"\n")
+        return bytes(line)
+
+    def _exited(self, start: float, deadline: float) -> NoReturn:
+        """The child closed its pipes: raise its exit code and stderr tail."""
+        try:
+            code = self._proc.wait(timeout=max(deadline - time.perf_counter(), 0.0))
+        except subprocess.TimeoutExpired:
+            self._kill(start)
+        with open(self.workdir / "stderr.txt", "rb") as fh:
+            fh.seek(max(fh.seek(0, os.SEEK_END) - _STDERR_TAIL_BYTES, 0))
+            tail = fh.read().decode("utf-8", "replace").strip().splitlines()[-3:]
+        raise PredictorError(f"exit code {code}" + (f"; stderr: {' | '.join(tail)}" if tail else ""))
+
+    def _kill(self, start: float) -> NoReturn:
+        """Kill the child's process group and raise PredictorTimeout; the
+        step is billed up to the kill, not through the reaping."""
+        os.killpg(self._proc.pid, signal.SIGKILL)
+        killed = time.perf_counter()
+        self._proc.wait()
+        self.unbilled_seconds += time.perf_counter() - killed
+        raise PredictorTimeout(f"killed after {killed - start:.2f}s "
+                               f"(remaining budget was {self._remaining:.2f}s)")
+
+    def close(self) -> None:
+        """Close the child's stdin, which asks it to exit; kill its process
+        group if it is still running after a short grace."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        proc.stdin.close()
+        try:
+            proc.wait(timeout=_CLOSE_GRACE_SECONDS)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        proc.stdout.close()

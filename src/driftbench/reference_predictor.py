@@ -1,9 +1,10 @@
 """The boosted-ensemble baseline packaged as an external predictor.
 
-Run as ``python -m driftbench.reference_predictor`` with the harness file
-protocol arguments.  State (encoders, ensemble, learner options) persists
-in the work directory between steps, exactly like a real code submission
-would keep its model warm across the lifelong loop.
+Run as ``python -m driftbench.reference_predictor --schema F --workdir D``;
+it answers the harness request loop until its stdin closes.  One
+``BaselinePredictor`` (encoders, ensemble, learner options) stays in memory
+across the steps, as a real code submission keeps its model warm through
+the lifelong loop.
 
 Learner options can be overridden with a JSON object in the environment
 variable ``DRIFTBENCH_BASELINE_CONFIG``, e.g.
@@ -14,15 +15,11 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import sys
-from pathlib import Path
 
 from .baseline import BaselineConfig, BaselinePredictor
 from .data import load_dataset, read_unlabeled
-from .echo_predictor import protocol_argument_parser
-
-STATE_FILE = "baseline_state.pkl"
+from .echo_predictor import serve
 
 
 def _config_from_env() -> BaselineConfig:
@@ -33,26 +30,16 @@ def _config_from_env() -> BaselineConfig:
 
 
 def main(argv=None) -> int:
-    args = protocol_argument_parser(__doc__).parse_args(argv)
-    state_path = Path(args.workdir) / STATE_FILE
+    predictor = BaselinePredictor(_config_from_env())
 
-    if args.step == 1 or not state_path.exists():
-        predictor = BaselinePredictor(_config_from_env())
-    else:
-        with open(state_path, "rb") as fh:
-            predictor = pickle.load(fh)
+    def step(args, request) -> None:
+        train = load_dataset(request["train"], args.schema)
+        predictor.learn(train.rows, train.labels, train.schema, request["remaining_budget"])
+        scores = predictor.predict(read_unlabeled(request["test"], train.schema))
+        with open(request["pred_out"], "w", encoding="utf-8") as fh:
+            fh.writelines(f"{s:.9f}\n" for s in scores)
 
-    train = load_dataset(args.train, args.schema)
-    predictor.learn(train.rows, train.labels, train.schema, args.remaining_budget)
-
-    test_rows = read_unlabeled(args.test, train.schema)
-    scores = predictor.predict(test_rows)
-
-    with open(args.pred_out, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{s:.9f}\n" for s in scores)
-    with open(state_path, "wb") as fh:
-        pickle.dump(predictor, fh)
-    return 0
+    return serve(__doc__, step, argv)
 
 
 if __name__ == "__main__":

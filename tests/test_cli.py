@@ -218,6 +218,21 @@ def test_nonpositive_budget_is_config_error(tmp_path, capsys, command, budget):
     assert "error: dataset d0: budget_seconds must be > 0" in err
 
 
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_infinite_budget_is_config_error(tmp_path, capsys, command):
+    config = write_config(tmp_path, n_datasets=1)
+    raw = json.loads(config.read_text())
+    raw["datasets"][0]["budget_seconds"] = float("inf")
+    config.write_text(json.dumps(raw))
+    assert '"budget_seconds": Infinity' in config.read_text()
+    argv = [command, "--config", str(config)]
+    if command == "evaluate":
+        argv += ["--predictor", "echo"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: dataset d0: budget_seconds must be finite, got inf" in err
+
+
 def test_duplicate_dataset_id_is_config_error(tmp_path, capsys):
     config = write_config(tmp_path, n_datasets=2)
     raw = json.loads(config.read_text())
@@ -268,8 +283,10 @@ def test_non_object_entry_is_config_error(tmp_path, capsys, section):
     assert f"{section[:-1]} entry 0: expected an object, got str" in capsys.readouterr().err
 
 
-def _baseline_options(raw, options):
-    return dict(raw, predictors=[dict(raw["predictors"][0], options=options)])
+def _with_key(raw, index, **entry):
+    predictors = list(raw["predictors"])
+    predictors[index] = dict(predictors[index], **entry)
+    return dict(raw, predictors=predictors)
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -282,17 +299,22 @@ def _baseline_options(raw, options):
     (lambda raw: dict(raw, predictors=3), "predictors must be a list, got int"),
     (lambda raw: dict(raw, datasets={"A": raw["datasets"][0]}),
      "datasets must be a list, got dict"),
-    (lambda raw: _baseline_options(raw, [1]),
+    (lambda raw: _with_key(raw, 0, options=[1]),
      "predictor baseline: options must be an object, got list"),
-    (lambda raw: _baseline_options(raw, {"max_dept": 3}),
+    (lambda raw: _with_key(raw, 0, options={"max_dept": 3}),
      "predictor baseline: BaselineConfig.__init__() got an unexpected keyword argument 'max_dept'"),
-    (lambda raw: _baseline_options(raw, {"max_depth": 0}),
+    (lambda raw: _with_key(raw, 0, options={"max_depth": 0}),
      "predictor baseline: tree depth must be >= 1"),
-    (lambda raw: _baseline_options(raw, {"cat_encoder": "onehot"}),
+    (lambda raw: _with_key(raw, 0, options={"cat_encoder": "onehot"}),
      "predictor baseline: 'onehot' is not a valid EncoderKind"),
+    (lambda raw: _with_key(raw, 1, options=FAST_BASELINE),
+     "predictor echo: command predictors take no 'options'"),
+    (lambda raw: _with_key(raw, 0, command=["python3", "learner.py"]),
+     "predictor baseline: baseline predictors take no 'command'"),
 ], ids=["not-an-object", "unknown-key", "seed-not-int", "n-blocks-not-int", "n-blocks-below-2",
         "datasets-int", "predictors-int", "datasets-object", "options-list",
-        "unknown-option", "invalid-option", "unknown-encoder"])
+        "unknown-option", "invalid-option", "unknown-encoder", "options-on-command",
+        "command-on-baseline"])
 def test_top_level_config_fault_is_config_error(tmp_path, capsys, edit, message):
     config = write_config(tmp_path, n_datasets=1)
     assert main(["generate", "--config", str(config)]) == 0

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import time
 
@@ -315,28 +317,48 @@ def test_budget_must_be_positive():
         PhaseConfig(datasets=(DatasetRef("d", "x", "y", 0.0),))
 
 
+def test_infinite_budget_is_rejected():
+    with pytest.raises(ValueError, match="positive and finite"):
+        PhaseConfig(datasets=(DatasetRef("d", "x", "y", float("inf")),))
+    with pytest.raises(ValueError, match="positive and finite"):
+        run_lifelong(indexed_dataset(10), plan_blocks(10, 2), RecordingPredictor(),
+                     budget_seconds=float("inf"))
+
+
 # ---------------------------------------------------------------------------
 # subprocess protocol
 
-JOURNAL_SCRIPT = """\
-import argparse, json, os
-p = argparse.ArgumentParser()
-for flag in ("--train", "--test", "--schema", "--pred-out", "--workdir"):
-    p.add_argument(flag)
-p.add_argument("--remaining-budget", type=float)
-p.add_argument("--step", type=int)
-a = p.parse_args()
-train = open(a.train).read().splitlines()
-test = open(a.test).read().splitlines()
-entry = {
-    "step": a.step,
-    "train_ids": [line.split(",")[0] for line in train[1:]],
-    "test_ids": [line.split(",")[0] for line in test[1:]],
-}
-with open(os.path.join(a.workdir, "journal.jsonl"), "a") as fh:
-    fh.write(json.dumps(entry) + "\\n")
-with open(a.pred_out, "w") as fh:
-    fh.write("0.5\\n" * (len(test) - 1))
+# Shared by the request-loop programs below: ``score(request, n)`` writes n
+# scores of 0.5 (default: one per test row) and answers the step.  Each
+# program leaves its pid in the work directory.
+PRELUDE = """\
+import json, os, sys, time
+workdir = sys.argv[sys.argv.index("--workdir") + 1]
+with open(os.path.join(workdir, "pid"), "w") as fh:
+    fh.write(str(os.getpid()))
+
+def score(request, n=None):
+    test = open(request["test"]).read().splitlines()
+    with open(request["pred_out"], "w") as fh:
+        fh.write("0.5\\n" * (len(test) - 1 if n is None else n))
+    print(json.dumps({"step": request["step"]}), flush=True)
+"""
+
+JOURNAL_SCRIPT = PRELUDE + """
+for line in sys.stdin:
+    request = json.loads(line)
+    train = open(request["train"]).read().splitlines()
+    test = open(request["test"]).read().splitlines()
+    entry = {
+        "step": request["step"],
+        "pid": os.getpid(),
+        "remaining_budget": request["remaining_budget"],
+        "train_ids": [row.split(",")[0] for row in train[1:]],
+        "test_ids": [row.split(",")[0] for row in test[1:]],
+    }
+    with open(os.path.join(workdir, "journal.jsonl"), "a") as fh:
+        fh.write(json.dumps(entry) + "\\n")
+    score(request)
 """
 
 SLEEP_SCRIPT = """\
@@ -344,17 +366,10 @@ import sys, time
 time.sleep(30)
 """
 
-SHORT_SCRIPT = """\
-import argparse
-p = argparse.ArgumentParser()
-for flag in ("--train", "--test", "--schema", "--pred-out", "--workdir"):
-    p.add_argument(flag)
-p.add_argument("--remaining-budget", type=float)
-p.add_argument("--step", type=int)
-a = p.parse_args()
-n = len(open(a.test).read().splitlines()) - 1
-with open(a.pred_out, "w") as fh:
-    fh.write("0.5\\n" * (n - 1))
+SHORT_SCRIPT = PRELUDE + """
+for line in sys.stdin:
+    request = json.loads(line)
+    score(request, len(open(request["test"]).read().splitlines()) - 2)
 """
 
 FAIL_SCRIPT = "import sys; sys.exit(3)\n"
@@ -385,6 +400,9 @@ def test_subprocess_sees_exactly_the_revealed_blocks(tmp_path):
     journal = [json.loads(line) for line in
                (tmp_path / "journal_work" / "journal.jsonl").read_text().splitlines()]
     assert [e["step"] for e in journal] == list(range(1, 10))
+    assert len({e["pid"] for e in journal}) == 1  # one child answered every step
+    budgets = [e["remaining_budget"] for e in journal]
+    assert budgets == sorted(budgets, reverse=True) and budgets[0] <= 60
     for e in journal:
         k = e["step"]
         lo, hi = plan.ranges[k - 1]
@@ -430,8 +448,8 @@ def test_budget_kill_does_not_wait_for_grandchildren(tmp_path, command):
 
 
 def test_budget_kill_is_billed_up_to_the_kill(tmp_path):
-    # The daemon holds stderr past the kill, so the drain takes its full
-    # allowance; that wait is the harness's, not the predictor's.
+    # The daemon holds the answer pipe past the kill; the harness does not
+    # wait for it.
     pred = SubprocessPredictor([sys.executable, "-c", DAEMON_SCRIPT], workdir=tmp_path / "work")
     trace = run_lifelong(indexed_dataset(30), plan_blocks(30, 3), pred, budget_seconds=0.5)
     assert trace.outcome == "timed-out"
@@ -467,6 +485,15 @@ def test_failing_subprocess_is_billed(tmp_path):
 
 
 def test_reference_predictor_speaks_the_protocol(tmp_path, monkeypatch):
+    launched = []
+    real_popen = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        proc = real_popen(*args, **kwargs)
+        launched.append(proc.pid)
+        return proc
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
     monkeypatch.setenv(
         "DRIFTBENCH_BASELINE_CONFIG",
         '{"initial_trees": 6, "trees_per_block": 2, "max_depth": 2, "learning_rate": 0.3}',
@@ -479,4 +506,95 @@ def test_reference_predictor_speaks_the_protocol(tmp_path, monkeypatch):
     trace = run_lifelong(ds, plan_blocks(len(ds), 5), pred, budget_seconds=60)
     assert trace.outcome == "completed"
     assert len(trace.steps) == 4
-    assert (tmp_path / "ref" / "baseline_state.pkl").exists()
+    assert len(launched) == 1  # one child kept its model for all four steps
+
+
+HOLD_SCRIPT = PRELUDE + """
+for line in sys.stdin:
+    request = json.loads(line)
+    if request["step"] == 2:
+        time.sleep(30)
+    score(request)
+"""
+
+
+def test_child_holding_its_answer_is_killed_at_budget(tmp_path):
+    pred = script_predictor(tmp_path, HOLD_SCRIPT, "hold")
+    budget = 1.5
+    t0 = time.perf_counter()
+    trace = run_lifelong(indexed_dataset(30), plan_blocks(30, 3), pred, budget_seconds=budget)
+    wall = time.perf_counter() - t0
+    assert trace.outcome == "timed-out"
+    assert trace.error.startswith("step 2: killed after ")
+    assert [s.step for s in trace.steps] == [1]
+    assert wall < budget + 2.0
+
+
+STDERR_FLOOD_SCRIPT = PRELUDE + """
+for line in sys.stdin:
+    sys.stderr.write("x" * 4_000_000)
+    sys.stderr.flush()
+    score(json.loads(line))
+"""
+
+
+def test_child_flooding_stderr_still_completes(tmp_path):
+    # Nobody reads stderr during the run; a pipe would fill and hang the child.
+    pred = script_predictor(tmp_path, STDERR_FLOOD_SCRIPT, "flood")
+    trace = run_lifelong(indexed_dataset(30), plan_blocks(30, 3), pred, budget_seconds=20)
+    assert trace.outcome == "completed"
+    assert (tmp_path / "flood_work" / "stderr.txt").stat().st_size == 8_000_000
+
+
+CRASH_SCRIPT = PRELUDE + """
+for line in sys.stdin:
+    request = json.loads(line)
+    if request["step"] == 2:
+        raise RuntimeError("boom at step 2")
+    score(request)
+"""
+
+
+def test_crash_error_quotes_the_tail_of_stderr(tmp_path):
+    pred = script_predictor(tmp_path, CRASH_SCRIPT, "crash")
+    trace = run_lifelong(indexed_dataset(30), plan_blocks(30, 3), pred, budget_seconds=60)
+    assert trace.outcome == "predictor-error"
+    assert trace.error.startswith("step 2: PredictorError: exit code 1; stderr: ")
+    assert trace.error.endswith(" | RuntimeError: boom at step 2")
+    assert "Traceback" in (tmp_path / "crash_work" / "stderr.txt").read_text()
+
+
+@pytest.mark.parametrize("line", ["hello", '{"step": 2}', '{"step": 1.0}', '{"step": 1, "x": 0}'],
+                         ids=["text", "wrong-step", "float-step", "extra-key"])
+def test_stray_stdout_line_is_a_predictor_error(tmp_path, line):
+    script = PRELUDE + f"""
+for request in sys.stdin:
+    print({line!r}, flush=True)
+    score(json.loads(request))
+"""
+    pred = script_predictor(tmp_path, script, "stray")
+    trace = run_lifelong(indexed_dataset(30), plan_blocks(30, 3), pred, budget_seconds=60)
+    assert trace.outcome == "predictor-error"
+    assert trace.error == f"step 1: PredictorError: answer {line!r} is not {{\"step\": 1}}"
+
+
+LINGER_SCRIPT = JOURNAL_SCRIPT + """
+time.sleep(30)  # ignores the end of its input
+"""
+
+
+@pytest.mark.parametrize("source, budget, outcome", [
+    (JOURNAL_SCRIPT, 60, "completed"),
+    (LINGER_SCRIPT, 60, "completed"),
+    (HOLD_SCRIPT, 1.0, "timed-out"),
+    (CRASH_SCRIPT, 60, "predictor-error"),
+], ids=["completed", "lingering", "timed-out", "crashed"])
+def test_no_child_outlives_the_run(tmp_path, source, budget, outcome):
+    pred = script_predictor(tmp_path, source, "child")
+    t0 = time.perf_counter()
+    trace = run_lifelong(indexed_dataset(30), plan_blocks(30, 3), pred, budget_seconds=budget)
+    assert trace.outcome == outcome
+    assert time.perf_counter() - t0 < 5.0  # a lingering child gets a short grace
+    pid = int((tmp_path / "child_work" / "pid").read_text())
+    with pytest.raises(ProcessLookupError):  # a zombie would still answer
+        os.kill(pid, 0)
