@@ -441,10 +441,12 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
 class BaselinePredictor:
     """Adapter wrapping the boosted ensemble for the lifelong harness.
 
-    Buffers nothing beyond what the drift policy retains: encoders grow
-    their vocabulary with each revealed block (ordinal only; count and
-    target-mean stay frozen on the first block so earlier trees keep their
-    feature semantics), and the ensemble is extended per policy.
+    Encoders grow their vocabulary with each revealed block (ordinal only;
+    count and target-mean stay frozen on the first block so earlier trees
+    keep their feature semantics), and the ensemble is extended per policy.
+    Beyond what the drift policy retains, it keeps the last block it scored
+    and that block's matrix, because the lifelong loop reveals the same rows
+    at the next ``learn``, which then encodes only their unseen cells.
     """
 
     def __init__(self, config: BaselineConfig | None = None, name: str = "baseline",
@@ -455,6 +457,7 @@ class BaselinePredictor:
         self.schema: FeatureSchema | None = None
         self.encoders: dict[str, FittedEncoder] = {}
         self.ensemble: BoostedEnsemble | None = None
+        self._scored: tuple[Sequence[tuple[str, ...]], np.ndarray] | None = None
 
     def learn(self, rows: Sequence[tuple[str, ...]], labels, schema: FeatureSchema,
               remaining_budget_seconds: float) -> None:
@@ -466,20 +469,42 @@ class BaselinePredictor:
                 mvc_kind=self.config.mvc_encoder,
                 smoothing=self.config.target_smoothing,
             )
+            X = transform_rows(self.schema, rows, self.encoders)
         elif self.freeze_after_initial:
             return
         else:
-            for j, (name, _kind) in enumerate(self.schema.columns):
-                enc = self.encoders.get(name)
-                if enc is not None and enc.kind is EncoderKind.ORDINAL:
-                    self.encoders[name] = extend_ordinal(enc, [row[j] for row in rows])
-        X = transform_rows(self.schema, rows, self.encoders)
+            X = self._encode_revealed(rows)
         y = np.asarray(labels, dtype=np.float64)
         self.ensemble = (fit_initial(X, y, self.config) if self.ensemble is None
                          else extend(self.ensemble, X, y, self.config))
+
+    def _encode_revealed(self, rows: Sequence[tuple[str, ...]]) -> np.ndarray:
+        """``rows`` encoded after each ordinal vocabulary has taken in their
+        new cells, in row order.
+
+        Starts from the matrix ``predict`` built when ``rows`` (by content)
+        was the block it last scored, else from a fresh transform.  Only an
+        ordinal cell coded 0 there (unseen) can change, since the other
+        encoders are frozen.
+        """
+        scored, self._scored = self._scored, None
+        if scored is not None and scored[0] == rows:
+            X = scored[1]
+        else:
+            X = transform_rows(self.schema, rows, self.encoders)
+        for j, name in enumerate(self.schema.names):
+            enc = self.encoders.get(name)
+            if enc is None or enc.kind is not EncoderKind.ORDINAL:
+                continue
+            new = np.flatnonzero(X[:, j] == 0).tolist()
+            if new:
+                enc = self.encoders[name] = extend_ordinal(enc, [rows[i][j] for i in new])
+                X[new, j] = [enc.mapping[rows[i][j]] for i in new]
+        return X
 
     def predict(self, rows: Sequence[tuple[str, ...]]) -> np.ndarray:
         if self.ensemble is None:
             raise RuntimeError("predict before any learn call")
         X = transform_rows(self.schema, rows, self.encoders)
+        self._scored = (rows, X)
         return predict_scores(self.ensemble, X)

@@ -312,6 +312,12 @@ def _evaluate_one(phase: PhaseConfig, pred: PredictorSpec, out_dir: Path,
 
 def cmd_evaluate(config: RunConfig, phase_name: str, predictor_names: list[str],
                  out_dir: Path, workdir: Path, jobs: int) -> int:
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    repeated = sorted({n for n in predictor_names if predictor_names.count(n) > 1})
+    if repeated:
+        # Two runs of one predictor would share its output and work directories.
+        raise ConfigError("--predictor given more than once: " + ", ".join(repeated))
     if phase_name not in PHASES:
         raise ConfigError(f"unknown phase {phase_name!r}; expected one of {PHASES}")
     specs = config.phase_datasets(phase_name)

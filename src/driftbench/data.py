@@ -12,6 +12,7 @@ File formats (shared by every tool in the package):
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -251,6 +252,10 @@ def _read_data(path: str | Path, schema: FeatureSchema, *, with_labels: bool):
     if extra:
         raise DatasetFormatError(f"{path}: header has undeclared column {extra[0]!r}")
     positions = [header.index(name) for name in schema.names]
+    # itemgetter builds a tuple only from two or more positions; with one it
+    # returns the bare cell.
+    pick = (operator.itemgetter(*positions) if len(positions) > 1
+            else lambda cells: tuple([cells[p] for p in positions]))
     label_pos = header.index(schema.label) if with_labels else -1
 
     rows: list[tuple[str, ...]] = []
@@ -262,7 +267,7 @@ def _read_data(path: str | Path, schema: FeatureSchema, *, with_labels: bool):
             raise DatasetFormatError(
                 f"{path}: row {lineno - 1} has {len(cells)} cells, expected {width}"
             )
-        rows.append(tuple(cells[p] for p in positions))
+        rows.append(pick(cells))
         if with_labels:
             raw = cells[label_pos]
             if raw not in ("0", "1"):

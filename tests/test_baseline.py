@@ -21,8 +21,15 @@ from driftbench.baseline import (
     select_training_pool,
     sigmoid,
 )
-from driftbench.data import ChronoDataset, FeatureKind, plan_blocks
-from driftbench.encoding import EncoderKind, fit_dataset_encoders, transform_rows
+from driftbench.data import (
+    ChronoDataset,
+    FeatureKind,
+    load_dataset,
+    plan_blocks,
+    write_rows,
+    write_schema,
+)
+from driftbench.encoding import EncoderKind, extend_ordinal, fit_dataset_encoders, transform_rows
 from driftbench.metrics import auc
 from driftbench.reference_predictor import _config_from_env
 from driftbench.harness import OUTCOME_PREDICTOR_ERROR, run_lifelong
@@ -632,6 +639,119 @@ def test_predict_before_learn_raises():
     pred = BaselinePredictor(BaselineConfig(**FAST))
     with pytest.raises(RuntimeError):
         pred.predict([("1.0",)])
+
+
+# ---------------------------------------------------------------------------
+# learn reuses the matrix predict built for the same block
+
+# Cardinality far above the block size: every block brings unseen categories.
+UNSEEN_SPEC = DriftGenSpec(n_rows=400, n_cat=3, n_num=2, n_mvc=1, n_time=1, n_blocks=5,
+                           drift="gradual", drift_magnitude=1.0, cat_cardinality=400, seed=6)
+TINY = dict(initial_trees=4, trees_per_block=2, max_depth=2, learning_rate=0.3)
+
+
+def counting_transforms(monkeypatch):
+    calls = []
+    fresh = baseline.transform_rows
+    monkeypatch.setattr(baseline, "transform_rows",
+                        lambda schema, rows, enc: calls.append(len(rows))
+                        or fresh(schema, rows, enc))
+    return calls
+
+
+def reference_learned_matrices(ds, ranges, config):
+    """Each block's matrix and the final encoders by the plain route: grow
+    every ordinal vocabulary over all of a block's cells, then encode it."""
+    lo, hi = ranges[0]
+    encoders = fit_dataset_encoders(ds.schema, ds.rows[lo:hi], ds.labels[lo:hi],
+                                    cat_kind=config.cat_encoder, mvc_kind=config.mvc_encoder,
+                                    smoothing=config.target_smoothing)
+    matrices = []
+    for lo, hi in ranges:
+        for j, name in enumerate(ds.schema.names):
+            if name in encoders and encoders[name].kind is EncoderKind.ORDINAL:
+                encoders[name] = extend_ordinal(encoders[name], [r[j] for r in ds.rows[lo:hi]])
+        matrices.append(transform_rows(ds.schema, ds.rows[lo:hi], encoders))
+    return matrices, encoders
+
+
+def test_every_block_brings_unseen_categories():
+    ds = generate_drift_stream(UNSEEN_SPEC)
+    cat = [j for j, (_, kind) in enumerate(ds.schema.columns) if kind is FeatureKind.CATEGORICAL]
+    seen: set = set()
+    for k, (lo, hi) in enumerate(plan_blocks(len(ds), UNSEEN_SPEC.n_blocks).ranges):
+        cells = {(j, row[j]) for row in ds.rows[lo:hi] for j in cat}
+        assert k == 0 or cells - seen, f"block {k} brings no unseen category"
+        seen |= cells
+
+
+def test_each_block_is_encoded_once_per_run(monkeypatch):
+    ds = generate_drift_stream(UNSEEN_SPEC)
+    n = UNSEEN_SPEC.n_blocks
+    calls = counting_transforms(monkeypatch)
+    trace = run_lifelong(ds, plan_blocks(len(ds), n), BaselinePredictor(BaselineConfig(**TINY)),
+                         budget_seconds=600, dataset_id="x")
+    assert trace.outcome == "completed"
+    # Block 0 when learned, blocks 1..n-1 when scored; never again when revealed.
+    assert len(calls) == n
+
+
+@pytest.mark.parametrize("mvc_kind", list(EncoderKind))
+@pytest.mark.parametrize("cat_kind", list(EncoderKind))
+def test_learning_a_scored_block_matches_learning_alone(cat_kind, mvc_kind):
+    ds = generate_drift_stream(UNSEEN_SPEC)
+    ranges = plan_blocks(len(ds), UNSEEN_SPEC.n_blocks).ranges
+    cfg = BaselineConfig(cat_encoder=cat_kind, mvc_encoder=mvc_kind, seed=6, **TINY)
+    interleaved, alone = BaselinePredictor(cfg), BaselinePredictor(cfg)
+    for k, (lo, hi) in enumerate(ranges):
+        if k:
+            interleaved.predict(ds.rows[lo:hi])
+        interleaved.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
+        alone.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
+    matrices, encoders = reference_learned_matrices(ds, ranges, cfg)
+    assert np.array_equal(interleaved.ensemble.pool.X, np.concatenate(matrices))
+    assert np.array_equal(alone.ensemble.pool.X, np.concatenate(matrices))
+    assert interleaved.encoders == alone.encoders == encoders
+    assert interleaved.ensemble.n_trees == alone.ensemble.n_trees
+    for got, want in zip(interleaved.ensemble.trees, alone.ensemble.trees):
+        assert_same_tree(got, want)
+
+
+def test_rows_read_back_from_a_file_reuse_the_scored_matrix(tmp_path, monkeypatch):
+    ds = generate_drift_stream(UNSEEN_SPEC)
+    (lo, hi), (nlo, nhi) = plan_blocks(len(ds), UNSEEN_SPEC.n_blocks).ranges[:2]
+    pred, alone = (BaselinePredictor(BaselineConfig(**TINY)) for _ in range(2))
+    for p in (pred, alone):
+        p.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
+    pred.predict(ds.rows[nlo:nhi])
+    # As an external child sees it: the revealed block is read anew from a file.
+    write_rows(tmp_path / "train.csv", ds.schema, ds.rows[nlo:nhi], ds.labels[nlo:nhi])
+    write_schema(ds.schema, tmp_path / "schema.csv")
+    revealed = load_dataset(tmp_path / "train.csv", tmp_path / "schema.csv")
+    assert revealed.rows == ds.rows[nlo:nhi]
+    assert revealed.rows[0] is not ds.rows[nlo] and revealed.rows[0][0] is not ds.rows[nlo][0]
+    calls = counting_transforms(monkeypatch)
+    pred.learn(revealed.rows, revealed.labels, ds.schema, 600.0)
+    assert calls == []
+    alone.learn(ds.rows[nlo:nhi], ds.labels[nlo:nhi], ds.schema, 600.0)
+    assert np.array_equal(pred.ensemble.pool.X, alone.ensemble.pool.X)
+    assert pred.encoders == alone.encoders
+
+
+def test_learning_other_rows_than_the_scored_block_encodes_them_afresh(monkeypatch):
+    ds = generate_drift_stream(UNSEEN_SPEC)
+    ranges = plan_blocks(len(ds), UNSEEN_SPEC.n_blocks).ranges
+    cfg = BaselineConfig(**TINY)
+    pred = BaselinePredictor(cfg)
+    (lo, hi), (mlo, mhi), (nlo, nhi) = ranges[:3]
+    pred.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
+    pred.predict(ds.rows[nlo:nhi])                     # scores block 2 ...
+    calls = counting_transforms(monkeypatch)
+    pred.learn(ds.rows[mlo:mhi], ds.labels[mlo:mhi], ds.schema, 600.0)   # ... learns block 1
+    assert calls == [mhi - mlo]
+    matrices, encoders = reference_learned_matrices(ds, ranges[:2], cfg)
+    assert np.array_equal(pred.ensemble.pool.X, np.concatenate(matrices))
+    assert pred.encoders == encoders
 
 
 # SHA-256 of every `predict` output of one replay, in step order.  The cap

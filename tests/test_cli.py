@@ -185,6 +185,25 @@ def test_evaluate_unknown_predictor_is_config_error(tmp_path, capsys):
     assert "unknown predictor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_evaluate_jobs_below_one_is_config_error(tmp_path, capsys, jobs):
+    config = write_config(tmp_path, n_datasets=1)
+    main(["generate", "--config", str(config)])
+    assert main(["evaluate", "--config", str(config), "--predictor", "echo",
+                 "--jobs", jobs]) == 1
+    assert f"error: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_repeated_predictor_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, n_datasets=1)
+    main(["generate", "--config", str(config)])
+    assert main(["evaluate", "--config", str(config), "--predictor", "echo",
+                 "--predictor", "baseline", "--predictor", "echo", "--jobs", "2"]) == 1
+    assert "error: --predictor given more than once: echo" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_unknown_phase_is_config_error(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["evaluate", "--config", str(config), "--phase", "warmup",

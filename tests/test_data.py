@@ -10,6 +10,7 @@ from driftbench.data import (
     load_dataset,
     plan_blocks,
     read_schema,
+    read_unlabeled,
     save_dataset,
     write_schema,
 )
@@ -49,6 +50,15 @@ def test_column_order_follows_schema_not_file(tmp_path):
     )
     ds = load_dataset(data, schema)
     assert ds.rows[0] == ("1.5", "red")
+
+
+def test_one_feature_file_loads_as_one_tuples(tmp_path):
+    data, schema = write_pair(tmp_path, "y,color\n0,red\n1,\n", "color,cat\ny,label\n")
+    ds = load_dataset(data, schema)
+    assert ds.rows == (("red",), ("",))
+    unlabeled = tmp_path / "u.csv"
+    unlabeled.write_text("color\nblue\n")
+    assert read_unlabeled(unlabeled, ds.schema) == (("blue",),)
 
 
 def test_non_binary_label_names_row(tmp_path):
