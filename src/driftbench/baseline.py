@@ -14,6 +14,7 @@ available:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -79,6 +80,11 @@ class BaselineConfig:
             raise ValueError("subsample cap must be >= 1")
         if self.window_blocks < 1:
             raise ValueError("window must span >= 1 block")
+        if not (0.0 < self.decay <= 1.0):
+            raise ValueError(f"decay must be in (0, 1], got {self.decay!r}")
+        if not (math.isfinite(self.target_smoothing) and self.target_smoothing >= 0.0):
+            raise ValueError(
+                f"target smoothing must be a finite number >= 0, got {self.target_smoothing!r}")
         if self.policy not in DRIFT_POLICIES:
             raise ValueError(f"policy must be one of {DRIFT_POLICIES}, got {self.policy!r}")
         # Names (as a JSON config gives them) become kinds; an unknown one raises.
@@ -95,14 +101,47 @@ _SPLIT_CELLS = 1 << 15
 def presort(X: np.ndarray) -> np.ndarray:
     """Each column's row order, ties in row order: a ``(features, rows)``
     block of ``intp`` row ids (the index type ``take`` reads without a
-    cast), so that ``X[order[j], j]`` is column ``j`` sorted."""
+    cast), so that ``X[order[j], j]`` is column ``j`` sorted.
+
+    The training pool sorts only each new block with it and merges the
+    result into the order it keeps (``TrainingPool.add``).
+    """
     return np.argsort(X.T, axis=1, kind="stable")
+
+
+def _merge_order(X: np.ndarray, kept: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``presort(X)`` from ``kept``, the order of ``X``'s first rows, and
+    ``new``, the order of the rows after them (counted from 0).
+
+    Each column's two sorted runs are argsorted stably, ``_SPLIT_CELLS``
+    cells at a time.  Equal values keep their run order, older rows first,
+    and NaN sorts last in both runs, so ties stay in row order.
+    """
+    n, width = X.shape
+    runs = np.concatenate([kept, new + kept.shape[1]], axis=1)
+    flat = X.ravel()
+    step = max(1, _SPLIT_CELLS // n)
+    for lo in range(0, width, step):
+        part = runs[lo:lo + step]
+        vals = flat.take(part * width + np.arange(lo, lo + part.shape[0])[:, None])
+        part[:] = np.take_along_axis(part, np.argsort(vals, axis=1, kind="stable"), axis=1)
+    return runs
+
+
+def _filter_order(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``order`` cut to the ascending row ids ``rows``, renumbered from 0:
+    the presort of those rows, since filtering keeps each column's order."""
+    at = np.full(order.shape[1], -1, dtype=np.intp)
+    at[rows] = np.arange(rows.size)
+    kept = at.take(order)
+    return kept[kept >= 0].reshape(order.shape[0], rows.size)
 
 
 class RegressionTree:
     """Axis-aligned regression tree fitted to the residuals by variance
-    reduction: exact greedy splits over columns presorted once per boosting
-    round, with midpoint thresholds.
+    reduction: exact greedy splits over columns presorted once (the
+    training pool keeps its rows' order across rounds and blocks), with
+    midpoint thresholds.
 
     Nodes live in parallel arrays; ``feature[i] < 0`` marks node ``i`` as a
     leaf carrying ``value[i]``.
@@ -119,16 +158,19 @@ class RegressionTree:
 
     @classmethod
     def fit(cls, X: np.ndarray, residual: np.ndarray, max_depth: int,
-            order: np.ndarray | None = None) -> "RegressionTree":
+            order: np.ndarray | None = None,
+            out: np.ndarray | None = None) -> "RegressionTree":
         """Fit one tree to ``residual``; ``order`` is ``presort(X)``, computed
-        here when not given.
+        here when not given.  When ``out`` is given, each row's leaf value
+        is written to it as the rows are partitioned: what ``predict(X)``
+        would return, without a second walk.
 
         Node values are read with ``take`` from a feature-major copy of
         ``X``, which a Fortran-ordered ``X`` already is.  Each node holds its
         rows twice: ascending (``idx``, for its value) and sorted per feature
         (``srt``, for its split search).  A child's ``srt`` is a stable
         filter of its parent's, which is the child's own stable sort, so no
-        node sorts again.
+        node sorts again; children at ``max_depth`` are leaves and get none.
         """
         cols = np.ascontiguousarray(X.T)
         if order is None:
@@ -142,14 +184,14 @@ class RegressionTree:
             node, idx, srt, depth = stack.pop()
             r = residual.take(idx)
             value[node] = float(r.mean())
-            if depth >= max_depth or idx.size < 2:
-                continue
-            split = _best_split(cols, residual, srt, r.sum())
+            split = (None if depth >= max_depth or idx.size < 2
+                     else _best_split(cols, residual, srt, r.sum()))
             if split is None:
+                if out is not None:
+                    out[idx] = value[node]
                 continue
             j, thr = split
             go_left = cols[j] <= thr
-            keep = go_left.take(srt).ravel()
             at_left = go_left.take(idx)
             idx_l, idx_r = idx[at_left], idx[~at_left]
             node_l = len(feature)
@@ -160,10 +202,13 @@ class RegressionTree:
             left += [-1, -1]
             right += [-1, -1]
             value += [0.0, 0.0]
-            stack.append((node_l + 1, idx_r,
-                          srt.compress(~keep).reshape(n_features, idx_r.size), depth + 1))
-            stack.append((node_l, idx_l,
-                          srt.compress(keep).reshape(n_features, idx_l.size), depth + 1))
+            srt_l = srt_r = None
+            if depth + 1 < max_depth:
+                keep = go_left.take(srt).ravel()
+                srt_l = srt.compress(keep).reshape(n_features, idx_l.size)
+                srt_r = srt.compress(~keep).reshape(n_features, idx_r.size)
+            stack.append((node_l + 1, idx_r, srt_r, depth + 1))
+            stack.append((node_l, idx_l, srt_l, depth + 1))
         return cls(feature, threshold, left, right, value)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -263,33 +308,51 @@ class TrainingPool:
     ``margin`` holds the current ensemble's margins of the first
     ``len(margin)`` rows; the rows past it have not been walked yet, so
     that a row goes through the ensemble's past trees once.
+
+    ``order`` is ``presort(X)``, kept from block to block: ``add`` sorts
+    only the new rows and merges them in, and ``keep_last`` and ``take``
+    filter it, so no boosting round sorts the pool again.
     """
 
     X: np.ndarray
     y: np.ndarray
     ids: np.ndarray
     margin: np.ndarray
+    order: np.ndarray
 
     @classmethod
     def empty(cls, width: int) -> "TrainingPool":
-        return cls(np.empty((0, width)), np.empty(0), np.empty(0, dtype=np.int64), np.empty(0))
+        return cls(np.empty((0, width)), np.empty(0), np.empty(0, dtype=np.int64), np.empty(0),
+                   np.empty((width, 0), dtype=np.intp))
 
     def add(self, block_id: int, X: np.ndarray, y: np.ndarray) -> "TrainingPool":
         ids = np.full(y.shape[0], block_id, dtype=np.int64)
-        return TrainingPool(np.concatenate([self.X, X]), np.concatenate([self.y, y]),
-                            np.concatenate([self.ids, ids]), self.margin)
+        X_all = np.concatenate([self.X, X])
+        return TrainingPool(X_all, np.concatenate([self.y, y]),
+                            np.concatenate([self.ids, ids]), self.margin,
+                            _merge_order(X_all, self.order, presort(X)))
 
     def keep_last(self, k: int) -> "TrainingPool":
         """The rows of the newest ``k`` blocks (block ids run without gaps)."""
         start = int(np.searchsorted(self.ids, self.ids[-1] - k, side="right"))
         return TrainingPool(self.X[start:], self.y[start:], self.ids[start:],
-                            self.margin[start:])
+                            self.margin[start:],
+                            _filter_order(self.order, np.arange(start, self.ids.size)))
+
+    def take(self, rows: np.ndarray) -> "TrainingPool":
+        """The rows ``rows`` (ascending ids) as a pool of their own; the
+        margins must cover every pool row.  Taking every row is the pool
+        itself, with no copy."""
+        if rows.size == self.ids.size:
+            return self
+        return TrainingPool(self.X[rows], self.y[rows], self.ids[rows], self.margin[rows],
+                            _filter_order(self.order, rows))
 
 
 def select_training_pool(pool: TrainingPool, cap: int, seed, *,
-                         decay: float | None = 0.8):
-    """Pick at most ``cap`` rows from the pool for one fit call: their
-    features, labels and margins, which must cover every pool row.
+                         decay: float | None = 0.8) -> np.ndarray:
+    """Ids of at most ``cap`` pool rows for one fit call, ascending: every
+    row when the pool holds no more than ``cap``.
 
     Rows are sampled with probability proportional to ``decay ** age``
     (age in blocks, newest is 0), so recent rows are preferred, or
@@ -297,7 +360,7 @@ def select_training_pool(pool: TrainingPool, cap: int, seed, *,
     """
     n = pool.X.shape[0]
     if n <= cap:
-        return pool.X, pool.y, pool.margin
+        return np.arange(n)
     rng = np.random.default_rng(seed)
     if decay is None:
         pick = rng.choice(n, size=cap, replace=False)
@@ -306,7 +369,7 @@ def select_training_pool(pool: TrainingPool, cap: int, seed, *,
         weights = decay ** age.astype(np.float64)
         pick = rng.choice(n, size=cap, replace=False, p=weights / weights.sum())
     pick.sort()  # keep chronological order inside the sample
-    return pool.X[pick], pool.y[pick], pool.margin[pick]
+    return pick
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,23 +420,23 @@ def predict_scores(ensemble: BoostedEnsemble, X: np.ndarray) -> np.ndarray:
     return sigmoid(ensemble_margin(ensemble, X))
 
 
-def _boost(X: np.ndarray, y: np.ndarray, margin: np.ndarray, n_trees: int,
-           rate: float, max_depth: int):
-    """Fit ``n_trees`` trees in turn, each to the residual left by the ones
-    before; returns the trees and the loss before and after each."""
+def _boost(sample: TrainingPool, n_trees: int, rate: float, max_depth: int):
+    """Fit ``n_trees`` trees in turn on ``sample``, each to the residual
+    left by the ones before; returns the trees, the loss before and after
+    each, and the sample's margins with every new tree added."""
     trees: list[RegressionTree] = []
-    margin = margin.copy()
+    y = sample.y
+    margin = sample.margin.copy()
     p = sigmoid(margin)
     losses = [log_loss(y, p)]
-    cols = np.asfortranarray(X)  # feature-major, shared by every tree of the round
-    order = presort(cols)
+    cols = np.asfortranarray(sample.X)  # feature-major, shared by every tree of the round
+    out = np.empty(y.shape[0])          # each row's leaf value in the newest tree
     for _ in range(n_trees):
-        tree = RegressionTree.fit(cols, y - p, max_depth, order)
-        trees.append(tree)
-        margin += rate * tree.predict(X)
+        trees.append(RegressionTree.fit(cols, y - p, max_depth, sample.order, out))
+        margin += rate * out
         p = sigmoid(margin)
         losses.append(log_loss(y, p))
-    return trees, np.asarray(losses)
+    return trees, np.asarray(losses), margin
 
 
 def fit_initial(X: np.ndarray, y: np.ndarray, config: BaselineConfig) -> BoostedEnsemble:
@@ -399,8 +462,8 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
     has collapsed to a single class updates only the base score, which
     drops every pool margin.  Otherwise the rows past the pool's margin
     prefix (the new block, or every row after a reset) go through the
-    ensemble once, and every pool row's margin is brought up to the grown
-    ensemble by the new trees alone.
+    ensemble once.  The sampled rows' margins come out of boosting grown;
+    only rows left out of a capped sample walk the new trees.
     """
     X_new = np.asarray(X_new, dtype=np.float64)
     y_new = np.asarray(y_new, dtype=np.float64)
@@ -417,9 +480,9 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
         return replace(ensemble, base_score=_prior_logit(pool.y),
                        pool=replace(pool, margin=np.empty(0)))
 
-    pool = replace(pool, margin=np.concatenate([
-        pool.margin, ensemble_margin(ensemble, pool.X[len(pool.margin):])]))
-    Xs, ys, start = select_training_pool(
+    margin = np.concatenate([pool.margin, ensemble_margin(ensemble, pool.X[len(pool.margin):])])
+    pool = replace(pool, margin=margin)
+    pick = select_training_pool(
         pool, config.subsample_cap, np.random.SeedSequence((config.seed, k)),
         decay=None if config.policy == "sliding-window" else config.decay,
     )
@@ -427,13 +490,16 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
     if config.policy == "adaptive-lr":
         rate = config.learning_rate * config.decay ** k
     n_trees = config.initial_trees if k == 0 else config.trees_per_block
-    trees, losses = _boost(Xs, ys, start, n_trees, rate, config.max_depth)
+    trees, losses, boosted = _boost(pool.take(pick), n_trees, rate, config.max_depth)
     rates = (rate,) * len(trees)
+    rest = np.delete(np.arange(margin.size), pick)
+    margin[pick] = boosted
+    margin[rest] = _add_trees(margin[rest], trees, rates, pool.X[rest])
     return replace(
         ensemble,
         trees=ensemble.trees + tuple(trees),
         tree_rates=ensemble.tree_rates + rates,
-        pool=replace(pool, margin=_add_trees(pool.margin, trees, rates, pool.X)),
+        pool=pool,
         loss_history=ensemble.loss_history + (losses,),
     )
 
@@ -444,6 +510,8 @@ class BaselinePredictor:
     Encoders grow their vocabulary with each revealed block (ordinal only;
     count and target-mean stay frozen on the first block so earlier trees
     keep their feature semantics), and the ensemble is extended per policy.
+    The retained rows carry each column's sort order with them, so a
+    revealed block is sorted once, when it joins the training pool.
     Beyond what the drift policy retains, it keeps the last block it scored
     and that block's matrix, because the lifelong loop reveals the same rows
     at the next ``learn``, which then encodes only their unseen cells.

@@ -1,8 +1,12 @@
 import gc
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from driftbench import baseline
 from driftbench.baseline import (
@@ -40,8 +44,14 @@ FAST = dict(initial_trees=30, trees_per_block=8, max_depth=3, learning_rate=0.2)
 
 def toy_pool(rows_per_block=1000, n_blocks=10, width=2):
     ids = np.repeat(np.arange(n_blocks), rows_per_block)
-    return TrainingPool(np.repeat(ids[:, None], width, axis=1).astype(float),
-                        np.zeros(ids.size), ids, -ids.astype(float))
+    X = np.repeat(ids[:, None], width, axis=1).astype(float)
+    return TrainingPool(X, np.zeros(ids.size), ids, -ids.astype(float), presort(X))
+
+
+def sampled(pool, cap, seed):
+    """Features, labels and margins of the rows ``select_training_pool`` picks."""
+    sample = pool.take(select_training_pool(pool, cap=cap, seed=seed))
+    return sample.X, sample.y, sample.margin
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +60,7 @@ def toy_pool(rows_per_block=1000, n_blocks=10, width=2):
 
 def test_small_history_returned_whole():
     pool = toy_pool(rows_per_block=10, n_blocks=3)
-    X, y, margin = select_training_pool(pool, cap=1000, seed=0)
+    X, y, margin = sampled(pool, cap=1000, seed=0)
     assert X.shape[0] == 30
     assert list(X[:, 0]) == [0] * 10 + [1] * 10 + [2] * 10
     assert np.array_equal(margin, -X[:, 0])
@@ -60,7 +70,7 @@ def test_capped_selection_prefers_recent_blocks():
     pool = toy_pool(rows_per_block=1000, n_blocks=10)
     newest, oldest = [], []
     for seed in range(50):
-        X, _, margin = select_training_pool(pool, cap=100, seed=seed)
+        X, _, margin = sampled(pool, cap=100, seed=seed)
         ids = X[:, 0]
         assert ids.shape[0] == 100
         assert np.array_equal(margin, -ids)
@@ -71,8 +81,8 @@ def test_capped_selection_prefers_recent_blocks():
 
 def test_selection_deterministic_given_seed():
     pool = toy_pool()
-    a = select_training_pool(pool, cap=50, seed=123)[0]
-    b = select_training_pool(pool, cap=50, seed=123)[0]
+    a = sampled(pool, cap=50, seed=123)[0]
+    b = sampled(pool, cap=50, seed=123)[0]
     assert np.array_equal(a, b)
 
 
@@ -83,9 +93,56 @@ def test_sliding_window_restricts_to_newest_blocks():
         assert np.array_equal(kept.ids, np.repeat(ids, 20))
         assert np.array_equal(kept.X[:, 0], kept.ids) and np.array_equal(kept.margin, -kept.ids)
     # A margin prefix shrinks by the rows cut from the front.
-    short = TrainingPool(pool.X, pool.y, pool.ids, pool.margin[:50])
+    short = TrainingPool(pool.X, pool.y, pool.ids, pool.margin[:50], pool.order)
     assert np.array_equal(short.keep_last(4).margin, pool.margin[20:50])
     assert short.keep_last(2).margin.size == 0
+
+
+# Few distinct values, signed zeros and NaN: every column is full of ties.
+CELLS = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, np.nan])
+
+
+def assert_presorted(pool):
+    assert pool.order.dtype == np.intp
+    assert np.array_equal(pool.order, presort(pool.X))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_pool_keeps_the_presort_of_its_rows(data):
+    width = data.draw(st.integers(1, 4), label="width")
+    block = hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.just(width)), elements=CELLS)
+    pool = TrainingPool.empty(width)
+    for k, X in enumerate(data.draw(st.lists(block, min_size=1, max_size=6), label="blocks")):
+        pool = pool.add(k, X, np.zeros(X.shape[0]))
+        assert_presorted(pool)
+        assert_presorted(pool.keep_last(data.draw(st.integers(1, k + 1), label="window")))
+    pool = replace(pool, margin=np.zeros(pool.ids.size))
+    cap = data.draw(st.integers(1, pool.ids.size), label="cap")
+    pick = select_training_pool(pool, cap, seed=data.draw(st.integers(0, 99), label="seed"))
+    assert np.array_equal(np.unique(pick), pick) and pick.size == cap
+    assert_presorted(pool.take(pick))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_extended_pool_keeps_its_presort_through_windows_samples_and_resets(data):
+    width = data.draw(st.integers(1, 3), label="width")
+    cfg = BaselineConfig(initial_trees=2, trees_per_block=1, max_depth=2, learning_rate=0.5,
+                         policy=data.draw(st.sampled_from(DRIFT_POLICIES), label="policy"),
+                         window_blocks=1 + data.draw(st.integers(0, 1), label="window"),
+                         subsample_cap=data.draw(st.integers(3, 40), label="cap"), seed=1)
+    ens = None
+    for _ in range(data.draw(st.integers(1, 6), label="blocks")):
+        X = data.draw(hnp.arrays(np.float64, st.tuples(st.integers(2, 12), st.just(width)),
+                                 elements=CELLS), label="X")
+        labels = data.draw(st.sampled_from(["zeros", "ones", "mixed"]), label="labels")
+        y = (np.arange(X.shape[0]) % 2.0 if labels == "mixed"
+             else np.full(X.shape[0], float(labels == "ones")))
+        ens = fit_initial(X, y, cfg) if ens is None else extend(ens, X, y, cfg)
+        assert_presorted(ens.pool)
+        if ens.pool.margin.size:     # empty after a single-class reset
+            assert np.array_equal(ens.pool.margin, ensemble_margin(ens, ens.pool.X))
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +293,35 @@ def test_presorted_fit_matches_reference_tree_for_tree(split_cells, monkeypatch)
                          reference_fit(X, residual, depth))
 
 
-@pytest.mark.parametrize("shape", ["A", "D"])
-def test_boosting_matches_reference_fit(shape, monkeypatch):
+def test_fit_writes_each_rows_leaf_value():
+    rng = np.random.default_rng(13)
+    for _ in range(150):
+        X, residual, depth = random_split_case(rng)
+        out = np.full(X.shape[0], np.nan)
+        tree = RegressionTree.fit(X, residual, depth, out=out)
+        assert np.array_equal(out, tree.predict(X))
+
+
+def reference_tree_fit(cls, X, residual, max_depth, order=None, out=None):
+    tree = reference_fit(X, residual, max_depth)
+    if out is not None:
+        out[:] = reference_predict(tree, X)
+    return tree
+
+
+# Three blocks of 150 rows: a cap of 200 samples the third round's pool of
+# 300, and a two-block window cuts block 0 from it.
+@pytest.mark.parametrize("shape, options", [
+    pytest.param(shape, options, id=shape + suffix) for suffix, options in (
+        ("", {}), ("-capped", {"subsample_cap": 200}), ("-sliding-window", {"policy": "sliding-window"}))
+    for shape in ("A", "D")])
+def test_boosting_matches_reference_fit(shape, options, monkeypatch):
     ds = generate_drift_stream(desk_spec(shape, 450, n_blocks=3, drift="gradual",
                                          drift_magnitude=1.0, seed=5))
     X = transform_rows(ds.schema, ds.rows, fit_dataset_encoders(ds.schema, ds.rows, ds.labels))
     y = np.asarray(ds.labels, float)
     cfg = BaselineConfig(initial_trees=6, trees_per_block=3, max_depth=4,
-                         learning_rate=0.3, seed=5)
+                         learning_rate=0.3, seed=5, **options)
 
     def grow():
         (a0, a1), (b0, b1), (c0, c1) = plan_blocks(len(ds), 3).ranges
@@ -252,13 +330,14 @@ def test_boosting_matches_reference_fit(shape, monkeypatch):
         return extend(ens, X[c0:c1], y[c0:c1], cfg)
 
     got = grow()
-    monkeypatch.setattr(RegressionTree, "fit", classmethod(
-        lambda cls, X, residual, max_depth, order=None: reference_fit(X, residual, max_depth)))
+    monkeypatch.setattr(RegressionTree, "fit", classmethod(reference_tree_fit))
     want = grow()
     assert got.n_trees == want.n_trees == 12
     for g, w in zip(got.trees, want.trees):
         assert_same_tree(g, w)
     assert np.array_equal(ensemble_margin(got, X), ensemble_margin(want, X))
+    assert np.array_equal(got.pool.ids, want.pool.ids)
+    assert np.array_equal(got.pool.margin, want.pool.margin)
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +639,13 @@ def test_config_validation():
         BaselineConfig(policy="nope")
     with pytest.raises(ValueError):
         BaselineConfig(window_blocks=0)
+    for decay in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="decay must be in"):
+            BaselineConfig(decay=decay)
+    for smoothing in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="target smoothing must be"):
+            BaselineConfig(target_smoothing=smoothing)
+    assert BaselineConfig(decay=1.0, target_smoothing=0.0).decay == 1.0
     for field in ("cat_encoder", "mvc_encoder"):
         with pytest.raises(ValueError, match="'onehot' is not a valid EncoderKind"):
             BaselineConfig(**{field: "onehot"})
@@ -694,6 +780,35 @@ def test_each_block_is_encoded_once_per_run(monkeypatch):
     assert trace.outcome == "completed"
     # Block 0 when learned, blocks 1..n-1 when scored; never again when revealed.
     assert len(calls) == n
+
+
+def test_each_revealed_row_is_sorted_once_and_no_round_walks_its_sample(monkeypatch):
+    ds = generate_drift_stream(UNSEEN_SPEC)
+    n = UNSEEN_SPEC.n_blocks
+    sizes = [hi - lo for lo, hi in plan_blocks(len(ds), n).ranges]
+    sorted_rows, walked = [], []
+    fresh_sort, fresh_walk = baseline.presort, baseline._tree_outputs
+    monkeypatch.setattr(baseline, "presort",
+                        lambda X: sorted_rows.append(X.shape[0]) or fresh_sort(X))
+
+    def walk(trees, X):
+        if trees and X.shape[0]:
+            walked.append(X.shape[0])
+        return fresh_walk(trees, X)
+
+    monkeypatch.setattr(baseline, "_tree_outputs", walk)
+    trace = run_lifelong(ds, plan_blocks(len(ds), n), BaselinePredictor(BaselineConfig(**TINY)),
+                         budget_seconds=600, dataset_id="x")
+    assert trace.outcome == "completed"
+    # Blocks 0..n-2 are revealed, and each is sorted once, when it joins the pool.
+    assert sorted_rows == sizes[:-1]
+    # Blocks 1..n-1 are walked when scored, and blocks 1..n-2 by the past
+    # trees once more when revealed.  With no cap no row is left out of a
+    # round's sample, so no other walk visits a row.
+    want = []
+    for k in range(1, n):
+        want += [sizes[k]] * (2 if k < n - 1 else 1)
+    assert walked == want
 
 
 @pytest.mark.parametrize("mvc_kind", list(EncoderKind))

@@ -326,13 +326,24 @@ def _with_key(raw, index, **entry):
      "predictor baseline: tree depth must be >= 1"),
     (lambda raw: _with_key(raw, 0, options={"cat_encoder": "onehot"}),
      "predictor baseline: 'onehot' is not a valid EncoderKind"),
+    (lambda raw: _with_key(raw, 0, options={"policy": "adaptive-lr", "decay": 0}),
+     "predictor baseline: decay must be in (0, 1], got 0"),
+    (lambda raw: _with_key(raw, 0, options={"decay": -0.5}),
+     "predictor baseline: decay must be in (0, 1], got -0.5"),
+    (lambda raw: _with_key(raw, 0, options={"decay": 1.5}),
+     "predictor baseline: decay must be in (0, 1], got 1.5"),
+    (lambda raw: _with_key(raw, 0, options={"target_smoothing": -1}),
+     "predictor baseline: target smoothing must be a finite number >= 0, got -1"),
+    (lambda raw: _with_key(raw, 0, options={"target_smoothing": float("nan")}),
+     "predictor baseline: target smoothing must be a finite number >= 0, got nan"),
     (lambda raw: _with_key(raw, 1, options=FAST_BASELINE),
      "predictor echo: command predictors take no 'options'"),
     (lambda raw: _with_key(raw, 0, command=["python3", "learner.py"]),
      "predictor baseline: baseline predictors take no 'command'"),
 ], ids=["not-an-object", "unknown-key", "seed-not-int", "n-blocks-not-int", "n-blocks-below-2",
         "datasets-int", "predictors-int", "datasets-object", "options-list",
-        "unknown-option", "invalid-option", "unknown-encoder", "options-on-command",
+        "unknown-option", "invalid-option", "unknown-encoder", "decay-zero", "decay-negative",
+        "decay-above-one", "smoothing-negative", "smoothing-nan", "options-on-command",
         "command-on-baseline"])
 def test_top_level_config_fault_is_config_error(tmp_path, capsys, edit, message):
     config = write_config(tmp_path, n_datasets=1)
