@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import FeatureSchema
+from .data import FeatureSchema, check_field_types
 from .encoding import (
     EncoderKind,
     FittedEncoder,
@@ -70,6 +70,7 @@ class BaselineConfig:
     target_smoothing: float = 10.0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.initial_trees < 1 or self.trees_per_block < 1:
             raise ValueError("tree counts must be >= 1")
         if self.max_depth < 1:
@@ -367,7 +368,15 @@ def select_training_pool(pool: TrainingPool, cap: int, seed, *,
     else:
         age = pool.ids.max() - pool.ids
         weights = decay ** age.astype(np.float64)
-        pick = rng.choice(n, size=cap, replace=False, p=weights / weights.sum())
+        p = weights / weights.sum()
+        live = np.flatnonzero(p)
+        if live.size < cap:
+            # Old blocks' weights underflowed to 0: keep every row that
+            # still has one and fill up uniformly from the rest.
+            rest = rng.choice(np.flatnonzero(p == 0), size=cap - live.size, replace=False)
+            pick = np.concatenate([live, rest])
+        else:
+            pick = rng.choice(n, size=cap, replace=False, p=p)
     pick.sort()  # keep chronological order inside the sample
     return pick
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import BaselineConfig, BaselinePredictor
-from .data import save_dataset
+from .data import save_dataset, typed_scalar
 from .harness import DatasetRef, EvaluationTrace, PhaseConfig, SubprocessPredictor, run_suite
 from .ranking import (
     SubmissionEntry,
@@ -32,7 +32,7 @@ from .ranking import (
     render_leaderboard_csv,
     write_submission,
 )
-from .synth import DATASET_SHAPES, DriftGenSpec, generate_drift_stream
+from .synth import DriftGenSpec, generate_drift_stream, shape_columns
 
 PHASES = ("feedback", "final")
 
@@ -59,7 +59,6 @@ class PredictorSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int
     n_blocks: int
     data_dir: Path
     output_dir: Path
@@ -78,10 +77,13 @@ class RunConfig:
 
 
 _CONFIG_KEYS = frozenset({"seed", "n_blocks", "data_dir", "output_dir", "datasets", "predictors"})
-_DATASET_KEYS = frozenset({
-    "id", "phase", "rows", "budget_seconds", "shape", "cat", "num", "mvc", "time",
-    "n_blocks", "drift", "drift_magnitude", "cat_cardinality", "power_exponent",
-})
+#: A dataset entry's stream keys, each with the DriftGenSpec field it sets.
+_STREAM_KEYS = {
+    "id": "dataset_id", "rows": "n_rows", "cat": "n_cat", "num": "n_num", "mvc": "n_mvc",
+    "time": "n_time", "drift": "drift", "drift_magnitude": "drift_magnitude",
+    "cat_cardinality": "cat_cardinality", "power_exponent": "power_exponent",
+}
+_DATASET_KEYS = frozenset({"phase", "budget_seconds", "shape", *_STREAM_KEYS})
 _PREDICTOR_KEYS = frozenset({"name", "type", "bundle", "options", "command"})
 
 
@@ -92,13 +94,6 @@ def _reject_unknown_keys(entry, known: frozenset, where: str) -> None:
     unknown = sorted(set(entry) - known)
     if unknown:
         raise ConfigError(f"{where}: unknown key " + ", ".join(map(repr, unknown)))
-
-
-def _config_int(raw: dict, key: str, default: int) -> int:
-    value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 def _config_list(raw: dict, key: str) -> list:
@@ -123,8 +118,12 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
 
     _reject_unknown_keys(raw, _CONFIG_KEYS, str(path))
     base = path.parent
-    seed = _config_int(raw, "seed", 0) if seed_override is None else seed_override
-    n_blocks = _config_int(raw, "n_blocks", 10)
+    try:
+        seed = typed_scalar("seed", raw.get("seed", 0), int)
+        n_blocks = typed_scalar("n_blocks", raw.get("n_blocks", 10), int)
+    except TypeError as exc:
+        raise ConfigError(str(exc))
+    seed = seed if seed_override is None else seed_override
     if n_blocks < 2:
         # evaluate cuts every dataset into this many blocks.
         raise ConfigError(f"n_blocks must be >= 2, got {n_blocks}")
@@ -139,27 +138,16 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
             phase = d.get("phase", "feedback")
             if phase not in PHASES:
                 raise ConfigError(f"dataset {dataset_id}: unknown phase {phase!r}")
+            fields = {"n_mvc": 0, "n_time": 0}
             if "shape" in d:
                 mixed = [k for k in ("cat", "num", "mvc", "time") if k in d]
                 if mixed:
                     raise ConfigError(f"dataset entry {i}: 'shape' sets the column counts; "
                                       "drop " + ", ".join(map(repr, mixed)))
-                n_cat, n_num, n_mvc, n_time, _ = DATASET_SHAPES[d["shape"]]
-            else:
-                n_cat, n_num = int(d["cat"]), int(d["num"])
-                n_mvc, n_time = int(d.get("mvc", 0)), int(d.get("time", 0))
-            gen = DriftGenSpec(
-                n_rows=int(d["rows"]),
-                n_cat=n_cat, n_num=n_num, n_mvc=n_mvc, n_time=n_time,
-                n_blocks=int(d.get("n_blocks", n_blocks)),
-                drift=d.get("drift", "none"),
-                drift_magnitude=float(d.get("drift_magnitude", 0.0)),
-                cat_cardinality=int(d.get("cat_cardinality", 30)),
-                power_exponent=float(d.get("power_exponent", 1.3)),
-                seed=_derived_seed(seed, i),
-                dataset_id=dataset_id,
-            )
-            budget = float(d["budget_seconds"])
+                fields.update(shape_columns(d["shape"]))
+            fields.update((field, d[key]) for key, field in _STREAM_KEYS.items() if key in d)
+            gen = DriftGenSpec(**fields, n_blocks=n_blocks, seed=_derived_seed(seed, i))
+            budget = typed_scalar("budget_seconds", d["budget_seconds"], float)
             if not budget > 0:
                 raise ConfigError(f"dataset {dataset_id}: budget_seconds must be > 0, got {budget}")
             if not math.isfinite(budget):
@@ -205,7 +193,6 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
                                         baseline=baseline, command=command))
 
     return RunConfig(
-        seed=seed,
         n_blocks=n_blocks,
         data_dir=base / raw.get("data_dir", "data"),
         output_dir=base / raw.get("output_dir", "out"),

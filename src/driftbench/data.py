@@ -12,8 +12,9 @@ File formats (shared by every tool in the package):
 from __future__ import annotations
 
 import enum
+import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -36,12 +37,40 @@ class FeatureKind(enum.Enum):
     MULTI_CATEGORICAL = "mvc"
     TIME = "time"
 
-    @classmethod
-    def from_token(cls, token: str) -> "FeatureKind":
-        for kind in cls:
-            if kind.value == token:
-                return kind
-        raise DatasetFormatError(f"unknown feature kind token {token!r}")
+
+#: The scalar types a config field may declare, each with how an error names it.
+_SCALARS = {int: "an integer", float: "a number", str: "a string"}
+
+
+def typed_scalar(name: str, value, kind: type):
+    """``value`` as the builtin ``kind`` (``int``, ``float`` or ``str``).
+
+    A bool is neither number, and an integer passes where a float is
+    expected.  Raises TypeError naming ``name`` for any other type.
+    """
+    if kind is str:
+        ok = isinstance(value, str)
+    else:
+        ok = (not isinstance(value, bool)
+              and isinstance(value, numbers.Integral if kind is int else numbers.Real))
+    if not ok:
+        raise TypeError(f"{name} must be {_SCALARS[kind]}, got {value!r}")
+    return kind(value)
+
+
+def check_field_types(obj) -> None:
+    """Apply :func:`typed_scalar` to each ``int``, ``float`` or ``str``
+    field of the frozen dataclass ``obj`` and store the builtin value, so a
+    config value is checked the same way whoever built ``obj``.
+
+    Annotations are read as strings: the config modules postpone their
+    evaluation.
+    """
+    kinds = {kind.__name__: kind for kind in _SCALARS}
+    for field in fields(obj):
+        if field.type in kinds:
+            value = typed_scalar(field.name, getattr(obj, field.name), kinds[field.type])
+            object.__setattr__(obj, field.name, value)
 
 
 @dataclass(frozen=True)
@@ -168,7 +197,12 @@ def read_schema(path: str | Path) -> FeatureSchema:
                 raise DatasetFormatError(f"{path}: more than one label column")
             label = name
         else:
-            columns.append((name, FeatureKind.from_token(token)))
+            try:
+                kind = FeatureKind(token)
+            except ValueError:
+                raise DatasetFormatError(
+                    f"{path}: schema line {lineno} has unknown feature kind {token!r}") from None
+            columns.append((name, kind))
     if label is None:
         raise DatasetFormatError(f"{path}: schema declares no label column")
     return FeatureSchema(tuple(columns), label)

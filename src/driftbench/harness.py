@@ -29,7 +29,7 @@ import subprocess
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NoReturn, Protocol, Sequence, runtime_checkable
+from typing import Callable, NoReturn, Protocol, Sequence
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class PredictorTimeout(RuntimeError):
     """The predictor exceeded its remaining budget and was stopped."""
 
 
-@runtime_checkable
 class PredictorAdapter(Protocol):
     """Behavioral contract every predictor implements.
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MVC_SEPARATOR, ChronoDataset, FeatureKind, FeatureSchema, plan_blocks
+from .data import (MVC_SEPARATOR, ChronoDataset, FeatureKind, FeatureSchema, check_field_types,
+                   plan_blocks)
 
 DRIFT_PROFILES = ("none", "gradual", "abrupt")
 
@@ -51,6 +52,7 @@ class DriftGenSpec:
     dataset_id: str = "synth"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.drift not in DRIFT_PROFILES:
             raise ValueError(f"drift profile must be one of {DRIFT_PROFILES}, got {self.drift!r}")
         if self.drift_magnitude < 0:
@@ -168,15 +170,20 @@ def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
     )
 
 
+def shape_columns(shape: str) -> dict[str, int]:
+    """The column counts of one of the five public challenge streams (see
+    :data:`DATASET_SHAPES`), as :class:`DriftGenSpec` keywords."""
+    if not isinstance(shape, str) or shape not in DATASET_SHAPES:
+        raise ValueError(f"unknown dataset shape {shape!r}; pick one of {sorted(DATASET_SHAPES)}")
+    n_cat, n_num, n_mvc, n_time, _budget = DATASET_SHAPES[shape]
+    return {"n_cat": n_cat, "n_num": n_num, "n_mvc": n_mvc, "n_time": n_time}
+
+
 def desk_spec(shape: str, n_rows: int, *, n_blocks: int = 10, drift: str = "none",
               drift_magnitude: float = 0.0, seed: int = 0) -> DriftGenSpec:
     """A desk-scale spec with the feature-type mix of one of the five
-    public challenge streams (see :data:`DATASET_SHAPES`)."""
-    if shape not in DATASET_SHAPES:
-        raise ValueError(f"unknown dataset shape {shape!r}; pick one of {sorted(DATASET_SHAPES)}")
-    n_cat, n_num, n_mvc, n_time, _budget = DATASET_SHAPES[shape]
+    public challenge streams."""
     return DriftGenSpec(
-        n_rows=n_rows, n_cat=n_cat, n_num=n_num, n_mvc=n_mvc, n_time=n_time,
-        n_blocks=n_blocks, drift=drift, drift_magnitude=drift_magnitude,
-        seed=seed, dataset_id=shape,
+        n_rows=n_rows, **shape_columns(shape), n_blocks=n_blocks, drift=drift,
+        drift_magnitude=drift_magnitude, seed=seed, dataset_id=shape,
     )

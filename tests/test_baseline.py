@@ -86,6 +86,22 @@ def test_selection_deterministic_given_seed():
     assert np.array_equal(a, b)
 
 
+def test_selection_fills_up_when_old_weights_underflow():
+    # 1e-200 ** 2 underflows to 0: only the newest two blocks keep a weight.
+    pool = toy_pool(rows_per_block=10, n_blocks=4)
+    pick = select_training_pool(pool, cap=25, seed=3, decay=1e-200)
+    assert pick.size == 25 and np.all(np.diff(pick) > 0)
+    assert set(range(20, 40)) <= set(pick.tolist())
+    assert np.array_equal(pick, select_training_pool(pool, cap=25, seed=3, decay=1e-200))
+    X, y = separable_data(n=40, seed=2)
+    cfg = BaselineConfig(initial_trees=2, trees_per_block=1, max_depth=2, subsample_cap=25,
+                         decay=1e-200)
+    ens = fit_initial(X[:10], y[:10], cfg)
+    for lo in (10, 20, 30):
+        ens = extend(ens, X[lo:lo + 10], y[lo:lo + 10], cfg)
+    assert ens.revealed_blocks == 3
+
+
 def test_sliding_window_restricts_to_newest_blocks():
     pool = toy_pool(rows_per_block=20, n_blocks=5)
     for k, ids in ((1, [4]), (2, [3, 4]), (5, [0, 1, 2, 3, 4]), (9, [0, 1, 2, 3, 4])):
@@ -649,6 +665,15 @@ def test_config_validation():
     for field in ("cat_encoder", "mvc_encoder"):
         with pytest.raises(ValueError, match="'onehot' is not a valid EncoderKind"):
             BaselineConfig(**{field: "onehot"})
+    for field, value in (("initial_trees", 2.5), ("max_depth", True), ("subsample_cap", "9"),
+                         ("learning_rate", "0.1"), ("decay", True), ("policy", 3),
+                         ("seed", None)):
+        with pytest.raises(TypeError, match=f"^{field} must be"):
+            BaselineConfig(**{field: value})
+    typed = BaselineConfig(max_depth=np.int64(3), learning_rate=1, decay=np.float32(0.5))
+    assert (type(typed.max_depth), type(typed.learning_rate), type(typed.decay)) == \
+        (int, float, float)
+    assert (typed.max_depth, typed.learning_rate, typed.decay) == (3, 1.0, 0.5)
 
 
 @pytest.mark.parametrize("kind", list(EncoderKind))

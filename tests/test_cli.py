@@ -270,6 +270,39 @@ def test_duplicate_predictor_name_is_config_error(tmp_path, capsys):
     assert "duplicate name 'echo'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"rows": 60.9}, "n_rows must be an integer, got 60.9"),
+    ({"rows": "60"}, "n_rows must be an integer, got '60'"),
+    ({"cat": True}, "n_cat must be an integer, got True"),
+    ({"cat": 2.7}, "n_cat must be an integer, got 2.7"),
+    ({"budget_seconds": "30"}, "budget_seconds must be a number, got '30'"),
+    ({"budget_seconds": True}, "budget_seconds must be a number, got True"),
+    ({"drift_magnitude": "0.5"}, "drift_magnitude must be a number, got '0.5'"),
+    ({"cat_cardinality": 4.5}, "cat_cardinality must be an integer, got 4.5"),
+    ({"shape": "Z"}, "unknown dataset shape 'Z'"),
+    ({"n_blocks": 6}, "unknown key 'n_blocks'"),
+    ({"id": 5}, "dataset_id must be a string, got 5"),
+], ids=["rows-float", "rows-str", "cat-bool", "cat-float", "budget-str", "budget-bool",
+        "magnitude-str", "cardinality-float", "unknown-shape", "own-n-blocks", "id-int"])
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_dataset_entry_fault_is_config_error(tmp_path, capsys, command, edit, message):
+    config = write_config(tmp_path, n_datasets=2)
+    raw = json.loads(config.read_text())
+    entry = raw["datasets"][1]
+    if "shape" in edit:
+        for key in ("cat", "num", "mvc", "time"):
+            del entry[key]
+    entry.update(edit)
+    config.write_text(json.dumps(raw))
+    argv = [command, "--config", str(config)]
+    if command == "evaluate":
+        argv += ["--predictor", "baseline"]
+    assert main(argv) == 1
+    assert f"error: dataset entry 1: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "evaluate"])
 def test_unknown_dataset_key_is_config_error(tmp_path, capsys, command):
     config = write_config(tmp_path, n_datasets=2)
@@ -340,11 +373,26 @@ def _with_key(raw, index, **entry):
      "predictor echo: command predictors take no 'options'"),
     (lambda raw: _with_key(raw, 0, command=["python3", "learner.py"]),
      "predictor baseline: baseline predictors take no 'command'"),
+    (lambda raw: _with_key(raw, 0, options={"initial_trees": 2.5}),
+     "predictor baseline: initial_trees must be an integer, got 2.5"),
+    (lambda raw: _with_key(raw, 0, options={"max_depth": 2.5}),
+     "predictor baseline: max_depth must be an integer, got 2.5"),
+    (lambda raw: _with_key(raw, 0, options={"window_blocks": 1.5}),
+     "predictor baseline: window_blocks must be an integer, got 1.5"),
+    (lambda raw: _with_key(raw, 0, options={"subsample_cap": 10.5}),
+     "predictor baseline: subsample_cap must be an integer, got 10.5"),
+    (lambda raw: _with_key(raw, 0, options={"decay": True}),
+     "predictor baseline: decay must be a number, got True"),
+    (lambda raw: _with_key(raw, 0, options={"seed": "x"}),
+     "predictor baseline: seed must be an integer, got 'x'"),
+    (lambda raw: _with_key(raw, 0, options={"learning_rate": "0.1"}),
+     "predictor baseline: learning_rate must be a number, got '0.1'"),
 ], ids=["not-an-object", "unknown-key", "seed-not-int", "n-blocks-not-int", "n-blocks-below-2",
         "datasets-int", "predictors-int", "datasets-object", "options-list",
         "unknown-option", "invalid-option", "unknown-encoder", "decay-zero", "decay-negative",
         "decay-above-one", "smoothing-negative", "smoothing-nan", "options-on-command",
-        "command-on-baseline"])
+        "command-on-baseline", "initial-trees-float", "max-depth-float", "window-float",
+        "cap-float", "decay-bool", "option-seed-str", "learning-rate-str"])
 def test_top_level_config_fault_is_config_error(tmp_path, capsys, edit, message):
     config = write_config(tmp_path, n_datasets=1)
     assert main(["generate", "--config", str(config)]) == 0

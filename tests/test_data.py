@@ -101,6 +101,14 @@ def test_schema_needs_exactly_one_label(tmp_path):
         read_schema(schema)
 
 
+def test_schema_unknown_kind_names_file_line_and_token(tmp_path):
+    schema = tmp_path / "s.csv"
+    schema.write_text("x,num\nc,xyz\ny,label\n")
+    with pytest.raises(DatasetFormatError) as info:
+        read_schema(schema)
+    assert str(info.value) == f"{schema}: schema line 2 has unknown feature kind 'xyz'"
+
+
 def test_schema_roundtrip(tmp_path):
     schema = FeatureSchema(
         (("a", FeatureKind.NUMERICAL), ("b", FeatureKind.MULTI_CATEGORICAL),

@@ -509,6 +509,16 @@ def test_reference_predictor_speaks_the_protocol(tmp_path, monkeypatch):
     assert len(launched) == 1  # one child kept its model for all four steps
 
 
+def test_reference_predictor_rejects_a_mistyped_option(tmp_path, monkeypatch):
+    monkeypatch.setenv("DRIFTBENCH_BASELINE_CONFIG", '{"max_depth": 2.5}')
+    ds = generate_drift_stream(DriftGenSpec(n_rows=60, n_cat=1, n_num=1, n_blocks=3, seed=0))
+    pred = SubprocessPredictor([sys.executable, "-m", "driftbench.reference_predictor"],
+                               workdir=tmp_path / "ref", name="ref")
+    trace = run_lifelong(ds, plan_blocks(len(ds), 3), pred, budget_seconds=60)
+    assert trace.outcome == "predictor-error"
+    assert "max_depth must be an integer, got 2.5" in trace.error
+
+
 HOLD_SCRIPT = PRELUDE + """
 for line in sys.stdin:
     request = json.loads(line)

@@ -91,6 +91,14 @@ def test_invalid_specs_rejected():
         counts = {"n_cat": 1, "n_num": 2, "n_mvc": 1, "n_time": 1, kind: -1}
         with pytest.raises(ValueError, match=">= 0"):
             DriftGenSpec(n_rows=10, **counts)
+    for field, value in (("n_rows", 10.0), ("n_cat", True), ("drift", 1),
+                         ("drift_magnitude", "0.5"), ("seed", None), ("dataset_id", 5)):
+        with pytest.raises(TypeError, match=f"^{field} must be"):
+            DriftGenSpec(**{"n_rows": 10, "n_cat": 1, "n_num": 1, field: value})
+    with pytest.raises(ValueError, match="unknown dataset shape 'Z'"):
+        desk_spec("Z", n_rows=10)
+    typed = DriftGenSpec(n_rows=np.int64(10), n_cat=1, n_num=1, drift_magnitude=2)
+    assert (type(typed.n_rows), type(typed.drift_magnitude)) == (int, float)
 
 
 def _linear_scores(ds, fit_rows):
