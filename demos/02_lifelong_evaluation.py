@@ -40,7 +40,7 @@ class Napper(ConstantPredictor):
     def learn(self, rows, labels, schema, remaining_budget_seconds):
         time.sleep(0.3)
 
-trace = run_lifelong(ds, plan, Napper(name="napper"), budget_seconds=0.2,
+trace = run_lifelong(ds, plan, Napper(), budget_seconds=0.2,
                      dataset_id="demo")
 print(f"\n{'napper':>18} outcome={trace.outcome} mean_auc={trace.mean_auc} "
       f"disqualified={trace.disqualified}")

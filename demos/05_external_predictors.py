@@ -46,7 +46,6 @@ with tempfile.TemporaryDirectory() as scratch:
         predictor = SubprocessPredictor(
             [sys.executable, "-m", module],
             workdir=os.path.join(scratch, module.rsplit(".", 1)[1]),
-            name=module,
         )
         trace = run_lifelong(ds, plan, predictor, budget_seconds=120,
                              dataset_id="demo")

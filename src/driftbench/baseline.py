@@ -81,6 +81,8 @@ class BaselineConfig:
             raise ValueError("subsample cap must be >= 1")
         if self.window_blocks < 1:
             raise ValueError("window must span >= 1 block")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.decay <= 1.0):
             raise ValueError(f"decay must be in (0, 1], got {self.decay!r}")
         if not (math.isfinite(self.target_smoothing) and self.target_smoothing >= 0.0):
@@ -526,10 +528,9 @@ class BaselinePredictor:
     at the next ``learn``, which then encodes only their unseen cells.
     """
 
-    def __init__(self, config: BaselineConfig | None = None, name: str = "baseline",
+    def __init__(self, config: BaselineConfig | None = None,
                  freeze_after_initial: bool = False):
         self.config = config if config is not None else BaselineConfig()
-        self.name = name
         self.freeze_after_initial = freeze_after_initial
         self.schema: FeatureSchema | None = None
         self.encoders: dict[str, FittedEncoder] = {}

@@ -23,7 +23,7 @@ import numpy as np
 
 from .baseline import BaselineConfig, BaselinePredictor
 from .data import save_dataset, typed_scalar
-from .harness import DatasetRef, EvaluationTrace, PhaseConfig, SubprocessPredictor, run_suite
+from .harness import DatasetRef, EvaluationTrace, SubprocessPredictor, run_suite
 from .ranking import (
     SubmissionEntry,
     build_leaderboard,
@@ -121,9 +121,14 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     try:
         seed = typed_scalar("seed", raw.get("seed", 0), int)
         n_blocks = typed_scalar("n_blocks", raw.get("n_blocks", 10), int)
+        data_dir = typed_scalar("data_dir", raw.get("data_dir", "data"), str)
+        output_dir = typed_scalar("output_dir", raw.get("output_dir", "out"), str)
     except TypeError as exc:
         raise ConfigError(str(exc))
     seed = seed if seed_override is None else seed_override
+    if seed < 0:
+        # Every stream's seed is derived from it, and SeedSequence takes none below 0.
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if n_blocks < 2:
         # evaluate cuts every dataset into this many blocks.
         raise ConfigError(f"n_blocks must be >= 2, got {n_blocks}")
@@ -163,20 +168,30 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
 
     predictors = []
     for i, p in enumerate(_config_list(raw, "predictors")):
+        _reject_unknown_keys(p, _PREDICTOR_KEYS, f"predictor entry {i}")
         try:
-            _reject_unknown_keys(p, _PREDICTOR_KEYS, f"predictor entry {i}")
-            name = p["name"]
+            name = typed_scalar("name", p["name"], str)
         except KeyError as exc:
             raise ConfigError(f"predictor entry {i}: missing key {exc}")
+        except TypeError as exc:
+            raise ConfigError(f"predictor entry {i}: {exc}")
         if any(spec.name == name for spec in predictors):
             raise ConfigError(f"predictor entry {i}: duplicate name {name!r}")
-        kind = p.get("type", "baseline")
+        try:
+            kind = typed_scalar("type", p.get("type", "baseline"), str)
+            bundle = typed_scalar("bundle", p.get("bundle", "default"), str)
+        except TypeError as exc:
+            raise ConfigError(f"predictor {name}: {exc}")
         if kind not in ("baseline", "command"):
             raise ConfigError(f"predictor {name}: unknown type {kind!r}")
         unread = "options" if kind == "command" else "command"
         if unread in p:
             raise ConfigError(f"predictor {name}: {kind} predictors take no {unread!r}")
-        command = tuple(str(c) for c in p.get("command", ()))
+        command = p.get("command", [])
+        if not (isinstance(command, list) and all(isinstance(c, str) for c in command)):
+            # A string would run as one program per character.
+            raise ConfigError(f"predictor {name}: command must be a list of strings, "
+                              f"got {command!r}")
         if kind == "command" and not command:
             raise ConfigError(f"predictor {name}: command predictors need a command")
         options = p.get("options", {})
@@ -189,13 +204,13 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
                 baseline = BaselineConfig(**{"seed": seed, **options})
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"predictor {name}: {exc}")
-        predictors.append(PredictorSpec(name=name, bundle=p.get("bundle", "default"),
-                                        baseline=baseline, command=command))
+        predictors.append(PredictorSpec(name=name, bundle=bundle, baseline=baseline,
+                                        command=tuple(command)))
 
     return RunConfig(
         n_blocks=n_blocks,
-        data_dir=base / raw.get("data_dir", "data"),
-        output_dir=base / raw.get("output_dir", "out"),
+        data_dir=base / data_dir,
+        output_dir=base / output_dir,
         datasets=tuple(datasets),
         predictors=tuple(predictors),
     )
@@ -225,48 +240,35 @@ def cmd_generate(config: RunConfig) -> int:
     return 0
 
 
-def _make_factory(pred: PredictorSpec, workdir: Path):
-    if pred.baseline is not None:
+def _evaluate_one(datasets: list[DatasetRef], n_blocks: int, pred: PredictorSpec,
+                  out_dir: Path, workdir: Path) -> list[EvaluationTrace]:
+    def make_predictor(ref: DatasetRef) -> BaselinePredictor | SubprocessPredictor:
+        if pred.baseline is not None:
+            return BaselinePredictor(pred.baseline)
+        return SubprocessPredictor(pred.command, workdir / pred.name / ref.dataset_id)
 
-        def factory(ref: DatasetRef) -> BaselinePredictor:
-            return BaselinePredictor(pred.baseline, name=pred.name)
-
-        return factory
-
-    def factory(ref: DatasetRef) -> SubprocessPredictor:
-        return SubprocessPredictor(
-            pred.command,
-            workdir=workdir / pred.name / ref.dataset_id,
-            name=pred.name,
-        )
-
-    return factory
-
-
-def _evaluate_one(phase: PhaseConfig, pred: PredictorSpec, out_dir: Path,
-                  workdir: Path) -> list[EvaluationTrace]:
+    traces = run_suite(datasets, n_blocks, make_predictor)
     pred_dir = out_dir / pred.name
     pred_dir.mkdir(parents=True, exist_ok=True)
-
-    def on_result(trace: EvaluationTrace) -> None:
-        score_payload = {
+    for trace in traces:
+        shared = {
             "dataset": trace.dataset_id,
-            "mean_auc": trace.mean_auc,
-            "disqualified": trace.disqualified,
             "outcome": trace.outcome,
             "budget_seconds": trace.budget_seconds,
             "total_elapsed_seconds": trace.total_elapsed_seconds,
+        }
+        score_payload = {
+            **shared,
+            "mean_auc": trace.mean_auc,
+            "disqualified": trace.disqualified,
             "blocks": [
                 {"block": s.step, "auc": s.auc, "elapsed_seconds": s.elapsed_seconds}
                 for s in trace.steps
             ],
         }
         trace_payload = {
-            "dataset": trace.dataset_id,
-            "outcome": trace.outcome,
+            **shared,
             "error": trace.error,
-            "budget_seconds": trace.budget_seconds,
-            "total_elapsed_seconds": trace.total_elapsed_seconds,
             "steps": [
                 {
                     "step": s.step,
@@ -284,8 +286,6 @@ def _evaluate_one(phase: PhaseConfig, pred: PredictorSpec, out_dir: Path,
             out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                            encoding="utf-8")
 
-    traces = run_suite(phase, _make_factory(pred, workdir),
-                       on_result=on_result)
     entry = SubmissionEntry(
         team=pred.name,
         bundle=pred.bundle,
@@ -320,19 +320,17 @@ def cmd_evaluate(config: RunConfig, phase_name: str, predictor_names: list[str],
             )
         refs.append(DatasetRef(spec.dataset_id, data_path, schema_path,
                                spec.budget_seconds))
-    phase = PhaseConfig(datasets=tuple(refs), n_blocks=config.n_blocks)
     predictors = [config.predictor(name) for name in predictor_names]
+
+    def evaluate(pred: PredictorSpec) -> list[EvaluationTrace]:
+        return _evaluate_one(refs, config.n_blocks, pred, out_dir, workdir)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     if jobs > 1 and len(predictors) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            all_scores = list(pool.map(
-                lambda p: _evaluate_one(phase, p, out_dir, workdir),
-                predictors,
-            ))
+            all_scores = list(pool.map(evaluate, predictors))
     else:
-        all_scores = [_evaluate_one(phase, p, out_dir, workdir)
-                      for p in predictors]
+        all_scores = [evaluate(p) for p in predictors]
 
     any_disqualified = any(s.disqualified for scores in all_scores for s in scores)
     for pred, scores in zip(predictors, all_scores):

@@ -46,7 +46,8 @@ def typed_scalar(name: str, value, kind: type):
     """``value`` as the builtin ``kind`` (``int``, ``float`` or ``str``).
 
     A bool is neither number, and an integer passes where a float is
-    expected.  Raises TypeError naming ``name`` for any other type.
+    expected.  Raises TypeError naming ``name`` for any other type, and
+    ValueError for an integer too large for a float.
     """
     if kind is str:
         ok = isinstance(value, str)
@@ -55,7 +56,11 @@ def typed_scalar(name: str, value, kind: type):
               and isinstance(value, numbers.Integral if kind is int else numbers.Real))
     if not ok:
         raise TypeError(f"{name} must be {_SCALARS[kind]}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a finite number, "
+                         "got an integer too large for a float") from None
 
 
 def check_field_types(obj) -> None:
@@ -242,10 +247,9 @@ def read_unlabeled(data_path: str | Path, schema: FeatureSchema) -> tuple[tuple[
 
 
 def save_dataset(dataset: ChronoDataset, data_path: str | Path,
-                 schema_path: str | Path | None = None) -> None:
+                 schema_path: str | Path) -> None:
     write_rows(data_path, dataset.schema, dataset.rows, dataset.labels)
-    if schema_path is not None:
-        write_schema(dataset.schema, schema_path)
+    write_schema(dataset.schema, schema_path)
 
 
 def write_rows(path: str | Path, schema: FeatureSchema,

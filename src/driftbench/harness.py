@@ -59,8 +59,6 @@ class PredictorAdapter(Protocol):
     dataset's run is over.
     """
 
-    name: str
-
     def learn(self, rows: Sequence[tuple[str, ...]], labels, schema: FeatureSchema,
               remaining_budget_seconds: float) -> None: ...
 
@@ -70,9 +68,8 @@ class PredictorAdapter(Protocol):
 class ConstantPredictor:
     """Scores every row with the same constant; the do-nothing reference."""
 
-    def __init__(self, value: float = 0.5, name: str = "constant"):
+    def __init__(self, value: float = 0.5):
         self.value = value
-        self.name = name
 
     def learn(self, rows, labels, schema, remaining_budget_seconds) -> None:
         pass
@@ -119,23 +116,16 @@ class EvaluationTrace:
 
 @dataclass(frozen=True)
 class DatasetRef:
+    """One dataset's files on disk and its time budget."""
+
     dataset_id: str
     data_path: Path
     schema_path: Path
     budget_seconds: float
 
-
-@dataclass(frozen=True)
-class PhaseConfig:
-    """One evaluation phase: which datasets, their budgets, how many blocks."""
-
-    datasets: tuple[DatasetRef, ...]
-    n_blocks: int = 10
-
     def __post_init__(self) -> None:
-        for ref in self.datasets:
-            if not 0 < ref.budget_seconds < math.inf:
-                raise ValueError(f"{ref.dataset_id}: budget must be positive and finite")
+        if not 0 < self.budget_seconds < math.inf:
+            raise ValueError(f"{self.dataset_id}: budget must be positive and finite")
 
 
 class _BudgetClock:
@@ -250,21 +240,21 @@ def _check_predictions(scores, expected: int) -> None:
         raise PredictorError("non-finite prediction")
 
 
-def run_suite(phase: PhaseConfig,
-              make_predictor: Callable[[DatasetRef], PredictorAdapter],
-              *, on_result: Callable[[EvaluationTrace], None] | None = None
+def run_suite(datasets: Sequence[DatasetRef], n_blocks: int,
+              make_predictor: Callable[[DatasetRef], PredictorAdapter]
               ) -> list[EvaluationTrace]:
-    """Evaluate a fresh predictor on every dataset of a phase, in order.
+    """Evaluate a fresh predictor on every dataset, in order, each cut
+    into ``n_blocks`` blocks.
 
     Failures are isolated: a dataset that cannot be loaded or evaluated is
     scored 0 / disqualified and the suite continues.
     """
     results: list[EvaluationTrace] = []
-    for ref in phase.datasets:
+    for ref in datasets:
         try:
             dataset = load_dataset(ref.data_path, ref.schema_path,
                                    provenance=ref.dataset_id)
-            plan = plan_blocks(len(dataset), phase.n_blocks)
+            plan = plan_blocks(len(dataset), n_blocks)
             predictor = make_predictor(ref)
             trace = run_lifelong(dataset, plan, predictor, ref.budget_seconds,
                                  dataset_id=ref.dataset_id)
@@ -275,8 +265,6 @@ def run_suite(phase: PhaseConfig,
                 error=f"{type(exc).__name__}: {exc}",
             )
         results.append(trace)
-        if on_result is not None:
-            on_result(trace)
     return results
 
 
@@ -305,14 +293,10 @@ class SubprocessPredictor:
     :meth:`close` ends the program once the dataset's run is over.
     """
 
-    def __init__(self, command: Sequence[str] | str | Path, workdir: str | Path,
-                 name: str = "external"):
-        if isinstance(command, (str, Path)):
-            command = [str(command)]
-        self.command = [str(c) for c in command]
+    def __init__(self, command: Sequence[str], workdir: str | Path):
+        self.command = list(command)
         self.workdir = Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
-        self.name = name
         self.unbilled_seconds = 0.0
         self._step = 0
         self._pending: tuple | None = None

@@ -181,6 +181,9 @@ def read_submission(path: str | Path) -> SubmissionEntry:
         raise ValueError(f"'datasets' must be an object, got {type(datasets).__name__}")
     if not datasets:
         raise ValueError("'datasets' is empty")
+    for key in ("team", "bundle"):
+        if not isinstance(payload[key], str):
+            raise TypeError(f"{key!r} must be a string, got {payload[key]!r}")
     return SubmissionEntry(
         team=payload["team"],
         bundle=payload["bundle"],

@@ -61,6 +61,8 @@ class DriftGenSpec:
             raise ValueError("categorical cardinality must be positive")
         if self.power_exponent <= 0:
             raise ValueError("power-law exponent must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if min(self.n_rows, self.n_blocks) < 1 or self.n_blocks > self.n_rows:
             raise ValueError("need 1 <= n_blocks <= n_rows")
         if min(self.n_cat, self.n_num, self.n_mvc, self.n_time) < 0:

@@ -169,7 +169,7 @@ def test_criterion_5_budget_enforcement(tmp_path):
     script = tmp_path / "sleeper.py"
     script.write_text("import time\ntime.sleep(60)\n")
     predictor = SubprocessPredictor([sys.executable, str(script)],
-                                    workdir=tmp_path / "work", name="sleeper")
+                                    workdir=tmp_path / "work")
     ds = indexed_dataset(30)
     t0 = time.perf_counter()
     trace = run_lifelong(ds, plan_blocks(30, 3), predictor, budget_seconds=budget)

@@ -674,6 +674,10 @@ def test_config_validation():
     assert (type(typed.max_depth), type(typed.learning_rate), type(typed.decay)) == \
         (int, float, float)
     assert (typed.max_depth, typed.learning_rate, typed.decay) == (3, 1.0, 0.5)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        BaselineConfig(seed=-1)
+    with pytest.raises(ValueError, match="^learning_rate must be a finite number, got an integer"):
+        BaselineConfig(learning_rate=10**400)
 
 
 @pytest.mark.parametrize("kind", list(EncoderKind))

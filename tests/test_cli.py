@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from driftbench.cli import load_config, main
 from driftbench.ranking import SubmissionEntry, write_submission
 
 from published_results import DATASETS, FEEDBACK_TOP10, FEEDBACK_TOP6, FIELD_FILLER
+from test_acceptance import MASKED_KEY_PARTS, _masked_csv
 
 FAST_BASELINE = {"initial_trees": 6, "trees_per_block": 2, "max_depth": 2,
                  "learning_rate": 0.3}
@@ -73,6 +75,18 @@ def test_generate_seed_override_changes_data(tmp_path):
     first = (tmp_path / "data" / "d0.data.csv").read_bytes()
     main(["generate", "--config", str(config), "--seed", "99"])
     assert (tmp_path / "data" / "d0.data.csv").read_bytes() != first
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_negative_seed_override_is_config_error(tmp_path, capsys, command):
+    config = write_config(tmp_path, n_datasets=1)
+    argv = [command, "--config", str(config), "--seed", "-5"]
+    if command == "evaluate":
+        argv += ["--predictor", "baseline"]
+    assert main(argv) == 1
+    assert "error: seed must be >= 0, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_generate_table_shaped_specs(tmp_path, capsys):
@@ -147,6 +161,40 @@ def test_evaluate_writes_scores_and_exits_zero(tmp_path):
     submission = json.loads((out / "submission.json").read_text())
     assert submission["team"] == "baseline"
     assert set(submission["datasets"]) == {"d0", "d1", "d2", "d3", "d4"}
+
+
+# SHA-256 over every file that `generate`, `evaluate` and `leaderboard
+# --merge` write under data/ and out/ (work/ left out) for write_config's
+# config at seed 11, with wall-clock values masked as criterion 8 masks
+# them.  Any other changed output byte fails here; update the pin only
+# together with a note saying why the outputs changed.
+PINNED_OUTPUT_SHA256 = "a4eb72485a7f155148daafcac2b815eb076d7d38f13c476e117a454279c095e4"
+
+
+def _pinned_bytes(path: Path) -> bytes:
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        keys = "|".join(MASKED_KEY_PARTS)
+        text = re.sub(rf'("[^"]*(?:{keys})[^"]*": )[^,\n]+', r"\1<time>", text)
+    elif path.name.startswith("leaderboard"):
+        text = _masked_csv(text)
+    return text.encode("utf-8")
+
+
+def test_pipeline_output_bytes_are_pinned(tmp_path):
+    config = write_config(tmp_path, n_datasets=2)
+    assert main(["generate", "--config", str(config)]) == 0
+    assert main(["evaluate", "--config", str(config), "--predictor", "baseline",
+                 "--predictor", "echo"]) == 0
+    out = tmp_path / "out"
+    assert main(["leaderboard", str(out / "baseline"), str(out / "echo"), "--merge",
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256()
+    for path in sorted((tmp_path / "data").rglob("*")) + sorted(out.rglob("*")):
+        rel = path.relative_to(tmp_path)
+        if path.is_file() and "work" not in rel.parts:
+            digest.update(f"{rel.as_posix()}\n".encode() + _pinned_bytes(path) + b"\0")
+    assert digest.hexdigest() == PINNED_OUTPUT_SHA256
 
 
 def test_evaluate_final_phase_uses_private_datasets(tmp_path):
@@ -282,8 +330,13 @@ def test_duplicate_predictor_name_is_config_error(tmp_path, capsys):
     ({"shape": "Z"}, "unknown dataset shape 'Z'"),
     ({"n_blocks": 6}, "unknown key 'n_blocks'"),
     ({"id": 5}, "dataset_id must be a string, got 5"),
+    ({"drift_magnitude": 10**400},
+     "drift_magnitude must be a finite number, got an integer too large for a float"),
+    ({"budget_seconds": 10**400},
+     "budget_seconds must be a finite number, got an integer too large for a float"),
 ], ids=["rows-float", "rows-str", "cat-bool", "cat-float", "budget-str", "budget-bool",
-        "magnitude-str", "cardinality-float", "unknown-shape", "own-n-blocks", "id-int"])
+        "magnitude-str", "cardinality-float", "unknown-shape", "own-n-blocks", "id-int",
+        "magnitude-huge", "budget-huge"])
 @pytest.mark.parametrize("command", ["generate", "evaluate"])
 def test_dataset_entry_fault_is_config_error(tmp_path, capsys, command, edit, message):
     config = write_config(tmp_path, n_datasets=2)
@@ -387,12 +440,33 @@ def _with_key(raw, index, **entry):
      "predictor baseline: seed must be an integer, got 'x'"),
     (lambda raw: _with_key(raw, 0, options={"learning_rate": "0.1"}),
      "predictor baseline: learning_rate must be a number, got '0.1'"),
+    (lambda raw: dict(raw, seed=-1), "error: seed must be >= 0, got -1"),
+    (lambda raw: _with_key(raw, 0, options={"seed": -1}),
+     "predictor baseline: seed must be >= 0, got -1"),
+    (lambda raw: _with_key(raw, 0, options={"learning_rate": 10**400}),
+     "predictor baseline: learning_rate must be a finite number, "
+     "got an integer too large for a float"),
+    (lambda raw: dict(raw, data_dir=5), "error: data_dir must be a string, got 5"),
+    (lambda raw: dict(raw, output_dir=["out"]),
+     "error: output_dir must be a string, got ['out']"),
+    (lambda raw: _with_key(raw, 0, name=5), "predictor entry 0: name must be a string, got 5"),
+    (lambda raw: _with_key(raw, 0, type=["baseline"]),
+     "predictor baseline: type must be a string, got ['baseline']"),
+    (lambda raw: _with_key(raw, 0, bundle=["x"]),
+     "predictor baseline: bundle must be a string, got ['x']"),
+    (lambda raw: _with_key(raw, 1, command="python3 -m driftbench.echo_predictor"),
+     "predictor echo: command must be a list of strings, "
+     "got 'python3 -m driftbench.echo_predictor'"),
+    (lambda raw: _with_key(raw, 1, command=["python3", 5]),
+     "predictor echo: command must be a list of strings, got ['python3', 5]"),
 ], ids=["not-an-object", "unknown-key", "seed-not-int", "n-blocks-not-int", "n-blocks-below-2",
         "datasets-int", "predictors-int", "datasets-object", "options-list",
         "unknown-option", "invalid-option", "unknown-encoder", "decay-zero", "decay-negative",
         "decay-above-one", "smoothing-negative", "smoothing-nan", "options-on-command",
         "command-on-baseline", "initial-trees-float", "max-depth-float", "window-float",
-        "cap-float", "decay-bool", "option-seed-str", "learning-rate-str"])
+        "cap-float", "decay-bool", "option-seed-str", "learning-rate-str", "seed-negative",
+        "option-seed-negative", "learning-rate-huge", "data-dir-int", "output-dir-list",
+        "name-int", "type-list", "bundle-list", "command-str", "command-int-arg"])
 def test_top_level_config_fault_is_config_error(tmp_path, capsys, edit, message):
     config = write_config(tmp_path, n_datasets=1)
     assert main(["generate", "--config", str(config)]) == 0
@@ -531,8 +605,11 @@ def test_leaderboard_malformed_submission_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad"
     bad.mkdir()
     header = {"team": "x", "bundle": "Py3", "duration_seconds": 1.0}
+    scored = {"a": {"auc": 0.5, "disqualified": False}}
     for payload in ({"team": "x"}, dict(header, datasets={"a": 1}),
-                    dict(header, datasets=[]), dict(header, datasets={}), []):
+                    dict(header, datasets=[]), dict(header, datasets={}), [],
+                    dict(header, team=5, datasets=scored),
+                    dict(header, bundle=["x"], datasets=scored)):
         (bad / "submission.json").write_text(json.dumps(payload))
         assert main(["leaderboard", str(bad), "--out", str(tmp_path)]) == 1
         assert f"error: {bad / 'submission.json'}: malformed submission file (" \

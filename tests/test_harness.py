@@ -11,7 +11,6 @@ from driftbench.data import BlockPlan, ChronoDataset, FeatureKind, FeatureSchema
 from driftbench.harness import (
     ConstantPredictor,
     DatasetRef,
-    PhaseConfig,
     SubprocessPredictor,
     run_lifelong,
     run_suite,
@@ -233,20 +232,19 @@ def suite_on_disk(tmp_path, n_datasets=3, rows=200, budget=60.0):
         schema = tmp_path / f"ds{i}.schema.csv"
         save_dataset(ds, data, schema)
         refs.append(DatasetRef(f"ds{i}", data, schema, budget))
-    return PhaseConfig(datasets=tuple(refs), n_blocks=5)
+    return refs
 
 
 def test_suite_runs_every_dataset(tmp_path):
-    phase = suite_on_disk(tmp_path)
-    scores = run_suite(phase, lambda ref: ConstantPredictor())
+    refs = suite_on_disk(tmp_path)
+    scores = run_suite(refs, 5, lambda ref: ConstantPredictor())
     assert [s.dataset_id for s in scores] == ["ds0", "ds1", "ds2"]
     assert all(not s.disqualified for s in scores)
     assert all(s.mean_auc == 0.5 for s in scores)
 
 
 def test_empty_suite():
-    phase = PhaseConfig(datasets=())
-    assert run_suite(phase, lambda ref: ConstantPredictor()) == []
+    assert run_suite([], 10, lambda ref: ConstantPredictor()) == []
 
 
 # Frozen from the first smoke run of this exact configuration; any drift
@@ -272,7 +270,6 @@ def test_baseline_suite_regression_pin(tmp_path):
         schema = tmp_path / f"{i}.schema.csv"
         save_dataset(generate_drift_stream(spec), data, schema)
         refs.append(DatasetRef(f"suite{i}", data, schema, 120.0))
-    phase = PhaseConfig(datasets=tuple(refs), n_blocks=8)
 
     def factory(ref):
         from driftbench.baseline import BaselineConfig, BaselinePredictor
@@ -280,7 +277,7 @@ def test_baseline_suite_regression_pin(tmp_path):
             initial_trees=12, trees_per_block=4, max_depth=2,
             learning_rate=0.3, seed=42))
 
-    scores = run_suite(phase, factory)
+    scores = run_suite(refs, 8, factory)
     assert len(scores) == 5
     assert all(not s.disqualified for s in scores)
     for s in scores:
@@ -288,38 +285,33 @@ def test_baseline_suite_regression_pin(tmp_path):
 
 
 def test_suite_isolates_failures(tmp_path):
-    phase = suite_on_disk(tmp_path, budget=0.5)
+    refs = suite_on_disk(tmp_path, budget=0.5)
 
     def factory(ref):
         if ref.dataset_id == "ds1":
             return SleepyPredictor(sleep_at_step=1, sleep_seconds=1.0)
         return ConstantPredictor()
 
-    scores = run_suite(phase, factory)
+    scores = run_suite(refs, 5, factory)
     assert len(scores) == 3
     assert [s.disqualified for s in scores] == [False, True, False]
 
 
 def test_suite_isolates_missing_files(tmp_path):
-    phase = suite_on_disk(tmp_path, n_datasets=2)
-    broken = PhaseConfig(
-        datasets=(DatasetRef("gone", tmp_path / "missing.csv",
-                             tmp_path / "missing.schema.csv", 60.0),)
-        + phase.datasets,
-        n_blocks=5,
-    )
-    scores = run_suite(broken, lambda ref: ConstantPredictor())
+    gone = DatasetRef("gone", tmp_path / "missing.csv", tmp_path / "missing.schema.csv", 60.0)
+    refs = [gone, *suite_on_disk(tmp_path, n_datasets=2)]
+    scores = run_suite(refs, 5, lambda ref: ConstantPredictor())
     assert [s.disqualified for s in scores] == [True, False, False]
 
 
 def test_budget_must_be_positive():
     with pytest.raises(ValueError):
-        PhaseConfig(datasets=(DatasetRef("d", "x", "y", 0.0),))
+        DatasetRef("d", "x", "y", 0.0)
 
 
 def test_infinite_budget_is_rejected():
     with pytest.raises(ValueError, match="positive and finite"):
-        PhaseConfig(datasets=(DatasetRef("d", "x", "y", float("inf")),))
+        DatasetRef("d", "x", "y", float("inf"))
     with pytest.raises(ValueError, match="positive and finite"):
         run_lifelong(indexed_dataset(10), plan_blocks(10, 2), RecordingPredictor(),
                      budget_seconds=float("inf"))
@@ -379,13 +371,13 @@ def script_predictor(tmp_path, source, name):
     script = tmp_path / f"{name}.py"
     script.write_text(source)
     return SubprocessPredictor([sys.executable, str(script)],
-                               workdir=tmp_path / f"{name}_work", name=name)
+                               workdir=tmp_path / f"{name}_work")
 
 
 def test_echo_predictor_scores_half(tmp_path):
     ds = indexed_dataset(40)
     pred = SubprocessPredictor([sys.executable, "-m", "driftbench.echo_predictor"],
-                               workdir=tmp_path / "echo", name="echo")
+                               workdir=tmp_path / "echo")
     trace = run_lifelong(ds, plan_blocks(40, 4), pred, budget_seconds=60)
     assert trace.outcome == "completed"
     assert [s.auc for s in trace.steps] == [0.5, 0.5, 0.5]
@@ -502,7 +494,7 @@ def test_reference_predictor_speaks_the_protocol(tmp_path, monkeypatch):
                         n_blocks=5, seed=0)
     ds = generate_drift_stream(spec)
     pred = SubprocessPredictor([sys.executable, "-m", "driftbench.reference_predictor"],
-                               workdir=tmp_path / "ref", name="ref")
+                               workdir=tmp_path / "ref")
     trace = run_lifelong(ds, plan_blocks(len(ds), 5), pred, budget_seconds=60)
     assert trace.outcome == "completed"
     assert len(trace.steps) == 4
@@ -513,10 +505,20 @@ def test_reference_predictor_rejects_a_mistyped_option(tmp_path, monkeypatch):
     monkeypatch.setenv("DRIFTBENCH_BASELINE_CONFIG", '{"max_depth": 2.5}')
     ds = generate_drift_stream(DriftGenSpec(n_rows=60, n_cat=1, n_num=1, n_blocks=3, seed=0))
     pred = SubprocessPredictor([sys.executable, "-m", "driftbench.reference_predictor"],
-                               workdir=tmp_path / "ref", name="ref")
+                               workdir=tmp_path / "ref")
     trace = run_lifelong(ds, plan_blocks(len(ds), 3), pred, budget_seconds=60)
     assert trace.outcome == "predictor-error"
     assert "max_depth must be an integer, got 2.5" in trace.error
+
+
+def test_reference_predictor_rejects_a_negative_seed(tmp_path, monkeypatch):
+    monkeypatch.setenv("DRIFTBENCH_BASELINE_CONFIG", '{"seed": -1}')
+    ds = generate_drift_stream(DriftGenSpec(n_rows=60, n_cat=1, n_num=1, n_blocks=3, seed=0))
+    pred = SubprocessPredictor([sys.executable, "-m", "driftbench.reference_predictor"],
+                               workdir=tmp_path / "ref")
+    trace = run_lifelong(ds, plan_blocks(len(ds), 3), pred, budget_seconds=60)
+    assert trace.outcome == "predictor-error"
+    assert "seed must be >= 0, got -1" in trace.error
 
 
 HOLD_SCRIPT = PRELUDE + """

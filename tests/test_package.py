@@ -8,8 +8,9 @@ TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def test_echo_predictor_import_leaves_numpy_out():
-    # The constant predictor runs once per step as a fresh process, so
-    # whatever the package import pulls in is billed to every step.
+    # The constant predictor starts as a fresh process once per dataset,
+    # and the launch is billed to the dataset's first step, so whatever the
+    # package import pulls in is billed too.
     code = "import sys, driftbench.echo_predictor; assert 'numpy' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -99,6 +99,10 @@ def test_invalid_specs_rejected():
         desk_spec("Z", n_rows=10)
     typed = DriftGenSpec(n_rows=np.int64(10), n_cat=1, n_num=1, drift_magnitude=2)
     assert (type(typed.n_rows), type(typed.drift_magnitude)) == (int, float)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        DriftGenSpec(n_rows=10, n_cat=1, n_num=1, seed=-1)
+    with pytest.raises(ValueError, match="^drift_magnitude must be a finite number, got an integer"):
+        DriftGenSpec(n_rows=10, n_cat=1, n_num=1, drift_magnitude=10**400)
 
 
 def _linear_scores(ds, fit_rows):
