@@ -161,7 +161,9 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
             datasets.append(DatasetSpec(
                 dataset_id=dataset_id, phase=phase, gen=gen, budget_seconds=budget,
             ))
-        except (KeyError, ValueError, TypeError) as exc:
+        except KeyError as exc:
+            raise ConfigError(f"dataset entry {i}: missing key {exc}")
+        except (ValueError, TypeError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"dataset entry {i}: {exc}")
@@ -343,14 +345,22 @@ def cmd_evaluate(config: RunConfig, phase_name: str, predictor_names: list[str],
 
 def cmd_leaderboard(score_dirs: list[Path], merge: bool, out_dir: Path) -> int:
     entries = []
+    source: dict[tuple[str, str], Path] = {}   # (bundle, team) -> score directory
     for d in score_dirs:
         sub = Path(d) / "submission.json"
         if not sub.exists():
             raise ConfigError(f"{d}: no submission.json found")
         try:
-            entries.append(read_submission(sub))
+            entry = read_submission(sub)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{sub}: malformed submission file ({exc})")
+        key = (entry.bundle, entry.team)
+        if key in source:
+            # A board row per submission would rank the team twice.
+            raise ConfigError(f"team {entry.team!r} submitted twice to bundle "
+                              f"{entry.bundle!r}: {source[key]} and {d}")
+        source[key] = d
+        entries.append(entry)
     if not entries:
         raise ConfigError("no score directories given")
 

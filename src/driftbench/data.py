@@ -282,6 +282,10 @@ def _read_data(path: str | Path, schema: FeatureSchema, *, with_labels: bool):
     if not lines:
         raise DatasetFormatError(f"{path}: empty data file")
     header = lines[0].split(",")
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        # header.index below would read the first copy and silently drop the rest.
+        raise DatasetFormatError(f"{path}: header repeats column {repeated[0]!r}")
     expected = list(schema.names) + ([schema.label] if with_labels else [])
     missing = [name for name in expected if name not in header]
     if missing:

@@ -83,7 +83,10 @@ def build_leaderboard(entries: Sequence[SubmissionEntry],
     datasets = tuple(datasets)
     if not entries:
         return Leaderboard(datasets, ())
+    teams = [e.team for e in entries]
     for entry in entries:
+        if teams.count(entry.team) > 1:
+            raise ValueError(f"{entry.team}: more than one entry")
         missing = [d for d in datasets if d not in entry.aucs]
         if missing:
             raise ValueError(f"{entry.team}: no AUC for dataset {missing[0]!r}")
@@ -123,16 +126,16 @@ def merge_bundles(entries_by_bundle: Mapping[str, Sequence[SubmissionEntry]],
     Teams that submitted to more than one bundle are removed before the
     remaining entries are re-ranked together.
     """
-    seen: dict[str, int] = {}
-    for bundle_entries in entries_by_bundle.values():
+    bundles_of: dict[str, set[str]] = {}
+    for bundle, bundle_entries in entries_by_bundle.items():
         for e in bundle_entries:
-            seen[e.team] = seen.get(e.team, 0) + 1
-    excluded = tuple(sorted(team for team, n in seen.items() if n > 1))
+            bundles_of.setdefault(e.team, set()).add(bundle)
+    excluded = tuple(sorted(team for team, bundles in bundles_of.items() if len(bundles) > 1))
     merged = [
         e
         for bundle_entries in entries_by_bundle.values()
         for e in bundle_entries
-        if seen[e.team] == 1
+        if len(bundles_of[e.team]) == 1
     ]
     board = build_leaderboard(merged, datasets)
     return Leaderboard(board.datasets, board.rows, excluded_teams=excluded)

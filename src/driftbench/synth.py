@@ -100,7 +100,14 @@ def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
     """Generate one stream per ``spec``; deterministic given the seed.
 
     Every feature column is built once, as a list of cells in schema order,
-    and the rows are its transpose.
+    and the rows are its transpose.  A categorical column's effect is
+    looked up per row, ``cos(angle) * e_a[codes] + sin(angle) * e_b[codes]``:
+    elementwise the operations of ``_rotated(e_a, e_b, angle)[rows, codes]``,
+    so the same bits, without a rows x cardinality table.  A multi-valued
+    column does the same over its (rows, 3) draws.  Category cells come
+    from one name table ``v1 .. v{cardinality}`` by index, numeric cells
+    from one ``%.6f`` format call per column, and multi-valued cells from
+    the name table and the draws' keep mask.
     """
     rng = np.random.default_rng(spec.seed)
     n, card = spec.n_rows, spec.cat_cardinality
@@ -116,6 +123,7 @@ def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
         else:  # abrupt: switch at the midpoint block
             t = (block >= spec.n_blocks // 2).astype(np.float64)
     angle = t * spec.drift_magnitude
+    cos, sin = np.cos(angle), np.sin(angle)
 
     # Latent parameters: a base direction and an orthogonal drift target,
     # drawn for the numeric weights and for every categorical effect table.
@@ -124,44 +132,52 @@ def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
     probs = power_law_probs(card, spec.power_exponent)
     cat_eff = [(rng.standard_normal(card), rng.standard_normal(card)) for _ in range(spec.n_cat)]
     mvc_eff = [(rng.standard_normal(card), rng.standard_normal(card)) for _ in range(spec.n_mvc)]
+    names = np.array([f"v{code + 1}" for code in range(card)], dtype=object)
 
     score = np.zeros(n)
     columns: list[list[str]] = []
     # One draw for all categorical columns reads the same stream as one per
     # column; made before any cell string, it also keeps peak memory down.
     for (e_a, e_b), codes in zip(cat_eff, rng.choice(card, size=(spec.n_cat, n), p=probs)):
-        score += _rotated(e_a, e_b, angle)[np.arange(n), codes]
-        columns.append([f"v{code + 1}" for code in codes.tolist()])
+        score += cos * e_a[codes] + sin * e_b[codes]
+        columns.append(names[codes].tolist())
 
     x_num = rng.standard_normal((n, spec.n_num))
     if spec.n_num:
         score += np.einsum("ij,ij->i", x_num, _rotated(w_a, w_b, angle))
-    columns += [[f"{x:.6f}" for x in col.tolist()] for col in x_num.T]
+    cell_format = ",".join(["%.6f"] * n)
+    columns += [(cell_format % tuple(col.tolist())).split(",") for col in x_num.T]
 
+    joined_names = MVC_SEPARATOR + names
     for e_a, e_b in mvc_eff:
         counts = rng.integers(1, MVC_MAX_TOKENS + 1, size=n)
         draws = rng.choice(card, size=(n, MVC_MAX_TOKENS), p=probs)
-        eff = _rotated(e_a, e_b, angle)[np.arange(n)[:, None], draws]
+        eff = cos[:, None] * e_a[draws] + sin[:, None] * e_b[draws]
         # A cell's tokens are its first `count` draws, duplicates dropped.
         # Their effects are summed in draw order and divided by their count:
         # the same operations, so the same bits, as a mean per row.
         keep = np.arange(MVC_MAX_TOKENS) < counts[:, None]
         total = eff[:, 0].copy()
+        cells = names[draws[:, 0]]
         for j in range(1, MVC_MAX_TOKENS):
-            keep[:, j] &= (draws[:, :j] != draws[:, j:j + 1]).all(axis=1)
-            np.add(total, eff[:, j], out=total, where=keep[:, j])
+            kept = keep[:, j]   # a view: a duplicate dropped here is dropped from keep
+            kept &= (draws[:, :j] != draws[:, j:j + 1]).all(axis=1)
+            np.add(total, eff[:, j], out=total, where=kept)
+            cells[kept] += joined_names[draws[kept, j]]
         score += total / keep.sum(axis=1)
-        columns.append([MVC_SEPARATOR.join(f"v{tok + 1}" for tok, kept in zip(row, keeps) if kept)
-                        for row, keeps in zip(draws.tolist(), keep.tolist())])
+        columns.append(cells.tolist())
 
     for _ in range(spec.n_time):
         ticks = np.cumsum(rng.integers(0, 3, size=n))
-        columns.append([str(tick) for tick in (1_600_000_000 + ticks).tolist()])
+        columns.append(list(map(str, (1_600_000_000 + ticks).tolist())))
 
     std = score.std()
     if std > 0:
         score = score / std
-    p = 1.0 / (1.0 + np.exp(-LABEL_SHARPNESS * score))
+    # A score constant up to rounding (one category, no numeric column)
+    # standardizes to huge values; its logistic saturates to 0 or 1.
+    with np.errstate(over="ignore"):
+        p = 1.0 / (1.0 + np.exp(-LABEL_SHARPNESS * score))
     labels = (rng.random(n) < p).astype(np.int64)
 
     return ChronoDataset(

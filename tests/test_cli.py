@@ -356,6 +356,21 @@ def test_dataset_entry_fault_is_config_error(tmp_path, capsys, command, edit, me
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["id", "budget_seconds"])
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_dataset_entry_missing_key_is_config_error(tmp_path, capsys, command, key):
+    config = write_config(tmp_path, n_datasets=2)
+    raw = json.loads(config.read_text())
+    del raw["datasets"][0][key]
+    config.write_text(json.dumps(raw))
+    argv = [command, "--config", str(config)]
+    if command == "evaluate":
+        argv += ["--predictor", "baseline"]
+    assert main(argv) == 1
+    assert f"error: dataset entry 0: missing key '{key}'\n" == capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "evaluate"])
 def test_unknown_dataset_key_is_config_error(tmp_path, capsys, command):
     config = write_config(tmp_path, n_datasets=2)
@@ -585,6 +600,19 @@ def test_leaderboard_merge_excludes_double_submitters(tmp_path, capsys):
     teams = [line.split(",")[2] for line in merged[1:]]
     assert teams == ["solo", "other"]
     assert "dup_a" in capsys.readouterr().out
+
+
+def test_leaderboard_repeated_team_in_a_bundle_is_config_error(tmp_path, capsys):
+    a = submission_dir(tmp_path, "same", (0.9,) * 5, 10.0)
+    b = tmp_path / "copy"
+    b.mkdir()
+    (b / "submission.json").write_bytes((a / "submission.json").read_bytes())
+    out = tmp_path / "boards"
+    assert main(["leaderboard", str(a), str(b), "--merge", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: team 'same' submitted twice to bundle 'Py3': {a} and {b}\n"
+    assert "multiple bundles" not in captured.out
+    assert not out.exists()
 
 
 def test_leaderboard_single_submission(tmp_path):

@@ -83,6 +83,14 @@ def test_missing_column_in_header(tmp_path):
         load_dataset(data, schema)
 
 
+@pytest.mark.parametrize("header, column", [("x,color,x,y", "x"), ("x,color,y,y", "y")])
+def test_repeated_header_column_names_file_and_column(tmp_path, header, column):
+    data, schema = write_pair(tmp_path, f"{header}\n1.0,red,0,1\n", SCHEMA_2COL)
+    with pytest.raises(DatasetFormatError) as info:
+        load_dataset(data, schema)
+    assert str(info.value) == f"{data}: header repeats column {column!r}"
+
+
 def test_unknown_kind_token(tmp_path):
     data, schema = write_pair(
         tmp_path, "x,y\n1.0,0\n", "x,numeric\ny,label\n"

@@ -197,6 +197,16 @@ def test_merge_excludes_double_dippers():
     assert merged.rows[0].dataset_ranks == (1,) * 5
 
 
+def test_repeated_team_is_rejected_not_excluded():
+    a = [entry("twice", (0.6,) * 5, 1.0, bundle="env-a"),
+         entry("twice", (0.5,) * 5, 2.0, bundle="env-a")]
+    with pytest.raises(ValueError, match="^twice: more than one entry$"):
+        build_leaderboard(a, DATASETS)
+    with pytest.raises(ValueError, match="^twice: more than one entry$"):
+        merge_bundles({"env-a": a, "env-b": [entry("other", (0.4,) * 5, 1.0, bundle="env-b")]},
+                      DATASETS)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -1,7 +1,10 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftbench.baseline import BaselineConfig, fit_initial, predict_scores
 from driftbench.data import FeatureKind, plan_blocks, save_dataset
@@ -9,6 +12,7 @@ from driftbench.encoding import fit_dataset_encoders, transform_rows
 from driftbench.metrics import auc
 from driftbench.synth import (
     DATASET_SHAPES,
+    DRIFT_PROFILES,
     DriftGenSpec,
     _rotated,
     build_schema,
@@ -103,6 +107,29 @@ def test_invalid_specs_rejected():
         DriftGenSpec(n_rows=10, n_cat=1, n_num=1, seed=-1)
     with pytest.raises(ValueError, match="^drift_magnitude must be a finite number, got an integer"):
         DriftGenSpec(n_rows=10, n_cat=1, n_num=1, drift_magnitude=10**400)
+
+
+def test_high_cardinality_stream_stays_small():
+    # Effects are looked up per row: no (rows x cardinality) table, which
+    # at 400 rows and 10 000 categories would take 32 MB each.
+    spec = DriftGenSpec(n_rows=400, n_cat=2, n_num=2, n_mvc=1, n_time=1, n_blocks=10,
+                        drift="gradual", drift_magnitude=1.0, cat_cardinality=10_000, seed=1)
+    tracemalloc.start()
+    try:
+        generate_drift_stream(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_constant_score_saturates_without_a_warning():
+    # One category and no numeric column: the score is constant up to
+    # rounding, standardizes to huge values, and exp overflows.  The
+    # suite turns a RuntimeWarning into an error.
+    ds = generate_drift_stream(DriftGenSpec(n_rows=18, n_cat=0, n_num=0, n_mvc=1, n_time=0,
+                                            n_blocks=1, cat_cardinality=1, seed=211))
+    assert ds.labels.tolist() == [0] * 18
 
 
 def _linear_scores(ds, fit_rows):
@@ -291,4 +318,29 @@ def test_column_generator_matches_reference(shape):
 ], ids=["cardinality-1", "num-only", "cat-only", "mvc-only", "time-only",
         "one-row", "one-row-blocks"])
 def test_column_generator_matches_reference_edge_specs(spec):
+    _assert_matches_reference(spec)
+
+
+@st.composite
+def small_specs(draw):
+    counts = draw(st.tuples(*[st.integers(0, 3)] * 4).filter(lambda c: sum(c) >= 1))
+    n_rows = draw(st.integers(1, 60))
+    return DriftGenSpec(
+        n_rows=n_rows, n_cat=counts[0], n_num=counts[1], n_mvc=counts[2], n_time=counts[3],
+        n_blocks=draw(st.integers(1, n_rows)),
+        drift=draw(st.sampled_from(DRIFT_PROFILES)),
+        drift_magnitude=draw(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)),
+        cat_cardinality=draw(st.integers(1, 40)),
+        power_exponent=draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
+                                      allow_infinity=False)),
+        seed=draw(st.integers(min_value=0, max_value=2**128)),
+    )
+
+
+# The oracle's logistic overflows, to the right 0 or 1, on a score that is
+# constant up to rounding.
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(small_specs())
+def test_column_generator_matches_reference_on_random_specs(spec):
     _assert_matches_reference(spec)
