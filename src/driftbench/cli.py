@@ -103,6 +103,12 @@ def _config_list(raw: dict, key: str) -> list:
     return value
 
 
+def _is_plain_name(name: str) -> bool:
+    """Whether ``name`` can serve as one file name: dataset ids name the
+    stream files in ``data_dir``, predictor names their output directory."""
+    return name not in ("", ".", "..") and "/" not in name and os.sep not in name
+
+
 def _derived_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
@@ -152,6 +158,8 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
                 fields.update(shape_columns(d["shape"]))
             fields.update((field, d[key]) for key, field in _STREAM_KEYS.items() if key in d)
             gen = DriftGenSpec(**fields, n_blocks=n_blocks, seed=_derived_seed(seed, i))
+            if not _is_plain_name(gen.dataset_id):
+                raise ConfigError(f"dataset entry {i}: id {dataset_id!r} is not a plain file name")
             budget = typed_scalar("budget_seconds", d["budget_seconds"], float)
             if not budget > 0:
                 raise ConfigError(f"dataset {dataset_id}: budget_seconds must be > 0, got {budget}")
@@ -177,6 +185,8 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
             raise ConfigError(f"predictor entry {i}: missing key {exc}")
         except TypeError as exc:
             raise ConfigError(f"predictor entry {i}: {exc}")
+        if not _is_plain_name(name):
+            raise ConfigError(f"predictor entry {i}: name {name!r} is not a plain file name")
         if any(spec.name == name for spec in predictors):
             raise ConfigError(f"predictor entry {i}: duplicate name {name!r}")
         try:
@@ -228,13 +238,16 @@ def dataset_paths(config: RunConfig, spec: DatasetSpec) -> tuple[Path, Path]:
 
 
 def cmd_generate(config: RunConfig) -> int:
+    """Synthesize and save every configured stream, one at a time: each
+    is saved and freed before the next is synthesized, so peak memory
+    follows the largest stream, not two of them."""
     config.data_dir.mkdir(parents=True, exist_ok=True)
     print(f"{'dataset':>8} {'phase':>9} {'budget(s)':>10} {'cat':>5} {'num':>5} "
           f"{'mvc':>5} {'time':>5} {'features':>9} {'rows':>8}")
     for spec in config.datasets:
-        dataset = generate_drift_stream(spec.gen)
         data_path, schema_path = dataset_paths(config, spec)
-        save_dataset(dataset, data_path, schema_path)
+        # No name holds the stream, so it is freed as save_dataset returns.
+        save_dataset(generate_drift_stream(spec.gen), data_path, schema_path)
         g = spec.gen
         print(f"{spec.dataset_id:>8} {spec.phase:>9} {spec.budget_seconds:>10.1f} "
               f"{g.n_cat:>5} {g.n_num:>5} {g.n_mvc:>5} {g.n_time:>5} "

@@ -16,7 +16,7 @@ import numbers
 import operator
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -269,19 +269,31 @@ def write_rows(path: str | Path, schema: FeatureSchema,
             fh.writelines(f"{','.join(row)},{int(y)}\n" for row, y in zip(rows, labels))
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
+def _read_lines(path: str | Path) -> Iterator[str]:
+    """The file's lines, one at a time, without their newline.
+
+    Universal newlines; a final empty line is dropped (the file's last
+    newline ends a line, it does not start one), and a blank line anywhere
+    else is kept.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            yield line.rstrip("\n")
 
 
 def _read_data(path: str | Path, schema: FeatureSchema, *, with_labels: bool):
+    """Parse a data file into row tuples (schema order) and labels.
+
+    Lines are parsed as :func:`_read_lines` yields them, so the file's text
+    and its list of lines are never held beside the rows built from them: a
+    load peaks at about what it returns, and the judge, which holds one
+    stream at a time, peaks with the largest stream.
+    """
     lines = _read_lines(path)
-    if not lines:
+    first = next(lines, None)
+    if first is None:
         raise DatasetFormatError(f"{path}: empty data file")
-    header = lines[0].split(",")
+    header = first.split(",")
     repeated = [name for i, name in enumerate(header) if name in header[:i]]
     if repeated:
         # header.index below would read the first copy and silently drop the rest.
@@ -303,7 +315,7 @@ def _read_data(path: str | Path, schema: FeatureSchema, *, with_labels: bool):
     rows: list[tuple[str, ...]] = []
     labels: list[int] = []
     width = len(header)
-    for lineno, line in enumerate(lines[1:], start=1):
+    for lineno, line in enumerate(lines, start=1):
         cells = line.split(",")
         if len(cells) != width:
             raise DatasetFormatError(

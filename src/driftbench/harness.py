@@ -247,17 +247,15 @@ def run_suite(datasets: Sequence[DatasetRef], n_blocks: int,
     into ``n_blocks`` blocks.
 
     Failures are isolated: a dataset that cannot be loaded or evaluated is
-    scored 0 / disqualified and the suite continues.
+    scored 0 / disqualified and the suite continues.  The suite holds one
+    stream at a time: a dataset, its plan and its predictor live only in
+    :func:`_run_dataset` and are freed before the next dataset is loaded,
+    so peak memory follows the largest stream, not two of them.
     """
     results: list[EvaluationTrace] = []
     for ref in datasets:
         try:
-            dataset = load_dataset(ref.data_path, ref.schema_path,
-                                   provenance=ref.dataset_id)
-            plan = plan_blocks(len(dataset), n_blocks)
-            predictor = make_predictor(ref)
-            trace = run_lifelong(dataset, plan, predictor, ref.budget_seconds,
-                                 dataset_id=ref.dataset_id)
+            trace = _run_dataset(ref, n_blocks, make_predictor)
         except Exception as exc:  # noqa: BLE001 -- error isolation contract
             trace = EvaluationTrace(
                 dataset_id=ref.dataset_id, steps=(), total_elapsed_seconds=0.0,
@@ -266,6 +264,15 @@ def run_suite(datasets: Sequence[DatasetRef], n_blocks: int,
             )
         results.append(trace)
     return results
+
+
+def _run_dataset(ref: DatasetRef, n_blocks: int,
+                 make_predictor: Callable[[DatasetRef], PredictorAdapter]) -> EvaluationTrace:
+    """Load one dataset and run a fresh predictor through it."""
+    dataset = load_dataset(ref.data_path, ref.schema_path, provenance=ref.dataset_id)
+    plan = plan_blocks(len(dataset), n_blocks)
+    return run_lifelong(dataset, plan, make_predictor(ref), ref.budget_seconds,
+                        dataset_id=ref.dataset_id)
 
 
 # ---------------------------------------------------------------------------

@@ -171,11 +171,14 @@ def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
         ticks = np.cumsum(rng.integers(0, 3, size=n))
         columns.append(list(map(str, (1_600_000_000 + ticks).tolist())))
 
-    std = score.std()
-    if std > 0:
-        score = score / std
-    # A score constant up to rounding (one category, no numeric column)
-    # standardizes to huge values; its logistic saturates to 0 or 1.
+    # Only a score that varies is standardized.  A constant one (one
+    # category, no numeric column, no drift) has a std of rounding noise,
+    # and dividing by it would draw the labels from that noise.
+    if np.ptp(score) > 0:
+        score = score / score.std()
+    # A score that varies only by rounding (a drift too small to change
+    # more than its last bits) still standardizes to huge values; its
+    # logistic saturates to 0 or 1.
     with np.errstate(over="ignore"):
         p = 1.0 / (1.0 + np.exp(-LABEL_SHARPNESS * score))
     labels = (rng.random(n) < p).astype(np.int64)

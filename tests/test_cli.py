@@ -371,6 +371,38 @@ def test_dataset_entry_missing_key_is_config_error(tmp_path, capsys, command, ke
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "sub/x", "../x", "x/"])
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_dataset_id_that_is_not_a_file_name_is_config_error(tmp_path, capsys, command, name):
+    config = write_config(tmp_path, n_datasets=2)
+    raw = json.loads(config.read_text())
+    raw["datasets"][1]["id"] = name
+    config.write_text(json.dumps(raw))
+    argv = [command, "--config", str(config)]
+    if command == "evaluate":
+        argv += ["--predictor", "baseline"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == \
+        f"error: dataset entry 1: id {name!r} is not a plain file name\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../up"])
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_predictor_name_that_is_not_a_file_name_is_config_error(tmp_path, capsys, command,
+                                                               name):
+    config = write_config(tmp_path, extra_predictors=[
+        {"name": name, "type": "baseline", "options": FAST_BASELINE},
+    ])
+    argv = [command, "--config", str(config)]
+    if command == "evaluate":
+        argv += ["--predictor", "baseline"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == \
+        f"error: predictor entry 2: name {name!r} is not a plain file name\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 @pytest.mark.parametrize("command", ["generate", "evaluate"])
 def test_unknown_dataset_key_is_config_error(tmp_path, capsys, command):
     config = write_config(tmp_path, n_datasets=2)

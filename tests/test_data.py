@@ -91,6 +91,49 @@ def test_repeated_header_column_names_file_and_column(tmp_path, header, column):
     assert str(info.value) == f"{data}: header repeats column {column!r}"
 
 
+# What the reader accepts, line by line, and the errors it gives.
+FORMAT_ROWS = (("1.0", "red"), ("2.0", "blue"))
+
+
+@pytest.mark.parametrize("body", [
+    b"x,color,y\r\n1.0,red,0\r\n2.0,blue,1\r\n",
+    b"x,color,y\r1.0,red,0\r2.0,blue,1\r",
+    b"x,color,y\n1.0,red,0\n2.0,blue,1",
+], ids=["crlf", "cr", "no-final-newline"])
+def test_reader_line_ends(tmp_path, body):
+    data, schema = write_pair(tmp_path, "", SCHEMA_2COL)
+    data.write_bytes(body)
+    ds = load_dataset(data, schema)
+    assert ds.rows == FORMAT_ROWS
+    assert ds.labels.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("end", ["\n", ""])
+def test_reader_header_only_file_has_no_rows(tmp_path, end):
+    data, schema = write_pair(tmp_path, "x,color,y" + end, SCHEMA_2COL)
+    ds = load_dataset(data, schema)
+    assert (ds.rows, ds.labels.tolist()) == ((), [])
+    data.write_text("x,color" + end)
+    assert read_unlabeled(data, ds.schema) == ()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty data file"),
+    ("x,color,y\n1.0,red,0\n\n2.0,blue,1\n", "row 1 has 1 cells, expected 3"),
+    ("x,color,y\n1.0,red,0\n2.0,blue,1\n\n", "row 2 has 1 cells, expected 3"),
+    ("x,color,y\n1.0,red,0\n2.0,blue\n", "row 1 has 2 cells, expected 3"),
+    ("x,color,y\r\n1.0,red,0\r\n2.0,blue\r\n", "row 1 has 2 cells, expected 3"),
+    ("x,color,y\n1.0,red,0\n2.0,blue,1,\n", "row 1 has 4 cells, expected 3"),
+], ids=["empty", "blank-line", "two-final-newlines", "short-row", "short-row-crlf",
+        "long-row"])
+def test_reader_format_errors_name_file_and_row(tmp_path, text, message):
+    data, schema = write_pair(tmp_path, "", SCHEMA_2COL)
+    data.write_bytes(text.encode())
+    with pytest.raises(DatasetFormatError) as info:
+        load_dataset(data, schema)
+    assert str(info.value) == f"{data}: {message}"
+
+
 def test_unknown_kind_token(tmp_path):
     data, schema = write_pair(
         tmp_path, "x,y\n1.0,0\n", "x,numeric\ny,label\n"

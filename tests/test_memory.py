@@ -1,0 +1,80 @@
+"""Peak-memory regression tests: the judge holds one stream at a time.
+
+``generate`` saves and frees each stream before it synthesizes the next,
+``run_suite`` frees a dataset and its predictor before it loads the next,
+and the data reader never holds a file's text beside the rows it builds.
+So three streams peak about where one does.  Peaks are read with
+``tracemalloc``, which sees Python objects and numpy buffers alike.
+"""
+
+import json
+import tracemalloc
+
+from driftbench.cli import main
+from driftbench.data import load_dataset, save_dataset
+from driftbench.harness import ConstantPredictor, DatasetRef, run_suite
+from driftbench.synth import desk_spec, generate_drift_stream
+
+ROWS = 1500
+
+
+def traced(fn):
+    """``fn()``, with the bytes its run peaked at and the bytes it left
+    allocated, both over what was allocated before it.  A trace the runner
+    already keeps is left running; only its peak is reset."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak - before, current - before
+
+
+def shape_a_refs(tmp_path, n):
+    refs = []
+    for i in range(n):
+        data, schema = tmp_path / f"a{i}.csv", tmp_path / f"a{i}.schema.csv"
+        save_dataset(generate_drift_stream(desk_spec("A", ROWS, seed=i)), data, schema)
+        refs.append(DatasetRef(f"a{i}", data, schema, 600.0))
+    return refs
+
+
+def test_suite_peaks_at_one_dataset(tmp_path):
+    refs = shape_a_refs(tmp_path, 3)
+    run_suite(refs[:1], 10, lambda ref: ConstantPredictor())   # warm caches
+    one = traced(lambda: run_suite(refs[:1], 10, lambda ref: ConstantPredictor()))
+    three = traced(lambda: run_suite(refs, 10, lambda ref: ConstantPredictor()))
+    assert [t.outcome for t in three[0]] == ["completed"] * 3
+    assert three[1] < 1.2 * one[1]
+
+
+def test_generate_peaks_at_one_stream(tmp_path):
+    def config(n):
+        root = tmp_path / f"n{n}"
+        root.mkdir()
+        datasets = [{"id": f"A{i}", "rows": ROWS, "shape": "A", "budget_seconds": 60.0}
+                    for i in range(n)]
+        path = root / "config.json"
+        path.write_text(json.dumps({"seed": 1, "datasets": datasets}))
+        return str(path)
+
+    one, three = config(1), config(3)
+    assert main(["generate", "--config", one]) == 0                # warm caches
+    code_one, peak_one, _ = traced(lambda: main(["generate", "--config", one]))
+    code_three, peak_three, _ = traced(lambda: main(["generate", "--config", three]))
+    assert (code_one, code_three) == (0, 0)
+    assert peak_three < 1.2 * peak_one
+
+
+def test_load_peaks_at_what_it_returns(tmp_path):
+    (ref,) = shape_a_refs(tmp_path, 1)
+    load_dataset(ref.data_path, ref.schema_path)                    # warm caches
+    dataset, peak, kept = traced(lambda: load_dataset(ref.data_path, ref.schema_path))
+    assert len(dataset) == ROWS
+    assert peak < 1.05 * kept

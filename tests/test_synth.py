@@ -124,12 +124,32 @@ def test_high_cardinality_stream_stays_small():
 
 
 def test_constant_score_saturates_without_a_warning():
-    # One category and no numeric column: the score is constant up to
-    # rounding, standardizes to huge values, and exp overflows.  The
-    # suite turns a RuntimeWarning into an error.
+    # One category and no numeric column: the score is the constant
+    # c = -1.22, which is not standardized, so nothing overflows (the suite
+    # turns a RuntimeWarning into an error).  P(label=1) = 0.025, and
+    # none of the 18 draws falls below it.
     ds = generate_drift_stream(DriftGenSpec(n_rows=18, n_cat=0, n_num=0, n_mvc=1, n_time=0,
                                             n_blocks=1, cat_cardinality=1, seed=211))
     assert ds.labels.tolist() == [0] * 18
+
+
+@pytest.mark.parametrize("seed", [2, 18])
+def test_constant_score_labels_follow_its_probability(seed):
+    # Two one-category columns and no drift: every row's score is the
+    # constant c, the sum of the columns' base effects.  Labels are drawn
+    # at 1 / (1 + exp(-3c)), not from a std of rounding noise, which would
+    # make these streams all 0 (seed 2) or all 1 (seed 18).
+    spec = DriftGenSpec(n_rows=1000, n_cat=2, n_num=0, n_mvc=0, n_time=1, n_blocks=5,
+                        cat_cardinality=1, seed=seed)
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(0)                  # the numeric weights: none
+    rng.standard_normal(0)
+    effects = [(rng.standard_normal(1), rng.standard_normal(1)) for _ in range(spec.n_cat)]
+    c = sum(e_a[0] for e_a, _ in effects)   # no drift: only the base effects count
+    p = 1.0 / (1.0 + np.exp(-3.0 * c))
+    assert 0.3 < p < 0.7
+    rate = generate_drift_stream(spec).labels.mean()
+    assert abs(rate - p) < 4 * np.sqrt(p * (1 - p) / spec.n_rows)
 
 
 def _linear_scores(ds, fit_rows):
@@ -254,9 +274,8 @@ def _reference_generate(spec):
         ticks = np.cumsum(rng.integers(0, 3, size=n))
         time_cols.append(1_600_000_000 + ticks)
 
-    std = score.std()
-    if std > 0:
-        score = score / std
+    if np.ptp(score) > 0:
+        score = score / score.std()
     p = 1.0 / (1.0 + np.exp(-3.0 * score))
     labels = (rng.random(n) < p).astype(np.int64)
 
@@ -315,8 +334,10 @@ def test_column_generator_matches_reference(shape):
     DriftGenSpec(n_rows=1, n_cat=1, n_num=1, n_mvc=1, n_time=1, n_blocks=1, seed=8),
     DriftGenSpec(n_rows=10, n_cat=1, n_num=1, n_mvc=1, n_time=1, n_blocks=10,
                  drift="gradual", drift_magnitude=3.0, power_exponent=0.2, seed=9),
+    DriftGenSpec(n_rows=50, n_cat=2, n_num=0, n_mvc=0, n_time=1, n_blocks=5,
+                 cat_cardinality=1, seed=18),
 ], ids=["cardinality-1", "num-only", "cat-only", "mvc-only", "time-only",
-        "one-row", "one-row-blocks"])
+        "one-row", "one-row-blocks", "constant-score"])
 def test_column_generator_matches_reference_edge_specs(spec):
     _assert_matches_reference(spec)
 
@@ -337,8 +358,9 @@ def small_specs(draw):
     )
 
 
-# The oracle's logistic overflows, to the right 0 or 1, on a score that is
-# constant up to rounding.
+# The oracle's logistic overflows, to the right 0 or 1, on a score that
+# varies only by rounding (a drift too small to change more than its last
+# bits), which standardizes to huge values.
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(small_specs())
