@@ -21,9 +21,8 @@ print(f"stream {ds.provenance}: {len(ds)} rows x {ds.schema.n_features} features
       f" positives {np.mean(ds.labels):.2%}")
 print("first row:", ds.rows[0][:6], "...")
 
-plan = plan_blocks(len(ds), 10)
 print("\nblock plan (10 blocks, earliest blocks absorb any remainder):")
-print("  ", plan.ranges)
+print("  ", plan_blocks(len(ds), 10))
 
 print("\navailable desk shapes (cat, num, mvc, time, budget seconds):")
 for name, shape in DATASET_SHAPES.items():
@@ -45,7 +44,7 @@ for drift, magnitude in [("none", 0.0), ("gradual", 1.5), ("abrupt", 2.5)]:
     stream = generate_drift_stream(moved)
     per_block = [
         float(np.mean(stream.labels[lo:hi]))
-        for lo, hi in plan_blocks(len(stream), 10).ranges
+        for lo, hi in plan_blocks(len(stream), 10)
     ]
     print(f"\n{drift:>8} (magnitude {magnitude}): positive rate per block")
     print("   " + " ".join(f"{p:.2f}" for p in per_block))

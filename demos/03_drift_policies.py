@@ -12,7 +12,6 @@ model learned before the switch turns misleading.  Four strategies:
 import numpy as np
 
 from driftbench.baseline import BaselineConfig, BaselinePredictor
-from driftbench.data import plan_blocks
 from driftbench.harness import run_lifelong
 from driftbench.synth import DriftGenSpec, generate_drift_stream
 
@@ -20,7 +19,6 @@ spec = DriftGenSpec(n_rows=3000, n_cat=3, n_num=4, n_mvc=1, n_time=1,
                     n_blocks=10, drift="abrupt", drift_magnitude=2.5,
                     cat_cardinality=20, seed=3)
 ds = generate_drift_stream(spec)
-plan = plan_blocks(len(ds), spec.n_blocks)
 mid = spec.n_blocks // 2
 base = dict(initial_trees=30, trees_per_block=8, max_depth=3, learning_rate=0.2,
             seed=3)
@@ -37,7 +35,7 @@ print(f"abrupt switch before block {mid}; per-block AUC:\n")
 header = " ".join(f"  b{k}" for k in range(1, spec.n_blocks))
 print(f"{'policy':>18} {header}   post-drift mean")
 for name, predictor in strategies.items():
-    trace = run_lifelong(ds, plan, predictor, budget_seconds=300, dataset_id="demo")
+    trace = run_lifelong(ds, spec.n_blocks, predictor, budget_seconds=300)
     aucs = [s.auc for s in trace.steps]
     post = float(np.mean([s.auc for s in trace.steps if s.step >= mid]))
     row = " ".join(f"{a:.2f}" for a in aucs)

@@ -27,14 +27,12 @@ import sys
 import tempfile
 import textwrap
 
-from driftbench.data import plan_blocks
 from driftbench.harness import SubprocessPredictor, run_lifelong
 from driftbench.synth import DriftGenSpec, generate_drift_stream
 
 spec = DriftGenSpec(n_rows=1500, n_cat=2, n_num=3, n_mvc=1, n_time=1,
                     n_blocks=6, drift="gradual", drift_magnitude=1.0, seed=2)
 ds = generate_drift_stream(spec)
-plan = plan_blocks(len(ds), spec.n_blocks)
 
 os.environ["DRIFTBENCH_BASELINE_CONFIG"] = (
     '{"initial_trees": 20, "trees_per_block": 6, "max_depth": 3,'
@@ -47,8 +45,7 @@ with tempfile.TemporaryDirectory() as scratch:
             [sys.executable, "-m", module],
             workdir=os.path.join(scratch, module.rsplit(".", 1)[1]),
         )
-        trace = run_lifelong(ds, plan, predictor, budget_seconds=120,
-                             dataset_id="demo")
+        trace = run_lifelong(ds, spec.n_blocks, predictor, budget_seconds=120)
         blocks = " ".join(f"{s.auc:.2f}" for s in trace.steps)
         print(f"{module.rsplit('.', 1)[1]:>20}: outcome={trace.outcome} "
               f"blocks [{blocks}] mean {trace.mean_auc:.3f} "

@@ -11,11 +11,12 @@ against the directory containing that file.  Exit codes: 0 on completion,
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
+import functools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .data import save_dataset, typed_scalar
 from .harness import DatasetRef, EvaluationTrace, SubprocessPredictor, run_suite
 from .ranking import (
     SubmissionEntry,
+    board_cell,
     build_leaderboard,
     merge_bundles,
     read_submission,
@@ -160,6 +162,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
             gen = DriftGenSpec(**fields, n_blocks=n_blocks, seed=_derived_seed(seed, i))
             if not _is_plain_name(gen.dataset_id):
                 raise ConfigError(f"dataset entry {i}: id {dataset_id!r} is not a plain file name")
+            board_cell("id", gen.dataset_id)
             budget = typed_scalar("budget_seconds", d["budget_seconds"], float)
             if not budget > 0:
                 raise ConfigError(f"dataset {dataset_id}: budget_seconds must be > 0, got {budget}")
@@ -180,10 +183,10 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     for i, p in enumerate(_config_list(raw, "predictors")):
         _reject_unknown_keys(p, _PREDICTOR_KEYS, f"predictor entry {i}")
         try:
-            name = typed_scalar("name", p["name"], str)
+            name = board_cell("name", typed_scalar("name", p["name"], str))
         except KeyError as exc:
             raise ConfigError(f"predictor entry {i}: missing key {exc}")
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"predictor entry {i}: {exc}")
         if not _is_plain_name(name):
             raise ConfigError(f"predictor entry {i}: name {name!r} is not a plain file name")
@@ -191,8 +194,8 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
             raise ConfigError(f"predictor entry {i}: duplicate name {name!r}")
         try:
             kind = typed_scalar("type", p.get("type", "baseline"), str)
-            bundle = typed_scalar("bundle", p.get("bundle", "default"), str)
-        except TypeError as exc:
+            bundle = board_cell("bundle", typed_scalar("bundle", p.get("bundle", "default"), str))
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"predictor {name}: {exc}")
         if kind not in ("baseline", "command"):
             raise ConfigError(f"predictor {name}: unknown type {kind!r}")
@@ -337,12 +340,19 @@ def cmd_evaluate(config: RunConfig, phase_name: str, predictor_names: list[str],
                                spec.budget_seconds))
     predictors = [config.predictor(name) for name in predictor_names]
 
-    def evaluate(pred: PredictorSpec) -> list[EvaluationTrace]:
-        return _evaluate_one(refs, config.n_blocks, pred, out_dir, workdir)
-
+    evaluate = functools.partial(_evaluate_one, refs, config.n_blocks,
+                                 out_dir=out_dir, workdir=workdir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if jobs > 1 and len(predictors) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    # Each worker is a process of its own, so one predictor's billed time
+    # does not include waiting for another's; more workers than usable
+    # CPUs would make them wait for each other anyway.  concurrent.futures
+    # imports ProcessPoolExecutor, and multiprocessing with it, on first
+    # use, so a serial run does not load them.
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    workers = min(jobs, len(predictors), usable)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             all_scores = list(pool.map(evaluate, predictors))
     else:
         all_scores = [evaluate(p) for p in predictors]
@@ -431,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="scratch root for external predictors "
                          "(default: $DRIFTBENCH_WORKDIR or <out>/work)")
     ev.add_argument("--jobs", type=int, default=1,
-                    help="predictors evaluated concurrently")
+                    help="predictors evaluated concurrently, each in a process of its "
+                         "own (capped at the usable CPUs)")
     ev.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     lb = sub.add_parser("leaderboard", help="rank scored submissions")

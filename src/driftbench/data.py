@@ -136,37 +136,13 @@ class ChronoDataset:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class BlockPlan:
-    """Contiguous half-open row ranges covering a dataset in time order."""
-
-    ranges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if not self.ranges:
-            raise BlockPlanError("a block plan needs at least one block")
-        cursor = 0
-        for i, (lo, hi) in enumerate(self.ranges):
-            if lo != cursor:
-                raise BlockPlanError(f"block {i} starts at {lo}, expected {cursor}")
-            if hi <= lo:
-                raise BlockPlanError(f"block {i} is empty")
-            cursor = hi
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.ranges)
-
-    @property
-    def n_rows(self) -> int:
-        return self.ranges[-1][1]
-
-
-def plan_blocks(n_rows: int, n_blocks: int) -> BlockPlan:
-    """Split ``n_rows`` into ``n_blocks`` contiguous blocks in time order.
+def plan_blocks(n_rows: int, n_blocks: int) -> tuple[tuple[int, int], ...]:
+    """Split ``n_rows`` into ``n_blocks`` contiguous blocks in time order,
+    as half-open ``(lo, hi)`` row ranges that cover ``0 .. n_rows``.
 
     Sizes differ by at most one; when the division is uneven the earliest
-    blocks take the extra row each, so later blocks stay uniform.
+    blocks take the extra row each, so later blocks stay uniform.  Raises
+    :class:`BlockPlanError` for fewer than 2 blocks or more blocks than rows.
     """
     if n_blocks < 2:
         raise BlockPlanError(f"need at least 2 blocks, got {n_blocks}")
@@ -179,7 +155,7 @@ def plan_blocks(n_rows: int, n_blocks: int) -> BlockPlan:
         hi = lo + base + (1 if i < extra else 0)
         ranges.append((lo, hi))
         lo = hi
-    return BlockPlan(tuple(ranges))
+    return tuple(ranges)
 
 
 # ---------------------------------------------------------------------------

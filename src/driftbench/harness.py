@@ -33,7 +33,7 @@ from typing import Callable, NoReturn, Protocol, Sequence
 
 import numpy as np
 
-from .data import BlockPlan, ChronoDataset, FeatureSchema, load_dataset, plan_blocks, write_rows, write_schema
+from .data import ChronoDataset, FeatureSchema, load_dataset, plan_blocks, write_rows, write_schema
 from .metrics import UndefinedAUCError, auc
 
 OUTCOME_COMPLETED = "completed"
@@ -157,32 +157,31 @@ class _BudgetClock:
         return result
 
 
-def run_lifelong(dataset: ChronoDataset, plan: BlockPlan, predictor: PredictorAdapter,
-                 budget_seconds: float, *, dataset_id: str | None = None) -> EvaluationTrace:
+def run_lifelong(dataset: ChronoDataset, n_blocks: int, predictor: PredictorAdapter,
+                 budget_seconds: float) -> EvaluationTrace:
     """Run the predict-then-reveal loop for one dataset and predictor.
 
-    Steps 1..N-1: reveal block k-1 to ``learn``, score ``predict`` on block
-    k.  Aborts on budget overrun (timed-out) or any predictor failure
-    (predictor-error), with an error that names the step; either way the
-    dataset scores 0.  The predictor's optional ``close()`` runs last,
-    whatever the outcome, and is not billed.
+    The dataset is cut with :func:`plan_blocks` into ``n_blocks`` blocks
+    before the predictor is called, so a cut that cannot be made raises
+    BlockPlanError untouched.  Steps 1..N-1: reveal block k-1 to
+    ``learn``, score ``predict`` on block k.  Aborts on budget overrun
+    (timed-out) or any predictor failure (predictor-error), with an error
+    that names the step; either way the dataset scores 0.  The trace is
+    named by ``dataset.provenance``.  The predictor's optional ``close()``
+    runs last, whatever the outcome, and is not billed.
     """
-    if plan.n_blocks < 2:
-        raise ValueError(f"need at least 2 blocks to score one, plan has {plan.n_blocks}")
-    if plan.n_rows != len(dataset):
-        raise ValueError(f"plan covers {plan.n_rows} rows, dataset has {len(dataset)}")
     if not 0 < budget_seconds < math.inf:
         # An infinite budget would leave a child's deadline unrepresentable.
         raise ValueError("budget must be positive and finite")
-    ds_id = dataset_id if dataset_id is not None else dataset.provenance
+    ranges = plan_blocks(len(dataset), n_blocks)
     clock = _BudgetClock(budget_seconds)
     steps: list[StepRecord] = []
     outcome = OUTCOME_COMPLETED
     error = ""
     try:
-        for k in range(1, plan.n_blocks):
-            reveal_lo, reveal_hi = plan.ranges[k - 1]
-            test_lo, test_hi = plan.ranges[k]
+        for k in range(1, n_blocks):
+            reveal_lo, reveal_hi = ranges[k - 1]
+            test_lo, test_hi = ranges[k]
             step_start = clock.consumed
             try:
                 clock.charge(
@@ -222,7 +221,7 @@ def run_lifelong(dataset: ChronoDataset, plan: BlockPlan, predictor: PredictorAd
             close()
 
     return EvaluationTrace(
-        dataset_id=ds_id,
+        dataset_id=dataset.provenance,
         steps=tuple(steps),
         total_elapsed_seconds=clock.consumed,
         outcome=outcome,
@@ -248,7 +247,7 @@ def run_suite(datasets: Sequence[DatasetRef], n_blocks: int,
 
     Failures are isolated: a dataset that cannot be loaded or evaluated is
     scored 0 / disqualified and the suite continues.  The suite holds one
-    stream at a time: a dataset, its plan and its predictor live only in
+    stream at a time: a dataset and its predictor live only in
     :func:`_run_dataset` and are freed before the next dataset is loaded,
     so peak memory follows the largest stream, not two of them.
     """
@@ -270,9 +269,7 @@ def _run_dataset(ref: DatasetRef, n_blocks: int,
                  make_predictor: Callable[[DatasetRef], PredictorAdapter]) -> EvaluationTrace:
     """Load one dataset and run a fresh predictor through it."""
     dataset = load_dataset(ref.data_path, ref.schema_path, provenance=ref.dataset_id)
-    plan = plan_blocks(len(dataset), n_blocks)
-    return run_lifelong(dataset, plan, make_predictor(ref), ref.budget_seconds,
-                        dataset_id=ref.dataset_id)
+    return run_lifelong(dataset, n_blocks, make_predictor(ref), ref.budget_seconds)
 
 
 # ---------------------------------------------------------------------------

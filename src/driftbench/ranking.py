@@ -11,9 +11,12 @@ team id.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
+
+from .data import typed_scalar
 
 
 @dataclass(frozen=True)
@@ -173,9 +176,22 @@ def write_submission(path: str | Path, entry: SubmissionEntry) -> None:
                           encoding="utf-8")
 
 
+def board_cell(what: str, name: str) -> str:
+    """``name``, which a leaderboard writes unquoted as one CSV cell (a
+    team, a bundle or a dataset id); raises ValueError if it holds a
+    comma or a line break."""
+    if any(c in name for c in ",\n\r"):
+        raise ValueError(f"{what} {name!r} holds a comma or line break, "
+                         "which a leaderboard cell cannot")
+    return name
+
+
 def read_submission(path: str | Path) -> SubmissionEntry:
     """Read a file written by :func:`write_submission`; one of another
-    structure raises KeyError, TypeError or ValueError."""
+    structure, or with a value :func:`write_submission` cannot write (an
+    AUC outside [0, 1], a non-bool ``disqualified``, a negative or
+    non-finite duration, a name a leaderboard cell cannot hold), raises
+    KeyError, TypeError or ValueError."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError(f"expected an object, got {type(payload).__name__}")
@@ -184,13 +200,20 @@ def read_submission(path: str | Path) -> SubmissionEntry:
         raise ValueError(f"'datasets' must be an object, got {type(datasets).__name__}")
     if not datasets:
         raise ValueError("'datasets' is empty")
-    for key in ("team", "bundle"):
-        if not isinstance(payload[key], str):
-            raise TypeError(f"{key!r} must be a string, got {payload[key]!r}")
-    return SubmissionEntry(
-        team=payload["team"],
-        bundle=payload["bundle"],
-        aucs={d: float(v["auc"]) for d, v in datasets.items()},
-        duration_seconds=float(payload["duration_seconds"]),
-        disqualified={d: bool(v["disqualified"]) for d, v in datasets.items()},
-    )
+    team = board_cell("team", typed_scalar("team", payload["team"], str))
+    bundle = board_cell("bundle", typed_scalar("bundle", payload["bundle"], str))
+    duration = typed_scalar("duration_seconds", payload["duration_seconds"], float)
+    if not 0 <= duration < math.inf:
+        raise ValueError(f"duration_seconds must be a finite number >= 0, got {duration}")
+    aucs, disqualified = {}, {}
+    for d, v in datasets.items():
+        board_cell("dataset", d)
+        aucs[d] = typed_scalar(f"dataset {d!r}: auc", v["auc"], float)
+        if not 0 <= aucs[d] <= 1:
+            raise ValueError(f"dataset {d!r}: auc must be in [0, 1], got {aucs[d]}")
+        disqualified[d] = v["disqualified"]
+        if not isinstance(disqualified[d], bool):
+            raise TypeError(f"dataset {d!r}: disqualified must be true or false, "
+                            f"got {disqualified[d]!r}")
+    return SubmissionEntry(team=team, bundle=bundle, aucs=aucs,
+                           duration_seconds=duration, disqualified=disqualified)

@@ -116,7 +116,7 @@ def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
     if spec.drift == "none" or spec.drift_magnitude == 0.0 or spec.n_blocks < 2:
         t = np.zeros(n)
     else:
-        sizes = [hi - lo for lo, hi in plan_blocks(n, spec.n_blocks).ranges]
+        sizes = [hi - lo for lo, hi in plan_blocks(n, spec.n_blocks)]
         block = np.repeat(np.arange(spec.n_blocks), sizes)
         if spec.drift == "gradual":
             t = block / (spec.n_blocks - 1)
@@ -171,14 +171,15 @@ def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
         ticks = np.cumsum(rng.integers(0, 3, size=n))
         columns.append(list(map(str, (1_600_000_000 + ticks).tolist())))
 
-    # Only a score that varies is standardized.  A constant one (one
-    # category, no numeric column, no drift) has a std of rounding noise,
-    # and dividing by it would draw the labels from that noise.
-    if np.ptp(score) > 0:
+    # Only a score that varies above rounding level is standardized.  A
+    # constant one (one category, no numeric column), or one that a drift
+    # too small to change more than its last bits leaves constant up to
+    # rounding, has a std of rounding noise, and dividing by it would draw
+    # the labels from that noise.
+    if np.ptp(score) > 1e-12 * np.abs(score).max():
         score = score / score.std()
-    # A score that varies only by rounding (a drift too small to change
-    # more than its last bits) still standardizes to huge values; its
-    # logistic saturates to 0 or 1.
+    # A spread just above that level still standardizes to huge values
+    # (the score is scaled, not centered); its logistic saturates to 0 or 1.
     with np.errstate(over="ignore"):
         p = 1.0 / (1.0 + np.exp(-LABEL_SHARPNESS * score))
     labels = (rng.random(n) < p).astype(np.int64)

@@ -134,18 +134,18 @@ def test_criterion_3_auc_oracle_equivalence():
 def test_criterion_4_label_reveal_monotonicity(tmp_path):
     t0 = time.perf_counter()
     ds = indexed_dataset(200)
-    plan = plan_blocks(200, 10)
+    ranges = plan_blocks(200, 10)
 
     in_process = RecordingPredictor()
-    run_lifelong(ds, plan, in_process, budget_seconds=60)
+    run_lifelong(ds, 10, in_process, budget_seconds=60)
     revealed = []
     for k, (rows, _labels) in enumerate(in_process.learned, start=1):
         revealed.extend(rows)
-        assert tuple(revealed) == ds.rows[: plan.ranges[k - 1][1]]
-        assert in_process.predicted[k - 1] == ds.rows[slice(*plan.ranges[k])]
+        assert tuple(revealed) == ds.rows[: ranges[k - 1][1]]
+        assert in_process.predicted[k - 1] == ds.rows[slice(*ranges[k])]
 
     external = script_predictor(tmp_path, JOURNAL_SCRIPT, "journal")
-    trace = run_lifelong(ds, plan, external, budget_seconds=60)
+    trace = run_lifelong(ds, 10, external, budget_seconds=60)
     assert trace.outcome == "completed"
     journal = [json.loads(line) for line in
                (tmp_path / "journal_work" / "journal.jsonl").read_text().splitlines()]
@@ -153,11 +153,11 @@ def test_criterion_4_label_reveal_monotonicity(tmp_path):
     seen = []
     for entry in journal:
         k = entry["step"]
-        lo, hi = plan.ranges[k - 1]
+        lo, hi = ranges[k - 1]
         assert entry["train_ids"] == [str(i) for i in range(lo, hi)]
         seen.extend(entry["train_ids"])
         assert seen == [str(i) for i in range(hi)]
-        assert entry["test_ids"] == [str(i) for i in range(*plan.ranges[k])]
+        assert entry["test_ids"] == [str(i) for i in range(*ranges[k])]
 
     runtime = time.perf_counter() - t0
     _report(4, runtime < 10.0, f"both transports certified, {runtime:.2f}s")
@@ -172,7 +172,7 @@ def test_criterion_5_budget_enforcement(tmp_path):
                                     workdir=tmp_path / "work")
     ds = indexed_dataset(30)
     t0 = time.perf_counter()
-    trace = run_lifelong(ds, plan_blocks(30, 3), predictor, budget_seconds=budget)
+    trace = run_lifelong(ds, 3, predictor, budget_seconds=budget)
     wall = time.perf_counter() - t0
 
     ok = (trace.outcome == "timed-out"
@@ -189,8 +189,7 @@ def test_criterion_5_budget_enforcement(tmp_path):
 
 def _lifelong_mean_auc(predictor, spec, post_drift_only=False):
     ds = generate_drift_stream(spec)
-    plan = plan_blocks(len(ds), spec.n_blocks)
-    trace = run_lifelong(ds, plan, predictor, budget_seconds=600, dataset_id="x")
+    trace = run_lifelong(ds, spec.n_blocks, predictor, budget_seconds=600)
     assert trace.outcome == "completed"
     blocks = trace.steps
     if post_drift_only:

@@ -340,7 +340,7 @@ def test_boosting_matches_reference_fit(shape, options, monkeypatch):
                          learning_rate=0.3, seed=5, **options)
 
     def grow():
-        (a0, a1), (b0, b1), (c0, c1) = plan_blocks(len(ds), 3).ranges
+        (a0, a1), (b0, b1), (c0, c1) = plan_blocks(len(ds), 3)
         ens = fit_initial(X[a0:a1], y[a0:a1], cfg)
         ens = extend(ens, X[b0:b1], y[b0:b1], cfg)
         return extend(ens, X[c0:c1], y[c0:c1], cfg)
@@ -537,9 +537,9 @@ def test_training_loss_non_increasing_per_iteration():
     ds = generate_drift_stream(spec)
     X = transform_rows(ds.schema, ds.rows, fit_dataset_encoders(ds.schema, ds.rows, ds.labels))
     y = np.asarray(ds.labels, float)
-    plan = plan_blocks(len(ds), 3)
+    ranges = plan_blocks(len(ds), 3)
     cfg = BaselineConfig(seed=5, **FAST)
-    (a0, a1), (b0, b1), _ = plan.ranges
+    (a0, a1), (b0, b1), _ = ranges
     ens = fit_initial(X[a0:a1], y[a0:a1], cfg)
     ens = extend(ens, X[b0:b1], y[b0:b1], cfg)
     assert len(ens.loss_history) == 2
@@ -694,8 +694,7 @@ def test_encoder_names_select_the_encoder(kind, monkeypatch):
 
 def _post_drift_auc(predictor, spec):
     ds = generate_drift_stream(spec)
-    plan = plan_blocks(len(ds), spec.n_blocks)
-    trace = run_lifelong(ds, plan, predictor, budget_seconds=600, dataset_id="x")
+    trace = run_lifelong(ds, spec.n_blocks, predictor, budget_seconds=600)
     assert trace.outcome == "completed"
     mid = spec.n_blocks // 2
     return float(np.mean([s.auc for s in trace.steps if s.step >= mid]))
@@ -720,14 +719,14 @@ def test_non_ordinal_encoders_stay_frozen_on_the_first_block(kind):
     spec = DriftGenSpec(n_rows=600, n_cat=2, n_num=2, n_mvc=1, n_time=1,
                         n_blocks=5, drift="gradual", drift_magnitude=1.0, seed=4)
     ds = generate_drift_stream(spec)
-    plan = plan_blocks(len(ds), spec.n_blocks)
+    ranges = plan_blocks(len(ds), spec.n_blocks)
     cfg = BaselineConfig(cat_encoder=kind, seed=4, **FAST)
     pred = BaselinePredictor(cfg)
-    trace = run_lifelong(ds, plan, pred, budget_seconds=600, dataset_id="x")
+    trace = run_lifelong(ds, spec.n_blocks, pred, budget_seconds=600)
     assert trace.outcome == "completed"
     assert len(trace.steps) == spec.n_blocks - 1
     assert all(np.isfinite(s.auc) for s in trace.steps)
-    lo, hi = plan.ranges[0]
+    lo, hi = ranges[0]
     first = fit_dataset_encoders(ds.schema, ds.rows[lo:hi], ds.labels[lo:hi],
                                  cat_kind=kind, smoothing=cfg.target_smoothing)
     assert pred.encoders == first
@@ -736,16 +735,16 @@ def test_non_ordinal_encoders_stay_frozen_on_the_first_block(kind):
 def test_non_finite_numeric_cell_is_a_predictor_error():
     spec = desk_spec("D", 600, n_blocks=5, drift="gradual", drift_magnitude=1.0, seed=4)
     ds = generate_drift_stream(spec)
-    plan = plan_blocks(len(ds), spec.n_blocks)
+    ranges = plan_blocks(len(ds), spec.n_blocks)
     j = next(j for j, (_, kind) in enumerate(ds.schema.columns)
              if kind is FeatureKind.NUMERICAL)
     name = ds.schema.columns[j][0]
-    lo, hi = plan.ranges[0]
+    lo, hi = ranges[0]
     rows = tuple(row[:j] + ("inf",) + row[j + 1:] if lo <= i < hi and ds.labels[i] == 1
                  else row for i, row in enumerate(ds.rows))
     poisoned = ChronoDataset(ds.schema, rows, ds.labels)
-    trace = run_lifelong(poisoned, plan, BaselinePredictor(BaselineConfig(seed=4, **FAST)),
-                         budget_seconds=600, dataset_id="x")
+    trace = run_lifelong(poisoned, spec.n_blocks, BaselinePredictor(BaselineConfig(seed=4, **FAST)),
+                         budget_seconds=600)
     assert trace.outcome == OUTCOME_PREDICTOR_ERROR
     assert f"column {name!r}: 'inf' is not a finite number" in trace.error
 
@@ -794,7 +793,7 @@ def test_every_block_brings_unseen_categories():
     ds = generate_drift_stream(UNSEEN_SPEC)
     cat = [j for j, (_, kind) in enumerate(ds.schema.columns) if kind is FeatureKind.CATEGORICAL]
     seen: set = set()
-    for k, (lo, hi) in enumerate(plan_blocks(len(ds), UNSEEN_SPEC.n_blocks).ranges):
+    for k, (lo, hi) in enumerate(plan_blocks(len(ds), UNSEEN_SPEC.n_blocks)):
         cells = {(j, row[j]) for row in ds.rows[lo:hi] for j in cat}
         assert k == 0 or cells - seen, f"block {k} brings no unseen category"
         seen |= cells
@@ -804,8 +803,8 @@ def test_each_block_is_encoded_once_per_run(monkeypatch):
     ds = generate_drift_stream(UNSEEN_SPEC)
     n = UNSEEN_SPEC.n_blocks
     calls = counting_transforms(monkeypatch)
-    trace = run_lifelong(ds, plan_blocks(len(ds), n), BaselinePredictor(BaselineConfig(**TINY)),
-                         budget_seconds=600, dataset_id="x")
+    trace = run_lifelong(ds, n, BaselinePredictor(BaselineConfig(**TINY)),
+                         budget_seconds=600)
     assert trace.outcome == "completed"
     # Block 0 when learned, blocks 1..n-1 when scored; never again when revealed.
     assert len(calls) == n
@@ -814,7 +813,7 @@ def test_each_block_is_encoded_once_per_run(monkeypatch):
 def test_each_revealed_row_is_sorted_once_and_no_round_walks_its_sample(monkeypatch):
     ds = generate_drift_stream(UNSEEN_SPEC)
     n = UNSEEN_SPEC.n_blocks
-    sizes = [hi - lo for lo, hi in plan_blocks(len(ds), n).ranges]
+    sizes = [hi - lo for lo, hi in plan_blocks(len(ds), n)]
     sorted_rows, walked = [], []
     fresh_sort, fresh_walk = baseline.presort, baseline._tree_outputs
     monkeypatch.setattr(baseline, "presort",
@@ -826,8 +825,8 @@ def test_each_revealed_row_is_sorted_once_and_no_round_walks_its_sample(monkeypa
         return fresh_walk(trees, X)
 
     monkeypatch.setattr(baseline, "_tree_outputs", walk)
-    trace = run_lifelong(ds, plan_blocks(len(ds), n), BaselinePredictor(BaselineConfig(**TINY)),
-                         budget_seconds=600, dataset_id="x")
+    trace = run_lifelong(ds, n, BaselinePredictor(BaselineConfig(**TINY)),
+                         budget_seconds=600)
     assert trace.outcome == "completed"
     # Blocks 0..n-2 are revealed, and each is sorted once, when it joins the pool.
     assert sorted_rows == sizes[:-1]
@@ -844,7 +843,7 @@ def test_each_revealed_row_is_sorted_once_and_no_round_walks_its_sample(monkeypa
 @pytest.mark.parametrize("cat_kind", list(EncoderKind))
 def test_learning_a_scored_block_matches_learning_alone(cat_kind, mvc_kind):
     ds = generate_drift_stream(UNSEEN_SPEC)
-    ranges = plan_blocks(len(ds), UNSEEN_SPEC.n_blocks).ranges
+    ranges = plan_blocks(len(ds), UNSEEN_SPEC.n_blocks)
     cfg = BaselineConfig(cat_encoder=cat_kind, mvc_encoder=mvc_kind, seed=6, **TINY)
     interleaved, alone = BaselinePredictor(cfg), BaselinePredictor(cfg)
     for k, (lo, hi) in enumerate(ranges):
@@ -863,7 +862,7 @@ def test_learning_a_scored_block_matches_learning_alone(cat_kind, mvc_kind):
 
 def test_rows_read_back_from_a_file_reuse_the_scored_matrix(tmp_path, monkeypatch):
     ds = generate_drift_stream(UNSEEN_SPEC)
-    (lo, hi), (nlo, nhi) = plan_blocks(len(ds), UNSEEN_SPEC.n_blocks).ranges[:2]
+    (lo, hi), (nlo, nhi) = plan_blocks(len(ds), UNSEEN_SPEC.n_blocks)[:2]
     pred, alone = (BaselinePredictor(BaselineConfig(**TINY)) for _ in range(2))
     for p in (pred, alone):
         p.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
@@ -884,7 +883,7 @@ def test_rows_read_back_from_a_file_reuse_the_scored_matrix(tmp_path, monkeypatc
 
 def test_learning_other_rows_than_the_scored_block_encodes_them_afresh(monkeypatch):
     ds = generate_drift_stream(UNSEEN_SPEC)
-    ranges = plan_blocks(len(ds), UNSEEN_SPEC.n_blocks).ranges
+    ranges = plan_blocks(len(ds), UNSEEN_SPEC.n_blocks)
     cfg = BaselineConfig(**TINY)
     pred = BaselinePredictor(cfg)
     (lo, hi), (mlo, mhi), (nlo, nhi) = ranges[:3]
@@ -925,7 +924,7 @@ def test_predictions_are_pinned(shape, policy, cap):
                                          drift_magnitude=1.0, seed=8))
     pred = BaselinePredictor(BaselineConfig(policy=policy, subsample_cap=cap, seed=8, **FAST))
     digest = hashlib.sha256()
-    ranges = plan_blocks(len(ds), 6).ranges
+    ranges = plan_blocks(len(ds), 6)
     for (lo, hi), (nlo, nhi) in zip(ranges, ranges[1:]):
         pred.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
         digest.update(pred.predict(ds.rows[nlo:nhi]).tobytes())

@@ -214,8 +214,8 @@ def test_mismatched_rows_and_labels_rejected():
 
 
 def test_split_even():
-    plan = plan_blocks(100, 10)
-    assert plan.ranges == tuple((i * 10, (i + 1) * 10) for i in range(10))
+    ranges = plan_blocks(100, 10)
+    assert ranges == tuple((i * 10, (i + 1) * 10) for i in range(10))
 
 
 def brute_force_sizes(n_rows, n_blocks):
@@ -228,11 +228,11 @@ def brute_force_sizes(n_rows, n_blocks):
 
 
 def test_split_remainder_rule():
-    plan = plan_blocks(103, 10)
-    sizes = [hi - lo for lo, hi in plan.ranges]
+    ranges = plan_blocks(103, 10)
+    sizes = [hi - lo for lo, hi in ranges]
     assert sizes == [11, 11, 11, 10, 10, 10, 10, 10, 10, 10]
     assert sizes == brute_force_sizes(103, 10)
-    covered = [i for lo, hi in plan.ranges for i in range(lo, hi)]
+    covered = [i for lo, hi in ranges for i in range(lo, hi)]
     assert covered == list(range(103))
 
 
@@ -249,9 +249,9 @@ def test_plan_blocks_on_dataset(tmp_path):
         "x,color,y\n" + "".join(f"{i},c,{i % 2}\n" for i in range(10)),
         SCHEMA_2COL,
     )
-    plan = plan_blocks(len(load_dataset(data, schema)), 5)
-    assert plan.n_blocks == 5
-    assert plan.n_rows == 10
+    ranges = plan_blocks(len(load_dataset(data, schema)), 5)
+    assert len(ranges) == 5
+    assert ranges[-1][1] == 10
 
 
 def test_block_plan_invariants_hold_everywhere():
@@ -259,12 +259,12 @@ def test_block_plan_invariants_hold_everywhere():
     for _ in range(200):
         n_rows = int(rng.integers(2, 500))
         n_blocks = int(rng.integers(2, n_rows + 1))
-        plan = plan_blocks(n_rows, n_blocks)
-        sizes = [hi - lo for lo, hi in plan.ranges]
+        ranges = plan_blocks(n_rows, n_blocks)
+        sizes = [hi - lo for lo, hi in ranges]
         assert sizes == brute_force_sizes(n_rows, n_blocks)
         assert max(sizes) - min(sizes) <= 1
         # contiguous ascending cover of [0, n_rows)
-        assert plan.ranges[0][0] == 0
-        assert plan.ranges[-1][1] == n_rows
-        for (_, hi), (lo, _) in zip(plan.ranges, plan.ranges[1:]):
+        assert ranges[0][0] == 0
+        assert ranges[-1][1] == n_rows
+        for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
             assert hi == lo

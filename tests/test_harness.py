@@ -7,7 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from driftbench.data import BlockPlan, ChronoDataset, FeatureKind, FeatureSchema, plan_blocks, save_dataset
+from driftbench.data import (BlockPlanError, ChronoDataset, FeatureKind, FeatureSchema, plan_blocks,
+                             save_dataset)
 from driftbench.harness import (
     ConstantPredictor,
     DatasetRef,
@@ -49,9 +50,8 @@ class RecordingPredictor:
 
 def test_protocol_reveals_blocks_in_order():
     ds = indexed_dataset(30)
-    plan = plan_blocks(30, 3)
     pred = RecordingPredictor()
-    trace = run_lifelong(ds, plan, pred, budget_seconds=60)
+    trace = run_lifelong(ds, 3, pred, budget_seconds=60)
     assert trace.outcome == "completed"
     assert [r for r, _ in pred.learned] == [ds.rows[0:10], ds.rows[10:20]]
     assert pred.predicted == [ds.rows[10:20], ds.rows[20:30]]
@@ -60,26 +60,29 @@ def test_protocol_reveals_blocks_in_order():
 
 
 def test_label_reveal_monotonicity_certified_for_every_step():
-    ds = indexed_dataset(100)
-    plan = plan_blocks(100, 10)
-    pred = RecordingPredictor()
-    run_lifelong(ds, plan, pred, budget_seconds=60)
-    revealed: list[tuple] = []
-    for k, (rows, labels) in enumerate(pred.learned, start=1):
-        revealed.extend(rows)
-        lo, hi = plan.ranges[k - 1]
-        assert rows == ds.rows[lo:hi]
-        # everything revealed so far is exactly blocks 0..k-1, nothing more
-        assert tuple(revealed) == ds.rows[: hi]
-        assert pred.predicted[k - 1] == ds.rows[plan.ranges[k][0]: plan.ranges[k][1]]
+    # 23 rows in 4 blocks cuts unevenly: (0, 6), (6, 12), (12, 18), (18, 23).
+    for n_rows, n_blocks in ((100, 10), (23, 4)):
+        ds = indexed_dataset(n_rows)
+        ranges = plan_blocks(n_rows, n_blocks)
+        pred = RecordingPredictor()
+        trace = run_lifelong(ds, n_blocks, pred, budget_seconds=60)
+        assert len(pred.learned) == len(pred.predicted) == n_blocks - 1
+        revealed: list[tuple] = []
+        for k, (rows, labels) in enumerate(pred.learned, start=1):
+            revealed.extend(rows)
+            lo, hi = ranges[k - 1]
+            assert rows == ds.rows[lo:hi]
+            # everything revealed so far is exactly blocks 0..k-1, nothing more
+            assert tuple(revealed) == ds.rows[: hi]
+            assert pred.predicted[k - 1] == ds.rows[slice(*ranges[k])]
+            assert trace.steps[k - 1].trained_rows == hi
 
 
 def test_oracle_predictor_scores_one_everywhere():
     ds = indexed_dataset(30)
-    plan = plan_blocks(30, 3)
     pred = RecordingPredictor(
         score_fn=lambda rows: np.array([float(ds.labels[int(r[0])]) for r in rows]))
-    trace = run_lifelong(ds, plan, pred, budget_seconds=60)
+    trace = run_lifelong(ds, 3, pred, budget_seconds=60)
     assert [s.auc for s in trace.steps] == [1.0, 1.0]
     assert trace.mean_auc == 1.0
 
@@ -88,16 +91,22 @@ def test_single_class_block_gets_half_and_flag():
     rows = tuple((str(i),) for i in range(30))
     labels = np.array([0, 1] * 10 + [1] * 10)  # last block all positive
     ds = ChronoDataset(SCHEMA, rows, labels)
-    trace = run_lifelong(ds, plan_blocks(30, 3), RecordingPredictor(), budget_seconds=60)
+    trace = run_lifelong(ds, 3, RecordingPredictor(), budget_seconds=60)
     assert trace.steps[-1].single_class
     assert trace.steps[-1].auc == 0.5
     assert not trace.steps[0].single_class
 
 
 def test_plan_with_one_block_is_rejected():
-    with pytest.raises(ValueError, match="plan has 1"):
-        run_lifelong(indexed_dataset(10), BlockPlan(((0, 10),)), RecordingPredictor(),
-                     budget_seconds=60)
+    with pytest.raises(ValueError, match="need at least 2 blocks, got 1"):
+        run_lifelong(indexed_dataset(10), 1, RecordingPredictor(), budget_seconds=60)
+
+
+def test_more_blocks_than_rows_is_rejected_before_learn():
+    pred = RecordingPredictor()
+    with pytest.raises(BlockPlanError, match="cannot cut 10 rows into 11 non-empty blocks"):
+        run_lifelong(indexed_dataset(10), 11, pred, budget_seconds=60)
+    assert pred.learned == [] and pred.predicted == []
 
 
 class SleepyPredictor(RecordingPredictor):
@@ -117,7 +126,7 @@ class SleepyPredictor(RecordingPredictor):
 def test_overrunning_predictor_is_timed_out_and_zeroed():
     ds = indexed_dataset(30)
     pred = SleepyPredictor(sleep_at_step=1, sleep_seconds=0.7)
-    trace = run_lifelong(ds, plan_blocks(30, 3), pred, budget_seconds=0.3)
+    trace = run_lifelong(ds, 3, pred, budget_seconds=0.3)
     assert trace.outcome == "timed-out"
     assert trace.error
     assert trace.steps == ()
@@ -144,7 +153,7 @@ class NaNPredictor(RecordingPredictor):
 @pytest.mark.parametrize("cls", [CrashingPredictor, ShortPredictor, NaNPredictor])
 def test_bad_predictors_score_zero(cls):
     ds = indexed_dataset(30)
-    trace = run_lifelong(ds, plan_blocks(30, 3), cls(), budget_seconds=60)
+    trace = run_lifelong(ds, 3, cls(), budget_seconds=60)
     assert trace.outcome == "predictor-error"
     assert trace.error
     assert trace.disqualified and trace.mean_auc == 0.0
@@ -157,7 +166,7 @@ class SlowCrashPredictor(RecordingPredictor):
 
 
 def test_call_that_raises_is_billed_and_names_its_step():
-    trace = run_lifelong(indexed_dataset(30), plan_blocks(30, 3), SlowCrashPredictor(),
+    trace = run_lifelong(indexed_dataset(30), 3, SlowCrashPredictor(),
                          budget_seconds=60)
     assert trace.outcome == "predictor-error"
     assert trace.total_elapsed_seconds >= 0.2
@@ -171,7 +180,7 @@ class SlowShortPredictor(RecordingPredictor):
 
 
 def test_overrun_is_checked_before_the_predictions():
-    trace = run_lifelong(indexed_dataset(30), plan_blocks(30, 3), SlowShortPredictor(),
+    trace = run_lifelong(indexed_dataset(30), 3, SlowShortPredictor(),
                          budget_seconds=0.2)
     assert trace.outcome == "timed-out"
     assert trace.error.startswith("step 1: predict brought the billed time to ")
@@ -195,7 +204,7 @@ class StagingPredictor(RecordingPredictor):
 def test_unbilled_staging_time_is_not_charged():
     ds = indexed_dataset(30)
     pred = StagingPredictor(stage_seconds=0.2)
-    trace = run_lifelong(ds, plan_blocks(30, 3), pred, budget_seconds=0.15)
+    trace = run_lifelong(ds, 3, pred, budget_seconds=0.15)
     assert trace.outcome == "completed"
     assert trace.total_elapsed_seconds < 0.15
 
@@ -204,12 +213,11 @@ def test_deterministic_predictor_yields_identical_traces():
     spec = DriftGenSpec(n_rows=400, n_cat=2, n_num=2, n_mvc=1, n_time=1,
                         n_blocks=5, drift="gradual", drift_magnitude=1.0, seed=3)
     ds = generate_drift_stream(spec)
-    plan = plan_blocks(len(ds), 5)
     from driftbench.baseline import BaselineConfig, BaselinePredictor
     cfg = BaselineConfig(initial_trees=8, trees_per_block=3, max_depth=2,
                          learning_rate=0.3, seed=1)
     traces = [
-        run_lifelong(ds, plan, BaselinePredictor(cfg), budget_seconds=60)
+        run_lifelong(ds, 5, BaselinePredictor(cfg), budget_seconds=60)
         for _ in range(2)
     ]
     a, b = traces
@@ -313,7 +321,7 @@ def test_infinite_budget_is_rejected():
     with pytest.raises(ValueError, match="positive and finite"):
         DatasetRef("d", "x", "y", float("inf"))
     with pytest.raises(ValueError, match="positive and finite"):
-        run_lifelong(indexed_dataset(10), plan_blocks(10, 2), RecordingPredictor(),
+        run_lifelong(indexed_dataset(10), 2, RecordingPredictor(),
                      budget_seconds=float("inf"))
 
 
@@ -378,16 +386,16 @@ def test_echo_predictor_scores_half(tmp_path):
     ds = indexed_dataset(40)
     pred = SubprocessPredictor([sys.executable, "-m", "driftbench.echo_predictor"],
                                workdir=tmp_path / "echo")
-    trace = run_lifelong(ds, plan_blocks(40, 4), pred, budget_seconds=60)
+    trace = run_lifelong(ds, 4, pred, budget_seconds=60)
     assert trace.outcome == "completed"
     assert [s.auc for s in trace.steps] == [0.5, 0.5, 0.5]
 
 
 def test_subprocess_sees_exactly_the_revealed_blocks(tmp_path):
     ds = indexed_dataset(100)
-    plan = plan_blocks(100, 10)
+    ranges = plan_blocks(100, 10)
     pred = script_predictor(tmp_path, JOURNAL_SCRIPT, "journal")
-    trace = run_lifelong(ds, plan, pred, budget_seconds=60)
+    trace = run_lifelong(ds, 10, pred, budget_seconds=60)
     assert trace.outcome == "completed"
     journal = [json.loads(line) for line in
                (tmp_path / "journal_work" / "journal.jsonl").read_text().splitlines()]
@@ -397,9 +405,9 @@ def test_subprocess_sees_exactly_the_revealed_blocks(tmp_path):
     assert budgets == sorted(budgets, reverse=True) and budgets[0] <= 60
     for e in journal:
         k = e["step"]
-        lo, hi = plan.ranges[k - 1]
+        lo, hi = ranges[k - 1]
         assert e["train_ids"] == [str(i) for i in range(lo, hi)]
-        t_lo, t_hi = plan.ranges[k]
+        t_lo, t_hi = ranges[k]
         assert e["test_ids"] == [str(i) for i in range(t_lo, t_hi)]
 
 
@@ -407,7 +415,7 @@ def test_sleeping_subprocess_is_killed_at_budget(tmp_path):
     ds = indexed_dataset(30)
     pred = script_predictor(tmp_path, SLEEP_SCRIPT, "sleeper")
     t0 = time.perf_counter()
-    trace = run_lifelong(ds, plan_blocks(30, 3), pred, budget_seconds=1.0)
+    trace = run_lifelong(ds, 3, pred, budget_seconds=1.0)
     wall = time.perf_counter() - t0
     assert trace.outcome == "timed-out"
     assert wall < 3.0  # killed within 2s of expiry
@@ -432,7 +440,7 @@ def test_budget_kill_does_not_wait_for_grandchildren(tmp_path, command):
     ds = indexed_dataset(30)
     pred = SubprocessPredictor(command, workdir=tmp_path / "work")
     t0 = time.perf_counter()
-    trace = run_lifelong(ds, plan_blocks(30, 3), pred, budget_seconds=0.5)
+    trace = run_lifelong(ds, 3, pred, budget_seconds=0.5)
     wall = time.perf_counter() - t0
     assert trace.outcome == "timed-out"
     assert wall < 2.0
@@ -443,7 +451,7 @@ def test_budget_kill_is_billed_up_to_the_kill(tmp_path):
     # The daemon holds the answer pipe past the kill; the harness does not
     # wait for it.
     pred = SubprocessPredictor([sys.executable, "-c", DAEMON_SCRIPT], workdir=tmp_path / "work")
-    trace = run_lifelong(indexed_dataset(30), plan_blocks(30, 3), pred, budget_seconds=0.5)
+    trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=0.5)
     assert trace.outcome == "timed-out"
     assert trace.error.startswith("step 1: killed after ")
     assert 0.5 <= trace.total_elapsed_seconds < 0.9
@@ -452,7 +460,7 @@ def test_budget_kill_is_billed_up_to_the_kill(tmp_path):
 def test_short_predictions_are_a_predictor_error(tmp_path):
     ds = indexed_dataset(30)
     pred = script_predictor(tmp_path, SHORT_SCRIPT, "short")
-    trace = run_lifelong(ds, plan_blocks(30, 3), pred, budget_seconds=60)
+    trace = run_lifelong(ds, 3, pred, budget_seconds=60)
     assert trace.outcome == "predictor-error"
     assert "predictions" in trace.error
 
@@ -460,7 +468,7 @@ def test_short_predictions_are_a_predictor_error(tmp_path):
 def test_nonzero_exit_is_a_predictor_error(tmp_path):
     ds = indexed_dataset(30)
     pred = script_predictor(tmp_path, FAIL_SCRIPT, "fail")
-    trace = run_lifelong(ds, plan_blocks(30, 3), pred, budget_seconds=60)
+    trace = run_lifelong(ds, 3, pred, budget_seconds=60)
     assert trace.outcome == "predictor-error"
     assert "exit code 3" in trace.error
 
@@ -470,7 +478,7 @@ SLOW_FAIL_SCRIPT = "import sys, time; time.sleep(0.3); sys.exit(3)\n"
 
 def test_failing_subprocess_is_billed(tmp_path):
     pred = script_predictor(tmp_path, SLOW_FAIL_SCRIPT, "slowfail")
-    trace = run_lifelong(indexed_dataset(30), plan_blocks(30, 3), pred, budget_seconds=60)
+    trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=60)
     assert trace.outcome == "predictor-error"
     assert trace.total_elapsed_seconds >= 0.3
     assert trace.error == "step 1: PredictorError: exit code 3"
@@ -495,7 +503,7 @@ def test_reference_predictor_speaks_the_protocol(tmp_path, monkeypatch):
     ds = generate_drift_stream(spec)
     pred = SubprocessPredictor([sys.executable, "-m", "driftbench.reference_predictor"],
                                workdir=tmp_path / "ref")
-    trace = run_lifelong(ds, plan_blocks(len(ds), 5), pred, budget_seconds=60)
+    trace = run_lifelong(ds, 5, pred, budget_seconds=60)
     assert trace.outcome == "completed"
     assert len(trace.steps) == 4
     assert len(launched) == 1  # one child kept its model for all four steps
@@ -506,7 +514,7 @@ def test_reference_predictor_rejects_a_mistyped_option(tmp_path, monkeypatch):
     ds = generate_drift_stream(DriftGenSpec(n_rows=60, n_cat=1, n_num=1, n_blocks=3, seed=0))
     pred = SubprocessPredictor([sys.executable, "-m", "driftbench.reference_predictor"],
                                workdir=tmp_path / "ref")
-    trace = run_lifelong(ds, plan_blocks(len(ds), 3), pred, budget_seconds=60)
+    trace = run_lifelong(ds, 3, pred, budget_seconds=60)
     assert trace.outcome == "predictor-error"
     assert "max_depth must be an integer, got 2.5" in trace.error
 
@@ -516,7 +524,7 @@ def test_reference_predictor_rejects_a_negative_seed(tmp_path, monkeypatch):
     ds = generate_drift_stream(DriftGenSpec(n_rows=60, n_cat=1, n_num=1, n_blocks=3, seed=0))
     pred = SubprocessPredictor([sys.executable, "-m", "driftbench.reference_predictor"],
                                workdir=tmp_path / "ref")
-    trace = run_lifelong(ds, plan_blocks(len(ds), 3), pred, budget_seconds=60)
+    trace = run_lifelong(ds, 3, pred, budget_seconds=60)
     assert trace.outcome == "predictor-error"
     assert "seed must be >= 0, got -1" in trace.error
 
@@ -534,7 +542,7 @@ def test_child_holding_its_answer_is_killed_at_budget(tmp_path):
     pred = script_predictor(tmp_path, HOLD_SCRIPT, "hold")
     budget = 1.5
     t0 = time.perf_counter()
-    trace = run_lifelong(indexed_dataset(30), plan_blocks(30, 3), pred, budget_seconds=budget)
+    trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=budget)
     wall = time.perf_counter() - t0
     assert trace.outcome == "timed-out"
     assert trace.error.startswith("step 2: killed after ")
@@ -553,7 +561,7 @@ for line in sys.stdin:
 def test_child_flooding_stderr_still_completes(tmp_path):
     # Nobody reads stderr during the run; a pipe would fill and hang the child.
     pred = script_predictor(tmp_path, STDERR_FLOOD_SCRIPT, "flood")
-    trace = run_lifelong(indexed_dataset(30), plan_blocks(30, 3), pred, budget_seconds=20)
+    trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=20)
     assert trace.outcome == "completed"
     assert (tmp_path / "flood_work" / "stderr.txt").stat().st_size == 8_000_000
 
@@ -569,7 +577,7 @@ for line in sys.stdin:
 
 def test_crash_error_quotes_the_tail_of_stderr(tmp_path):
     pred = script_predictor(tmp_path, CRASH_SCRIPT, "crash")
-    trace = run_lifelong(indexed_dataset(30), plan_blocks(30, 3), pred, budget_seconds=60)
+    trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=60)
     assert trace.outcome == "predictor-error"
     assert trace.error.startswith("step 2: PredictorError: exit code 1; stderr: ")
     assert trace.error.endswith(" | RuntimeError: boom at step 2")
@@ -585,7 +593,7 @@ for request in sys.stdin:
     score(json.loads(request))
 """
     pred = script_predictor(tmp_path, script, "stray")
-    trace = run_lifelong(indexed_dataset(30), plan_blocks(30, 3), pred, budget_seconds=60)
+    trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=60)
     assert trace.outcome == "predictor-error"
     assert trace.error == f"step 1: PredictorError: answer {line!r} is not {{\"step\": 1}}"
 
@@ -604,7 +612,7 @@ time.sleep(30)  # ignores the end of its input
 def test_no_child_outlives_the_run(tmp_path, source, budget, outcome):
     pred = script_predictor(tmp_path, source, "child")
     t0 = time.perf_counter()
-    trace = run_lifelong(indexed_dataset(30), plan_blocks(30, 3), pred, budget_seconds=budget)
+    trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=budget)
     assert trace.outcome == outcome
     assert time.perf_counter() - t0 < 5.0  # a lingering child gets a short grace
     pid = int((tmp_path / "child_work" / "pid").read_text())

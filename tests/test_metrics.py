@@ -3,7 +3,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from driftbench.data import plan_blocks
 from driftbench.harness import EvaluationTrace, run_lifelong
 from driftbench.metrics import UndefinedAUCError, auc
 
@@ -127,7 +126,7 @@ class ScriptedPredictor:
 def scripted_run(clock, aucs, budget_seconds):
     """Run ``len(aucs)`` steps of 10-row blocks."""
     n_blocks = len(aucs) + 1
-    return run_lifelong(indexed_dataset(10 * n_blocks), plan_blocks(10 * n_blocks, n_blocks),
+    return run_lifelong(indexed_dataset(10 * n_blocks), n_blocks,
                         ScriptedPredictor(clock, aucs), budget_seconds)
 
 
