@@ -27,9 +27,9 @@ from .data import save_dataset, typed_scalar
 from .harness import DatasetRef, EvaluationTrace, SubprocessPredictor, run_suite
 from .ranking import (
     SubmissionEntry,
-    board_cell,
     build_leaderboard,
     merge_bundles,
+    plain_name,
     read_submission,
     render_leaderboard_csv,
     write_submission,
@@ -45,10 +45,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    dataset_id: str
     phase: str
     gen: DriftGenSpec
-    budget_seconds: float
+    ref: DatasetRef     # the stream files in data_dir and the budget
 
 
 @dataclass(frozen=True)
@@ -105,12 +104,6 @@ def _config_list(raw: dict, key: str) -> list:
     return value
 
 
-def _is_plain_name(name: str) -> bool:
-    """Whether ``name`` can serve as one file name: dataset ids name the
-    stream files in ``data_dir``, predictor names their output directory."""
-    return name not in ("", ".", "..") and "/" not in name and os.sep not in name
-
-
 def _derived_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
@@ -141,12 +134,13 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         # evaluate cuts every dataset into this many blocks.
         raise ConfigError(f"n_blocks must be >= 2, got {n_blocks}")
 
+    data_dir = base / data_dir
     datasets = []
     for i, d in enumerate(_config_list(raw, "datasets")):
         try:
             _reject_unknown_keys(d, _DATASET_KEYS, f"dataset entry {i}")
             dataset_id = d["id"]
-            if any(spec.dataset_id == dataset_id for spec in datasets):
+            if any(spec.ref.dataset_id == dataset_id for spec in datasets):
                 raise ConfigError(f"dataset entry {i}: duplicate id {dataset_id!r}")
             phase = d.get("phase", "feedback")
             if phase not in PHASES:
@@ -160,18 +154,16 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
                 fields.update(shape_columns(d["shape"]))
             fields.update((field, d[key]) for key, field in _STREAM_KEYS.items() if key in d)
             gen = DriftGenSpec(**fields, n_blocks=n_blocks, seed=_derived_seed(seed, i))
-            if not _is_plain_name(gen.dataset_id):
-                raise ConfigError(f"dataset entry {i}: id {dataset_id!r} is not a plain file name")
-            board_cell("id", gen.dataset_id)
+            plain_name("id", gen.dataset_id)
             budget = typed_scalar("budget_seconds", d["budget_seconds"], float)
             if not budget > 0:
                 raise ConfigError(f"dataset {dataset_id}: budget_seconds must be > 0, got {budget}")
             if not math.isfinite(budget):
                 # JSON reads Infinity; a budget must give the kill a deadline.
                 raise ConfigError(f"dataset {dataset_id}: budget_seconds must be finite, got {budget}")
-            datasets.append(DatasetSpec(
-                dataset_id=dataset_id, phase=phase, gen=gen, budget_seconds=budget,
-            ))
+            ref = DatasetRef(dataset_id, data_dir / f"{dataset_id}.data.csv",
+                             data_dir / f"{dataset_id}.schema.csv", budget)
+            datasets.append(DatasetSpec(phase=phase, gen=gen, ref=ref))
         except KeyError as exc:
             raise ConfigError(f"dataset entry {i}: missing key {exc}")
         except (ValueError, TypeError) as exc:
@@ -183,18 +175,16 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     for i, p in enumerate(_config_list(raw, "predictors")):
         _reject_unknown_keys(p, _PREDICTOR_KEYS, f"predictor entry {i}")
         try:
-            name = board_cell("name", typed_scalar("name", p["name"], str))
+            name = plain_name("name", typed_scalar("name", p["name"], str))
         except KeyError as exc:
             raise ConfigError(f"predictor entry {i}: missing key {exc}")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"predictor entry {i}: {exc}")
-        if not _is_plain_name(name):
-            raise ConfigError(f"predictor entry {i}: name {name!r} is not a plain file name")
         if any(spec.name == name for spec in predictors):
             raise ConfigError(f"predictor entry {i}: duplicate name {name!r}")
         try:
             kind = typed_scalar("type", p.get("type", "baseline"), str)
-            bundle = board_cell("bundle", typed_scalar("bundle", p.get("bundle", "default"), str))
+            bundle = plain_name("bundle", typed_scalar("bundle", p.get("bundle", "default"), str))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"predictor {name}: {exc}")
         if kind not in ("baseline", "command"):
@@ -224,16 +214,11 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
 
     return RunConfig(
         n_blocks=n_blocks,
-        data_dir=base / data_dir,
+        data_dir=data_dir,
         output_dir=base / output_dir,
         datasets=tuple(datasets),
         predictors=tuple(predictors),
     )
-
-
-def dataset_paths(config: RunConfig, spec: DatasetSpec) -> tuple[Path, Path]:
-    stem = config.data_dir / spec.dataset_id
-    return Path(f"{stem}.data.csv"), Path(f"{stem}.schema.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +233,10 @@ def cmd_generate(config: RunConfig) -> int:
     print(f"{'dataset':>8} {'phase':>9} {'budget(s)':>10} {'cat':>5} {'num':>5} "
           f"{'mvc':>5} {'time':>5} {'features':>9} {'rows':>8}")
     for spec in config.datasets:
-        data_path, schema_path = dataset_paths(config, spec)
+        ref, g = spec.ref, spec.gen
         # No name holds the stream, so it is freed as save_dataset returns.
-        save_dataset(generate_drift_stream(spec.gen), data_path, schema_path)
-        g = spec.gen
-        print(f"{spec.dataset_id:>8} {spec.phase:>9} {spec.budget_seconds:>10.1f} "
+        save_dataset(generate_drift_stream(g), ref.data_path, ref.schema_path)
+        print(f"{ref.dataset_id:>8} {spec.phase:>9} {ref.budget_seconds:>10.1f} "
               f"{g.n_cat:>5} {g.n_num:>5} {g.n_mvc:>5} {g.n_time:>5} "
               f"{g.n_features:>9} {g.n_rows:>8}")
     return 0
@@ -325,19 +309,15 @@ def cmd_evaluate(config: RunConfig, phase_name: str, predictor_names: list[str],
         raise ConfigError("--predictor given more than once: " + ", ".join(repeated))
     if phase_name not in PHASES:
         raise ConfigError(f"unknown phase {phase_name!r}; expected one of {PHASES}")
-    specs = config.phase_datasets(phase_name)
-    if not specs:
+    refs = [spec.ref for spec in config.phase_datasets(phase_name)]
+    if not refs:
         raise ConfigError(f"no datasets configured for phase {phase_name!r}")
-    refs = []
-    for spec in specs:
-        data_path, schema_path = dataset_paths(config, spec)
-        if not data_path.exists() or not schema_path.exists():
+    for ref in refs:
+        if not ref.data_path.exists() or not ref.schema_path.exists():
             raise ConfigError(
-                f"dataset {spec.dataset_id}: files missing under {config.data_dir} "
+                f"dataset {ref.dataset_id}: files missing under {config.data_dir} "
                 f"(run the generate command first)"
             )
-        refs.append(DatasetRef(spec.dataset_id, data_path, schema_path,
-                               spec.budget_seconds))
     predictors = [config.predictor(name) for name in predictor_names]
 
     evaluate = functools.partial(_evaluate_one, refs, config.n_blocks,
@@ -398,6 +378,9 @@ def cmd_leaderboard(score_dirs: list[Path], merge: bool, out_dir: Path) -> int:
     by_bundle: dict[str, list[SubmissionEntry]] = {}
     for e in entries:
         by_bundle.setdefault(e.bundle, []).append(e)
+    if merge and "merged" in by_bundle:
+        # Its board and the merged board would both be leaderboard_merged.csv.
+        raise ConfigError("bundle 'merged' is reserved for the merged board under --merge")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for bundle in sorted(by_bundle):

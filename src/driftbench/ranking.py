@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -30,8 +31,9 @@ class SubmissionEntry:
     disqualified: Mapping[str, bool] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.duration_seconds < 0:
-            raise ValueError(f"{self.team}: negative duration")
+        if not 0 <= self.duration_seconds < math.inf:
+            raise ValueError("duration_seconds must be a finite number >= 0, "
+                             f"got {self.duration_seconds}")
 
     def is_disqualified(self, dataset: str) -> bool:
         return bool(self.disqualified.get(dataset, False))
@@ -176,10 +178,14 @@ def write_submission(path: str | Path, entry: SubmissionEntry) -> None:
                           encoding="utf-8")
 
 
-def board_cell(what: str, name: str) -> str:
-    """``name``, which a leaderboard writes unquoted as one CSV cell (a
-    team, a bundle or a dataset id); raises ValueError if it holds a
+def plain_name(what: str, name: str) -> str:
+    """``name``, which the judge uses as one file name (dataset ids,
+    predictor names, bundles) or writes unquoted as one leaderboard CSV
+    cell (teams, bundles, dataset ids); raises ValueError naming ``what``
+    if it is empty, ``.`` or ``..``, or holds a path separator, a NUL, a
     comma or a line break."""
+    if name in ("", ".", "..") or any(c in name for c in ("/", os.sep, "\0")):
+        raise ValueError(f"{what} {name!r} is not a plain file name")
     if any(c in name for c in ",\n\r"):
         raise ValueError(f"{what} {name!r} holds a comma or line break, "
                          "which a leaderboard cell cannot")
@@ -190,7 +196,7 @@ def read_submission(path: str | Path) -> SubmissionEntry:
     """Read a file written by :func:`write_submission`; one of another
     structure, or with a value :func:`write_submission` cannot write (an
     AUC outside [0, 1], a non-bool ``disqualified``, a negative or
-    non-finite duration, a name a leaderboard cell cannot hold), raises
+    non-finite duration, a name that is not :func:`plain_name`), raises
     KeyError, TypeError or ValueError."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
@@ -200,14 +206,12 @@ def read_submission(path: str | Path) -> SubmissionEntry:
         raise ValueError(f"'datasets' must be an object, got {type(datasets).__name__}")
     if not datasets:
         raise ValueError("'datasets' is empty")
-    team = board_cell("team", typed_scalar("team", payload["team"], str))
-    bundle = board_cell("bundle", typed_scalar("bundle", payload["bundle"], str))
+    team = plain_name("team", typed_scalar("team", payload["team"], str))
+    bundle = plain_name("bundle", typed_scalar("bundle", payload["bundle"], str))
     duration = typed_scalar("duration_seconds", payload["duration_seconds"], float)
-    if not 0 <= duration < math.inf:
-        raise ValueError(f"duration_seconds must be a finite number >= 0, got {duration}")
     aucs, disqualified = {}, {}
     for d, v in datasets.items():
-        board_cell("dataset", d)
+        plain_name("dataset", d)
         aucs[d] = typed_scalar(f"dataset {d!r}: auc", v["auc"], float)
         if not 0 <= aucs[d] <= 1:
             raise ValueError(f"dataset {d!r}: auc must be in [0, 1], got {aucs[d]}")

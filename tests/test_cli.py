@@ -516,6 +516,12 @@ def _with_key(raw, index, **entry):
      "dataset entry 0: id 'd,0' holds a comma or line break"),
     (lambda raw: dict(raw, datasets=[dict(raw["datasets"][0], id="d\r0")]),
      "dataset entry 0: id 'd\\r0' holds a comma or line break"),
+    (lambda raw: _with_key(raw, 0, bundle="x/y"),
+     "error: predictor baseline: bundle 'x/y' is not a plain file name\n"),
+    (lambda raw: _with_key(raw, 0, bundle=".."),
+     "error: predictor baseline: bundle '..' is not a plain file name\n"),
+    (lambda raw: dict(raw, datasets=[dict(raw["datasets"][0], id="d\x000")]),
+     "error: dataset entry 0: id 'd\\x000' is not a plain file name\n"),
 ], ids=["not-an-object", "unknown-key", "seed-not-int", "n-blocks-not-int", "n-blocks-below-2",
         "datasets-int", "predictors-int", "datasets-object", "options-list",
         "unknown-option", "invalid-option", "unknown-encoder", "decay-zero", "decay-negative",
@@ -524,7 +530,8 @@ def _with_key(raw, index, **entry):
         "cap-float", "decay-bool", "option-seed-str", "learning-rate-str", "seed-negative",
         "option-seed-negative", "learning-rate-huge", "data-dir-int", "output-dir-list",
         "name-int", "type-list", "bundle-list", "command-str", "command-int-arg",
-        "name-comma", "bundle-newline", "id-comma", "id-carriage-return"])
+        "name-comma", "bundle-newline", "id-comma", "id-carriage-return",
+        "bundle-slash", "bundle-dot-dot", "id-nul"])
 def test_top_level_config_fault_is_config_error(tmp_path, capsys, edit, message):
     config = write_config(tmp_path, n_datasets=1)
     assert main(["generate", "--config", str(config)]) == 0
@@ -562,7 +569,7 @@ def test_readme_example_config_loads(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(example)
     config = load_config(path)
-    assert [d.dataset_id for d in config.datasets] == ["A", "X"]
+    assert [d.ref.dataset_id for d in config.datasets] == ["A", "X"]
     assert [p.name for p in config.predictors] == ["baseline", "echo"]
 
 
@@ -678,6 +685,24 @@ def test_leaderboard_merge_excludes_double_submitters(tmp_path, capsys):
     assert "dup_a" in capsys.readouterr().out
 
 
+def test_leaderboard_merge_refuses_a_bundle_named_merged(tmp_path, capsys):
+    # Its board would be written to leaderboard_merged.csv, then overwritten.
+    a = submission_dir(tmp_path, "one", (0.9,) * 5, 10.0, bundle="merged")
+    b = submission_dir(tmp_path, "two", (0.8,) * 5, 10.0, bundle="merged")
+    c = submission_dir(tmp_path, "three", (0.7,) * 5, 10.0, bundle="other")
+    out = tmp_path / "boards"
+    assert main(["leaderboard", str(a), str(b), str(c), "--merge", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: bundle 'merged' is reserved for the merged board "
+                            "under --merge\n")
+    assert captured.out == ""
+    assert not out.exists()
+    # Without --merge the name is free.
+    assert main(["leaderboard", str(a), str(b), str(c), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["leaderboard_merged.csv",
+                                                     "leaderboard_other.csv"]
+
+
 def test_leaderboard_repeated_team_in_a_bundle_is_config_error(tmp_path, capsys):
     a = submission_dir(tmp_path, "same", (0.9,) * 5, 10.0)
     b = tmp_path / "copy"
@@ -729,11 +754,17 @@ _SCORED = {"a": {"auc": 0.5, "disqualified": False}}
     dict(_HEADER, team="a,b", datasets=_SCORED),
     dict(_HEADER, bundle="Py\n3", datasets=_SCORED),
     dict(_HEADER, datasets={"a\rb": {"auc": 0.5, "disqualified": False}}),
+    dict(_HEADER, bundle="x/y", datasets=_SCORED),
+    dict(_HEADER, bundle="..", datasets=_SCORED),
+    dict(_HEADER, team="t/u", datasets=_SCORED),
+    dict(_HEADER, datasets={"../X": {"auc": 0.5, "disqualified": False}}),
+    dict(_HEADER, bundle="Py\x003", datasets=_SCORED),
 ], ids=["no-datasets", "dataset-not-object", "datasets-list", "datasets-empty",
         "not-an-object", "team-int", "bundle-list", "auc-bool", "auc-str", "auc-nan",
         "auc-above-one", "disqualified-str", "disqualified-int", "duration-nan",
         "duration-infinite", "duration-str", "team-comma", "bundle-newline",
-        "dataset-carriage-return"])
+        "dataset-carriage-return", "bundle-slash", "bundle-dot-dot", "team-slash",
+        "dataset-slash", "bundle-nul"])
 def test_leaderboard_malformed_submission_is_config_error(tmp_path, capsys, payload):
     bad = tmp_path / "bad"
     bad.mkdir()

@@ -165,6 +165,12 @@ def test_missing_dataset_rejected():
         build_leaderboard([bad], DATASETS)
 
 
+@pytest.mark.parametrize("duration", [-1.0, float("nan"), float("inf")])
+def test_duration_must_be_finite_and_non_negative(duration):
+    with pytest.raises(ValueError, match=r"duration_seconds must be a finite number >= 0"):
+        SubmissionEntry("t", "b", {"A": 0.5}, duration)
+
+
 def test_empty_board():
     assert build_leaderboard([], DATASETS).rows == ()
 
