@@ -5,7 +5,8 @@ All randomness flows from the single top-level seed in the config file, so
 any command rerun with identical inputs writes byte-identical outputs
 (wall-clock fields aside).  Relative paths inside a config file resolve
 against the directory containing that file.  Exit codes: 0 on completion,
-2 when any evaluated dataset was disqualified, 1 on configuration errors.
+2 when any evaluated dataset was disqualified, 1 on configuration errors
+and on a path the command cannot read or write.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import argparse
 import concurrent.futures
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -88,13 +88,13 @@ _DATASET_KEYS = frozenset({"phase", "budget_seconds", "shape", *_STREAM_KEYS})
 _PREDICTOR_KEYS = frozenset({"name", "type", "bundle", "options", "command"})
 
 
-def _reject_unknown_keys(entry, known: frozenset, where: str) -> None:
+def _reject_unknown_keys(entry, known: frozenset) -> None:
     if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(entry).__name__}")
+        raise TypeError(f"expected an object, got {type(entry).__name__}")
     # A misspelled option would otherwise silently take its default.
     unknown = sorted(set(entry) - known)
     if unknown:
-        raise ConfigError(f"{where}: unknown key " + ", ".join(map(repr, unknown)))
+        raise ValueError("unknown key " + ", ".join(map(repr, unknown)))
 
 
 def _config_list(raw: dict, key: str) -> list:
@@ -117,7 +117,10 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})")
 
-    _reject_unknown_keys(raw, _CONFIG_KEYS, str(path))
+    try:
+        _reject_unknown_keys(raw, _CONFIG_KEYS)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}")
     base = path.parent
     try:
         seed = typed_scalar("seed", raw.get("seed", 0), int)
@@ -134,83 +137,69 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         # evaluate cuts every dataset into this many blocks.
         raise ConfigError(f"n_blocks must be >= 2, got {n_blocks}")
 
+    # Each entry is read in one try: its checks raise plain KeyError,
+    # TypeError or ValueError, and the handlers name the entry once.
     data_dir = base / data_dir
     datasets = []
     for i, d in enumerate(_config_list(raw, "datasets")):
         try:
-            _reject_unknown_keys(d, _DATASET_KEYS, f"dataset entry {i}")
+            _reject_unknown_keys(d, _DATASET_KEYS)
             dataset_id = d["id"]
             if any(spec.ref.dataset_id == dataset_id for spec in datasets):
-                raise ConfigError(f"dataset entry {i}: duplicate id {dataset_id!r}")
+                raise ValueError(f"duplicate id {dataset_id!r}")
             phase = d.get("phase", "feedback")
             if phase not in PHASES:
-                raise ConfigError(f"dataset {dataset_id}: unknown phase {phase!r}")
+                raise ValueError(f"unknown phase {phase!r}")
             fields = {"n_mvc": 0, "n_time": 0}
             if "shape" in d:
                 mixed = [k for k in ("cat", "num", "mvc", "time") if k in d]
                 if mixed:
-                    raise ConfigError(f"dataset entry {i}: 'shape' sets the column counts; "
-                                      "drop " + ", ".join(map(repr, mixed)))
+                    raise ValueError("'shape' sets the column counts; drop "
+                                     + ", ".join(map(repr, mixed)))
                 fields.update(shape_columns(d["shape"]))
             fields.update((field, d[key]) for key, field in _STREAM_KEYS.items() if key in d)
             gen = DriftGenSpec(**fields, n_blocks=n_blocks, seed=_derived_seed(seed, i))
             plain_name("id", gen.dataset_id)
-            budget = typed_scalar("budget_seconds", d["budget_seconds"], float)
-            if not budget > 0:
-                raise ConfigError(f"dataset {dataset_id}: budget_seconds must be > 0, got {budget}")
-            if not math.isfinite(budget):
-                # JSON reads Infinity; a budget must give the kill a deadline.
-                raise ConfigError(f"dataset {dataset_id}: budget_seconds must be finite, got {budget}")
             ref = DatasetRef(dataset_id, data_dir / f"{dataset_id}.data.csv",
-                             data_dir / f"{dataset_id}.schema.csv", budget)
+                             data_dir / f"{dataset_id}.schema.csv", d["budget_seconds"])
             datasets.append(DatasetSpec(phase=phase, gen=gen, ref=ref))
         except KeyError as exc:
             raise ConfigError(f"dataset entry {i}: missing key {exc}")
-        except (ValueError, TypeError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"dataset entry {i}: {exc}")
 
     predictors = []
     for i, p in enumerate(_config_list(raw, "predictors")):
-        _reject_unknown_keys(p, _PREDICTOR_KEYS, f"predictor entry {i}")
+        where = f"predictor entry {i}"
         try:
+            _reject_unknown_keys(p, _PREDICTOR_KEYS)
             name = plain_name("name", typed_scalar("name", p["name"], str))
-        except KeyError as exc:
-            raise ConfigError(f"predictor entry {i}: missing key {exc}")
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"predictor entry {i}: {exc}")
-        if any(spec.name == name for spec in predictors):
-            raise ConfigError(f"predictor entry {i}: duplicate name {name!r}")
-        try:
+            if any(spec.name == name for spec in predictors):
+                raise ValueError(f"duplicate name {name!r}")
+            where = f"predictor {name}"
             kind = typed_scalar("type", p.get("type", "baseline"), str)
             bundle = plain_name("bundle", typed_scalar("bundle", p.get("bundle", "default"), str))
+            if kind not in ("baseline", "command"):
+                raise ValueError(f"unknown type {kind!r}")
+            unread = "options" if kind == "command" else "command"
+            if unread in p:
+                raise ValueError(f"{kind} predictors take no {unread!r}")
+            command = p.get("command", [])
+            if not (isinstance(command, list) and all(isinstance(c, str) for c in command)):
+                # A string would run as one program per character.
+                raise TypeError(f"command must be a list of strings, got {command!r}")
+            if kind == "command" and not command:
+                raise ValueError("command predictors need a command")
+            options = p.get("options", {})
+            if not isinstance(options, dict):
+                raise TypeError(f"options must be an object, got {type(options).__name__}")
+            baseline = BaselineConfig(**{"seed": seed, **options}) if kind == "baseline" else None
+            predictors.append(PredictorSpec(name=name, bundle=bundle, baseline=baseline,
+                                            command=tuple(command)))
+        except KeyError as exc:
+            raise ConfigError(f"{where}: missing key {exc}")
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"predictor {name}: {exc}")
-        if kind not in ("baseline", "command"):
-            raise ConfigError(f"predictor {name}: unknown type {kind!r}")
-        unread = "options" if kind == "command" else "command"
-        if unread in p:
-            raise ConfigError(f"predictor {name}: {kind} predictors take no {unread!r}")
-        command = p.get("command", [])
-        if not (isinstance(command, list) and all(isinstance(c, str) for c in command)):
-            # A string would run as one program per character.
-            raise ConfigError(f"predictor {name}: command must be a list of strings, "
-                              f"got {command!r}")
-        if kind == "command" and not command:
-            raise ConfigError(f"predictor {name}: command predictors need a command")
-        options = p.get("options", {})
-        if not isinstance(options, dict):
-            raise ConfigError(f"predictor {name}: options must be an object, "
-                              f"got {type(options).__name__}")
-        baseline = None
-        if kind == "baseline":
-            try:
-                baseline = BaselineConfig(**{"seed": seed, **options})
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"predictor {name}: {exc}")
-        predictors.append(PredictorSpec(name=name, bundle=bundle, baseline=baseline,
-                                        command=tuple(command)))
+            raise ConfigError(f"{where}: {exc}")
 
     return RunConfig(
         n_blocks=n_blocks,
@@ -421,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="registered predictor name; repeatable")
     ev.add_argument("--out", default=None, help="output directory for score/trace files")
     ev.add_argument("--workdir", default=None,
-                    help="scratch root for external predictors "
-                         "(default: $DRIFTBENCH_WORKDIR or <out>/work)")
+                    help="scratch root for external predictors (default: <out>/work)")
     ev.add_argument("--jobs", type=int, default=1,
                     help="predictors evaluated concurrently, each in a process of its "
                          "own (capped at the usable CPUs)")
@@ -446,18 +434,16 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             config = load_config(args.config, seed_override=args.seed)
             out_dir = Path(args.out) if args.out else config.output_dir
-            workdir = Path(
-                args.workdir
-                or os.environ.get("DRIFTBENCH_WORKDIR")
-                or out_dir / "work"
-            )
+            workdir = Path(args.workdir) if args.workdir else out_dir / "work"
             return cmd_evaluate(config, args.phase, args.predictor, out_dir,
                                 workdir, args.jobs)
         if args.command == "leaderboard":
             return cmd_leaderboard([Path(d) for d in args.score_dirs],
                                    args.merge, Path(args.out))
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
+        # An OSError here is an input or output path the command cannot
+        # use, such as a --out that is an existing file.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

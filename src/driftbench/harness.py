@@ -13,9 +13,10 @@ External predictors answer a request loop.  The harness launches
 for every step.  Per step it writes a train file (with labels) and a test
 file (without), sends one JSON request line on the program's stdin
 (``step``, ``train``, ``test``, ``pred_out``, ``remaining_budget``) and
-waits for the answer line ``{"step": k}`` on its stdout, then reads one
-decimal score per test row from the predictions file.  The program keeps
-its model in memory between steps; closing its stdin tells it to exit.
+waits for the answer line ``{"step": k}`` on its stdout (at most
+``_ANSWER_MAX_BYTES`` long), then reads one decimal score per test row
+from the predictions file.  The program keeps its model in memory
+between steps; closing its stdin tells it to exit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from typing import Callable, NoReturn, Protocol, Sequence
 
 import numpy as np
 
-from .data import ChronoDataset, FeatureSchema, load_dataset, plan_blocks, write_rows, write_schema
+from .data import (ChronoDataset, FeatureSchema, check_field_types, load_dataset, plan_blocks,
+                   write_rows, write_schema)
 from .metrics import UndefinedAUCError, auc
 
 OUTCOME_COMPLETED = "completed"
@@ -114,6 +116,13 @@ class EvaluationTrace:
         return float(np.mean([s.auc for s in self.steps]))
 
 
+def _check_budget(budget_seconds: float) -> None:
+    """Refuse a budget that is not a finite number > 0: an infinite one
+    would leave a child's deadline unrepresentable."""
+    if not 0 < budget_seconds < math.inf:
+        raise ValueError(f"budget_seconds must be a finite number > 0, got {budget_seconds}")
+
+
 @dataclass(frozen=True)
 class DatasetRef:
     """One dataset's files on disk and its time budget."""
@@ -124,8 +133,8 @@ class DatasetRef:
     budget_seconds: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.budget_seconds < math.inf:
-            raise ValueError(f"{self.dataset_id}: budget must be positive and finite")
+        check_field_types(self)
+        _check_budget(self.budget_seconds)
 
 
 class _BudgetClock:
@@ -170,9 +179,7 @@ def run_lifelong(dataset: ChronoDataset, n_blocks: int, predictor: PredictorAdap
     named by ``dataset.provenance``.  The predictor's optional ``close()``
     runs last, whatever the outcome, and is not billed.
     """
-    if not 0 < budget_seconds < math.inf:
-        # An infinite budget would leave a child's deadline unrepresentable.
-        raise ValueError("budget must be positive and finite")
+    _check_budget(budget_seconds)
     ranges = plan_blocks(len(dataset), n_blocks)
     clock = _BudgetClock(budget_seconds)
     steps: list[StepRecord] = []
@@ -280,6 +287,9 @@ def _run_dataset(ref: DatasetRef, n_blocks: int,
 _CLOSE_GRACE_SECONDS = 1.0
 # How much of the end of ``stderr.txt`` a failure's error quotes.
 _STDERR_TAIL_BYTES = 4096
+# The longest answer line the judge reads; a child that writes more
+# without a newline is a predictor error at once, not a growing buffer.
+_ANSWER_MAX_BYTES = 65536
 
 
 class SubprocessPredictor:
@@ -371,10 +381,13 @@ class SubprocessPredictor:
         except BrokenPipeError:
             self._exited(start, deadline)
         while b"\n" not in self._answers:
+            if len(self._answers) > _ANSWER_MAX_BYTES:
+                raise PredictorError(f"answer line longer than {_ANSWER_MAX_BYTES} bytes")
             wait = deadline - time.perf_counter()
             if wait <= 0 or not select.select([proc.stdout], [], [], wait)[0]:
                 self._kill(start)
-            chunk = os.read(proc.stdout.fileno(), 65536)
+            # Never more than one byte past the cap, so the buffer stays bounded.
+            chunk = os.read(proc.stdout.fileno(), _ANSWER_MAX_BYTES + 1 - len(self._answers))
             if not chunk:
                 self._exited(start, deadline)
             self._answers += chunk

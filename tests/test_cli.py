@@ -284,7 +284,8 @@ def test_nonpositive_budget_is_config_error(tmp_path, capsys, command, budget):
         argv += ["--predictor", "baseline"]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "error: dataset d0: budget_seconds must be > 0" in err
+    assert (f"error: dataset entry 0: budget_seconds must be a finite number > 0, "
+            f"got {budget}") in err
 
 
 @pytest.mark.parametrize("command", ["generate", "evaluate"])
@@ -299,7 +300,7 @@ def test_infinite_budget_is_config_error(tmp_path, capsys, command):
         argv += ["--predictor", "echo"]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "error: dataset d0: budget_seconds must be finite, got inf" in err
+    assert "error: dataset entry 0: budget_seconds must be a finite number > 0, got inf" in err
 
 
 def test_duplicate_dataset_id_is_config_error(tmp_path, capsys):
@@ -336,9 +337,10 @@ def test_duplicate_predictor_name_is_config_error(tmp_path, capsys):
      "drift_magnitude must be a finite number, got an integer too large for a float"),
     ({"budget_seconds": 10**400},
      "budget_seconds must be a finite number, got an integer too large for a float"),
+    ({"phase": "x"}, "unknown phase 'x'"),
 ], ids=["rows-float", "rows-str", "cat-bool", "cat-float", "budget-str", "budget-bool",
         "magnitude-str", "cardinality-float", "unknown-shape", "own-n-blocks", "id-int",
-        "magnitude-huge", "budget-huge"])
+        "magnitude-huge", "budget-huge", "phase-unknown"])
 @pytest.mark.parametrize("command", ["generate", "evaluate"])
 def test_dataset_entry_fault_is_config_error(tmp_path, capsys, command, edit, message):
     config = write_config(tmp_path, n_datasets=2)
@@ -573,15 +575,39 @@ def test_readme_example_config_loads(tmp_path):
     assert [p.name for p in config.predictors] == ["baseline", "echo"]
 
 
-def test_evaluate_workdir_env_fallback(tmp_path, monkeypatch):
-    scratch = tmp_path / "scratch"
-    monkeypatch.setenv("DRIFTBENCH_WORKDIR", str(scratch))
+def test_evaluate_workdir_is_the_flag_or_out_work(tmp_path, monkeypatch):
+    # A work-directory variable left in the environment moves nothing.
+    monkeypatch.setenv("DRIFTBENCH_WORKDIR", str(tmp_path / "env"))
     config = write_config(tmp_path, n_datasets=1)
     main(["generate", "--config", str(config)])
+    scratch = tmp_path / "scratch"
+    rc = main(["evaluate", "--config", str(config), "--phase", "feedback",
+               "--predictor", "echo", "--workdir", str(scratch)])
+    assert rc == 0
+    assert (scratch / "echo" / "d0" / "schema.csv").exists()
     rc = main(["evaluate", "--config", str(config), "--phase", "feedback",
                "--predictor", "echo"])
     assert rc == 0
-    assert (scratch / "echo" / "d0" / "schema.csv").exists()
+    assert (tmp_path / "out" / "work" / "echo" / "d0" / "schema.csv").exists()
+    assert not (tmp_path / "env").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_output_path_that_is_a_file_is_an_error(tmp_path, capsys, command):
+    # generate writes into data_dir, evaluate into --out.
+    config = write_config(tmp_path, n_datasets=1)
+    argv = [command, "--config", str(config)]
+    blocked = tmp_path / "data"
+    if command == "evaluate":
+        main(["generate", "--config", str(config)])
+        capsys.readouterr()
+        blocked = tmp_path / "blocked"
+        argv += ["--predictor", "echo", "--out", str(blocked)]
+    blocked.write_text("a file, not a directory\n")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocked) in err
+    assert "Traceback" not in err
 
 
 def test_evaluate_parallel_jobs_match_serial(tmp_path):

@@ -318,11 +318,17 @@ def test_budget_must_be_positive():
 
 
 def test_infinite_budget_is_rejected():
-    with pytest.raises(ValueError, match="positive and finite"):
+    with pytest.raises(ValueError, match="budget_seconds must be a finite number > 0, got inf"):
         DatasetRef("d", "x", "y", float("inf"))
-    with pytest.raises(ValueError, match="positive and finite"):
+    with pytest.raises(ValueError, match="budget_seconds must be a finite number > 0, got inf"):
         run_lifelong(indexed_dataset(10), 2, RecordingPredictor(),
                      budget_seconds=float("inf"))
+
+
+@pytest.mark.parametrize("budget", ["30", True, None])
+def test_budget_that_is_not_a_number_is_a_type_error(budget):
+    with pytest.raises(TypeError, match=f"budget_seconds must be a number, got {budget!r}"):
+        DatasetRef("d", "x", "y", budget)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +477,25 @@ def test_nonzero_exit_is_a_predictor_error(tmp_path):
     trace = run_lifelong(ds, 3, pred, budget_seconds=60)
     assert trace.outcome == "predictor-error"
     assert "exit code 3" in trace.error
+
+
+FLOOD_SCRIPT = """\
+import sys
+while True:
+    sys.stdout.buffer.write(b"x" * (1 << 20))
+"""
+
+
+def test_stdout_flood_is_a_predictor_error_at_once(tmp_path):
+    # A child that writes without a newline is stopped at the answer cap,
+    # not buffered until its budget runs out.
+    pred = script_predictor(tmp_path, FLOOD_SCRIPT, "flood")
+    t0 = time.perf_counter()
+    trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=10.0)
+    wall = time.perf_counter() - t0
+    assert trace.outcome == "predictor-error"
+    assert trace.error == "step 1: PredictorError: answer line longer than 65536 bytes"
+    assert wall < 5.0
 
 
 SLOW_FAIL_SCRIPT = "import sys, time; time.sleep(0.3); sys.exit(3)\n"

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -10,6 +11,7 @@ import pytest
 from driftbench import cli
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "driftbench"
 BENCH = ROOT / "bench"
 TRACER = BENCH / "tracer.py"
 
@@ -21,6 +23,33 @@ def test_echo_predictor_import_leaves_numpy_out():
     code = "import sys, driftbench.echo_predictor; assert 'numpy' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names an ``import`` in ``source`` binds that no expression reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # ``import a.b`` binds ``a``.
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def test_unused_imports_are_found():
+    assert unused_imports("import math\nimport os.path\nfrom a import b as c\nos.sep\n") == \
+        ["line 1: math", "line 3: c"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_package_modules_import_only_what_they_use(module):
+    # Most changes here delete code; an import the deleted code needed
+    # would otherwise stay behind unnoticed.
+    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
 def test_benchmark_trace_targets_resolve():
