@@ -8,7 +8,8 @@ policy-driven subsample of the retained history.  Three drift policies are
 available:
 
 * ``grow-full-history`` -- keep every block, subsample with recency bias;
-* ``sliding-window``    -- retain only the last ``window_blocks`` blocks;
+* ``sliding-window``    -- train only on the rows of the last
+  ``window_blocks`` blocks (trees fitted before the window keep voting);
 * ``adaptive-lr``       -- full history, learning rate decayed per block.
 """
 
@@ -101,29 +102,24 @@ class BaselineConfig:
 _SPLIT_CELLS = 1 << 15
 
 
-def presort(X: np.ndarray) -> np.ndarray:
+def presort(X: np.ndarray, kept: np.ndarray | None = None) -> np.ndarray:
     """Each column's row order, ties in row order: a ``(features, rows)``
     block of ``intp`` row ids (the index type ``take`` reads without a
     cast), so that ``X[order[j], j]`` is column ``j`` sorted.
 
-    The training pool sorts only each new block with it and merges the
-    result into the order it keeps (``TrainingPool.add``).
-    """
-    return np.argsort(X.T, axis=1, kind="stable")
-
-
-def _merge_order(X: np.ndarray, kept: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """``presort(X)`` from ``kept``, the order of ``X``'s first rows, and
-    ``new``, the order of the rows after them (counted from 0).
-
-    Each column's two sorted runs are argsorted stably, ``_SPLIT_CELLS``
-    cells at a time.  Equal values keep their run order, older rows first,
-    and NaN sorts last in both runs, so ties stay in row order.
+    ``kept`` is the order of ``X``'s first rows, which the training pool
+    keeps from block to block.  Each column is argsorted stably as that run
+    followed by the rows after it, ``_SPLIT_CELLS`` cells at a time: equal
+    values keep their place, older rows first, and NaN sorts last, so ties
+    stay in row order.
     """
     n, width = X.shape
-    runs = np.concatenate([kept, new + kept.shape[1]], axis=1)
+    if kept is None:
+        kept = np.empty((width, 0), dtype=np.intp)
+    runs = np.concatenate([kept, np.broadcast_to(np.arange(kept.shape[1], n),
+                                                 (width, n - kept.shape[1]))], axis=1)
     flat = X.ravel()
-    step = max(1, _SPLIT_CELLS // n)
+    step = max(1, _SPLIT_CELLS // max(n, 1))
     for lo in range(0, width, step):
         part = runs[lo:lo + step]
         vals = flat.take(part * width + np.arange(lo, lo + part.shape[0])[:, None])
@@ -306,15 +302,13 @@ def _add_trees(margin: np.ndarray, trees: Sequence[RegressionTree],
 @dataclass(frozen=True, eq=False)
 class TrainingPool:
     """Labeled rows retained across blocks, oldest first, with each row's
-    block id in ``ids``.
+    block id in ``ids``, its margin under the current ensemble in
+    ``margin``, and each column's row order, ``presort(X)``, in ``order``.
 
-    ``margin`` holds the current ensemble's margins of the first
-    ``len(margin)`` rows; the rows past it have not been walked yet, so
-    that a row goes through the ensemble's past trees once.
-
-    ``order`` is ``presort(X)``, kept from block to block: ``add`` sorts
-    only the new rows and merges them in, and ``keep_last`` and ``take``
-    filter it, so no boosting round sorts the pool again.
+    A pool is never partial: ``add`` takes a block's rows with their
+    margins and sorts them into the kept order, and ``keep_last`` and
+    ``take`` cut every field alike, so no boosting round sorts the pool
+    again.
     """
 
     X: np.ndarray
@@ -328,12 +322,13 @@ class TrainingPool:
         return cls(np.empty((0, width)), np.empty(0), np.empty(0, dtype=np.int64), np.empty(0),
                    np.empty((width, 0), dtype=np.intp))
 
-    def add(self, block_id: int, X: np.ndarray, y: np.ndarray) -> "TrainingPool":
+    def add(self, block_id: int, X: np.ndarray, y: np.ndarray,
+            margin: np.ndarray) -> "TrainingPool":
         ids = np.full(y.shape[0], block_id, dtype=np.int64)
         X_all = np.concatenate([self.X, X])
         return TrainingPool(X_all, np.concatenate([self.y, y]),
-                            np.concatenate([self.ids, ids]), self.margin,
-                            _merge_order(X_all, self.order, presort(X)))
+                            np.concatenate([self.ids, ids]),
+                            np.concatenate([self.margin, margin]), presort(X_all, self.order))
 
     def keep_last(self, k: int) -> "TrainingPool":
         """The rows of the newest ``k`` blocks (block ids run without gaps)."""
@@ -343,9 +338,8 @@ class TrainingPool:
                             _filter_order(self.order, np.arange(start, self.ids.size)))
 
     def take(self, rows: np.ndarray) -> "TrainingPool":
-        """The rows ``rows`` (ascending ids) as a pool of their own; the
-        margins must cover every pool row.  Taking every row is the pool
-        itself, with no copy."""
+        """The rows ``rows`` (ascending ids) as a pool of their own.  Taking
+        every row is the pool itself, with no copy."""
         if rows.size == self.ids.size:
             return self
         return TrainingPool(self.X[rows], self.y[rows], self.ids[rows], self.margin[rows],
@@ -469,12 +463,11 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
 
     Appends ``initial_trees`` trees for block 0 and ``trees_per_block`` for
     every later block, fitted on the policy's training pool; prior trees
-    and (for a two-class pool) the base score are untouched.  A pool that
-    has collapsed to a single class updates only the base score, which
-    drops every pool margin.  Otherwise the rows past the pool's margin
-    prefix (the new block, or every row after a reset) go through the
-    ensemble once.  The sampled rows' margins come out of boosting grown;
-    only rows left out of a capped sample walk the new trees.
+    and (for a two-class pool) the base score are untouched.  The new rows
+    go through the ensemble once, as they join the pool; the sampled rows'
+    margins come out of boosting grown, and only rows left out of a capped
+    sample walk the new trees.  A pool that has collapsed to a single class
+    updates only the base score and walks the pool again under it.
     """
     X_new = np.asarray(X_new, dtype=np.float64)
     y_new = np.asarray(y_new, dtype=np.float64)
@@ -483,16 +476,15 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
             f"expected rows of width {ensemble.n_features}, got {X_new.shape[1]}"
         )
     k = ensemble.revealed_blocks + 1
-    pool = ensemble.pool.add(k, X_new, y_new)
+    pool = ensemble.pool.add(k, X_new, y_new, ensemble_margin(ensemble, X_new))
     if config.policy == "sliding-window":
         pool = pool.keep_last(config.window_blocks)
 
     if np.all(pool.y == pool.y[0]):
-        return replace(ensemble, base_score=_prior_logit(pool.y),
-                       pool=replace(pool, margin=np.empty(0)))
+        reset = replace(ensemble, base_score=_prior_logit(pool.y))
+        return replace(reset, pool=replace(pool, margin=ensemble_margin(reset, pool.X)))
 
-    margin = np.concatenate([pool.margin, ensemble_margin(ensemble, pool.X[len(pool.margin):])])
-    pool = replace(pool, margin=margin)
+    margin = pool.margin  # new with this pool: grown in place
     pick = select_training_pool(
         pool, config.subsample_cap, np.random.SeedSequence((config.seed, k)),
         decay=None if config.policy == "sliding-window" else config.decay,
@@ -521,8 +513,9 @@ class BaselinePredictor:
     Encoders grow their vocabulary with each revealed block (ordinal only;
     count and target-mean stay frozen on the first block so earlier trees
     keep their feature semantics), and the ensemble is extended per policy.
-    The retained rows carry each column's sort order with them, so a
-    revealed block is sorted once, when it joins the training pool.
+    A revealed block joins the training pool once and whole: its rows are
+    walked through the past trees and sorted into the pool's kept order as
+    they join, so no pool row lacks its margin or its place in that order.
     Beyond what the drift policy retains, it keeps the last block it scored
     and that block's matrix, because the lifelong loop reveals the same rows
     at the next ``learn``, which then encodes only their unseen cells.

@@ -116,6 +116,8 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})")
 
     try:
         _reject_unknown_keys(raw, _CONFIG_KEYS)

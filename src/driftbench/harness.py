@@ -16,7 +16,8 @@ file (without), sends one JSON request line on the program's stdin
 waits for the answer line ``{"step": k}`` on its stdout (at most
 ``_ANSWER_MAX_BYTES`` long), then reads one decimal score per test row
 from the predictions file.  The program keeps its model in memory
-between steps; closing its stdin tells it to exit.
+between steps; closing its stdin tells it to exit.  An error quotes at
+most ``_QUOTE_MAX_CHARS`` characters of a line the program wrote.
 """
 
 from __future__ import annotations
@@ -290,6 +291,16 @@ _STDERR_TAIL_BYTES = 4096
 # The longest answer line the judge reads; a child that writes more
 # without a newline is a predictor error at once, not a growing buffer.
 _ANSWER_MAX_BYTES = 65536
+# How many characters of a child-written line an error quotes.
+_QUOTE_MAX_CHARS = 200
+
+
+def _quote(text: str) -> str:
+    """``text`` quoted for an error message, cut after ``_QUOTE_MAX_CHARS``
+    characters with its full length noted, so an error stays short."""
+    if len(text) <= _QUOTE_MAX_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_MAX_CHARS]!r}... ({len(text)} characters)"
 
 
 class SubprocessPredictor:
@@ -356,8 +367,8 @@ class SubprocessPredictor:
         except ValueError:
             answer = None
         if answer != {"step": self._step} or type(answer["step"]) is not int:
-            text = line.decode("utf-8", "replace")
-            raise PredictorError(f"answer {text!r} is not {{\"step\": {self._step}}}")
+            text = _quote(line.decode("utf-8", "replace"))
+            raise PredictorError(f"answer {text} is not {{\"step\": {self._step}}}")
 
         # Count and finiteness are left to the harness, as for any adapter.
         t1 = time.perf_counter()
@@ -365,10 +376,13 @@ class SubprocessPredictor:
             if not pred_path.exists():
                 raise PredictorError("predictions file not written")
             lines = [ln for ln in pred_path.read_text(encoding="utf-8").split("\n") if ln]
-            try:
-                return np.array([float(ln) for ln in lines], dtype=np.float64)
-            except ValueError as exc:
-                raise PredictorError(f"unparseable prediction: {exc}")
+            scores = np.empty(len(lines))
+            for i, ln in enumerate(lines):
+                try:
+                    scores[i] = float(ln)
+                except ValueError:
+                    raise PredictorError(f"unparseable prediction: {_quote(ln)}") from None
+            return scores
         finally:
             self.unbilled_seconds += time.perf_counter() - t1
 

@@ -272,6 +272,19 @@ def test_missing_config_is_config_error(tmp_path, capsys):
     assert main(["generate", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xff\xfe{}")
+    argv = [command, "--config", str(config)]
+    if command == "evaluate":
+        argv += ["--predictor", "echo"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: not UTF-8 text (")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("budget", [0.0, -5.0, float("nan")])
 @pytest.mark.parametrize("command", ["generate", "evaluate"])
 def test_nonpositive_budget_is_config_error(tmp_path, capsys, command, budget):
@@ -785,16 +798,18 @@ _SCORED = {"a": {"auc": 0.5, "disqualified": False}}
     dict(_HEADER, team="t/u", datasets=_SCORED),
     dict(_HEADER, datasets={"../X": {"auc": 0.5, "disqualified": False}}),
     dict(_HEADER, bundle="Py\x003", datasets=_SCORED),
+    b"\xff\xfe{}",
 ], ids=["no-datasets", "dataset-not-object", "datasets-list", "datasets-empty",
         "not-an-object", "team-int", "bundle-list", "auc-bool", "auc-str", "auc-nan",
         "auc-above-one", "disqualified-str", "disqualified-int", "duration-nan",
         "duration-infinite", "duration-str", "team-comma", "bundle-newline",
         "dataset-carriage-return", "bundle-slash", "bundle-dot-dot", "team-slash",
-        "dataset-slash", "bundle-nul"])
+        "dataset-slash", "bundle-nul", "not-utf8"])
 def test_leaderboard_malformed_submission_is_config_error(tmp_path, capsys, payload):
     bad = tmp_path / "bad"
     bad.mkdir()
-    (bad / "submission.json").write_text(json.dumps(payload))
+    raw = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+    (bad / "submission.json").write_bytes(raw)
     out = tmp_path / "boards"
     assert main(["leaderboard", str(bad), "--out", str(out)]) == 1
     assert f"error: {bad / 'submission.json'}: malformed submission file (" \

@@ -623,6 +623,35 @@ for request in sys.stdin:
     assert trace.error == f"step 1: PredictorError: answer {line!r} is not {{\"step\": 1}}"
 
 
+def test_long_answer_line_is_quoted_short(tmp_path):
+    # The error quotes the start of a wrong answer and its length, not all of it.
+    script = PRELUDE + """
+for request in sys.stdin:
+    print("x" * 60000, flush=True)
+    score(json.loads(request))
+"""
+    pred = script_predictor(tmp_path, script, "long_answer")
+    trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=60)
+    assert trace.outcome == "predictor-error"
+    assert trace.error == (f"step 1: PredictorError: answer {'x' * 200!r}... (60000 characters) "
+                           f"is not {{\"step\": 1}}")
+
+
+def test_long_prediction_line_is_quoted_short(tmp_path):
+    script = PRELUDE + """
+for request in sys.stdin:
+    request = json.loads(request)
+    with open(request["pred_out"], "w") as fh:
+        fh.write("0.5x" * 25000 + "\\n")
+    print(json.dumps({"step": request["step"]}), flush=True)
+"""
+    pred = script_predictor(tmp_path, script, "long_prediction")
+    trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=60)
+    assert trace.outcome == "predictor-error"
+    assert trace.error == (f"step 1: PredictorError: unparseable prediction: "
+                           f"{'0.5x' * 50!r}... (100000 characters)")
+
+
 LINGER_SCRIPT = JOURNAL_SCRIPT + """
 time.sleep(30)  # ignores the end of its input
 """

@@ -91,7 +91,6 @@ def test_benchmark_workload_outputs_pass_its_checks(tmp_path, monkeypatch, name)
                                   traced=False, toy=True)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    monkeypatch.delenv("DRIFTBENCH_WORKDIR", raising=False)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     predictor = config["predictors"][0]["name"]
