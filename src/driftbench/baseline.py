@@ -101,46 +101,41 @@ class BaselineConfig:
 #: bounds the scratch memory of wide nodes.
 _SPLIT_CELLS = 1 << 15
 
+#: Bin codes per column: at most ``_BINS - 1`` cuts, and NaN's code past them.
+_BINS = 64
 
-def presort(X: np.ndarray, kept: np.ndarray | None = None) -> np.ndarray:
-    """Each column's row order, ties in row order: a ``(features, rows)``
-    block of ``intp`` row ids (the index type ``take`` reads without a
-    cast), so that ``X[order[j], j]`` is column ``j`` sorted.
 
-    ``kept`` is the order of ``X``'s first rows, which the training pool
-    keeps from block to block.  Each column is argsorted stably as that run
-    followed by the rows after it, ``_SPLIT_CELLS`` cells at a time: equal
-    values keep their place, older rows first, and NaN sorts last, so ties
-    stay in row order.
+def bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's rows as bin codes: a ``(features, rows)`` block of
+    ``uint8`` codes and a ``(features, _BINS - 1)`` table of cuts padded
+    with ``inf``.
+
+    A column's cuts are the midpoints between its consecutive distinct
+    finite values, thinned evenly to ``_BINS - 1`` when there are more.  A
+    row's code is the number of cuts below its value, so cut ``c`` sends a
+    row left exactly when ``x <= cuts[j, c]``, as ``_tree_outputs`` routes
+    it.  NaN takes the last code, past every cut, so it goes right.
     """
     n, width = X.shape
-    if kept is None:
-        kept = np.empty((width, 0), dtype=np.intp)
-    runs = np.concatenate([kept, np.broadcast_to(np.arange(kept.shape[1], n),
-                                                 (width, n - kept.shape[1]))], axis=1)
-    flat = X.ravel()
-    step = max(1, _SPLIT_CELLS // max(n, 1))
-    for lo in range(0, width, step):
-        part = runs[lo:lo + step]
-        vals = flat.take(part * width + np.arange(lo, lo + part.shape[0])[:, None])
-        part[:] = np.take_along_axis(part, np.argsort(vals, axis=1, kind="stable"), axis=1)
-    return runs
-
-
-def _filter_order(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``order`` cut to the ascending row ids ``rows``, renumbered from 0:
-    the presort of those rows, since filtering keeps each column's order."""
-    at = np.full(order.shape[1], -1, dtype=np.intp)
-    at[rows] = np.arange(rows.size)
-    kept = at.take(order)
-    return kept[kept >= 0].reshape(order.shape[0], rows.size)
+    codes = np.empty((width, n), dtype=np.uint8)
+    cuts = np.full((width, _BINS - 1), np.inf)
+    for j in range(width):
+        col = X[:, j]
+        values = np.unique(col[np.isfinite(col)])
+        mid = 0.5 * (values[:-1] + values[1:])
+        if mid.size > _BINS - 1:
+            mid = mid[np.arange(_BINS - 1) * (mid.size - 1) // (_BINS - 2)]
+        cuts[j, :mid.size] = mid
+        codes[j] = np.searchsorted(mid, col)
+        codes[j, np.isnan(col)] = _BINS - 1
+    return codes, cuts
 
 
 class RegressionTree:
     """Axis-aligned regression tree fitted to the residuals by variance
-    reduction: exact greedy splits over columns presorted once (the
-    training pool keeps its rows' order across rounds and blocks), with
-    midpoint thresholds.
+    reduction over binned columns: each node sums its rows' residuals per
+    bin of ``bin_columns`` and splits at the best cut between bins, whose
+    threshold is a midpoint between distinct values of the column.
 
     Nodes live in parallel arrays; ``feature[i] < 0`` marks node ``i`` as a
     leaf carrying ``value[i]``.
@@ -157,57 +152,40 @@ class RegressionTree:
 
     @classmethod
     def fit(cls, X: np.ndarray, residual: np.ndarray, max_depth: int,
-            order: np.ndarray | None = None,
+            bins: tuple[np.ndarray, np.ndarray] | None = None,
             out: np.ndarray | None = None) -> "RegressionTree":
-        """Fit one tree to ``residual``; ``order`` is ``presort(X)``, computed
-        here when not given.  When ``out`` is given, each row's leaf value
-        is written to it as the rows are partitioned: what ``predict(X)``
-        would return, without a second walk.
-
-        Node values are read with ``take`` from a feature-major copy of
-        ``X``, which a Fortran-ordered ``X`` already is.  Each node holds its
-        rows twice: ascending (``idx``, for its value) and sorted per feature
-        (``srt``, for its split search).  A child's ``srt`` is a stable
-        filter of its parent's, which is the child's own stable sort, so no
-        node sorts again; children at ``max_depth`` are leaves and get none.
+        """Fit one tree to ``residual``; ``bins`` is ``bin_columns(X)``,
+        computed here when not given.  When ``out`` is given, each row's
+        leaf value is written to it as the rows are partitioned: what
+        ``predict(X)`` would return, without a second walk.
         """
-        cols = np.ascontiguousarray(X.T)
-        if order is None:
-            order = presort(X)
-        n_features = order.shape[0]
+        codes, cuts = bin_columns(X) if bins is None else bins
         feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
         # The left child is pushed last and so grown first: nodes are
         # numbered in preorder, each split's children next to each other.
-        stack = [(0, np.arange(cols.shape[1]), order, 0)]
+        stack = [(0, np.arange(codes.shape[1]), 0)]
         while stack:
-            node, idx, srt, depth = stack.pop()
+            node, idx, depth = stack.pop()
             r = residual.take(idx)
             value[node] = float(r.mean())
             split = (None if depth >= max_depth or idx.size < 2
-                     else _best_split(cols, residual, srt, r.sum()))
+                     else _best_split(codes, idx, r))
             if split is None:
                 if out is not None:
                     out[idx] = value[node]
                 continue
-            j, thr = split
-            go_left = cols[j] <= thr
-            at_left = go_left.take(idx)
-            idx_l, idx_r = idx[at_left], idx[~at_left]
+            j, c = split
+            at_left = codes[j].take(idx) <= c
             node_l = len(feature)
-            feature[node], threshold[node] = j, thr
+            feature[node], threshold[node] = j, float(cuts[j, c])
             left[node], right[node] = node_l, node_l + 1
             feature += [-1, -1]
             threshold += [0.0, 0.0]
             left += [-1, -1]
             right += [-1, -1]
             value += [0.0, 0.0]
-            srt_l = srt_r = None
-            if depth + 1 < max_depth:
-                keep = go_left.take(srt).ravel()
-                srt_l = srt.compress(keep).reshape(n_features, idx_l.size)
-                srt_r = srt.compress(~keep).reshape(n_features, idx_r.size)
-            stack.append((node_l + 1, idx_r, srt_r, depth + 1))
-            stack.append((node_l, idx_l, srt_l, depth + 1))
+            stack.append((node_l + 1, idx[~at_left], depth + 1))
+            stack.append((node_l, idx[at_left], depth + 1))
         return cls(feature, threshold, left, right, value)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -218,29 +196,34 @@ class RegressionTree:
         return len(self.feature)
 
 
-def _best_split(cols: np.ndarray, residual: np.ndarray, srt: np.ndarray, total: float):
-    """Best (feature, midpoint threshold) by variance reduction, or None.
+def _best_split(codes: np.ndarray, idx: np.ndarray, r: np.ndarray):
+    """Best (feature, cut) by variance reduction for the node of rows
+    ``idx`` with residuals ``r``, or None.
 
-    ``cols`` is the fit's feature-major ``X``, ``srt`` holds the node's rows
-    sorted per feature, and ``total`` is the sum of their residuals in
-    ascending row order.  Maximizing sum-of-squared-child-sums over child
-    sizes is equivalent to maximizing variance reduction for a fixed node,
-    so prefix sums along each feature's order suffice.  Features are
+    Maximizing sum-of-squared-child-sums over child sizes is equivalent to
+    maximizing variance reduction for a fixed node, so prefix sums over
+    each column's per-bin residual sums and counts suffice.  Features are
     searched ``_SPLIT_CELLS`` cells at a time and compared in index order;
     the first best cut wins.
     """
-    n_features, n = srt.shape
-    flat, stride = cols.ravel(), cols.shape[1]
+    n = idx.size
+    total = r.sum()
     base = total * total / n
-    n_left = np.arange(1, n, dtype=np.float64)
-    n_right = n - n_left
     step = max(1, _SPLIT_CELLS // n)
     best_gain = 0.0
     best = None
-    for lo in range(0, n_features, step):
-        rows = srt[lo:lo + step]
-        vs = flat.take(rows + stride * np.arange(lo, lo + rows.shape[0])[:, None])
-        s_left = np.cumsum(residual.take(rows[:, :-1]), axis=1)
+    for lo in range(0, codes.shape[0], step):
+        part = codes[lo:lo + step].take(idx, axis=1)
+        k = part.shape[0]
+        keys = (part + np.arange(0, k * _BINS, _BINS)[:, None]).ravel()
+        s_left = np.bincount(keys, np.broadcast_to(r, part.shape).ravel(), k * _BINS)
+        n_left = np.bincount(keys, minlength=k * _BINS).astype(np.float64)
+        s_left = s_left.reshape(k, _BINS).cumsum(axis=1)[:, :-1]
+        n_left = n_left.reshape(k, _BINS).cumsum(axis=1)[:, :-1]
+        n_right = n - n_left
+        # A cut with no row on one side is no split.
+        empty = (n_left == 0) | (n_right == 0)
+        n_left[empty] = n_right[empty] = 1.0
         s_right = total - s_left
         gain = s_left * s_left
         gain /= n_left
@@ -248,18 +231,14 @@ def _best_split(cols: np.ndarray, residual: np.ndarray, srt: np.ndarray, total: 
         s_right /= n_right
         gain += s_right
         gain -= base
-        # Only a step between distinct values is a cut.
-        gain[~(vs[:, :-1] < vs[:, 1:])] = -np.inf
+        gain[empty] = -np.inf
         at = gain.argmax(axis=1)
-        tops = gain[np.arange(at.size), at]
-        for f, (i, g) in enumerate(zip(at.tolist(), tops.tolist())):
+        tops = gain[np.arange(k), at]
+        for f, (c, g) in enumerate(zip(at.tolist(), tops.tolist())):
             if g > best_gain + 1e-12:
                 best_gain = g
-                best = (lo + f, i)
-    if best is None:
-        return None
-    j, i = best
-    return j, float(0.5 * (cols[j, srt[j, i]] + cols[j, srt[j, i + 1]]))
+                best = (lo + f, c)
+    return best
 
 
 def _tree_outputs(trees: Sequence[RegressionTree], X: np.ndarray) -> np.ndarray:
@@ -302,48 +281,43 @@ def _add_trees(margin: np.ndarray, trees: Sequence[RegressionTree],
 @dataclass(frozen=True, eq=False)
 class TrainingPool:
     """Labeled rows retained across blocks, oldest first, with each row's
-    block id in ``ids``, its margin under the current ensemble in
-    ``margin``, and each column's row order, ``presort(X)``, in ``order``.
+    block id in ``ids`` and its margin under the current ensemble in
+    ``margin``.
 
     A pool is never partial: ``add`` takes a block's rows with their
-    margins and sorts them into the kept order, and ``keep_last`` and
-    ``take`` cut every field alike, so no boosting round sorts the pool
-    again.
+    margins, and ``keep_last`` and ``take`` cut every field alike.  The
+    pool keeps nothing derived from its rows; each boosting round bins its
+    own sample.
     """
 
     X: np.ndarray
     y: np.ndarray
     ids: np.ndarray
     margin: np.ndarray
-    order: np.ndarray
 
     @classmethod
     def empty(cls, width: int) -> "TrainingPool":
-        return cls(np.empty((0, width)), np.empty(0), np.empty(0, dtype=np.int64), np.empty(0),
-                   np.empty((width, 0), dtype=np.intp))
+        return cls(np.empty((0, width)), np.empty(0), np.empty(0, dtype=np.int64), np.empty(0))
 
     def add(self, block_id: int, X: np.ndarray, y: np.ndarray,
             margin: np.ndarray) -> "TrainingPool":
         ids = np.full(y.shape[0], block_id, dtype=np.int64)
-        X_all = np.concatenate([self.X, X])
-        return TrainingPool(X_all, np.concatenate([self.y, y]),
+        return TrainingPool(np.concatenate([self.X, X]), np.concatenate([self.y, y]),
                             np.concatenate([self.ids, ids]),
-                            np.concatenate([self.margin, margin]), presort(X_all, self.order))
+                            np.concatenate([self.margin, margin]))
 
     def keep_last(self, k: int) -> "TrainingPool":
         """The rows of the newest ``k`` blocks (block ids run without gaps)."""
         start = int(np.searchsorted(self.ids, self.ids[-1] - k, side="right"))
         return TrainingPool(self.X[start:], self.y[start:], self.ids[start:],
-                            self.margin[start:],
-                            _filter_order(self.order, np.arange(start, self.ids.size)))
+                            self.margin[start:])
 
     def take(self, rows: np.ndarray) -> "TrainingPool":
         """The rows ``rows`` (ascending ids) as a pool of their own.  Taking
         every row is the pool itself, with no copy."""
         if rows.size == self.ids.size:
             return self
-        return TrainingPool(self.X[rows], self.y[rows], self.ids[rows], self.margin[rows],
-                            _filter_order(self.order, rows))
+        return TrainingPool(self.X[rows], self.y[rows], self.ids[rows], self.margin[rows])
 
 
 def select_training_pool(pool: TrainingPool, cap: int, seed, *,
@@ -428,16 +402,17 @@ def predict_scores(ensemble: BoostedEnsemble, X: np.ndarray) -> np.ndarray:
 def _boost(sample: TrainingPool, n_trees: int, rate: float, max_depth: int):
     """Fit ``n_trees`` trees in turn on ``sample``, each to the residual
     left by the ones before; returns the trees, the loss before and after
-    each, and the sample's margins with every new tree added."""
+    each, and the sample's margins with every new tree added.  The sample
+    is binned once, and every tree of the round splits on those bins."""
     trees: list[RegressionTree] = []
     y = sample.y
     margin = sample.margin.copy()
     p = sigmoid(margin)
     losses = [log_loss(y, p)]
-    cols = np.asfortranarray(sample.X)  # feature-major, shared by every tree of the round
-    out = np.empty(y.shape[0])          # each row's leaf value in the newest tree
+    bins = bin_columns(sample.X)
+    out = np.empty(y.shape[0])  # each row's leaf value in the newest tree
     for _ in range(n_trees):
-        trees.append(RegressionTree.fit(cols, y - p, max_depth, sample.order, out))
+        trees.append(RegressionTree.fit(sample.X, y - p, max_depth, bins, out))
         margin += rate * out
         p = sigmoid(margin)
         losses.append(log_loss(y, p))
@@ -464,19 +439,19 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
     Appends ``initial_trees`` trees for block 0 and ``trees_per_block`` for
     every later block, fitted on the policy's training pool; prior trees
     and (for a two-class pool) the base score are untouched.  The new rows
-    go through the ensemble once, as they join the pool; the sampled rows'
+    go through the ensemble once, as they join the pool.  The round's sample
+    is binned once and its trees split on those bins; the sampled rows'
     margins come out of boosting grown, and only rows left out of a capped
     sample walk the new trees.  A pool that has collapsed to a single class
     updates only the base score and walks the pool again under it.
     """
     X_new = np.asarray(X_new, dtype=np.float64)
     y_new = np.asarray(y_new, dtype=np.float64)
-    if X_new.shape[1] != ensemble.n_features:
-        raise ValueError(
-            f"expected rows of width {ensemble.n_features}, got {X_new.shape[1]}"
-        )
+    new_margin = ensemble_margin(ensemble, X_new)  # checks the rows' rank and width
+    if y_new.shape != (X_new.shape[0],):
+        raise ValueError(f"expected {X_new.shape[0]} labels, one per row, got shape {y_new.shape}")
     k = ensemble.revealed_blocks + 1
-    pool = ensemble.pool.add(k, X_new, y_new, ensemble_margin(ensemble, X_new))
+    pool = ensemble.pool.add(k, X_new, y_new, new_margin)
     if config.policy == "sliding-window":
         pool = pool.keep_last(config.window_blocks)
 
@@ -514,8 +489,9 @@ class BaselinePredictor:
     count and target-mean stay frozen on the first block so earlier trees
     keep their feature semantics), and the ensemble is extended per policy.
     A revealed block joins the training pool once and whole: its rows are
-    walked through the past trees and sorted into the pool's kept order as
-    they join, so no pool row lacks its margin or its place in that order.
+    walked through the past trees as they join, so no pool row lacks its
+    margin, and each boosting round bins its sample once for the binned
+    split search of all its trees.
     Beyond what the drift policy retains, it keeps the last block it scored
     and that block's matrix, because the lifelong loop reveals the same rows
     at the next ``learn``, which then encodes only their unseen cells.

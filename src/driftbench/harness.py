@@ -15,9 +15,10 @@ file (without), sends one JSON request line on the program's stdin
 (``step``, ``train``, ``test``, ``pred_out``, ``remaining_budget``) and
 waits for the answer line ``{"step": k}`` on its stdout (at most
 ``_ANSWER_MAX_BYTES`` long), then reads one decimal score per test row
-from the predictions file.  The program keeps its model in memory
-between steps; closing its stdin tells it to exit.  An error quotes at
-most ``_QUOTE_MAX_CHARS`` characters of a line the program wrote.
+from the predictions file, never more than one score past the block.
+The program keeps its model in memory between steps; closing its stdin
+tells it to exit.  An error quotes at most ``_QUOTE_MAX_CHARS``
+characters of a line the program wrote.
 """
 
 from __future__ import annotations
@@ -370,19 +371,27 @@ class SubprocessPredictor:
             text = _quote(line.decode("utf-8", "replace"))
             raise PredictorError(f"answer {text} is not {{\"step\": {self._step}}}")
 
-        # Count and finiteness are left to the harness, as for any adapter.
+        # A short count and finiteness are left to the harness, as for any
+        # adapter; the file is read at most one prediction past the block,
+        # so a child cannot grow the judge's memory with it.
         t1 = time.perf_counter()
         try:
             if not pred_path.exists():
                 raise PredictorError("predictions file not written")
-            lines = [ln for ln in pred_path.read_text(encoding="utf-8").split("\n") if ln]
-            scores = np.empty(len(lines))
-            for i, ln in enumerate(lines):
-                try:
-                    scores[i] = float(ln)
-                except ValueError:
-                    raise PredictorError(f"unparseable prediction: {_quote(ln)}") from None
-            return scores
+            scores = []
+            with pred_path.open(encoding="utf-8", newline="\n") as fh:
+                for ln in fh:
+                    ln = ln.rstrip("\n")
+                    if not ln:
+                        continue
+                    if len(scores) == len(rows):
+                        raise PredictorError(
+                            f"predictions file holds more than {len(rows)} predictions")
+                    try:
+                        scores.append(float(ln))
+                    except ValueError:
+                        raise PredictorError(f"unparseable prediction: {_quote(ln)}") from None
+            return np.asarray(scores, dtype=np.float64)
         finally:
             self.unbilled_seconds += time.perf_counter() - t1
 

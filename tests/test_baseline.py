@@ -18,9 +18,9 @@ from driftbench.baseline import (
     ensemble_margin,
     extend,
     fit_initial,
+    bin_columns,
     log_loss,
     predict_scores,
-    presort,
     select_training_pool,
     sigmoid,
 )
@@ -44,7 +44,7 @@ FAST = dict(initial_trees=30, trees_per_block=8, max_depth=3, learning_rate=0.2)
 def toy_pool(rows_per_block=1000, n_blocks=10, width=2):
     ids = np.repeat(np.arange(n_blocks), rows_per_block)
     X = np.repeat(ids[:, None], width, axis=1).astype(float)
-    return TrainingPool(X, np.zeros(ids.size), ids, -ids.astype(float), presort(X))
+    return TrainingPool(X, np.zeros(ids.size), ids, -ids.astype(float))
 
 
 def sampled(pool, cap, seed):
@@ -113,31 +113,31 @@ def test_sliding_window_restricts_to_newest_blocks():
 CELLS = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, np.nan])
 
 
-def assert_presorted(pool):
-    assert pool.order.dtype == np.intp
-    assert np.array_equal(pool.order, np.argsort(pool.X.T, axis=1, kind="stable"))
+def assert_aligned(pool):
+    """Every field holds one entry per row, and the margin tells the block."""
+    assert pool.X.shape[0] == pool.y.size == pool.ids.size == pool.margin.size
+    assert np.array_equal(pool.margin, -pool.ids)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_pool_keeps_the_presort_of_its_rows(data):
+def test_pool_keeps_a_margin_per_row(data):
     width = data.draw(st.integers(1, 4), label="width")
     block = hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.just(width)), elements=CELLS)
     pool = TrainingPool.empty(width)
     for k, X in enumerate(data.draw(st.lists(block, min_size=1, max_size=6), label="blocks")):
         pool = pool.add(k, X, np.zeros(X.shape[0]), np.full(X.shape[0], -k, dtype=float))
-        assert_presorted(pool)
-        assert np.array_equal(pool.margin, -pool.ids)
-        assert_presorted(pool.keep_last(data.draw(st.integers(1, k + 1), label="window")))
+        assert_aligned(pool)
+        assert_aligned(pool.keep_last(data.draw(st.integers(1, k + 1), label="window")))
     cap = data.draw(st.integers(1, pool.ids.size), label="cap")
     pick = select_training_pool(pool, cap, seed=data.draw(st.integers(0, 99), label="seed"))
     assert np.array_equal(np.unique(pick), pick) and pick.size == cap
-    assert_presorted(pool.take(pick))
+    assert_aligned(pool.take(pick))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_extended_pool_keeps_its_presort_through_windows_samples_and_resets(data):
+def test_extended_pool_keeps_its_margins_through_windows_samples_and_resets(data):
     width = data.draw(st.integers(1, 3), label="width")
     cfg = BaselineConfig(initial_trees=2, trees_per_block=1, max_depth=2, learning_rate=0.5,
                          policy=data.draw(st.sampled_from(DRIFT_POLICIES), label="policy"),
@@ -151,7 +151,6 @@ def test_extended_pool_keeps_its_presort_through_windows_samples_and_resets(data
         y = (np.arange(X.shape[0]) % 2.0 if labels == "mixed"
              else np.full(X.shape[0], float(labels == "ones")))
         ens = fit_initial(X, y, cfg) if ens is None else extend(ens, X, y, cfg)
-        assert_presorted(ens.pool)
         assert np.array_equal(ens.pool.margin, ensemble_margin(ens, ens.pool.X))
 
 
@@ -169,6 +168,9 @@ def separable_data(n=200, seed=0):
 
 def test_single_split_tree():
     X, y = separable_data()
+    # 64 distinct values, so no cut is thinned away: the gap around 0 is one.
+    X[:, 0] = np.random.default_rng(1).choice(np.r_[-32:0, 1:33], size=X.shape[0])
+    y = (X[:, 0] > 0).astype(np.float64)
     residual = y - 0.5
     tree = RegressionTree.fit(X, residual, max_depth=1)
     assert tree.n_nodes == 3
@@ -195,10 +197,12 @@ def test_tree_on_constant_features_stays_leaf():
 
 
 # ---------------------------------------------------------------------------
-# reference split search: one stable sort per node and feature
+# reference split searches: exact, and over bins one cut at a time
 
 
-def reference_fit(X, residual, max_depth):
+def reference_grow(X, residual, max_depth, best_split):
+    """A tree grown node by node: ``best_split(idx, r)`` is None or the
+    split's feature, threshold and the node's rows that go left."""
     feature, threshold, left, right, value = [], [], [], [], []
 
     def new_node():
@@ -214,11 +218,10 @@ def reference_fit(X, residual, max_depth):
         value[node] = float(r.mean())
         if depth >= max_depth or idx.size < 2:
             return
-        split = reference_best_split(X[idx], r)
+        split = best_split(idx, r)
         if split is None:
             return
-        j, thr = split
-        go_left = X[idx, j] <= thr
+        j, thr, go_left = split
         node_l, node_r = new_node(), new_node()
         feature[node] = j
         threshold[node] = thr
@@ -230,6 +233,16 @@ def reference_fit(X, residual, max_depth):
     root = new_node()
     grow(root, np.arange(X.shape[0]), 0)
     return RegressionTree(feature, threshold, left, right, value)
+
+
+def reference_fit(X, residual, max_depth):
+    """Exact greedy search: one stable sort per node and feature, every
+    step between distinct values a cut, thresholds at the midpoints."""
+    def best_split(idx, r):
+        split = reference_best_split(X[idx], r)
+        return None if split is None else (*split, X[idx, split[0]] <= split[1])
+
+    return reference_grow(X, residual, max_depth, best_split)
 
 
 def reference_best_split(X, r):
@@ -257,6 +270,43 @@ def reference_best_split(X, r):
     return best
 
 
+def reference_binned_fit(X, residual, max_depth):
+    """The histogram search by its definition, one node, column and cut of
+    ``bin_columns(X)`` at a time: the rows with codes up to the cut go left.
+
+    Each bin's residuals are added in row order and the bins in turn, the
+    order the search adds them in.  Different cuts can have mathematically
+    equal gains (a 3-row side and a 29-row side with mirrored sums), and
+    another order of the same additions decides such a tie on the last bit.
+    """
+    codes, cuts = bin_columns(X)
+
+    def best_split(idx, r):
+        n = idx.size
+        total = r.sum()
+        base = total * total / n
+        best_gain, best = 0.0, None
+        for j in range(codes.shape[0]):
+            sums, counts = [0.0] * baseline._BINS, [0] * baseline._BINS
+            for b, x in zip(codes[j, idx].tolist(), r.tolist()):
+                sums[b] += x
+                counts[b] += 1
+            s_left, n_left, top, at = 0.0, 0, -np.inf, None
+            for c in range(cuts.shape[1]):
+                s_left += sums[c]
+                n_left += counts[c]
+                if 0 < n_left < n:
+                    s_right = total - s_left
+                    gain = s_left * s_left / n_left + s_right * s_right / (n - n_left) - base
+                    if gain > top:
+                        top, at = gain, c
+            if at is not None and top > best_gain + 1e-12:
+                best_gain, best = top, (j, float(cuts[j, at]), codes[j, idx] <= at)
+        return best
+
+    return reference_grow(X, residual, max_depth, best_split)
+
+
 def assert_same_tree(got, want):
     for attr in ("feature", "threshold", "left", "right", "value"):
         assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
@@ -281,26 +331,75 @@ def random_split_case(rng):
     return X, residual, int(rng.integers(1, 7))
 
 
-def test_presort_orders_ties_by_row():
-    rng = np.random.default_rng(7)
-    X = rng.integers(0, 4, size=(60, 3)).astype(np.float64)
-    X[rng.random(60) < 0.2, 2] = np.nan
-    want = [sorted(range(60), key=lambda i: (np.isnan(v[i]), 0.0 if np.isnan(v[i]) else v[i], i))
-            for v in X.T]
-    got = presort(X)
-    assert got.dtype == np.intp
-    assert got.tolist() == want
+def one_scale(residual):
+    """False for the cases whose residuals span many orders of magnitude:
+    there the summation order decides between near-equal gains, and the
+    exact search sums in another order than the binned one."""
+    size = np.abs(residual[residual != 0])
+    return size.size == 0 or size.max() < 1e6 * size.min()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bin_columns_codes_agree_with_cuts(data):
+    n = data.draw(st.integers(65, 160), label="rows")
+    column = st.one_of(
+        # Few distinct values, signed zeros and NaN: ties everywhere.
+        hnp.arrays(np.float64, n, elements=CELLS),
+        # A single value.
+        st.sampled_from([-2.5, 0.0, 7.0, np.nan]).map(lambda v: np.full(n, v)),
+        # More distinct values than bins.
+        hnp.arrays(np.float64, n, elements=st.integers(-800, 800).map(lambda i: i / 8),
+                   unique=True),
+        # Exactly 64 distinct finite values, and NaN.
+        st.permutations(range(n)).map(
+            lambda p: np.where(np.asarray(p) % 65 == 64, np.nan, np.asarray(p) % 65 - 30.5)),
+    )
+    X = np.column_stack(data.draw(st.lists(column, min_size=1, max_size=4), label="columns"))
+    codes, cuts = bin_columns(X)
+    assert codes.dtype == np.uint8 and codes.shape == X.shape[::-1]
+    assert cuts.shape == (X.shape[1], baseline._BINS - 1)
+    assert codes.max() < baseline._BINS
+    for j, col in enumerate(X.T):
+        finite = cuts[j][np.isfinite(cuts[j])]
+        assert np.all(np.diff(finite) > 0)
+        assert np.all(cuts[j, finite.size:] == np.inf)
+        # Cut c sends a row left exactly when its code is at most c.
+        assert np.array_equal(codes[j][:, None] <= np.arange(cuts.shape[1]),
+                              col[:, None] <= cuts[j])
+        values = np.unique(col[np.isfinite(col)])
+        if values.size <= baseline._BINS:
+            assert np.array_equal(finite, 0.5 * (values[:-1] + values[1:]))
 
 
 # 64 cells split every node's search into chunks of one or a few features.
 @pytest.mark.parametrize("split_cells", [baseline._SPLIT_CELLS, 64])
-def test_presorted_fit_matches_reference_tree_for_tree(split_cells, monkeypatch):
+def test_binned_fit_matches_reference_tree_for_tree(split_cells, monkeypatch):
     monkeypatch.setattr(baseline, "_SPLIT_CELLS", split_cells)
     rng = np.random.default_rng(split_cells)
     for _ in range(250):
         X, residual, depth = random_split_case(rng)
         assert_same_tree(RegressionTree.fit(X, residual, depth),
-                         reference_fit(X, residual, depth))
+                         reference_binned_fit(X, residual, depth))
+
+
+def test_binned_fit_matches_exact_search_on_few_values():
+    # With at most 64 distinct values per column every midpoint is a cut,
+    # so both searches weigh the same partitions; only the thresholds may
+    # differ, each anywhere between the same two values.
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(400):
+        X, residual, depth = random_split_case(rng)
+        if (np.isnan(X).any() or not one_scale(residual)
+                or max(np.unique(col).size for col in X.T) > baseline._BINS):
+            continue
+        got, want = RegressionTree.fit(X, residual, depth), reference_fit(X, residual, depth)
+        for attr in ("feature", "left", "right", "value"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+        assert np.array_equal(reference_leaves(got, X), reference_leaves(want, X))
+        checked += 1
+    assert checked > 100
 
 
 def test_fit_writes_each_rows_leaf_value():
@@ -312,8 +411,8 @@ def test_fit_writes_each_rows_leaf_value():
         assert np.array_equal(out, tree.predict(X))
 
 
-def reference_tree_fit(cls, X, residual, max_depth, order=None, out=None):
-    tree = reference_fit(X, residual, max_depth)
+def reference_tree_fit(cls, X, residual, max_depth, bins=None, out=None):
+    tree = reference_binned_fit(X, residual, max_depth)
     if out is not None:
         out[:] = reference_predict(tree, X)
     return tree
@@ -354,7 +453,7 @@ def test_boosting_matches_reference_fit(shape, options, monkeypatch):
 # ensemble walk: every tree at once, against one tree at a time
 
 
-def reference_predict(tree, X):
+def reference_leaves(tree, X):
     node = np.zeros(X.shape[0], dtype=np.int32)
     while True:
         active = np.nonzero(tree.feature[node] >= 0)[0]
@@ -363,7 +462,11 @@ def reference_predict(tree, X):
         cur = node[active]
         go_left = X[active, tree.feature[cur]] <= tree.threshold[cur]
         node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
-    return tree.value[node]
+    return node
+
+
+def reference_predict(tree, X):
+    return tree.value[reference_leaves(tree, X)]
 
 
 def reference_margin(ensemble, X):
@@ -506,6 +609,18 @@ def test_width_mismatch_rejected():
         predict_scores(ens, np.zeros((3, 5)))
 
 
+def test_labels_must_match_rows():
+    X, y = separable_data(n=40)
+    cfg = BaselineConfig(seed=1, **FAST)
+    with pytest.raises(ValueError, match=r"^expected 10 labels, one per row, got shape \(11,\)$"):
+        fit_initial(X[:10], y[:11], cfg)
+    ens = fit_initial(X[:20], y[:20], cfg)
+    with pytest.raises(ValueError, match=r"^expected 10 labels, one per row, got shape \(9,\)$"):
+        extend(ens, X[20:30], y[20:29], cfg)
+    with pytest.raises(ValueError, match=r"^expected rows of width 2, got shape \(10, 3\)$"):
+        extend(ens, np.zeros((10, 3)), y[20:30], cfg)
+
+
 def test_gradient_matches_finite_differences():
     # The boosting target (y - p) must be the negative derivative of the
     # per-row logistic loss with respect to the raw score.
@@ -596,17 +711,20 @@ def drifting_blocks(seed, n_blocks=8):
 
 @pytest.mark.parametrize("cap", [100_000, 50])
 @pytest.mark.parametrize("policy", DRIFT_POLICIES)
-def test_cached_margins_match_a_fresh_walk(policy, cap):
+def test_cached_margins_match_a_fresh_walk(policy, cap, monkeypatch):
     cfg = BaselineConfig(initial_trees=4, trees_per_block=3, max_depth=3, learning_rate=0.3,
                          policy=policy, window_blocks=2, subsample_cap=cap, seed=3)
     blocks = drifting_blocks(3)
+    binned = counting_bins(monkeypatch)
     ens, resets = None, 0
     for X, y in blocks:
         ens = fit_initial(X, y, cfg) if ens is None else extend(ens, X, y, cfg)
         resets += np.all(ens.pool.y == ens.pool.y[0])
         assert np.array_equal(ens.pool.margin, ensemble_margin(ens, ens.pool.X))
-    # The first block, and a two-block window over blocks 3 and 4, hold one class.
+    # The first block, and a two-block window over blocks 3 and 4, hold one
+    # class; a reset boosts nothing, and every other block is binned once.
     assert resets == (2 if policy == "sliding-window" else 1)
+    assert len(binned) == len(blocks) - resets
     assert len(set(ens.pool.ids.tolist())) == (2 if policy == "sliding-window" else len(blocks))
 
 
@@ -801,18 +919,22 @@ def test_each_block_is_encoded_once_per_run(monkeypatch):
     assert len(calls) == n
 
 
-def test_each_revealed_row_is_sorted_once_and_no_round_walks_its_sample(monkeypatch):
+def counting_bins(monkeypatch):
+    """The row count of every ``bin_columns`` call, in call order."""
+    binned = []
+    fresh = baseline.bin_columns
+    monkeypatch.setattr(baseline, "bin_columns",
+                        lambda X: binned.append(X.shape[0]) or fresh(X))
+    return binned
+
+
+def test_each_revealed_block_is_binned_once_and_no_round_walks_its_sample(monkeypatch):
     ds = generate_drift_stream(UNSEEN_SPEC)
     n = UNSEEN_SPEC.n_blocks
     sizes = [hi - lo for lo, hi in plan_blocks(len(ds), n)]
-    sorted_rows, walked = [], []
-    fresh_sort, fresh_walk = baseline.presort, baseline._tree_outputs
-
-    def sort(X, kept=None):
-        sorted_rows.append(X.shape[0] - (0 if kept is None else kept.shape[1]))
-        return fresh_sort(X, kept)
-
-    monkeypatch.setattr(baseline, "presort", sort)
+    walked = []
+    fresh_walk = baseline._tree_outputs
+    binned = counting_bins(monkeypatch)
 
     def walk(trees, X):
         if trees and X.shape[0]:
@@ -823,9 +945,9 @@ def test_each_revealed_row_is_sorted_once_and_no_round_walks_its_sample(monkeypa
     trace = run_lifelong(ds, n, BaselinePredictor(BaselineConfig(**TINY)),
                          budget_seconds=600)
     assert trace.outcome == "completed"
-    # Blocks 0..n-2 are revealed, and each is sorted once, when it joins the
-    # pool: its rows are the ones new to the kept order.
-    assert sorted_rows == sizes[:-1]
+    # Blocks 0..n-2 are revealed, and each round bins its sample once, for
+    # all of its trees: with no cap, the whole pool so far.
+    assert binned == np.cumsum(sizes[:-1]).tolist()
     # Blocks 1..n-1 are walked when scored, and blocks 1..n-2 by the past
     # trees once more when revealed.  With no cap no row is left out of a
     # round's sample, so no other walk visits a row.
@@ -897,18 +1019,18 @@ def test_learning_other_rows_than_the_scored_block_encodes_them_afresh(monkeypat
 # of 150 binds once the pool holds two blocks of 100 rows, so the capped
 # sample and the margins of the rows it leaves out are pinned too.
 PREDICTION_PINS = {
-    ("A", "grow-full-history", 100_000): "e962693e79da9cc0b59e6bc0f3a5243802c79473111492cfa750c979f66c82e2",
-    ("A", "grow-full-history", 150): "df7d0c3ebd03e37bdf6fb935881e607d5e99f535e098367f8f010ea2cc3d6b9e",
-    ("A", "sliding-window", 100_000): "fdd92d3c186b6b0b3d8ace27cfdda9e59d7edacb2e5dd5d514ce0cc4fa06a0c6",
-    ("A", "sliding-window", 150): "d6cc2632b29307ee07c3cd3425275655ae977f75712c1e45b0a9bd51408300c1",
-    ("A", "adaptive-lr", 100_000): "db97b8ffe384f29f120d8d1d8e7b5259ecc61b07f2906db609b3b6d027d66401",
-    ("A", "adaptive-lr", 150): "dc7c4efce34ff5d736825bb16c2cdcbee8fe4d807318b435a78beccf34b3e66e",
-    ("D", "grow-full-history", 100_000): "f2d95a46937e0fc6121da21c73407971bce54eb247c1aeedf0a158de02acb7e2",
-    ("D", "grow-full-history", 150): "41e3215ac71b7f384de884fbc62792ca4d98dfd057578cec3c8ab952eff9d913",
-    ("D", "sliding-window", 100_000): "d463c5a827dd08ad44f814f72beb1e5227b1f2e76f7164bdd42cde73c5786cf9",
-    ("D", "sliding-window", 150): "f1d5cafcdd56f1028d2ae2c8ef35dfe767e2ef04746531b7bda566cf4c4d3b46",
-    ("D", "adaptive-lr", 100_000): "b3ab1f4b18be0ce8cd8d264f30fdf932271cd60ea6bc3be385c7dff3ea39127e",
-    ("D", "adaptive-lr", 150): "11705d9f2227483fac577ef1d999ab273bc4b83c30570419793d47353de0824f",
+    ("A", "grow-full-history", 100_000): "44343c4b0e353985760a6e51a1924608f358a9a54955f087bcf674657645300e",
+    ("A", "grow-full-history", 150): "f8adbc038f7a124f859cb98cc9da5bcfb157facdc1eba9c2daa50ccef892a74d",
+    ("A", "sliding-window", 100_000): "8eabbb3200dcfefb45e344c7485f39373bc8e1625eb081183adcf06354b59586",
+    ("A", "sliding-window", 150): "5197cdb89934461406290f9969edca1e5266a86cc39ca126714286f43ce3149c",
+    ("A", "adaptive-lr", 100_000): "1747243d5e39a44cb3feb2db98366903b4ea71f8f27651a356eb2d30d156fb04",
+    ("A", "adaptive-lr", 150): "194a1bf661c22d65f1013de9d68cc20d92979823947d5a9db794fad9db92d565",
+    ("D", "grow-full-history", 100_000): "fafb006336bd388553f0957af2e34031a36d7a6b38c355e70e3246d2de2ebc81",
+    ("D", "grow-full-history", 150): "cce1903b9ffde426adb55694cfdda33edab8dfda356d4c80ec0f75b026eb7064",
+    ("D", "sliding-window", 100_000): "af9dafff9e29313951ca4b6d293f523dc0f058231d3d54679c3c521ab731bd42",
+    ("D", "sliding-window", 150): "ec2b9dde4ae17e547e8bf8e851d0431ebb0f46572625154058d1571cb534edad",
+    ("D", "adaptive-lr", 100_000): "8dfe635d369b6d7c23d6280ff03e209e13906ab0e1c872986c082e96d5fabd36",
+    ("D", "adaptive-lr", 150): "cd9d144c5c29abb49c81c2bd07cdfe161b4444b22c8b3f4460f3da38421b268e",
 }
 
 

@@ -258,11 +258,11 @@ def test_empty_suite():
 # Frozen from the first smoke run of this exact configuration; any drift
 # here means the learner, generator, or protocol changed behavior.
 SUITE_PINS = {
-    "suite0": 0.7973038916363366,
-    "suite1": 0.7496962516383372,
-    "suite2": 0.5197284448704327,
-    "suite3": 0.5437303673081536,
-    "suite4": 0.7353684784744764,
+    "suite0": 0.7990908790480412,
+    "suite1": 0.7674571726060618,
+    "suite2": 0.516605413606645,
+    "suite3": 0.5271218908436953,
+    "suite4": 0.7342864114102665,
 }
 
 
@@ -469,6 +469,22 @@ def test_short_predictions_are_a_predictor_error(tmp_path):
     trace = run_lifelong(ds, 3, pred, budget_seconds=60)
     assert trace.outcome == "predictor-error"
     assert "predictions" in trace.error
+
+
+def test_predictions_file_is_read_one_line_past_the_block(tmp_path):
+    # Reading stops at the eleventh prediction for a 10-row block, so the
+    # line after it is never parsed, however long the file is.
+    script = PRELUDE + """
+for request in sys.stdin:
+    request = json.loads(request)
+    with open(request["pred_out"], "w") as fh:
+        fh.write("0.5\\n\\n" * 11 + "garbage\\n")
+    print(json.dumps({"step": request["step"]}), flush=True)
+"""
+    pred = script_predictor(tmp_path, script, "long_file")
+    trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=60)
+    assert trace.outcome == "predictor-error"
+    assert trace.error == "step 1: PredictorError: predictions file holds more than 10 predictions"
 
 
 def test_nonzero_exit_is_a_predictor_error(tmp_path):

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from driftbench import cli
+from driftbench.data import plan_blocks
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "driftbench"
@@ -106,3 +108,43 @@ def test_benchmark_workload_outputs_pass_its_checks(tmp_path, monkeypatch, name)
             "n_blocks": config["n_blocks"], "echo": workload.predictor == "echo"}
     failures, failed, _values, _elapsed = worker.check_outputs(spec, out, codes)
     assert (failures, failed) == ([], 0)
+
+
+TRACED_RUN = """\
+import importlib.util, json, sys
+from driftbench.baseline import BaselineConfig, BaselinePredictor
+from driftbench.harness import run_lifelong
+from driftbench.synth import desk_spec, generate_drift_stream
+
+spec = importlib.util.spec_from_file_location("driftbench_bench_tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+tracer = tracer_module.Tracer()
+tracer.install()
+ds = generate_drift_stream(desk_spec("A", 400, n_blocks=5, drift="gradual",
+                                     drift_magnitude=1.0, seed=3))
+pred = BaselinePredictor(BaselineConfig(initial_trees=3, trees_per_block=2, max_depth=3,
+                                        subsample_cap=150, seed=3))
+trace = run_lifelong(ds, 5, pred, budget_seconds=600)
+print(json.dumps({"outcome": trace.outcome, "rows": len(ds), "counts": tracer.counts,
+                  "trees": pred.ensemble.n_trees,
+                  "nodes": sum(t.n_nodes for t in pred.ensemble.trees)}))
+"""
+
+
+def test_benchmark_tracer_counts_the_baselines_trees():
+    # The tracer's count hooks read RegressionTree.fit's arguments by
+    # position.  It patches the package, so it runs in a child process.
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN, str(TRACER)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert run["outcome"] == "completed"
+    counts = run["counts"]
+    assert counts["baseline.trees"] == run["trees"] == 3 + 3 * 2
+    assert counts["baseline.nodes"] == run["nodes"]
+    # Blocks 0..3 are revealed; each round's sample is the pool so far,
+    # capped at 150 rows, and every tree of the round is fitted on it.
+    pool = np.cumsum([hi - lo for lo, hi in plan_blocks(run["rows"], 5)][:-1])
+    trees = [3, 2, 2, 2]
+    assert counts["baseline.fit_rows"] == sum(min(150, n) * k for n, k in zip(pool, trees))
