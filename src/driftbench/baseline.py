@@ -356,9 +356,10 @@ class BoostedEnsemble:
     """Immutable boosted ensemble; ``extend`` returns a grown copy and
     never touches existing trees.
 
-    Scores are ``sigmoid(base_score + sum(rate_t * tree_t(x)))``.  Under the
-    full-history policy the tree count after k revealed blocks is
-    ``initial_trees + k * trees_per_block`` exactly.
+    Scores are ``sigmoid(base_score + sum(rate_t * tree_t(x)))``.  After
+    block 0 and k more revealed blocks the ensemble holds
+    ``initial_trees + k * trees_per_block`` trees and k + 1 loss curves
+    exactly, under every policy and whatever classes a block holds.
     """
 
     base_score: float
@@ -419,15 +420,24 @@ def _boost(sample: TrainingPool, n_trees: int, rate: float, max_depth: int):
     return trees, np.asarray(losses), margin
 
 
+def _check_block(X: np.ndarray) -> None:
+    """Refuse rows that are not a 2-D block of at least one row."""
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValueError(f"expected a 2-D block of at least one row, got shape {X.shape}")
+
+
 def fit_initial(X: np.ndarray, y: np.ndarray, config: BaselineConfig) -> BoostedEnsemble:
     """Fit the starting ensemble on the first labeled block.
 
     This is ``extend`` applied to an empty ensemble whose base score is the
-    block's (clipped) log-odds, so a single-class block degenerates to that
-    prior with no trees.
+    block's (clipped) log-odds; the block's shape is checked before its
+    width or its prior is read.  A single-class block is boosted like any
+    other: every residual is equal, so no split gains and its trees are
+    leaves.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    _check_block(X)
     empty = BoostedEnsemble(_prior_logit(y), (), (), TrainingPool.empty(X.shape[1]))
     return extend(empty, X, y, config)
 
@@ -437,27 +447,24 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
     """Grow the ensemble with the newly revealed block.
 
     Appends ``initial_trees`` trees for block 0 and ``trees_per_block`` for
-    every later block, fitted on the policy's training pool; prior trees
-    and (for a two-class pool) the base score are untouched.  The new rows
-    go through the ensemble once, as they join the pool.  The round's sample
+    every later block, fitted on the policy's training pool, whatever
+    classes it holds; prior trees and the base score are untouched.  A
+    block that is not 2-D or has no rows is refused.  The new rows go
+    through the ensemble once, as they join the pool.  The round's sample
     is binned once and its trees split on those bins; the sampled rows'
     margins come out of boosting grown, and only rows left out of a capped
-    sample walk the new trees.  A pool that has collapsed to a single class
-    updates only the base score and walks the pool again under it.
+    sample walk the new trees.
     """
     X_new = np.asarray(X_new, dtype=np.float64)
     y_new = np.asarray(y_new, dtype=np.float64)
-    new_margin = ensemble_margin(ensemble, X_new)  # checks the rows' rank and width
+    _check_block(X_new)
+    new_margin = ensemble_margin(ensemble, X_new)  # checks the rows' width
     if y_new.shape != (X_new.shape[0],):
         raise ValueError(f"expected {X_new.shape[0]} labels, one per row, got shape {y_new.shape}")
     k = ensemble.revealed_blocks + 1
     pool = ensemble.pool.add(k, X_new, y_new, new_margin)
     if config.policy == "sliding-window":
         pool = pool.keep_last(config.window_blocks)
-
-    if np.all(pool.y == pool.y[0]):
-        reset = replace(ensemble, base_score=_prior_logit(pool.y))
-        return replace(reset, pool=replace(pool, margin=ensemble_margin(reset, pool.X)))
 
     margin = pool.margin  # new with this pool: grown in place
     pick = select_training_pool(
@@ -488,13 +495,15 @@ class BaselinePredictor:
     Encoders grow their vocabulary with each revealed block (ordinal only;
     count and target-mean stay frozen on the first block so earlier trees
     keep their feature semantics), and the ensemble is extended per policy.
-    A revealed block joins the training pool once and whole: its rows are
-    walked through the past trees as they join, so no pool row lacks its
-    margin, and each boosting round bins its sample once for the binned
-    split search of all its trees.
+    A revealed block trains on the matrix it was scored with: a value first
+    seen in it is coded unseen (0) there, in training as in scoring, and
+    has its own code from the next block on.  It joins the training pool
+    once and whole: its rows are walked through the past trees as they
+    join, so no pool row lacks its margin, and each boosting round bins its
+    sample once for the binned split search of all its trees.
     Beyond what the drift policy retains, it keeps the last block it scored
     and that block's matrix, because the lifelong loop reveals the same rows
-    at the next ``learn``, which then encodes only their unseen cells.
+    at the next ``learn``, which then trains on that matrix unchanged.
     """
 
     def __init__(self, config: BaselineConfig | None = None,
@@ -516,23 +525,22 @@ class BaselinePredictor:
                 mvc_kind=self.config.mvc_encoder,
                 smoothing=self.config.target_smoothing,
             )
-            X = transform_rows(self.schema, rows, self.encoders)
         elif self.freeze_after_initial:
             return
-        else:
-            X = self._encode_revealed(rows)
+        X = self._encode_revealed(rows)
         y = np.asarray(labels, dtype=np.float64)
         self.ensemble = (fit_initial(X, y, self.config) if self.ensemble is None
                          else extend(self.ensemble, X, y, self.config))
 
     def _encode_revealed(self, rows: Sequence[tuple[str, ...]]) -> np.ndarray:
-        """``rows`` encoded after each ordinal vocabulary has taken in their
-        new cells, in row order.
+        """``rows`` encoded under the current encoders, as ``predict``
+        scored them; each ordinal vocabulary then takes in their unseen
+        cells, in row order, for the blocks to come.
 
-        Starts from the matrix ``predict`` built when ``rows`` (by content)
-        was the block it last scored, else from a fresh transform.  Only an
-        ordinal cell coded 0 there (unseen) can change, since the other
-        encoders are frozen.
+        The matrix is the one ``predict`` built when ``rows`` (by content)
+        was the block it last scored, unchanged, else a fresh transform.
+        Only an ordinal cell coded 0 (unseen) brings a new value, since the
+        other encoders are frozen.
         """
         scored, self._scored = self._scored, None
         if scored is not None and scored[0] == rows:
@@ -545,8 +553,7 @@ class BaselinePredictor:
                 continue
             new = np.flatnonzero(X[:, j] == 0).tolist()
             if new:
-                enc = self.encoders[name] = extend_ordinal(enc, [rows[i][j] for i in new])
-                X[new, j] = [enc.mapping[rows[i][j]] for i in new]
+                self.encoders[name] = extend_ordinal(enc, [rows[i][j] for i in new])
         return X
 
     def predict(self, rows: Sequence[tuple[str, ...]]) -> np.ndarray:

@@ -16,6 +16,7 @@ file (without), sends one JSON request line on the program's stdin
 waits for the answer line ``{"step": k}`` on its stdout (at most
 ``_ANSWER_MAX_BYTES`` long), then reads one decimal score per test row
 from the predictions file, never more than one score past the block.
+Output received from the program before a request is an error at that step.
 The program keeps its model in memory between steps; closing its stdin
 tells it to exit.  An error quotes at most ``_QUOTE_MAX_CHARS``
 characters of a line the program wrote.
@@ -312,10 +313,11 @@ class SubprocessPredictor:
     ``<workdir>/stderr.txt``.  Each step stages the newly revealed train
     block and the pending test block as files, writes one JSON request
     line to the program's stdin and waits for the answer line ``{"step":
-    k}`` on its stdout, which carries nothing else.  The wait from request
-    to answer is billed, and step 1 also bills the launch; staging and
-    reading the predictions file accumulate in ``unbilled_seconds``.  The
-    whole group is killed the moment the remaining budget expires.
+    k}`` on its stdout, which carries nothing else, not even before the
+    request.  The wait from request to answer is billed, and step 1 also
+    bills the launch; staging and reading the predictions file accumulate
+    in ``unbilled_seconds``.  The whole group is killed the moment the
+    remaining budget expires.
     :meth:`close` ends the program once the dataset's run is over.
     """
 
@@ -397,8 +399,17 @@ class SubprocessPredictor:
 
     def _exchange(self, request: bytes, start: float, deadline: float) -> bytes:
         """Send one request line and return the next answer line, without
-        its newline; the child is killed if the deadline passes first."""
+        its newline; the child is killed if the deadline passes first.
+        Output the child wrote before the request is a predictor error."""
         proc = self._proc
+        early = bytes(self._answers)
+        if not early and select.select([proc.stdout], [], [], 0)[0]:
+            early = os.read(proc.stdout.fileno(), _ANSWER_MAX_BYTES + 1)
+            if not early:
+                self._exited(start, deadline)
+        if early:
+            text = _quote(early.decode("utf-8", "replace"))
+            raise PredictorError(f"output {text} before the request")
         try:
             proc.stdin.write(request)
         except BrokenPipeError:

@@ -1,5 +1,8 @@
 import gc
 import hashlib
+import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -35,7 +38,7 @@ from driftbench.data import (
 from driftbench.encoding import EncoderKind, extend_ordinal, fit_dataset_encoders, transform_rows
 from driftbench.metrics import auc
 from driftbench.reference_predictor import _config_from_env
-from driftbench.harness import OUTCOME_PREDICTOR_ERROR, run_lifelong
+from driftbench.harness import OUTCOME_PREDICTOR_ERROR, SubprocessPredictor, run_lifelong
 from driftbench.synth import DriftGenSpec, desk_spec, generate_drift_stream
 
 FAST = dict(initial_trees=30, trees_per_block=8, max_depth=3, learning_rate=0.2)
@@ -137,21 +140,31 @@ def test_pool_keeps_a_margin_per_row(data):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_extended_pool_keeps_its_margins_through_windows_samples_and_resets(data):
+def test_each_block_keeps_the_learners_invariants(data):
+    # Single-class blocks included, under every policy, with the cap off or
+    # binding: after block k the ensemble holds initial_trees + k *
+    # trees_per_block trees and k + 1 loss curves, every block was binned
+    # once, and every pool row's cached margin is a fresh walk's.
     width = data.draw(st.integers(1, 3), label="width")
     cfg = BaselineConfig(initial_trees=2, trees_per_block=1, max_depth=2, learning_rate=0.5,
                          policy=data.draw(st.sampled_from(DRIFT_POLICIES), label="policy"),
                          window_blocks=1 + data.draw(st.integers(0, 1), label="window"),
-                         subsample_cap=data.draw(st.integers(3, 40), label="cap"), seed=1)
+                         subsample_cap=data.draw(st.sampled_from([100_000, 3, 10, 40]),
+                                                 label="cap"), seed=1)
     ens = None
-    for _ in range(data.draw(st.integers(1, 6), label="blocks")):
-        X = data.draw(hnp.arrays(np.float64, st.tuples(st.integers(2, 12), st.just(width)),
-                                 elements=CELLS), label="X")
-        labels = data.draw(st.sampled_from(["zeros", "ones", "mixed"]), label="labels")
-        y = (np.arange(X.shape[0]) % 2.0 if labels == "mixed"
-             else np.full(X.shape[0], float(labels == "ones")))
-        ens = fit_initial(X, y, cfg) if ens is None else extend(ens, X, y, cfg)
-        assert np.array_equal(ens.pool.margin, ensemble_margin(ens, ens.pool.X))
+    with pytest.MonkeyPatch.context() as mp:
+        binned = counting_bins(mp)
+        for k in range(data.draw(st.integers(1, 6), label="blocks")):
+            X = data.draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.just(width)),
+                                     elements=CELLS), label="X")
+            labels = data.draw(st.sampled_from(["zeros", "ones", "mixed"]), label="labels")
+            y = (np.arange(X.shape[0]) % 2.0 if labels == "mixed"
+                 else np.full(X.shape[0], float(labels == "ones")))
+            ens = fit_initial(X, y, cfg) if ens is None else extend(ens, X, y, cfg)
+            assert ens.n_trees == cfg.initial_trees + k * cfg.trees_per_block
+            assert len(ens.loss_history) == k + 1
+            assert len(binned) == k + 1
+            assert np.array_equal(ens.pool.margin, ensemble_margin(ens, ens.pool.X))
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +569,8 @@ def test_single_class_block_predicts_prior():
     X = np.random.default_rng(0).normal(size=(40, 3))
     ens = fit_initial(X, np.ones(40), BaselineConfig(initial_trees=1, trees_per_block=1,
                                                      max_depth=1))
-    assert ens.n_trees == 0
+    # Boosted like any block: every residual is equal, so the tree is a leaf.
+    assert ens.n_trees == 1 and ens.trees[0].n_nodes == 1
     assert np.all(predict_scores(ens, X) >= 0.9)
 
 
@@ -619,6 +633,19 @@ def test_labels_must_match_rows():
         extend(ens, X[20:30], y[20:29], cfg)
     with pytest.raises(ValueError, match=r"^expected rows of width 2, got shape \(10, 3\)$"):
         extend(ens, np.zeros((10, 3)), y[20:30], cfg)
+
+
+@pytest.mark.parametrize("shape", [(10,), (0, 2), (3, 2, 2)], ids=["1-D", "no-rows", "3-D"])
+def test_blocks_that_are_not_2d_or_have_no_rows_are_refused(shape):
+    X, y = separable_data(n=40)
+    cfg = BaselineConfig(seed=1, **FAST)
+    ens = fit_initial(X, y, cfg)
+    message = "^" + re.escape(f"expected a 2-D block of at least one row, got shape {shape}") + "$"
+    labels = np.arange(shape[0]) % 2.0
+    with pytest.raises(ValueError, match=message):
+        fit_initial(np.zeros(shape), labels, cfg)
+    with pytest.raises(ValueError, match=message):
+        extend(ens, np.zeros(shape), labels, cfg)
 
 
 def test_gradient_matches_finite_differences():
@@ -716,15 +743,13 @@ def test_cached_margins_match_a_fresh_walk(policy, cap, monkeypatch):
                          policy=policy, window_blocks=2, subsample_cap=cap, seed=3)
     blocks = drifting_blocks(3)
     binned = counting_bins(monkeypatch)
-    ens, resets = None, 0
+    ens = None
     for X, y in blocks:
         ens = fit_initial(X, y, cfg) if ens is None else extend(ens, X, y, cfg)
-        resets += np.all(ens.pool.y == ens.pool.y[0])
         assert np.array_equal(ens.pool.margin, ensemble_margin(ens, ens.pool.X))
     # The first block, and a two-block window over blocks 3 and 4, hold one
-    # class; a reset boosts nothing, and every other block is binned once.
-    assert resets == (2 if policy == "sliding-window" else 1)
-    assert len(binned) == len(blocks) - resets
+    # class; they are boosted like the others, so every block is binned once.
+    assert len(binned) == len(blocks)
     assert len(set(ens.pool.ids.tolist())) == (2 if policy == "sliding-window" else len(blocks))
 
 
@@ -883,18 +908,19 @@ def counting_transforms(monkeypatch):
 
 
 def reference_learned_matrices(ds, ranges, config):
-    """Each block's matrix and the final encoders by the plain route: grow
-    every ordinal vocabulary over all of a block's cells, then encode it."""
+    """Each block's matrix and the final encoders by the plain route: encode
+    a block as it was scored, then grow every ordinal vocabulary over all
+    of its cells."""
     lo, hi = ranges[0]
     encoders = fit_dataset_encoders(ds.schema, ds.rows[lo:hi], ds.labels[lo:hi],
                                     cat_kind=config.cat_encoder, mvc_kind=config.mvc_encoder,
                                     smoothing=config.target_smoothing)
     matrices = []
     for lo, hi in ranges:
+        matrices.append(transform_rows(ds.schema, ds.rows[lo:hi], encoders))
         for j, name in enumerate(ds.schema.names):
             if name in encoders and encoders[name].kind is EncoderKind.ORDINAL:
                 encoders[name] = extend_ordinal(encoders[name], [r[j] for r in ds.rows[lo:hi]])
-        matrices.append(transform_rows(ds.schema, ds.rows[lo:hi], encoders))
     return matrices, encoders
 
 
@@ -999,6 +1025,55 @@ def test_rows_read_back_from_a_file_reuse_the_scored_matrix(tmp_path, monkeypatc
     assert pred.encoders == alone.encoders
 
 
+def test_a_value_is_unseen_in_the_block_that_brings_it():
+    # Trained as scored: a value first seen in revealed block k is coded 0
+    # in that block's pool rows, and has its own code from block k + 1 on.
+    ds = generate_drift_stream(UNSEEN_SPEC)
+    ranges = plan_blocks(len(ds), UNSEEN_SPEC.n_blocks)[:-1]
+    pred = BaselinePredictor(BaselineConfig(**TINY))
+    for k, (lo, hi) in enumerate(ranges):
+        if k:
+            pred.predict(ds.rows[lo:hi])
+        pred.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
+    X = pred.ensemble.pool.X
+    assert X.shape[0] == ranges[-1][1]
+    brought: dict = {}   # (column, value) -> the block that brought it
+    unseen = coded_later = 0
+    for j, name in enumerate(ds.schema.names):
+        if name not in pred.encoders:
+            continue
+        for k, (lo, hi) in enumerate(ranges):
+            for i in range(lo, hi):
+                first = brought.setdefault((j, ds.rows[i][j]), k)
+                if 0 < first == k:
+                    assert X[i, j] == 0
+                    unseen += 1
+                else:
+                    assert X[i, j] == pred.encoders[name].mapping[ds.rows[i][j]] >= 1
+                    coded_later += first > 0
+    assert unseen and coded_later
+
+
+def test_the_baseline_scores_alike_over_the_wire_and_in_process(tmp_path, monkeypatch):
+    # The child re-reads every block from a file and writes %.9f scores.
+    options = dict(TINY, policy="sliding-window", seed=6)
+    monkeypatch.setenv("DRIFTBENCH_BASELINE_CONFIG", json.dumps(options))
+    ds = generate_drift_stream(UNSEEN_SPEC)
+    ranges = plan_blocks(len(ds), UNSEEN_SPEC.n_blocks)
+    wire = SubprocessPredictor([sys.executable, "-m", "driftbench.reference_predictor"],
+                               workdir=tmp_path / "ref")
+    inproc = BaselinePredictor(BaselineConfig(**options))
+    try:
+        for (lo, hi), (nlo, nhi) in zip(ranges, ranges[1:]):
+            scores = []
+            for pred in (wire, inproc):
+                pred.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
+                scores.append(np.asarray(pred.predict(ds.rows[nlo:nhi])))
+            assert np.max(np.abs(scores[0] - scores[1])) <= 1e-9
+    finally:
+        wire.close()
+
+
 def test_learning_other_rows_than_the_scored_block_encodes_them_afresh(monkeypatch):
     ds = generate_drift_stream(UNSEEN_SPEC)
     ranges = plan_blocks(len(ds), UNSEEN_SPEC.n_blocks)
@@ -1019,18 +1094,18 @@ def test_learning_other_rows_than_the_scored_block_encodes_them_afresh(monkeypat
 # of 150 binds once the pool holds two blocks of 100 rows, so the capped
 # sample and the margins of the rows it leaves out are pinned too.
 PREDICTION_PINS = {
-    ("A", "grow-full-history", 100_000): "44343c4b0e353985760a6e51a1924608f358a9a54955f087bcf674657645300e",
-    ("A", "grow-full-history", 150): "f8adbc038f7a124f859cb98cc9da5bcfb157facdc1eba9c2daa50ccef892a74d",
-    ("A", "sliding-window", 100_000): "8eabbb3200dcfefb45e344c7485f39373bc8e1625eb081183adcf06354b59586",
-    ("A", "sliding-window", 150): "5197cdb89934461406290f9969edca1e5266a86cc39ca126714286f43ce3149c",
-    ("A", "adaptive-lr", 100_000): "1747243d5e39a44cb3feb2db98366903b4ea71f8f27651a356eb2d30d156fb04",
-    ("A", "adaptive-lr", 150): "194a1bf661c22d65f1013de9d68cc20d92979823947d5a9db794fad9db92d565",
-    ("D", "grow-full-history", 100_000): "fafb006336bd388553f0957af2e34031a36d7a6b38c355e70e3246d2de2ebc81",
-    ("D", "grow-full-history", 150): "cce1903b9ffde426adb55694cfdda33edab8dfda356d4c80ec0f75b026eb7064",
-    ("D", "sliding-window", 100_000): "af9dafff9e29313951ca4b6d293f523dc0f058231d3d54679c3c521ab731bd42",
-    ("D", "sliding-window", 150): "ec2b9dde4ae17e547e8bf8e851d0431ebb0f46572625154058d1571cb534edad",
-    ("D", "adaptive-lr", 100_000): "8dfe635d369b6d7c23d6280ff03e209e13906ab0e1c872986c082e96d5fabd36",
-    ("D", "adaptive-lr", 150): "cd9d144c5c29abb49c81c2bd07cdfe161b4444b22c8b3f4460f3da38421b268e",
+    ("A", "grow-full-history", 100_000): "e2fce4a1b1ee1198374bee6b7e7b0450a889ca83c28adeb2d2cd324c68418c98",
+    ("A", "grow-full-history", 150): "736de77c080c0a8ee48d4a434e26fb6717f54e2c622f83f24ec2cd5c4e540871",
+    ("A", "sliding-window", 100_000): "4480e857496bec6ab5d07c4d4c8a2880d7bd2e268da8cce144247bd55e1a090a",
+    ("A", "sliding-window", 150): "44f10c0d22bbf9460a6ede559d9056d3934b9810b2e2d76abcffe68541cb6edd",
+    ("A", "adaptive-lr", 100_000): "5861459dc9168f80c4cfd4313d92ab0dc0c0ad45065ed6eaf45904596a03a879",
+    ("A", "adaptive-lr", 150): "8be9f0bc76a8ac73523b397417a7ae33d857310745707025e3d70f393930ed3d",
+    ("D", "grow-full-history", 100_000): "28e04e865f5779c118aa21c455b3a0e047354c4f922bb590541481a3c860b447",
+    ("D", "grow-full-history", 150): "5308c3df46047eb68dcd5ade83207795dd1751a52a09fa424c1ed929be0ff685",
+    ("D", "sliding-window", 100_000): "9b20759d13eb60c17d892b8c37c9ad407f9f9907131965db8d929aed9c9ee807",
+    ("D", "sliding-window", 150): "d9eed0f789222dc1a8370a52c6197a9081958da24e61c79536ccebd8c3719b86",
+    ("D", "adaptive-lr", 100_000): "82537e311d54b5f4998c9f17cb1074de5a3b24a57732e2bf59d25595dc1c4955",
+    ("D", "adaptive-lr", 150): "b589c2a9d10c2c74c1d97800c3dadca0fcf642ab9fbf8aaaf29b0dd7898e028b",
 }
 
 

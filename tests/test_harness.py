@@ -12,6 +12,7 @@ from driftbench.data import (BlockPlanError, ChronoDataset, FeatureKind, Feature
 from driftbench.harness import (
     ConstantPredictor,
     DatasetRef,
+    PredictorError,
     SubprocessPredictor,
     run_lifelong,
     run_suite,
@@ -258,11 +259,11 @@ def test_empty_suite():
 # Frozen from the first smoke run of this exact configuration; any drift
 # here means the learner, generator, or protocol changed behavior.
 SUITE_PINS = {
-    "suite0": 0.7990908790480412,
-    "suite1": 0.7674571726060618,
-    "suite2": 0.516605413606645,
-    "suite3": 0.5271218908436953,
-    "suite4": 0.7342864114102665,
+    "suite0": 0.7802495457009881,
+    "suite1": 0.7562959745776142,
+    "suite2": 0.5290911386658995,
+    "suite3": 0.5077867759548984,
+    "suite4": 0.7313108765544795,
 }
 
 
@@ -637,6 +638,50 @@ for request in sys.stdin:
     trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=60)
     assert trace.outcome == "predictor-error"
     assert trace.error == f"step 1: PredictorError: answer {line!r} is not {{\"step\": 1}}"
+
+
+# Each answer is followed by the next step's, in the same write or later.
+EARLY_SCRIPT = PRELUDE + """
+for request in sys.stdin:
+    request = json.loads(request)
+    test = open(request["test"]).read().splitlines()
+    with open(request["pred_out"], "w") as fh:
+        fh.write("0.5\\n" * (len(test) - 1))
+    answer, early = (json.dumps({"step": request["step"] + i}) for i in (0, 1))
+    if LATER:
+        print(answer, flush=True)
+        time.sleep(0.1)
+        print(early, flush=True)
+    else:  # one write, buffered or not
+        print(answer + "\\n" + early + "\\n", end="", flush=True)
+"""
+
+
+def test_output_before_the_request_is_a_predictor_error(tmp_path):
+    # Read with the step-1 answer, the step-2 line is not taken as step 2's.
+    pred = script_predictor(tmp_path, "LATER = False\n" + EARLY_SCRIPT, "early")
+    trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=60)
+    assert trace.outcome == "predictor-error"
+    assert trace.error == ("step 2: PredictorError: output '{\"step\": 2}\\n' "
+                           "before the request")
+    assert [s.step for s in trace.steps] == [1]
+    assert not (tmp_path / "early_work" / "pred_002.txt").exists()  # never asked for step 2
+
+
+def test_output_waiting_on_the_pipe_before_the_request_is_a_predictor_error(tmp_path):
+    ds = indexed_dataset(30)
+    ranges = plan_blocks(30, 3)
+    pred = script_predictor(tmp_path, "LATER = True\n" + EARLY_SCRIPT, "later")
+    try:
+        pred.learn(ds.rows[0:10], ds.labels[0:10], ds.schema, 60.0)
+        assert len(pred.predict(ds.rows[slice(*ranges[1])])) == 10
+        time.sleep(1.0)  # the step-2 line arrives on the pipe meanwhile
+        pred.learn(ds.rows[10:20], ds.labels[10:20], ds.schema, 60.0)
+        with pytest.raises(PredictorError,
+                           match=r"^output '\{\"step\": 2\}\\n' before the request$"):
+            pred.predict(ds.rows[slice(*ranges[2])])
+    finally:
+        pred.close()
 
 
 def test_long_answer_line_is_quoted_short(tmp_path):
