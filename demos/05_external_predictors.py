@@ -7,14 +7,15 @@ The harness launches the program once per dataset as
 Per step it writes a labeled train file and an unlabeled test file, sends
 one JSON request line on the program's stdin
 
-    {"step": k, "train": F, "test": F, "pred_out": F, "remaining_budget": S}
+    {"step": k, "token": T, "train": F, "test": F, "pred_out": F,
+     "remaining_budget": S}
 
-and waits for the answer ``{"step": k}`` on its stdout, which carries
-nothing else; the program logs to stderr, which lands in
-``<workdir>/stderr.txt``.  The harness then reads one score per line from
-``pred_out``.  The program keeps its model in memory between steps; it is
-killed the moment the remaining budget runs out, and told to exit by the
-end of its stdin once the run is over.
+and waits for the answer ``{"token": T}`` on its stdout, which echoes the
+request's fresh token and carries nothing else; the program logs to
+stderr, which lands in ``<workdir>/stderr.txt``.  The harness then reads
+one score per line from ``pred_out``.  The program keeps its model in
+memory between steps; it is killed the moment the remaining budget runs
+out, and told to exit by the end of its stdin once the run is over.
 
 Two external predictors ship with the package:
 

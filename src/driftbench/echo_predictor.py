@@ -18,11 +18,11 @@ def serve(description: str, step_fn, argv=None) -> int:
     """Answer the harness's requests until stdin closes.
 
     Parses ``--schema F --workdir D`` from ``argv``.  For each JSON request
-    line on stdin (``step``, ``train``, ``test``, ``pred_out``,
+    line on stdin (``step``, ``token``, ``train``, ``test``, ``pred_out``,
     ``remaining_budget``) calls ``step_fn(args, request)``, which writes one
     score per test row to ``request["pred_out"]``, then answers
-    ``{"step": k}`` on stdout.  Stdout carries only answers: ``step_fn``
-    must log to stderr.
+    ``{"token": T}`` on stdout, echoing the request's token.  Stdout carries
+    only answers: ``step_fn`` must log to stderr.
     """
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--schema", required=True)
@@ -31,7 +31,7 @@ def serve(description: str, step_fn, argv=None) -> int:
     for line in sys.stdin:
         request = json.loads(line)
         step_fn(args, request)
-        print(json.dumps({"step": request["step"]}), flush=True)
+        print(json.dumps({"token": request["token"]}), flush=True)
     return 0
 
 

@@ -12,11 +12,11 @@ External predictors answer a request loop.  The harness launches
 ``<command> --schema F --workdir D`` once per dataset and keeps it running
 for every step.  Per step it writes a train file (with labels) and a test
 file (without), sends one JSON request line on the program's stdin
-(``step``, ``train``, ``test``, ``pred_out``, ``remaining_budget``) and
-waits for the answer line ``{"step": k}`` on its stdout (at most
-``_ANSWER_MAX_BYTES`` long), then reads one decimal score per test row
+(``step``, ``token``, ``train``, ``test``, ``pred_out``,
+``remaining_budget``), takes the next line on its stdout (at most
+``_ANSWER_MAX_BYTES`` long) as the answer, which must be ``{"token": T}``
+with the request's token, then reads one decimal score per test row
 from the predictions file, never more than one score past the block.
-Output received from the program before a request is an error at that step.
 The program keeps its model in memory between steps; closing its stdin
 tells it to exit.  An error quotes at most ``_QUOTE_MAX_CHARS``
 characters of a line the program wrote.
@@ -311,13 +311,14 @@ class SubprocessPredictor:
     At step 1 the program is launched as ``<command> --schema F --workdir
     D`` in a process group of its own, with its stderr going to
     ``<workdir>/stderr.txt``.  Each step stages the newly revealed train
-    block and the pending test block as files, writes one JSON request
-    line to the program's stdin and waits for the answer line ``{"step":
-    k}`` on its stdout, which carries nothing else, not even before the
-    request.  The wait from request to answer is billed, and step 1 also
-    bills the launch; staging and reading the predictions file accumulate
-    in ``unbilled_seconds``.  The whole group is killed the moment the
-    remaining budget expires.
+    block and the pending test block as files, removes the step's stale
+    predictions file, writes one JSON request line to the program's stdin
+    and waits for the answer line ``{"token": T}`` that echoes the
+    request's fresh token T, so a line written before the child read the
+    request cannot pass for its answer.  The wait from request to answer
+    is billed, and step 1 also bills the launch; staging and reading the
+    predictions file accumulate in ``unbilled_seconds``.  The whole group
+    is killed the moment the remaining budget expires.
     :meth:`close` ends the program once the dataset's run is over.
     """
 
@@ -350,6 +351,7 @@ class SubprocessPredictor:
         schema_path = self.workdir / "schema.csv"
         write_rows(train_path, schema, train_rows, train_labels)
         write_rows(test_path, schema, rows, None)
+        pred_path.unlink(missing_ok=True)
         if self._proc is None:
             write_schema(schema, schema_path)
         self.unbilled_seconds += time.perf_counter() - t0
@@ -362,16 +364,18 @@ class SubprocessPredictor:
                     self.command + ["--schema", str(schema_path), "--workdir", str(self.workdir)],
                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=stderr,
                     bufsize=0, start_new_session=True)
-        request = {"step": self._step, "train": str(train_path), "test": str(test_path),
-                   "pred_out": str(pred_path), "remaining_budget": round(self._remaining, 3)}
+        token = os.urandom(8).hex()
+        request = {"step": self._step, "token": token, "train": str(train_path),
+                   "test": str(test_path), "pred_out": str(pred_path),
+                   "remaining_budget": round(self._remaining, 3)}
         line = self._exchange(json.dumps(request).encode() + b"\n", start, deadline)
         try:
             answer = json.loads(line)
         except ValueError:
             answer = None
-        if answer != {"step": self._step} or type(answer["step"]) is not int:
+        if answer != {"token": token}:
             text = _quote(line.decode("utf-8", "replace"))
-            raise PredictorError(f"answer {text} is not {{\"step\": {self._step}}}")
+            raise PredictorError(f"answer {text} does not echo the request's token")
 
         # A short count and finiteness are left to the harness, as for any
         # adapter; the file is read at most one prediction past the block,
@@ -398,18 +402,10 @@ class SubprocessPredictor:
             self.unbilled_seconds += time.perf_counter() - t1
 
     def _exchange(self, request: bytes, start: float, deadline: float) -> bytes:
-        """Send one request line and return the next answer line, without
-        its newline; the child is killed if the deadline passes first.
-        Output the child wrote before the request is a predictor error."""
+        """Send one request line and return the next line on the child's
+        stdout, without its newline; the child is killed if the deadline
+        passes first."""
         proc = self._proc
-        early = bytes(self._answers)
-        if not early and select.select([proc.stdout], [], [], 0)[0]:
-            early = os.read(proc.stdout.fileno(), _ANSWER_MAX_BYTES + 1)
-            if not early:
-                self._exited(start, deadline)
-        if early:
-            text = _quote(early.decode("utf-8", "replace"))
-            raise PredictorError(f"output {text} before the request")
         try:
             proc.stdin.write(request)
         except BrokenPipeError:

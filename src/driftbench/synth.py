@@ -55,12 +55,14 @@ class DriftGenSpec:
         check_field_types(self)
         if self.drift not in DRIFT_PROFILES:
             raise ValueError(f"drift profile must be one of {DRIFT_PROFILES}, got {self.drift!r}")
-        if self.drift_magnitude < 0:
-            raise ValueError("drift magnitude must be >= 0")
+        if not 0 <= self.drift_magnitude < np.inf:
+            raise ValueError("drift_magnitude must be a finite number >= 0, "
+                             f"got {self.drift_magnitude}")
         if self.cat_cardinality < 1:
             raise ValueError("categorical cardinality must be positive")
-        if self.power_exponent <= 0:
-            raise ValueError("power-law exponent must be > 0")
+        if not 0 < self.power_exponent < np.inf:
+            raise ValueError("power_exponent must be a finite number > 0, "
+                             f"got {self.power_exponent}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if min(self.n_rows, self.n_blocks) < 1 or self.n_blocks > self.n_rows:

@@ -316,6 +316,29 @@ def test_infinite_budget_is_config_error(tmp_path, capsys, command):
     assert "error: dataset entry 0: budget_seconds must be a finite number > 0, got inf" in err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("drift_magnitude", float("inf"), "drift_magnitude must be a finite number >= 0, got inf"),
+    ("drift_magnitude", float("nan"), "drift_magnitude must be a finite number >= 0, got nan"),
+    ("power_exponent", float("inf"), "power_exponent must be a finite number > 0, got inf"),
+    ("power_exponent", float("nan"), "power_exponent must be a finite number > 0, got nan"),
+], ids=["magnitude-inf", "magnitude-nan", "exponent-inf", "exponent-nan"])
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_nonfinite_generator_parameter_is_config_error(tmp_path, capsys, command, key, value,
+                                                       message):
+    # The JSON reader accepts Infinity and NaN; the generator must not.
+    config = write_config(tmp_path, n_datasets=1)
+    raw = json.loads(config.read_text())
+    raw["datasets"][0].update({"drift": "gradual", key: value})
+    config.write_text(json.dumps(raw))
+    argv = [command, "--config", str(config)]
+    if command == "evaluate":
+        argv += ["--predictor", "echo"]
+    assert main(argv) == 1
+    assert f"error: dataset entry 0: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+    assert not (tmp_path / "out").exists()
+
+
 def test_duplicate_dataset_id_is_config_error(tmp_path, capsys):
     config = write_config(tmp_path, n_datasets=2)
     raw = json.loads(config.read_text())

@@ -1,8 +1,10 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from driftbench.data import (BlockPlanError, ChronoDataset, FeatureKind, Feature
 from driftbench.harness import (
     ConstantPredictor,
     DatasetRef,
-    PredictorError,
     SubprocessPredictor,
     run_lifelong,
     run_suite,
@@ -336,8 +337,8 @@ def test_budget_that_is_not_a_number_is_a_type_error(budget):
 # subprocess protocol
 
 # Shared by the request-loop programs below: ``score(request, n)`` writes n
-# scores of 0.5 (default: one per test row) and answers the step.  Each
-# program leaves its pid in the work directory.
+# scores of 0.5 (default: one per test row) and answers the request by
+# echoing its token.  Each program leaves its pid in the work directory.
 PRELUDE = """\
 import json, os, sys, time
 workdir = sys.argv[sys.argv.index("--workdir") + 1]
@@ -348,7 +349,7 @@ def score(request, n=None):
     test = open(request["test"]).read().splitlines()
     with open(request["pred_out"], "w") as fh:
         fh.write("0.5\\n" * (len(test) - 1 if n is None else n))
-    print(json.dumps({"step": request["step"]}), flush=True)
+    print(json.dumps({"token": request["token"]}), flush=True)
 """
 
 JOURNAL_SCRIPT = PRELUDE + """
@@ -358,6 +359,8 @@ for line in sys.stdin:
     test = open(request["test"]).read().splitlines()
     entry = {
         "step": request["step"],
+        "keys": list(request),
+        "token": request["token"],
         "pid": os.getpid(),
         "remaining_budget": request["remaining_budget"],
         "train_ids": [row.split(",")[0] for row in train[1:]],
@@ -480,7 +483,7 @@ for request in sys.stdin:
     request = json.loads(request)
     with open(request["pred_out"], "w") as fh:
         fh.write("0.5\\n\\n" * 11 + "garbage\\n")
-    print(json.dumps({"step": request["step"]}), flush=True)
+    print(json.dumps({"token": request["token"]}), flush=True)
 """
     pred = script_predictor(tmp_path, script, "long_file")
     trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=60)
@@ -626,62 +629,105 @@ def test_crash_error_quotes_the_tail_of_stderr(tmp_path):
     assert "Traceback" in (tmp_path / "crash_work" / "stderr.txt").read_text()
 
 
-@pytest.mark.parametrize("line", ["hello", '{"step": 2}', '{"step": 1.0}', '{"step": 1, "x": 0}'],
-                         ids=["text", "wrong-step", "float-step", "extra-key"])
+# Each child writes LINE, a Python expression over its request, and then
+# answers; the line is kept in the work directory, for the error to quote.
+@pytest.mark.parametrize("line", [
+    '"hello"',
+    'json.dumps({"step": request["step"]})',
+    'json.dumps({"token": "0" * 16})',
+    'json.dumps({"token": request["token"], "x": 0})',
+], ids=["text", "step-answer", "wrong-token", "extra-key"])
 def test_stray_stdout_line_is_a_predictor_error(tmp_path, line):
     script = PRELUDE + f"""
 for request in sys.stdin:
-    print({line!r}, flush=True)
-    score(json.loads(request))
+    request = json.loads(request)
+    line = {line}
+    with open(os.path.join(workdir, "stray"), "w") as fh:
+        fh.write(line)
+    print(line, flush=True)
+    score(request)
 """
     pred = script_predictor(tmp_path, script, "stray")
     trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=60)
     assert trace.outcome == "predictor-error"
-    assert trace.error == f"step 1: PredictorError: answer {line!r} is not {{\"step\": 1}}"
+    stray = (tmp_path / "stray_work" / "stray").read_text()
+    assert trace.error == f"step 1: PredictorError: answer {stray!r} does not echo the request's token"
 
 
-# Each answer is followed by the next step's, in the same write or later.
-EARLY_SCRIPT = PRELUDE + """
+# After PAUSE seconds each answer is followed by a guess at the next step's
+# answer: in the same write when DELAY is None, else DELAY seconds later.
+STRAY_SCRIPT = PRELUDE + """
 for request in sys.stdin:
     request = json.loads(request)
+    time.sleep(PAUSE)
     test = open(request["test"]).read().splitlines()
     with open(request["pred_out"], "w") as fh:
         fh.write("0.5\\n" * (len(test) - 1))
-    answer, early = (json.dumps({"step": request["step"] + i}) for i in (0, 1))
-    if LATER:
+    answer = json.dumps({"token": request["token"]})
+    guess = json.dumps({"step": request["step"] + 1})
+    if DELAY is None:
+        print(answer + "\\n" + guess, flush=True)
+    else:
         print(answer, flush=True)
-        time.sleep(0.1)
-        print(early, flush=True)
-    else:  # one write, buffered or not
-        print(answer + "\\n" + early + "\\n", end="", flush=True)
+        time.sleep(DELAY)
+        print(guess, flush=True)
+"""
+GUESS_ERROR = "step 2: PredictorError: answer '{\"step\": 2}' does not echo the request's token"
+
+
+@pytest.mark.parametrize("delay", [None, 0.1], ids=["same-write", "later"])
+def test_stray_line_after_an_answer_fails_the_next_step(tmp_path, delay):
+    pred = script_predictor(tmp_path, f"PAUSE, DELAY = 0, {delay}\n" + STRAY_SCRIPT, "guess")
+    trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=60)
+    assert trace.outcome == "predictor-error"
+    assert trace.error == GUESS_ERROR
+    assert [s.step for s in trace.steps] == [1]
+
+
+def test_a_slow_childs_guess_is_never_taken_for_an_answer(tmp_path):
+    # 0.3 s a step, the guess 50 ms after each answer: the guess reaches the
+    # judge before the next answer can, in the second run in the same work
+    # directory too, where the first run's predictions files are waiting.
+    for _ in range(2):
+        pred = script_predictor(tmp_path, "PAUSE, DELAY = 0.3, 0.05\n" + STRAY_SCRIPT, "race")
+        trace = run_lifelong(indexed_dataset(40), 4, pred, budget_seconds=60)
+        assert trace.outcome == "predictor-error"
+        assert trace.error == GUESS_ERROR
+        assert [s.step for s in trace.steps] == [1]
+
+
+# Answers every request without writing its predictions file.
+SILENT_SCRIPT = PRELUDE + """
+for request in sys.stdin:
+    print(json.dumps({"token": json.loads(request)["token"]}), flush=True)
 """
 
 
-def test_output_before_the_request_is_a_predictor_error(tmp_path):
-    # Read with the step-1 answer, the step-2 line is not taken as step 2's.
-    pred = script_predictor(tmp_path, "LATER = False\n" + EARLY_SCRIPT, "early")
-    trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=60)
+def test_predictions_left_by_an_earlier_run_are_never_read(tmp_path):
+    # The echo child runs first in the work directory the silent one gets.
+    echo = SubprocessPredictor([sys.executable, "-m", "driftbench.echo_predictor"],
+                               workdir=tmp_path / "silent_work")
+    assert run_lifelong(indexed_dataset(40), 4, echo, budget_seconds=60).outcome == "completed"
+    pred = script_predictor(tmp_path, SILENT_SCRIPT, "silent")
+    trace = run_lifelong(indexed_dataset(40), 4, pred, budget_seconds=60)
     assert trace.outcome == "predictor-error"
-    assert trace.error == ("step 2: PredictorError: output '{\"step\": 2}\\n' "
-                           "before the request")
-    assert [s.step for s in trace.steps] == [1]
-    assert not (tmp_path / "early_work" / "pred_002.txt").exists()  # never asked for step 2
+    assert trace.error == "step 1: PredictorError: predictions file not written"
 
 
-def test_output_waiting_on_the_pipe_before_the_request_is_a_predictor_error(tmp_path):
-    ds = indexed_dataset(30)
-    ranges = plan_blocks(30, 3)
-    pred = script_predictor(tmp_path, "LATER = True\n" + EARLY_SCRIPT, "later")
-    try:
-        pred.learn(ds.rows[0:10], ds.labels[0:10], ds.schema, 60.0)
-        assert len(pred.predict(ds.rows[slice(*ranges[1])])) == 10
-        time.sleep(1.0)  # the step-2 line arrives on the pipe meanwhile
-        pred.learn(ds.rows[10:20], ds.labels[10:20], ds.schema, 60.0)
-        with pytest.raises(PredictorError,
-                           match=r"^output '\{\"step\": 2\}\\n' before the request$"):
-            pred.predict(ds.rows[slice(*ranges[2])])
-    finally:
-        pred.close()
+def test_readme_request_example_matches_a_live_request(tmp_path):
+    # The protocol as outside authors read it: the README's request has the
+    # keys a live one has, and its answer echoes the example's token.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = json.loads(readme.split("program's stdin:\n\n```\n", 1)[1].split("```", 1)[0])
+    assert json.dumps({"token": example["token"]}) in readme
+    pred = script_predictor(tmp_path, JOURNAL_SCRIPT, "journal")
+    assert run_lifelong(indexed_dataset(100), 10, pred, budget_seconds=60).outcome == "completed"
+    journal = [json.loads(line) for line in
+               (tmp_path / "journal_work" / "journal.jsonl").read_text().splitlines()]
+    assert [e["keys"] for e in journal] == [list(example)] * 9
+    tokens = [e["token"] for e in journal]
+    assert all(re.fullmatch("[0-9a-f]{16}", token) for token in [example["token"], *tokens])
+    assert len(set(tokens)) == len(tokens)
 
 
 def test_long_answer_line_is_quoted_short(tmp_path):
@@ -695,7 +741,7 @@ for request in sys.stdin:
     trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=60)
     assert trace.outcome == "predictor-error"
     assert trace.error == (f"step 1: PredictorError: answer {'x' * 200!r}... (60000 characters) "
-                           f"is not {{\"step\": 1}}")
+                           "does not echo the request's token")
 
 
 def test_long_prediction_line_is_quoted_short(tmp_path):
@@ -704,7 +750,7 @@ for request in sys.stdin:
     request = json.loads(request)
     with open(request["pred_out"], "w") as fh:
         fh.write("0.5x" * 25000 + "\\n")
-    print(json.dumps({"step": request["step"]}), flush=True)
+    print(json.dumps({"token": request["token"]}), flush=True)
 """
     pred = script_predictor(tmp_path, script, "long_prediction")
     trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=60)

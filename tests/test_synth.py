@@ -89,6 +89,10 @@ def test_invalid_specs_rejected():
         DriftGenSpec(n_rows=10, n_cat=1, n_num=1, drift_magnitude=-1.0)
     with pytest.raises(ValueError):
         DriftGenSpec(n_rows=10, n_cat=1, n_num=1, power_exponent=0.0)
+    for field in ("drift_magnitude", "power_exponent"):
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+                DriftGenSpec(n_rows=10, n_cat=1, n_num=1, **{field: value})
     with pytest.raises(ValueError):
         DriftGenSpec(n_rows=10, n_cat=0, n_num=0, n_mvc=0, n_time=0)
     for kind in ("n_cat", "n_num", "n_mvc", "n_time"):
