@@ -97,7 +97,7 @@ class BaselineConfig:
             object.__setattr__(self, "mvc_encoder", EncoderKind(self.mvc_encoder))
 
 
-#: Most cells (features x node rows) one split-search pass holds at once;
+#: Most cells (features x node rows) one histogram pass holds at once;
 #: bounds the scratch memory of wide nodes.
 _SPLIT_CELLS = 1 << 15
 
@@ -114,28 +114,39 @@ def bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     finite values, thinned evenly to ``_BINS - 1`` when there are more.  A
     row's code is the number of cuts below its value, so cut ``c`` sends a
     row left exactly when ``x <= cuts[j, c]``, as ``_tree_outputs`` routes
-    it.  NaN takes the last code, past every cut, so it goes right.
+    it.  NaN takes the last code, past every cut, so it goes right.  Each
+    column is sorted once: its midpoints are read off the sorted values,
+    which are then coded in order and scattered back to their rows.
     """
     n, width = X.shape
     codes = np.empty((width, n), dtype=np.uint8)
     cuts = np.full((width, _BINS - 1), np.inf)
     for j in range(width):
-        col = X[:, j]
-        values = np.unique(col[np.isfinite(col)])
-        mid = 0.5 * (values[:-1] + values[1:])
+        order = X[:, j].argsort()
+        col = X[order, j]
+        # NaN sorts last, and the infinities just inside it and first.
+        lo = np.searchsorted(col, -np.inf, side="right")
+        hi, nan_at = np.searchsorted(col, [np.inf, np.nan])
+        finite = col[lo:hi]
+        step = finite[:-1] != finite[1:]
+        mid = 0.5 * (finite[:-1][step] + finite[1:][step])
         if mid.size > _BINS - 1:
             mid = mid[np.arange(_BINS - 1) * (mid.size - 1) // (_BINS - 2)]
         cuts[j, :mid.size] = mid
-        codes[j] = np.searchsorted(mid, col)
-        codes[j, np.isnan(col)] = _BINS - 1
+        code = np.searchsorted(mid, col)
+        code[nan_at:] = _BINS - 1
+        codes[j, order] = code
     return codes, cuts
 
 
 class RegressionTree:
     """Axis-aligned regression tree fitted to the residuals by variance
-    reduction over binned columns: each node sums its rows' residuals per
-    bin of ``bin_columns`` and splits at the best cut between bins, whose
-    threshold is a midpoint between distinct values of the column.
+    reduction over binned columns: each searched node holds a histogram
+    (per-bin residual sums and row counts over the bins of
+    ``bin_columns``) and splits at the best cut between bins, whose
+    threshold is a midpoint between distinct values of the column.  Only
+    the root and the smaller child of each split sum their rows into a
+    histogram; the larger child's is its parent's minus its sibling's.
 
     Nodes live in parallel arrays; ``feature[i] < 0`` marks node ``i`` as a
     leaf carrying ``value[i]``.
@@ -158,18 +169,28 @@ class RegressionTree:
         computed here when not given.  When ``out`` is given, each row's
         leaf value is written to it as the rows are partitioned: what
         ``predict(X)`` would return, without a second walk.
+
+        A child at ``max_depth`` or with fewer than 2 rows is a leaf and
+        gets no histogram.  Otherwise the smaller child (the left one when
+        both are the same size) is summed from its rows, and the parent's
+        histogram, no longer needed, becomes the larger child's by
+        subtraction.  Counts subtract exactly; a bin the larger child
+        holds no row of has its sum set to 0.0, as a sum over no rows is.
         """
         codes, cuts = bin_columns(X) if bins is None else bins
         feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
+        idx = np.arange(codes.shape[1])
+        r = residual.take(idx)
+        hist = _histogram(codes, idx, r) if max_depth > 0 and idx.size > 1 else None
         # The left child is pushed last and so grown first: nodes are
         # numbered in preorder, each split's children next to each other.
-        stack = [(0, np.arange(codes.shape[1]), 0)]
+        # A node's histogram is None when it is not searched.
+        stack = [(0, idx, r, 0, hist)]
         while stack:
-            node, idx, depth = stack.pop()
-            r = residual.take(idx)
-            value[node] = float(r.mean())
-            split = (None if depth >= max_depth or idx.size < 2
-                     else _best_split(codes, idx, r))
+            node, idx, r, depth, hist = stack.pop()
+            total = r.sum()
+            value[node] = float(total / idx.size)  # r.mean(), without a second sum
+            split = None if hist is None else _best_split(*hist, total, idx.size)
             if split is None:
                 if out is not None:
                     out[idx] = value[node]
@@ -184,8 +205,22 @@ class RegressionTree:
             left += [-1, -1]
             right += [-1, -1]
             value += [0.0, 0.0]
-            stack.append((node_l + 1, idx[~at_left], depth + 1))
-            stack.append((node_l, idx[at_left], depth + 1))
+            idx_l, idx_r = idx[at_left], idx[~at_left]
+            r_l, r_r = r[at_left], r[~at_left]
+            hist_l = hist_r = None
+            if depth + 1 < max_depth and max(idx_l.size, idx_r.size) > 1:
+                small_left = idx_l.size <= idx_r.size
+                small = (_histogram(codes, idx_l, r_l) if small_left
+                         else _histogram(codes, idx_r, r_r))
+                sums, counts = hist
+                sums -= small[0]
+                counts -= small[1]
+                sums[counts == 0] = 0.0
+                if min(idx_l.size, idx_r.size) < 2:
+                    small = None
+                hist_l, hist_r = (small, hist) if small_left else (hist, small)
+            stack.append((node_l + 1, idx_r, r_r, depth + 1, hist_r))
+            stack.append((node_l, idx_l, r_l, depth + 1, hist_l))
         return cls(feature, threshold, left, right, value)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -196,48 +231,62 @@ class RegressionTree:
         return len(self.feature)
 
 
-def _best_split(codes: np.ndarray, idx: np.ndarray, r: np.ndarray):
-    """Best (feature, cut) by variance reduction for the node of rows
-    ``idx`` with residuals ``r``, or None.
+def _histogram(codes: np.ndarray, idx: np.ndarray, r: np.ndarray):
+    """The histogram of the rows ``idx`` with residuals ``r``: per-bin
+    residual sums and row counts, two ``(features, _BINS)`` blocks.
 
-    Maximizing sum-of-squared-child-sums over child sizes is equivalent to
-    maximizing variance reduction for a fixed node, so prefix sums over
-    each column's per-bin residual sums and counts suffice.  Features are
-    searched ``_SPLIT_CELLS`` cells at a time and compared in index order;
-    the first best cut wins.
+    Each bin's residuals are added in row order, and columns are read
+    ``_SPLIT_CELLS`` cells at a time.
     """
-    n = idx.size
-    total = r.sum()
-    base = total * total / n
+    width, n = codes.shape[0], idx.size
+    sums = np.empty((width, _BINS))
+    counts = np.empty((width, _BINS))
     step = max(1, _SPLIT_CELLS // n)
-    best_gain = 0.0
-    best = None
-    for lo in range(0, codes.shape[0], step):
+    for lo in range(0, width, step):
         part = codes[lo:lo + step].take(idx, axis=1)
         k = part.shape[0]
         keys = (part + np.arange(0, k * _BINS, _BINS)[:, None]).ravel()
-        s_left = np.bincount(keys, np.broadcast_to(r, part.shape).ravel(), k * _BINS)
-        n_left = np.bincount(keys, minlength=k * _BINS).astype(np.float64)
-        s_left = s_left.reshape(k, _BINS).cumsum(axis=1)[:, :-1]
-        n_left = n_left.reshape(k, _BINS).cumsum(axis=1)[:, :-1]
-        n_right = n - n_left
-        # A cut with no row on one side is no split.
-        empty = (n_left == 0) | (n_right == 0)
-        n_left[empty] = n_right[empty] = 1.0
-        s_right = total - s_left
-        gain = s_left * s_left
-        gain /= n_left
-        s_right *= s_right
-        s_right /= n_right
-        gain += s_right
-        gain -= base
-        gain[empty] = -np.inf
-        at = gain.argmax(axis=1)
-        tops = gain[np.arange(k), at]
-        for f, (c, g) in enumerate(zip(at.tolist(), tops.tolist())):
-            if g > best_gain + 1e-12:
-                best_gain = g
-                best = (lo + f, c)
+        sums[lo:lo + k].flat = np.bincount(keys, np.broadcast_to(r, part.shape).ravel(), k * _BINS)
+        counts[lo:lo + k].flat = np.bincount(keys, minlength=k * _BINS)
+    return sums, counts
+
+
+def _best_split(sums: np.ndarray, counts: np.ndarray, total: float, n: int):
+    """Best (feature, cut) by variance reduction for a node of ``n`` rows
+    whose residuals add up to ``total`` and whose histogram is ``sums``
+    and ``counts``, or None.
+
+    Maximizing sum-of-squared-child-sums over child sizes is equivalent to
+    maximizing variance reduction for a fixed node, so prefix sums over
+    each column's bins suffice.  Features are compared in index order; the
+    first best cut wins.
+    """
+    base = total * total / n
+    # Column c is cut c; the last, every bin on the left, is no cut.
+    s_left = sums.cumsum(axis=1)
+    n_left = counts.cumsum(axis=1)
+    n_right = n - n_left
+    # A cut with no row on one side is no split.
+    empty = n_left * n_right == 0
+    np.maximum(n_left, 1.0, out=n_left)
+    np.maximum(n_right, 1.0, out=n_right)
+    s_right = total - s_left
+    gain = s_left
+    gain *= s_left
+    gain /= n_left
+    s_right *= s_right
+    s_right /= n_right
+    gain += s_right
+    gain -= base
+    gain[empty] = -np.inf
+    at = gain.argmax(axis=1)
+    tops = gain[np.arange(gain.shape[0]), at]
+    best_gain = 0.0
+    best = None
+    for f, (c, g) in enumerate(zip(at.tolist(), tops.tolist())):
+        if g > best_gain + 1e-12:
+            best_gain = g
+            best = (f, c)
     return best
 
 

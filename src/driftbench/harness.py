@@ -285,8 +285,8 @@ def _run_dataset(ref: DatasetRef, n_blocks: int,
 # ---------------------------------------------------------------------------
 # subprocess predictors
 
-# After its stdin is closed, how long a child may take to exit before its
-# process group is killed.
+# After its stdin is closed, how long a child's group may hold its stdout
+# open before the group is killed.
 _CLOSE_GRACE_SECONDS = 1.0
 # How much of the end of ``stderr.txt`` a failure's error quotes.
 _STDERR_TAIL_BYTES = 4096
@@ -446,15 +446,23 @@ class SubprocessPredictor:
                                f"(remaining budget was {self._remaining:.2f}s)")
 
     def close(self) -> None:
-        """Close the child's stdin, which asks it to exit; kill its process
-        group if it is still running after a short grace."""
+        """Close the child's stdin, which asks it to exit, and wait until
+        its stdout reaches end of file, reading and dropping any late
+        output, for at most a short grace; then kill whatever is left of
+        its process group, so no helper it started outlives the dataset,
+        and reap it."""
         proc, self._proc = self._proc, None
         if proc is None:
             return
         proc.stdin.close()
+        fd = proc.stdout.fileno()
+        deadline = time.perf_counter() + _CLOSE_GRACE_SECONDS
+        while ((wait := deadline - time.perf_counter()) > 0
+               and select.select([fd], [], [], wait)[0] and os.read(fd, 65536)):
+            pass
         try:
-            proc.wait(timeout=_CLOSE_GRACE_SECONDS)
-        except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
+        except ProcessLookupError:  # the group is gone already
+            pass
+        proc.wait()
         proc.stdout.close()

@@ -214,8 +214,9 @@ def test_tree_on_constant_features_stays_leaf():
 
 
 def reference_grow(X, residual, max_depth, best_split):
-    """A tree grown node by node: ``best_split(idx, r)`` is None or the
-    split's feature, threshold and the node's rows that go left."""
+    """A tree grown node by node: ``best_split(idx, r, state)`` is None or
+    the split's feature, threshold, the node's rows that go left and the
+    states handed to its left and right children (the root's is None)."""
     feature, threshold, left, right, value = [], [], [], [], []
 
     def new_node():
@@ -226,34 +227,34 @@ def reference_grow(X, residual, max_depth, best_split):
         value.append(0.0)
         return len(feature) - 1
 
-    def grow(node, idx, depth):
+    def grow(node, idx, depth, state):
         r = residual[idx]
         value[node] = float(r.mean())
         if depth >= max_depth or idx.size < 2:
             return
-        split = best_split(idx, r)
+        split = best_split(idx, r, state)
         if split is None:
             return
-        j, thr, go_left = split
+        j, thr, go_left, state_l, state_r = split
         node_l, node_r = new_node(), new_node()
         feature[node] = j
         threshold[node] = thr
         left[node] = node_l
         right[node] = node_r
-        grow(node_l, idx[go_left], depth + 1)
-        grow(node_r, idx[~go_left], depth + 1)
+        grow(node_l, idx[go_left], depth + 1, state_l)
+        grow(node_r, idx[~go_left], depth + 1, state_r)
 
     root = new_node()
-    grow(root, np.arange(X.shape[0]), 0)
+    grow(root, np.arange(X.shape[0]), 0, None)
     return RegressionTree(feature, threshold, left, right, value)
 
 
 def reference_fit(X, residual, max_depth):
     """Exact greedy search: one stable sort per node and feature, every
     step between distinct values a cut, thresholds at the midpoints."""
-    def best_split(idx, r):
+    def best_split(idx, r, state):
         split = reference_best_split(X[idx], r)
-        return None if split is None else (*split, X[idx, split[0]] <= split[1])
+        return None if split is None else (*split, X[idx, split[0]] <= split[1], None, None)
 
     return reference_grow(X, residual, max_depth, best_split)
 
@@ -287,35 +288,60 @@ def reference_binned_fit(X, residual, max_depth):
     """The histogram search by its definition, one node, column and cut of
     ``bin_columns(X)`` at a time: the rows with codes up to the cut go left.
 
-    Each bin's residuals are added in row order and the bins in turn, the
-    order the search adds them in.  Different cuts can have mathematically
-    equal gains (a 3-row side and a 29-row side with mirrored sums), and
-    another order of the same additions decides such a tie on the last bit.
+    The root and the smaller child of each split (the left one when both
+    are the same size) sum their rows' residuals per bin, in row order;
+    the larger child's bins are its parent's minus its sibling's, and a
+    bin it holds no row of sums to 0.0.  Prefix sums add the bins in turn.
+    This is the order the search adds in: different cuts can have
+    mathematically equal gains (a 3-row side and a 29-row side with
+    mirrored sums), and another order of the same additions decides such
+    a tie on the last bit.
     """
     codes, cuts = bin_columns(X)
 
-    def best_split(idx, r):
+    def histogram(idx, r):
+        sums = [[0.0] * baseline._BINS for _ in range(codes.shape[0])]
+        counts = [[0] * baseline._BINS for _ in range(codes.shape[0])]
+        for j in range(codes.shape[0]):
+            for b, x in zip(codes[j, idx].tolist(), r.tolist()):
+                sums[j][b] += x
+                counts[j][b] += 1
+        return sums, counts
+
+    def minus(parent, child):
+        counts = [[p - c for p, c in zip(*pair)] for pair in zip(parent[1], child[1])]
+        sums = [[p - c if k else 0.0 for p, c, k in zip(*pair)]
+                for pair in zip(parent[0], child[0], counts)]
+        return sums, counts
+
+    def best_split(idx, r, hist):
+        sums, counts = histogram(idx, r) if hist is None else hist
         n = idx.size
         total = r.sum()
         base = total * total / n
         best_gain, best = 0.0, None
         for j in range(codes.shape[0]):
-            sums, counts = [0.0] * baseline._BINS, [0] * baseline._BINS
-            for b, x in zip(codes[j, idx].tolist(), r.tolist()):
-                sums[b] += x
-                counts[b] += 1
             s_left, n_left, top, at = 0.0, 0, -np.inf, None
             for c in range(cuts.shape[1]):
-                s_left += sums[c]
-                n_left += counts[c]
+                s_left += sums[j][c]
+                n_left += counts[j][c]
                 if 0 < n_left < n:
                     s_right = total - s_left
                     gain = s_left * s_left / n_left + s_right * s_right / (n - n_left) - base
                     if gain > top:
                         top, at = gain, c
             if at is not None and top > best_gain + 1e-12:
-                best_gain, best = top, (j, float(cuts[j, at]), codes[j, idx] <= at)
-        return best
+                best_gain, best = top, (j, at)
+        if best is None:
+            return None
+        j, at = best
+        go_left = codes[j, idx] <= at
+        small_left = 2 * int(go_left.sum()) <= n
+        small = go_left if small_left else ~go_left
+        hist_small = histogram(idx[small], r[small])
+        hist_large = minus((sums, counts), hist_small)
+        hists = (hist_small, hist_large) if small_left else (hist_large, hist_small)
+        return (j, float(cuts[j, at]), go_left, *hists)
 
     return reference_grow(X, residual, max_depth, best_split)
 
@@ -352,6 +378,30 @@ def one_scale(residual):
     return size.size == 0 or size.max() < 1e6 * size.min()
 
 
+def reference_bin_columns(X):
+    """``bin_columns`` column by column: the distinct finite values by
+    ``np.unique``, and each row's code by a search of the unsorted column."""
+    n, width = X.shape
+    codes = np.empty((width, n), dtype=np.uint8)
+    cuts = np.full((width, baseline._BINS - 1), np.inf)
+    for j in range(width):
+        col = X[:, j]
+        values = np.unique(col[np.isfinite(col)])
+        mid = 0.5 * (values[:-1] + values[1:])
+        if mid.size > baseline._BINS - 1:
+            mid = mid[np.arange(baseline._BINS - 1) * (mid.size - 1) // (baseline._BINS - 2)]
+        cuts[j, :mid.size] = mid
+        codes[j] = np.searchsorted(mid, col)
+        codes[j, np.isnan(col)] = baseline._BINS - 1
+    return codes, cuts
+
+
+# Infinities, signed zeros, the far ends of the range and two adjacent
+# floats, whose midpoint rounds onto 1.0.
+EDGE_CELLS = st.sampled_from([-np.inf, np.inf, -0.0, 0.0, 1e308, -1e308,
+                              1.0, 1.0 + 2**-52, -3.5, np.nan])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_bin_columns_codes_agree_with_cuts(data):
@@ -367,9 +417,16 @@ def test_bin_columns_codes_agree_with_cuts(data):
         # Exactly 64 distinct finite values, and NaN.
         st.permutations(range(n)).map(
             lambda p: np.where(np.asarray(p) % 65 == 64, np.nan, np.asarray(p) % 65 - 30.5)),
+        hnp.arrays(np.float64, n, elements=EDGE_CELLS),
+        # More distinct values than bins, between the infinities.
+        hnp.arrays(np.float64, n, elements=st.one_of(
+            EDGE_CELLS, st.integers(-800, 800).map(lambda i: i / 8))),
     )
     X = np.column_stack(data.draw(st.lists(column, min_size=1, max_size=4), label="columns"))
     codes, cuts = bin_columns(X)
+    want_codes, want_cuts = reference_bin_columns(X)
+    assert codes.tobytes() == want_codes.tobytes()
+    assert cuts.tobytes() == want_cuts.tobytes()
     assert codes.dtype == np.uint8 and codes.shape == X.shape[::-1]
     assert cuts.shape == (X.shape[1], baseline._BINS - 1)
     assert codes.max() < baseline._BINS
@@ -394,6 +451,67 @@ def test_binned_fit_matches_reference_tree_for_tree(split_cells, monkeypatch):
         X, residual, depth = random_split_case(rng)
         assert_same_tree(RegressionTree.fit(X, residual, depth),
                          reference_binned_fit(X, residual, depth))
+
+
+def node_rows(tree, X):
+    """Each split node's rows, its depth and its children's rows, in the
+    order the fit splits them: a node's subtree, left first, before its
+    right sibling's."""
+    splits = []
+
+    def visit(node, rows, depth):
+        if tree.feature[node] < 0:
+            return
+        go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
+        splits.append((node, rows, depth, rows[go_left], rows[~go_left]))
+        visit(tree.left[node], rows[go_left], depth + 1)
+        visit(tree.right[node], rows[~go_left], depth + 1)
+
+    visit(0, np.arange(X.shape[0]), 0)
+    return splits
+
+
+def test_only_the_smaller_child_is_scanned(monkeypatch):
+    scanned = []
+    fresh = baseline._histogram
+    monkeypatch.setattr(baseline, "_histogram",
+                        lambda codes, idx, r: scanned.append(idx) or fresh(codes, idx, r))
+    rng = np.random.default_rng(29)
+    split_trees = 0
+    for _ in range(200):
+        X, residual, depth = random_split_case(rng)
+        scanned.clear()
+        tree = RegressionTree.fit(X, residual, depth)
+        # The root's rows, then for each split whose children are searched
+        # (below max_depth, one of them with 2 rows or more) the smaller
+        # child's, the left one on a tie.
+        want = [np.arange(X.shape[0])] if X.shape[0] > 1 else []
+        for _, _, d, rows_l, rows_r in node_rows(tree, X):
+            if d + 1 < depth and max(rows_l.size, rows_r.size) > 1:
+                want.append(rows_l if rows_l.size <= rows_r.size else rows_r)
+        assert len(scanned) == len(want)
+        for got, rows in zip(scanned, want):
+            assert np.array_equal(got, rows)
+        split_trees += tree.n_nodes > 3
+    assert split_trees > 50
+
+
+def test_a_threshold_is_the_first_cut_of_its_partition():
+    # A bin that holds none of a node's rows adds exactly 0 to the sums of
+    # the cuts after it, including in a histogram found by subtraction, so
+    # the cut after an empty bin ties with the one before and loses: some
+    # row of the node has the chosen cut's code.  Residuals over 16 orders
+    # of magnitude make a subtraction leave a remainder in such a bin.
+    rng = np.random.default_rng(31)
+    for _ in range(1500):
+        X, residual, depth = random_split_case(rng)
+        residual = residual * 10.0 ** rng.integers(-8, 9, size=residual.size)
+        codes, cuts = bin_columns(X)
+        tree = RegressionTree.fit(X, residual, depth)
+        for node, rows, _, _, _ in node_rows(tree, X):
+            j = tree.feature[node]
+            c = np.flatnonzero(cuts[j] == tree.threshold[node])[0]
+            assert np.any(codes[j, rows] == c)
 
 
 def test_binned_fit_matches_exact_search_on_few_values():

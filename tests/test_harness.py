@@ -779,3 +779,45 @@ def test_no_child_outlives_the_run(tmp_path, source, budget, outcome):
     pid = int((tmp_path / "child_work" / "pid").read_text())
     with pytest.raises(ProcessLookupError):  # a zombie would still answer
         os.kill(pid, 0)
+
+
+# The child starts a helper that inherits its stdout, serves every step,
+# and exits when its stdin closes; the helper would sleep on.
+HELPER_SCRIPT = PRELUDE + """
+import subprocess
+helper = subprocess.Popen(["sleep", "20"])
+with open(os.path.join(workdir, "helper_pid"), "w") as fh:
+    fh.write(str(helper.pid))
+for line in sys.stdin:
+    score(json.loads(line))
+"""
+
+
+def live_group_members(pgid):
+    """Pids of the processes in group ``pgid`` that have not exited (a
+    zombie has)."""
+    live = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # exited while listed
+            continue
+        if int(fields[2]) == pgid and fields[0] not in "ZX":
+            live.append(int(stat.parent.name))
+    return live
+
+
+def test_close_leaves_no_process_of_the_childs_group(tmp_path):
+    pred = script_predictor(tmp_path, HELPER_SCRIPT, "child")
+    trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=60)
+    assert trace.outcome == "completed"
+    pgid = int((tmp_path / "child_work" / "pid").read_text())
+    helper = int((tmp_path / "child_work" / "helper_pid").read_text())
+    try:
+        deadline = time.perf_counter() + 3.0
+        while live_group_members(pgid) and time.perf_counter() < deadline:
+            time.sleep(0.05)
+        assert live_group_members(pgid) == []
+    finally:
+        if helper in live_group_members(pgid):
+            os.kill(helper, 9)
