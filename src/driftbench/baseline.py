@@ -15,20 +15,13 @@ available:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .data import FeatureSchema, check_field_types
-from .encoding import (
-    EncoderKind,
-    FittedEncoder,
-    extend_ordinal,
-    fit_dataset_encoders,
-    transform_rows,
-)
+from .encoding import extend_ordinal, fit_dataset_encoders, transform_rows
 
 DRIFT_POLICIES = ("grow-full-history", "sliding-window", "adaptive-lr")
 
@@ -66,9 +59,6 @@ class BaselineConfig:
     window_blocks: int = 2
     decay: float = 0.8                # recency sampling weight and lr decay base
     seed: int = 0
-    cat_encoder: EncoderKind = EncoderKind.ORDINAL
-    mvc_encoder: EncoderKind | None = None
-    target_smoothing: float = 10.0
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -86,15 +76,8 @@ class BaselineConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.decay <= 1.0):
             raise ValueError(f"decay must be in (0, 1], got {self.decay!r}")
-        if not (math.isfinite(self.target_smoothing) and self.target_smoothing >= 0.0):
-            raise ValueError(
-                f"target smoothing must be a finite number >= 0, got {self.target_smoothing!r}")
         if self.policy not in DRIFT_POLICIES:
             raise ValueError(f"policy must be one of {DRIFT_POLICIES}, got {self.policy!r}")
-        # Names (as a JSON config gives them) become kinds; an unknown one raises.
-        object.__setattr__(self, "cat_encoder", EncoderKind(self.cat_encoder))
-        if self.mvc_encoder is not None:
-            object.__setattr__(self, "mvc_encoder", EncoderKind(self.mvc_encoder))
 
 
 #: Most cells (features x node rows) one histogram pass holds at once;
@@ -111,7 +94,9 @@ def bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with ``inf``.
 
     A column's cuts are the midpoints between its consecutive distinct
-    finite values, thinned evenly to ``_BINS - 1`` when there are more.  A
+    finite values ``a < b``, or ``a`` itself where the midpoint does not
+    fall in ``[a, b)`` (it rounds onto ``b``, or ``a + b`` overflows),
+    thinned evenly to ``_BINS - 1`` when there are more.  A
     row's code is the number of cuts below its value, so cut ``c`` sends a
     row left exactly when ``x <= cuts[j, c]``, as ``_tree_outputs`` routes
     it.  NaN takes the last code, past every cut, so it goes right.  Each
@@ -129,7 +114,10 @@ def bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         hi, nan_at = np.searchsorted(col, [np.inf, np.nan])
         finite = col[lo:hi]
         step = finite[:-1] != finite[1:]
-        mid = 0.5 * (finite[:-1][step] + finite[1:][step])
+        a, b = finite[:-1][step], finite[1:][step]
+        with np.errstate(over="ignore"):
+            mid = 0.5 * (a + b)
+        mid = np.where((a <= mid) & (mid < b), mid, a)
         if mid.size > _BINS - 1:
             mid = mid[np.arange(_BINS - 1) * (mid.size - 1) // (_BINS - 2)]
         cuts[j, :mid.size] = mid
@@ -541,9 +529,8 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
 class BaselinePredictor:
     """Adapter wrapping the boosted ensemble for the lifelong harness.
 
-    Encoders grow their vocabulary with each revealed block (ordinal only;
-    count and target-mean stay frozen on the first block so earlier trees
-    keep their feature semantics), and the ensemble is extended per policy.
+    Each categorical column's codes grow their vocabulary with each revealed
+    block, and the ensemble is extended per policy.
     A revealed block trains on the matrix it was scored with: a value first
     seen in it is coded unseen (0) there, in training as in scoring, and
     has its own code from the next block on.  It joins the training pool
@@ -560,7 +547,7 @@ class BaselinePredictor:
         self.config = config if config is not None else BaselineConfig()
         self.freeze_after_initial = freeze_after_initial
         self.schema: FeatureSchema | None = None
-        self.encoders: dict[str, FittedEncoder] = {}
+        self.encoders: dict[str, dict[str, int]] = {}
         self.ensemble: BoostedEnsemble | None = None
         self._scored: tuple[Sequence[tuple[str, ...]], np.ndarray] | None = None
 
@@ -568,12 +555,7 @@ class BaselinePredictor:
               remaining_budget_seconds: float) -> None:
         if self.ensemble is None:
             self.schema = schema
-            self.encoders = fit_dataset_encoders(
-                schema, rows, labels,
-                cat_kind=self.config.cat_encoder,
-                mvc_kind=self.config.mvc_encoder,
-                smoothing=self.config.target_smoothing,
-            )
+            self.encoders = fit_dataset_encoders(schema, rows)
         elif self.freeze_after_initial:
             return
         X = self._encode_revealed(rows)
@@ -583,13 +565,12 @@ class BaselinePredictor:
 
     def _encode_revealed(self, rows: Sequence[tuple[str, ...]]) -> np.ndarray:
         """``rows`` encoded under the current encoders, as ``predict``
-        scored them; each ordinal vocabulary then takes in their unseen
-        cells, in row order, for the blocks to come.
+        scored them; each vocabulary then takes in their unseen cells, in
+        row order, for the blocks to come.
 
         The matrix is the one ``predict`` built when ``rows`` (by content)
         was the block it last scored, unchanged, else a fresh transform.
-        Only an ordinal cell coded 0 (unseen) brings a new value, since the
-        other encoders are frozen.
+        Only a cell coded 0 (unseen) brings a new value.
         """
         scored, self._scored = self._scored, None
         if scored is not None and scored[0] == rows:
@@ -597,12 +578,12 @@ class BaselinePredictor:
         else:
             X = transform_rows(self.schema, rows, self.encoders)
         for j, name in enumerate(self.schema.names):
-            enc = self.encoders.get(name)
-            if enc is None or enc.kind is not EncoderKind.ORDINAL:
+            codes = self.encoders.get(name)
+            if codes is None:
                 continue
             new = np.flatnonzero(X[:, j] == 0).tolist()
             if new:
-                self.encoders[name] = extend_ordinal(enc, [rows[i][j] for i in new])
+                self.encoders[name] = extend_ordinal(codes, [rows[i][j] for i in new])
         return X
 
     def predict(self, rows: Sequence[tuple[str, ...]]) -> np.ndarray:

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -35,9 +35,8 @@ from driftbench.data import (
     write_rows,
     write_schema,
 )
-from driftbench.encoding import EncoderKind, extend_ordinal, fit_dataset_encoders, transform_rows
+from driftbench.encoding import extend_ordinal, fit_dataset_encoders, transform_rows
 from driftbench.metrics import auc
-from driftbench.reference_predictor import _config_from_env
 from driftbench.harness import OUTCOME_PREDICTOR_ERROR, SubprocessPredictor, run_lifelong
 from driftbench.synth import DriftGenSpec, desk_spec, generate_drift_stream
 
@@ -380,14 +379,19 @@ def one_scale(residual):
 
 def reference_bin_columns(X):
     """``bin_columns`` column by column: the distinct finite values by
-    ``np.unique``, and each row's code by a search of the unsorted column."""
+    ``np.unique``, and each row's code by a search of the unsorted column.
+    Between consecutive values ``a < b`` the cut is their midpoint, or ``a``
+    where the midpoint is not in ``[a, b)``."""
     n, width = X.shape
     codes = np.empty((width, n), dtype=np.uint8)
     cuts = np.full((width, baseline._BINS - 1), np.inf)
     for j in range(width):
         col = X[:, j]
         values = np.unique(col[np.isfinite(col)])
-        mid = 0.5 * (values[:-1] + values[1:])
+        a, b = values[:-1], values[1:]
+        with np.errstate(over="ignore"):
+            mid = 0.5 * (a + b)
+        mid = np.where((a <= mid) & (mid < b), mid, a)
         if mid.size > baseline._BINS - 1:
             mid = mid[np.arange(baseline._BINS - 1) * (mid.size - 1) // (baseline._BINS - 2)]
         cuts[j, :mid.size] = mid
@@ -396,9 +400,10 @@ def reference_bin_columns(X):
     return codes, cuts
 
 
-# Infinities, signed zeros, the far ends of the range and two adjacent
-# floats, whose midpoint rounds onto 1.0.
-EDGE_CELLS = st.sampled_from([-np.inf, np.inf, -0.0, 0.0, 1e308, -1e308,
+# Infinities, signed zeros, the far ends of the range (where the sum of
+# two values overflows) and two adjacent floats, whose midpoint rounds
+# onto 1.0.
+EDGE_CELLS = st.sampled_from([-np.inf, np.inf, -0.0, 0.0, 1e308, -1e308, 1.5e308, -1.5e308,
                               1.0, 1.0 + 2**-52, -3.5, np.nan])
 
 
@@ -439,7 +444,25 @@ def test_bin_columns_codes_agree_with_cuts(data):
                               col[:, None] <= cuts[j])
         values = np.unique(col[np.isfinite(col)])
         if values.size <= baseline._BINS:
-            assert np.array_equal(finite, 0.5 * (values[:-1] + values[1:]))
+            # One cut between each two consecutive values.
+            assert finite.size == max(values.size - 1, 0)
+            assert np.all((values[:-1] <= finite) & (finite < values[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(EDGE_CELLS, st.floats(allow_nan=False, allow_infinity=False),
+                          st.integers(-2, 2).map(lambda k: 1.0 + k * 2**-53)),
+                min_size=1, max_size=baseline._BINS, unique=True))
+@example([1 - 2**-53, 1.0, 1 + 2**-52])
+@example([1e308, 1.5e308])
+@example([-1.5e308, -1e308])
+def test_distinct_values_get_distinct_codes(values):
+    finite = np.array([v for v in values if np.isfinite(v)])
+    # Each finite value twice, in two orders, beside any infinity or NaN drawn.
+    col = np.concatenate([np.asarray(values, dtype=float), finite[::-1]])
+    codes = bin_columns(col[:, None])[0][0]
+    at = np.isfinite(col)
+    assert np.unique(codes[at]).size == np.unique(col[at]).size
 
 
 # 64 cells split every node's search into chunks of one or a few features.
@@ -558,7 +581,7 @@ def reference_tree_fit(cls, X, residual, max_depth, bins=None, out=None):
 def test_boosting_matches_reference_fit(shape, options, monkeypatch):
     ds = generate_drift_stream(desk_spec(shape, 450, n_blocks=3, drift="gradual",
                                          drift_magnitude=1.0, seed=5))
-    X = transform_rows(ds.schema, ds.rows, fit_dataset_encoders(ds.schema, ds.rows, ds.labels))
+    X = transform_rows(ds.schema, ds.rows, fit_dataset_encoders(ds.schema, ds.rows))
     y = np.asarray(ds.labels, float)
     cfg = BaselineConfig(initial_trees=6, trees_per_block=3, max_depth=4,
                          learning_rate=0.3, seed=5, **options)
@@ -696,7 +719,7 @@ def test_fit_deterministic_given_seed():
     spec = DriftGenSpec(n_rows=600, n_cat=2, n_num=3, n_mvc=0, n_time=0,
                         n_blocks=3, seed=4)
     ds = generate_drift_stream(spec)
-    X = transform_rows(ds.schema, ds.rows, fit_dataset_encoders(ds.schema, ds.rows, ds.labels))
+    X = transform_rows(ds.schema, ds.rows, fit_dataset_encoders(ds.schema, ds.rows))
     y = np.asarray(ds.labels, float)
     cfg = BaselineConfig(seed=77, **FAST)
     e1 = fit_initial(X, y, cfg)
@@ -751,6 +774,18 @@ def test_labels_must_match_rows():
         extend(ens, X[20:30], y[20:29], cfg)
     with pytest.raises(ValueError, match=r"^expected rows of width 2, got shape \(10, 3\)$"):
         extend(ens, np.zeros((10, 3)), y[20:30], cfg)
+    # The adapter's first block and a later one.
+    ds = generate_drift_stream(DriftGenSpec(n_rows=60, n_cat=2, n_num=1, n_mvc=1, n_blocks=3,
+                                            seed=0))
+    (lo, hi), (nlo, nhi) = plan_blocks(len(ds), 3)[:2]
+    pred = BaselinePredictor(cfg)
+    with pytest.raises(ValueError, match=rf"^expected {hi - lo} labels, one per row, "
+                                         rf"got shape \({hi - lo + 1},\)$"):
+        pred.learn(ds.rows[lo:hi], ds.labels[lo:hi + 1], ds.schema, 600.0)
+    pred.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
+    with pytest.raises(ValueError, match=rf"^expected {nhi - nlo} labels, one per row, "
+                                         rf"got shape \({nhi - nlo - 1},\)$"):
+        pred.learn(ds.rows[nlo:nhi], ds.labels[nlo:nhi - 1], ds.schema, 600.0)
 
 
 @pytest.mark.parametrize("shape", [(10,), (0, 2), (3, 2, 2)], ids=["1-D", "no-rows", "3-D"])
@@ -789,7 +824,7 @@ def test_training_loss_non_increasing_per_iteration():
     spec = DriftGenSpec(n_rows=900, n_cat=2, n_num=3, n_mvc=1, n_time=1,
                         n_blocks=3, seed=6)
     ds = generate_drift_stream(spec)
-    X = transform_rows(ds.schema, ds.rows, fit_dataset_encoders(ds.schema, ds.rows, ds.labels))
+    X = transform_rows(ds.schema, ds.rows, fit_dataset_encoders(ds.schema, ds.rows))
     y = np.asarray(ds.labels, float)
     ranges = plan_blocks(len(ds), 3)
     cfg = BaselineConfig(seed=5, **FAST)
@@ -910,13 +945,10 @@ def test_config_validation():
     for decay in (0.0, -0.5, 1.5, float("nan")):
         with pytest.raises(ValueError, match="decay must be in"):
             BaselineConfig(decay=decay)
-    for smoothing in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="target smoothing must be"):
-            BaselineConfig(target_smoothing=smoothing)
-    assert BaselineConfig(decay=1.0, target_smoothing=0.0).decay == 1.0
-    for field in ("cat_encoder", "mvc_encoder"):
-        with pytest.raises(ValueError, match="'onehot' is not a valid EncoderKind"):
-            BaselineConfig(**{field: "onehot"})
+    assert BaselineConfig(decay=1.0).decay == 1.0
+    for field in ("cat_encoder", "mvc_encoder", "target_smoothing"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'$"):
+            BaselineConfig(**{field: "ordinal"})
     for field, value in (("initial_trees", 2.5), ("max_depth", True), ("subsample_cap", "9"),
                          ("learning_rate", "0.1"), ("decay", True), ("policy", 3),
                          ("seed", None)):
@@ -930,14 +962,6 @@ def test_config_validation():
         BaselineConfig(seed=-1)
     with pytest.raises(ValueError, match="^learning_rate must be a finite number, got an integer"):
         BaselineConfig(learning_rate=10**400)
-
-
-@pytest.mark.parametrize("kind", list(EncoderKind))
-def test_encoder_names_select_the_encoder(kind, monkeypatch):
-    named = BaselineConfig(cat_encoder=kind.value, mvc_encoder=kind.value)
-    assert named == BaselineConfig(cat_encoder=kind, mvc_encoder=kind)
-    monkeypatch.setenv("DRIFTBENCH_BASELINE_CONFIG", f'{{"cat_encoder": "{kind.value}"}}')
-    assert _config_from_env().cat_encoder is kind
 
 
 # ---------------------------------------------------------------------------
@@ -964,24 +988,6 @@ def test_sliding_window_recovers_after_abrupt_drift():
                                    freeze_after_initial=True)
         margins.append(_post_drift_auc(sliding, spec) - _post_drift_auc(frozen, spec))
     assert float(np.mean(margins)) > 0.0
-
-
-@pytest.mark.parametrize("kind", [EncoderKind.COUNT, EncoderKind.TARGET_MEAN])
-def test_non_ordinal_encoders_stay_frozen_on_the_first_block(kind):
-    spec = DriftGenSpec(n_rows=600, n_cat=2, n_num=2, n_mvc=1, n_time=1,
-                        n_blocks=5, drift="gradual", drift_magnitude=1.0, seed=4)
-    ds = generate_drift_stream(spec)
-    ranges = plan_blocks(len(ds), spec.n_blocks)
-    cfg = BaselineConfig(cat_encoder=kind, seed=4, **FAST)
-    pred = BaselinePredictor(cfg)
-    trace = run_lifelong(ds, spec.n_blocks, pred, budget_seconds=600)
-    assert trace.outcome == "completed"
-    assert len(trace.steps) == spec.n_blocks - 1
-    assert all(np.isfinite(s.auc) for s in trace.steps)
-    lo, hi = ranges[0]
-    first = fit_dataset_encoders(ds.schema, ds.rows[lo:hi], ds.labels[lo:hi],
-                                 cat_kind=kind, smoothing=cfg.target_smoothing)
-    assert pred.encoders == first
 
 
 def test_non_finite_numeric_cell_is_a_predictor_error():
@@ -1025,19 +1031,17 @@ def counting_transforms(monkeypatch):
     return calls
 
 
-def reference_learned_matrices(ds, ranges, config):
+def reference_learned_matrices(ds, ranges):
     """Each block's matrix and the final encoders by the plain route: encode
-    a block as it was scored, then grow every ordinal vocabulary over all
-    of its cells."""
+    a block as it was scored, then grow every vocabulary over all of its
+    cells."""
     lo, hi = ranges[0]
-    encoders = fit_dataset_encoders(ds.schema, ds.rows[lo:hi], ds.labels[lo:hi],
-                                    cat_kind=config.cat_encoder, mvc_kind=config.mvc_encoder,
-                                    smoothing=config.target_smoothing)
+    encoders = fit_dataset_encoders(ds.schema, ds.rows[lo:hi])
     matrices = []
     for lo, hi in ranges:
         matrices.append(transform_rows(ds.schema, ds.rows[lo:hi], encoders))
         for j, name in enumerate(ds.schema.names):
-            if name in encoders and encoders[name].kind is EncoderKind.ORDINAL:
+            if name in encoders:
                 encoders[name] = extend_ordinal(encoders[name], [r[j] for r in ds.rows[lo:hi]])
     return matrices, encoders
 
@@ -1101,19 +1105,17 @@ def test_each_revealed_block_is_binned_once_and_no_round_walks_its_sample(monkey
     assert walked == want
 
 
-@pytest.mark.parametrize("mvc_kind", list(EncoderKind))
-@pytest.mark.parametrize("cat_kind", list(EncoderKind))
-def test_learning_a_scored_block_matches_learning_alone(cat_kind, mvc_kind):
+def test_learning_a_scored_block_matches_learning_alone():
     ds = generate_drift_stream(UNSEEN_SPEC)
     ranges = plan_blocks(len(ds), UNSEEN_SPEC.n_blocks)
-    cfg = BaselineConfig(cat_encoder=cat_kind, mvc_encoder=mvc_kind, seed=6, **TINY)
+    cfg = BaselineConfig(seed=6, **TINY)
     interleaved, alone = BaselinePredictor(cfg), BaselinePredictor(cfg)
     for k, (lo, hi) in enumerate(ranges):
         if k:
             interleaved.predict(ds.rows[lo:hi])
         interleaved.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
         alone.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
-    matrices, encoders = reference_learned_matrices(ds, ranges, cfg)
+    matrices, encoders = reference_learned_matrices(ds, ranges)
     assert np.array_equal(interleaved.ensemble.pool.X, np.concatenate(matrices))
     assert np.array_equal(alone.ensemble.pool.X, np.concatenate(matrices))
     assert interleaved.encoders == alone.encoders == encoders
@@ -1167,7 +1169,7 @@ def test_a_value_is_unseen_in_the_block_that_brings_it():
                     assert X[i, j] == 0
                     unseen += 1
                 else:
-                    assert X[i, j] == pred.encoders[name].mapping[ds.rows[i][j]] >= 1
+                    assert X[i, j] == pred.encoders[name][ds.rows[i][j]] >= 1
                     coded_later += first > 0
     assert unseen and coded_later
 
@@ -1203,7 +1205,7 @@ def test_learning_other_rows_than_the_scored_block_encodes_them_afresh(monkeypat
     calls = counting_transforms(monkeypatch)
     pred.learn(ds.rows[mlo:mhi], ds.labels[mlo:mhi], ds.schema, 600.0)   # ... learns block 1
     assert calls == [mhi - mlo]
-    matrices, encoders = reference_learned_matrices(ds, ranges[:2], cfg)
+    matrices, encoders = reference_learned_matrices(ds, ranges[:2])
     assert np.array_equal(pred.ensemble.pool.X, np.concatenate(matrices))
     assert pred.encoders == encoders
 

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -498,7 +499,8 @@ def _with_key(raw, index, **entry):
     (lambda raw: _with_key(raw, 0, options={"max_depth": 0}),
      "predictor baseline: tree depth must be >= 1"),
     (lambda raw: _with_key(raw, 0, options={"cat_encoder": "onehot"}),
-     "predictor baseline: 'onehot' is not a valid EncoderKind"),
+     "predictor baseline: BaselineConfig.__init__() got an unexpected keyword argument "
+     "'cat_encoder'"),
     (lambda raw: _with_key(raw, 0, options={"policy": "adaptive-lr", "decay": 0}),
      "predictor baseline: decay must be in (0, 1], got 0"),
     (lambda raw: _with_key(raw, 0, options={"decay": -0.5}),
@@ -506,9 +508,11 @@ def _with_key(raw, index, **entry):
     (lambda raw: _with_key(raw, 0, options={"decay": 1.5}),
      "predictor baseline: decay must be in (0, 1], got 1.5"),
     (lambda raw: _with_key(raw, 0, options={"target_smoothing": -1}),
-     "predictor baseline: target smoothing must be a finite number >= 0, got -1"),
+     "predictor baseline: BaselineConfig.__init__() got an unexpected keyword argument "
+     "'target_smoothing'"),
     (lambda raw: _with_key(raw, 0, options={"target_smoothing": float("nan")}),
-     "predictor baseline: target smoothing must be a finite number >= 0, got nan"),
+     "predictor baseline: BaselineConfig.__init__() got an unexpected keyword argument "
+     "'target_smoothing'"),
     (lambda raw: _with_key(raw, 1, options=FAST_BASELINE),
      "predictor echo: command predictors take no 'options'"),
     (lambda raw: _with_key(raw, 0, command=["python3", "learner.py"]),
@@ -579,15 +583,25 @@ def test_top_level_config_fault_is_config_error(tmp_path, capsys, edit, message)
     assert not (tmp_path / "out").exists()
 
 
-def test_encoder_names_reach_the_baseline(tmp_path):
+def test_options_reach_the_baseline(tmp_path):
     config = write_config(tmp_path, n_datasets=1)
     raw = json.loads(config.read_text())
-    raw["predictors"][0]["options"] = dict(FAST_BASELINE, cat_encoder="count",
-                                           mvc_encoder="target-mean")
+    raw["predictors"][0]["options"] = dict(FAST_BASELINE, policy="adaptive-lr", decay=0.5)
     config.write_text(json.dumps(raw))
     baseline = load_config(config).predictor("baseline").baseline
-    assert (baseline.cat_encoder.value, baseline.mvc_encoder.value) == ("count", "target-mean")
+    assert (baseline.policy, baseline.decay) == ("adaptive-lr", 0.5)
     assert baseline.seed == 11
+
+
+def test_reference_predictor_refuses_a_removed_encoder_option(tmp_path):
+    env = dict(os.environ, DRIFTBENCH_BASELINE_CONFIG='{"cat_encoder": "count"}')
+    done = subprocess.run([sys.executable, "-m", "driftbench.reference_predictor",
+                           "--schema", str(tmp_path / "schema.csv"), "--workdir", str(tmp_path)],
+                          env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode != 0
+    assert ("BaselineConfig.__init__() got an unexpected keyword argument 'cat_encoder'"
+            in done.stderr)
 
 
 def test_shape_with_column_counts_is_config_error(tmp_path, capsys):

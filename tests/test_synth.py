@@ -174,7 +174,7 @@ def test_score_varying_only_by_rounding_is_labeled_as_constant(seed):
 def _linear_scores(ds, fit_rows):
     """Least-squares linear scorer; low-variance reference predictor."""
     X = transform_rows(ds.schema, ds.rows,
-                       fit_dataset_encoders(ds.schema, ds.rows[:fit_rows], ds.labels[:fit_rows]))
+                       fit_dataset_encoders(ds.schema, ds.rows[:fit_rows]))
     y = np.asarray(ds.labels, dtype=np.float64)
     A = np.hstack([X, np.ones((len(ds), 1))])
     w, *_ = np.linalg.lstsq(A[:fit_rows], y[:fit_rows], rcond=None)
@@ -205,7 +205,7 @@ def test_abrupt_drift_degrades_stale_model():
         mid = spec.n_blocks // 2
         train_hi = ranges[mid - 2][1]
         X = transform_rows(ds.schema, ds.rows,
-                           fit_dataset_encoders(ds.schema, ds.rows[:train_hi], ds.labels[:train_hi]))
+                           fit_dataset_encoders(ds.schema, ds.rows[:train_hi]))
         y = np.asarray(ds.labels, dtype=np.float64)
         config = BaselineConfig(initial_trees=30, trees_per_block=8, max_depth=3,
                                 learning_rate=0.2, seed=seed)
