@@ -19,7 +19,9 @@ spec = desk_spec("B", n_rows=2000, n_blocks=10, seed=7)
 ds = generate_drift_stream(spec)
 print(f"stream {ds.provenance}: {len(ds)} rows x {ds.schema.n_features} features,"
       f" positives {np.mean(ds.labels):.2%}")
-print("first row:", ds.rows[0][:6], "...")
+# A dataset holds its data file's bytes and parses rows a block at a time.
+print(f"held as its data file: {len(ds.text)} bytes")
+print("first row:", ds.block(0, 1)[0][:6], "...")
 
 print("\nblock plan (10 blocks, earliest blocks absorb any remainder):")
 print("  ", plan_blocks(len(ds), 10))
@@ -51,4 +53,4 @@ for drift, magnitude in [("none", 0.0), ("gradual", 1.5), ("abrupt", 2.5)]:
 
 print("\nSame spec, same seed => bit-identical stream:")
 again = generate_drift_stream(spec)
-print("   identical:", again.rows == ds.rows and np.array_equal(again.labels, ds.labels))
+print("   identical:", again.text == ds.text and np.array_equal(again.labels, ds.labels))

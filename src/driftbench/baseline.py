@@ -234,8 +234,9 @@ def _histogram(codes: np.ndarray, idx: np.ndarray, r: np.ndarray):
         part = codes[lo:lo + step].take(idx, axis=1)
         k = part.shape[0]
         keys = (part + np.arange(0, k * _BINS, _BINS)[:, None]).ravel()
-        sums[lo:lo + k].flat = np.bincount(keys, np.broadcast_to(r, part.shape).ravel(), k * _BINS)
-        counts[lo:lo + k].flat = np.bincount(keys, minlength=k * _BINS)
+        sums[lo:lo + k] = np.bincount(keys, np.broadcast_to(r, part.shape).ravel(),
+                                      k * _BINS).reshape(k, _BINS)
+        counts[lo:lo + k] = np.bincount(keys, minlength=k * _BINS).reshape(k, _BINS)
     return sums, counts
 
 
@@ -480,14 +481,16 @@ def fit_initial(X: np.ndarray, y: np.ndarray, config: BaselineConfig) -> Boosted
 
 
 def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
-           config: BaselineConfig) -> BoostedEnsemble:
+           config: BaselineConfig, margin: np.ndarray | None = None) -> BoostedEnsemble:
     """Grow the ensemble with the newly revealed block.
 
     Appends ``initial_trees`` trees for block 0 and ``trees_per_block`` for
     every later block, fitted on the policy's training pool, whatever
     classes it holds; prior trees and the base score are untouched.  A
     block that is not 2-D or has no rows is refused.  The new rows go
-    through the ensemble once, as they join the pool.  The round's sample
+    through the ensemble once, as they join the pool, unless the caller
+    passes their ``margin``, which must be ``ensemble_margin(ensemble,
+    X_new)`` (as scoring the block computed it).  The round's sample
     is binned once and its trees split on those bins; the sampled rows'
     margins come out of boosting grown, and only rows left out of a capped
     sample walk the new trees.
@@ -495,11 +498,12 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
     X_new = np.asarray(X_new, dtype=np.float64)
     y_new = np.asarray(y_new, dtype=np.float64)
     _check_block(X_new)
-    new_margin = ensemble_margin(ensemble, X_new)  # checks the rows' width
+    if margin is None:
+        margin = ensemble_margin(ensemble, X_new)  # checks the rows' width
     if y_new.shape != (X_new.shape[0],):
         raise ValueError(f"expected {X_new.shape[0]} labels, one per row, got shape {y_new.shape}")
     k = ensemble.revealed_blocks + 1
-    pool = ensemble.pool.add(k, X_new, y_new, new_margin)
+    pool = ensemble.pool.add(k, X_new, y_new, margin)
     if config.policy == "sliding-window":
         pool = pool.keep_last(config.window_blocks)
 
@@ -534,12 +538,16 @@ class BaselinePredictor:
     A revealed block trains on the matrix it was scored with: a value first
     seen in it is coded unseen (0) there, in training as in scoring, and
     has its own code from the next block on.  It joins the training pool
-    once and whole: its rows are walked through the past trees as they
-    join, so no pool row lacks its margin, and each boosting round bins its
-    sample once for the binned split search of all its trees.
+    once and whole, with its rows' margins under the past trees, so no pool
+    row lacks its margin, and each boosting round bins its sample once for
+    the binned split search of all its trees.
     Beyond what the drift policy retains, it keeps the last block it scored
-    and that block's matrix, because the lifelong loop reveals the same rows
-    at the next ``learn``, which then trains on that matrix unchanged.
+    with that block's matrix and margins, because the lifelong loop reveals
+    the same rows at the next ``learn``, which then trains on that matrix
+    and those margins unchanged and walks no past tree.
+    A ``learn`` that is refused (labels not one per row, no rows) leaves
+    the predictor as it was: vocabularies grow only once the ensemble has
+    taken the block in.
     """
 
     def __init__(self, config: BaselineConfig | None = None,
@@ -549,7 +557,7 @@ class BaselinePredictor:
         self.schema: FeatureSchema | None = None
         self.encoders: dict[str, dict[str, int]] = {}
         self.ensemble: BoostedEnsemble | None = None
-        self._scored: tuple[Sequence[tuple[str, ...]], np.ndarray] | None = None
+        self._scored: tuple[Sequence[tuple[str, ...]], np.ndarray, np.ndarray] | None = None
 
     def learn(self, rows: Sequence[tuple[str, ...]], labels, schema: FeatureSchema,
               remaining_budget_seconds: float) -> None:
@@ -558,25 +566,13 @@ class BaselinePredictor:
             self.encoders = fit_dataset_encoders(schema, rows)
         elif self.freeze_after_initial:
             return
-        X = self._encode_revealed(rows)
+        X, margin = self._revealed_matrix(rows)
         y = np.asarray(labels, dtype=np.float64)
         self.ensemble = (fit_initial(X, y, self.config) if self.ensemble is None
-                         else extend(self.ensemble, X, y, self.config))
-
-    def _encode_revealed(self, rows: Sequence[tuple[str, ...]]) -> np.ndarray:
-        """``rows`` encoded under the current encoders, as ``predict``
-        scored them; each vocabulary then takes in their unseen cells, in
-        row order, for the blocks to come.
-
-        The matrix is the one ``predict`` built when ``rows`` (by content)
-        was the block it last scored, unchanged, else a fresh transform.
-        Only a cell coded 0 (unseen) brings a new value.
-        """
-        scored, self._scored = self._scored, None
-        if scored is not None and scored[0] == rows:
-            X = scored[1]
-        else:
-            X = transform_rows(self.schema, rows, self.encoders)
+                         else extend(self.ensemble, X, y, self.config, margin))
+        self._scored = None
+        # Each vocabulary takes in the block's unseen cells, in row order:
+        # only a cell coded 0 brings a new value.
         for j, name in enumerate(self.schema.names):
             codes = self.encoders.get(name)
             if codes is None:
@@ -584,11 +580,23 @@ class BaselinePredictor:
             new = np.flatnonzero(X[:, j] == 0).tolist()
             if new:
                 self.encoders[name] = extend_ordinal(codes, [rows[i][j] for i in new])
-        return X
+
+    def _revealed_matrix(self, rows: Sequence[tuple[str, ...]]):
+        """``rows`` encoded under the current encoders, as ``predict``
+        scored them, and their margins under the ensemble, or None.
+
+        Both are the ones ``predict`` computed when ``rows`` (by content)
+        was the block it last scored, else the matrix is a fresh transform
+        and the margins are left to ``extend``.
+        """
+        if self._scored is not None and self._scored[0] == rows:
+            return self._scored[1], self._scored[2]
+        return transform_rows(self.schema, rows, self.encoders), None
 
     def predict(self, rows: Sequence[tuple[str, ...]]) -> np.ndarray:
         if self.ensemble is None:
             raise RuntimeError("predict before any learn call")
         X = transform_rows(self.schema, rows, self.encoders)
-        self._scored = (rows, X)
-        return predict_scores(self.ensemble, X)
+        margin = ensemble_margin(self.ensemble, X)
+        self._scored = (rows, X, margin)
+        return sigmoid(margin)

@@ -2,18 +2,26 @@
 
 File formats (shared by every tool in the package):
 
-* data file -- comma-separated text, first line is the header, one row per
-  line, ``\\n`` terminated.  A multi-valued cell joins its tokens with ``|``
-  inside the field; an empty cell means missing.
+* data file -- comma-separated UTF-8 text, first line is the header, one
+  row per line, ``\\n`` terminated.  A multi-valued cell joins its tokens
+  with ``|`` inside the field; an empty cell means missing.
 * schema file -- one ``name,kind`` line per column with kind one of
   ``num``, ``cat``, ``mvc``, ``time``, ``label``.  Exactly one label line.
+
+A :class:`ChronoDataset` holds its data file's bytes, an index of where
+each row's line starts, and the labels.  Rows are parsed from the bytes a
+block at a time, so the judge holds a stream at about its file's size plus
+the blocks it is working on.
 """
 
 from __future__ import annotations
 
+import codecs
 import enum
+import io
 import numbers
 import operator
+from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -107,33 +115,76 @@ class FeatureSchema:
 
 @dataclass(frozen=True, eq=False)
 class ChronoDataset:
-    """A time-ordered labeled table.  Row order is chronological and is
-    never permuted by any operation in this package."""
+    """A time-ordered labeled table, held as the bytes of its data file.
+    Row order is chronological and is never permuted by any operation in
+    this package.
+
+    ``text`` is the data file as UTF-8, with its newlines read as text mode
+    reads them (``\\r\\n`` and ``\\r`` are ``\\n``) and a newline after its
+    last line: the header line, then one line per row.  Row ``i`` is the
+    line from ``starts[i]`` up to ``starts[i + 1]``, and ``positions`` gives
+    each schema column's cell index in a line.  :meth:`block` parses rows
+    when they are asked for, and nothing parsed is kept.
+
+    :func:`load_dataset` and :meth:`from_rows` build datasets, and both
+    check every row, so the fields always describe a well-formed file.
+    """
 
     schema: FeatureSchema
-    rows: tuple[tuple[str, ...], ...]
-    labels: np.ndarray  # shape (n,), values in {0, 1}
+    text: bytes
+    starts: np.ndarray          # shape (n + 1,): each row's line start, then len(text)
+    positions: tuple[int, ...]
+    labels: np.ndarray          # shape (n,), values in {0, 1}
     provenance: str = ""
 
-    def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "labels", labels)
-        if len(self.rows) != labels.shape[0]:
-            raise DatasetFormatError(
-                f"{len(self.rows)} rows but {labels.shape[0]} labels"
-            )
-        bad = np.nonzero((labels != 0) & (labels != 1))[0]
+    @classmethod
+    def from_rows(cls, schema: FeatureSchema, rows: Sequence[tuple[str, ...]], labels,
+                  provenance: str = "") -> "ChronoDataset":
+        """The dataset of ``rows`` (cells in schema order) and ``labels``,
+        held as the bytes :func:`write_rows` writes for them.
+
+        Raises :class:`DatasetFormatError` for a count of labels other than
+        one per row, and naming the row for a label other than 0 or 1, a
+        row of another width than the schema's, or a cell holding ``,``,
+        ``\\n`` or ``\\r``, which would not read back from the file.
+        """
+        labels = np.asarray(labels, dtype=np.int64)
+        if len(rows) != labels.shape[0]:
+            raise DatasetFormatError(f"{len(rows)} rows but {labels.shape[0]} labels")
+        bad = np.flatnonzero((labels != 0) & (labels != 1))
         if bad.size:
             raise DatasetFormatError(f"non-binary label at row {int(bad[0])}")
-        width = self.schema.n_features
-        for i, row in enumerate(self.rows):
+        width = schema.n_features
+        out = io.BytesIO()
+        starts = array("q", [out.write((",".join(schema.names + (schema.label,))
+                                        + "\n").encode("utf-8"))])
+        for i, (row, y) in enumerate(zip(rows, labels.tolist())):
             if len(row) != width:
                 raise DatasetFormatError(
-                    f"row {i} has {len(row)} cells, schema declares {width} features"
-                )
+                    f"row {i} has {len(row)} cells, schema declares {width} features")
+            line = ",".join(row)
+            if line.count(",") != width - 1 or "\n" in line or "\r" in line:
+                name, cell = next((name, cell) for name, cell in zip(schema.names, row)
+                                  if "," in cell or "\n" in cell or "\r" in cell)
+                raise DatasetFormatError(f"row {i}, column {name!r}: {cell!r} holds a comma "
+                                         "or a line break, which a data file cannot hold")
+            starts.append(starts[-1] + out.write(f"{line},{y}\n".encode("utf-8")))
+        # getvalue hands over the buffer the lines were written to, uncopied.
+        return cls(schema, out.getvalue(), np.frombuffer(starts, dtype=np.int64),
+                   tuple(range(width)), labels, provenance)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.labels.shape[0]
+
+    def block(self, lo: int, hi: int) -> tuple[tuple[str, ...], ...]:
+        """Rows ``lo .. hi - 1`` as tuples of cells in schema order, parsed
+        anew at each call."""
+        return _parse_lines(self.text, self.starts[lo], self.starts[hi], self.positions)
+
+    @property
+    def rows(self) -> tuple[tuple[str, ...], ...]:
+        """Every row, parsed anew at each call (see :meth:`block`)."""
+        return self.block(0, len(self))
 
 
 def plan_blocks(n_rows: int, n_blocks: int) -> tuple[tuple[int, int], ...]:
@@ -207,24 +258,20 @@ def load_dataset(data_path: str | Path, schema_path: str | Path,
     the offending row or column on any format violation.
     """
     schema = read_schema(schema_path)
-    rows, labels = _read_data(data_path, schema, with_labels=True)
-    return ChronoDataset(
-        schema=schema,
-        rows=rows,
-        labels=np.asarray(labels, dtype=np.int64),
-        provenance=provenance if provenance is not None else str(data_path),
-    )
+    text, starts, positions, labels = _read_data(data_path, schema, with_labels=True)
+    return ChronoDataset(schema, text, starts, positions, labels,
+                         provenance if provenance is not None else str(data_path))
 
 
 def read_unlabeled(data_path: str | Path, schema: FeatureSchema) -> tuple[tuple[str, ...], ...]:
     """Read a data file that carries feature columns only (no label)."""
-    rows, _ = _read_data(data_path, schema, with_labels=False)
-    return rows
+    text, starts, positions, _ = _read_data(data_path, schema, with_labels=False)
+    return _parse_lines(text, starts[0], starts[-1], positions)
 
 
 def save_dataset(dataset: ChronoDataset, data_path: str | Path,
                  schema_path: str | Path) -> None:
-    write_rows(data_path, dataset.schema, dataset.rows, dataset.labels)
+    Path(data_path).write_bytes(dataset.text)
     write_schema(dataset.schema, schema_path)
 
 
@@ -257,19 +304,34 @@ def _read_lines(path: str | Path) -> Iterator[str]:
             yield line.rstrip("\n")
 
 
-def _read_data(path: str | Path, schema: FeatureSchema, *, with_labels: bool):
-    """Parse a data file into row tuples (schema order) and labels.
+#: Bytes decoded at a time when a data file's text is checked as UTF-8.
+_UTF8_CHUNK = 1 << 20
 
-    Lines are parsed as :func:`_read_lines` yields them, so the file's text
-    and its list of lines are never held beside the rows built from them: a
-    load peaks at about what it returns, and the judge, which holds one
-    stream at a time, peaks with the largest stream.
+
+def _read_data(path: str | Path, schema: FeatureSchema, *, with_labels: bool):
+    """Index a data file: its text as :class:`ChronoDataset` holds it, each
+    row's line start followed by the text's length, each schema column's
+    position in a line, and the labels (none without labels).
+
+    One pass over the bytes checks the text is UTF-8, the header names each
+    expected column once, and every line has the header's number of cells
+    and, with labels, a label of 0 or 1, so each format error comes here
+    and names the file and the row.  Only the header and the label cells
+    are decoded, and nothing decoded is kept beside the bytes: a load peaks
+    at about the file's size.
     """
-    lines = _read_lines(path)
-    first = next(lines, None)
-    if first is None:
+    with open(path, "rb") as fh:
+        text = fh.read()
+    if not text:
         raise DatasetFormatError(f"{path}: empty data file")
-    header = first.split(",")
+    # bytes.replace returns the text itself when there is nothing to replace.
+    text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not text.endswith(b"\n"):
+        text += b"\n"
+    if not text.isascii():
+        _check_utf8(path, text)
+    head = text.find(b"\n")
+    header = text[:head].decode("utf-8").split(",")
     repeated = [name for i, name in enumerate(header) if name in header[:i]]
     if repeated:
         # header.index below would read the first copy and silently drop the rest.
@@ -281,28 +343,57 @@ def _read_data(path: str | Path, schema: FeatureSchema, *, with_labels: bool):
     extra = [name for name in header if name not in expected]
     if extra:
         raise DatasetFormatError(f"{path}: header has undeclared column {extra[0]!r}")
-    positions = [header.index(name) for name in schema.names]
+    positions = tuple(header.index(name) for name in schema.names)
+    width = len(header)
+    # The label is a line's k-th cell from the end.
+    k = width - header.index(schema.label) if with_labels else 0
+
+    starts = array("q", [head + 1])
+    labels = array("q")
+    pos = head + 1
+    while pos < len(text):
+        end = text.find(b"\n", pos)
+        cells = text.count(b",", pos, end) + 1
+        if cells != width:
+            raise DatasetFormatError(
+                f"{path}: row {len(starts) - 1} has {cells} cells, expected {width}")
+        if k:
+            raw = text[pos:end].rsplit(b",", k)[-k]
+            if raw != b"0" and raw != b"1":
+                raise DatasetFormatError(
+                    f"{path}: row {len(starts) - 1} has non-binary label {raw.decode()!r}")
+            labels.append(raw == b"1")
+        pos = end + 1
+        starts.append(pos)
+    return (text, np.frombuffer(starts, dtype=np.int64), positions,
+            np.frombuffer(labels, dtype=np.int64))
+
+
+def _check_utf8(path: str | Path, text: bytes) -> None:
+    """Raise :class:`DatasetFormatError` naming the first line of ``text``
+    that is not UTF-8.  The text is decoded ``_UTF8_CHUNK`` bytes at a
+    time, so no decoded copy of it is made."""
+    view = memoryview(text)
+    pos = 0
+    while pos < len(text):
+        final = pos + _UTF8_CHUNK >= len(text)
+        try:
+            # A character cut at the chunk's end is left for the next chunk.
+            pos += codecs.utf_8_decode(view[pos:pos + _UTF8_CHUNK], "strict", final)[1]
+        except UnicodeDecodeError as exc:
+            line = text.count(b"\n", 0, pos + exc.start)
+            where = f"row {line - 1}" if line else "header"
+            raise DatasetFormatError(f"{path}: {where} is not UTF-8 text") from None
+
+
+def _parse_lines(text: bytes, lo: int, hi: int,
+                 positions: tuple[int, ...]) -> tuple[tuple[str, ...], ...]:
+    """The lines of ``text[lo:hi]``, which ends in a newline, as tuples of
+    the cells at ``positions``."""
+    lines = str(memoryview(text)[lo:hi], "utf-8").split("\n")
+    lines.pop()  # the newline that ends the last line starts no other
     # itemgetter builds a tuple only from two or more positions; with one it
     # returns the bare cell.
     pick = (operator.itemgetter(*positions) if len(positions) > 1
             else lambda cells: tuple([cells[p] for p in positions]))
-    label_pos = header.index(schema.label) if with_labels else -1
-
-    rows: list[tuple[str, ...]] = []
-    labels: list[int] = []
-    width = len(header)
-    for lineno, line in enumerate(lines, start=1):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise DatasetFormatError(
-                f"{path}: row {lineno - 1} has {len(cells)} cells, expected {width}"
-            )
-        rows.append(pick(cells))
-        if with_labels:
-            raw = cells[label_pos]
-            if raw not in ("0", "1"):
-                raise DatasetFormatError(
-                    f"{path}: row {lineno - 1} has non-binary label {raw!r}"
-                )
-            labels.append(int(raw))
-    return tuple(rows), labels
+    return tuple([pick(line.split(",")) for line in lines])

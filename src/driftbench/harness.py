@@ -176,11 +176,13 @@ def run_lifelong(dataset: ChronoDataset, n_blocks: int, predictor: PredictorAdap
     The dataset is cut with :func:`plan_blocks` into ``n_blocks`` blocks
     before the predictor is called, so a cut that cannot be made raises
     BlockPlanError untouched.  Steps 1..N-1: reveal block k-1 to
-    ``learn``, score ``predict`` on block k.  Aborts on budget overrun
-    (timed-out) or any predictor failure (predictor-error), with an error
-    that names the step; either way the dataset scores 0.  The trace is
-    named by ``dataset.provenance``.  The predictor's optional ``close()``
-    runs last, whatever the outcome, and is not billed.
+    ``learn``, score ``predict`` on block k.  Each block is parsed from the
+    dataset once: the rows scored at step k are the very tuple revealed at
+    step k+1, so the loop holds at most two parsed blocks.  Aborts on
+    budget overrun (timed-out) or any predictor failure (predictor-error),
+    with an error that names the step; either way the dataset scores 0.
+    The trace is named by ``dataset.provenance``.  The predictor's optional
+    ``close()`` runs last, whatever the outcome, and is not billed.
     """
     _check_budget(budget_seconds)
     ranges = plan_blocks(len(dataset), n_blocks)
@@ -188,21 +190,24 @@ def run_lifelong(dataset: ChronoDataset, n_blocks: int, predictor: PredictorAdap
     steps: list[StepRecord] = []
     outcome = OUTCOME_COMPLETED
     error = ""
+    test_rows = dataset.block(*ranges[0])
     try:
         for k in range(1, n_blocks):
             reveal_lo, reveal_hi = ranges[k - 1]
             test_lo, test_hi = ranges[k]
+            # The last step's revealed block is let go before the next one is parsed.
+            revealed = test_rows
+            test_rows = dataset.block(test_lo, test_hi)
             step_start = clock.consumed
             try:
                 clock.charge(
                     "learn", predictor, predictor.learn,
-                    dataset.rows[reveal_lo:reveal_hi],
+                    revealed,
                     dataset.labels[reveal_lo:reveal_hi],
                     dataset.schema,
                     clock.remaining,
                 )
-                scores = clock.charge("predict", predictor, predictor.predict,
-                                      dataset.rows[test_lo:test_hi])
+                scores = clock.charge("predict", predictor, predictor.predict, test_rows)
                 _check_predictions(scores, test_hi - test_lo)
             except PredictorTimeout as exc:
                 outcome, error = OUTCOME_TIMED_OUT, f"step {k}: {exc}"

@@ -34,7 +34,8 @@ def main(argv=None) -> int:
 
     def step(args, request) -> None:
         train = load_dataset(request["train"], args.schema)
-        predictor.learn(train.rows, train.labels, train.schema, request["remaining_budget"])
+        predictor.learn(train.block(0, len(train)), train.labels, train.schema,
+                        request["remaining_budget"])
         scores = predictor.predict(read_unlabeled(request["test"], train.schema))
         with open(request["pred_out"], "w", encoding="utf-8") as fh:
             fh.writelines(f"{s:.9f}\n" for s in scores)

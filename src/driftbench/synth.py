@@ -102,7 +102,8 @@ def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
     """Generate one stream per ``spec``; deterministic given the seed.
 
     Every feature column is built once, as a list of cells in schema order,
-    and the rows are its transpose.  A categorical column's effect is
+    and the rows are its transpose, held as their data file's bytes (see
+    :meth:`ChronoDataset.from_rows`).  A categorical column's effect is
     looked up per row, ``cos(angle) * e_a[codes] + sin(angle) * e_b[codes]``:
     elementwise the operations of ``_rotated(e_a, e_b, angle)[rows, codes]``,
     so the same bits, without a rows x cardinality table.  A multi-valued
@@ -186,10 +187,8 @@ def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
         p = 1.0 / (1.0 + np.exp(-LABEL_SHARPNESS * score))
     labels = (rng.random(n) < p).astype(np.int64)
 
-    return ChronoDataset(
-        schema=build_schema(spec),
-        rows=tuple(zip(*columns)),
-        labels=labels,
+    return ChronoDataset.from_rows(
+        build_schema(spec), tuple(zip(*columns)), labels,
         provenance=f"{spec.dataset_id}(seed={spec.seed},drift={spec.drift})",
     )
 

@@ -1000,7 +1000,7 @@ def test_non_finite_numeric_cell_is_a_predictor_error():
     lo, hi = ranges[0]
     rows = tuple(row[:j] + ("inf",) + row[j + 1:] if lo <= i < hi and ds.labels[i] == 1
                  else row for i, row in enumerate(ds.rows))
-    poisoned = ChronoDataset(ds.schema, rows, ds.labels)
+    poisoned = ChronoDataset.from_rows(ds.schema, rows, ds.labels)
     trace = run_lifelong(poisoned, spec.n_blocks, BaselinePredictor(BaselineConfig(seed=4, **FAST)),
                          budget_seconds=600)
     assert trace.outcome == OUTCOME_PREDICTOR_ERROR
@@ -1035,14 +1035,14 @@ def reference_learned_matrices(ds, ranges):
     """Each block's matrix and the final encoders by the plain route: encode
     a block as it was scored, then grow every vocabulary over all of its
     cells."""
-    lo, hi = ranges[0]
-    encoders = fit_dataset_encoders(ds.schema, ds.rows[lo:hi])
+    encoders = fit_dataset_encoders(ds.schema, ds.block(*ranges[0]))
     matrices = []
     for lo, hi in ranges:
-        matrices.append(transform_rows(ds.schema, ds.rows[lo:hi], encoders))
+        rows = ds.block(lo, hi)
+        matrices.append(transform_rows(ds.schema, rows, encoders))
         for j, name in enumerate(ds.schema.names):
             if name in encoders:
-                encoders[name] = extend_ordinal(encoders[name], [r[j] for r in ds.rows[lo:hi]])
+                encoders[name] = extend_ordinal(encoders[name], [r[j] for r in rows])
     return matrices, encoders
 
 
@@ -1096,13 +1096,11 @@ def test_each_revealed_block_is_binned_once_and_no_round_walks_its_sample(monkey
     # Blocks 0..n-2 are revealed, and each round bins its sample once, for
     # all of its trees: with no cap, the whole pool so far.
     assert binned == np.cumsum(sizes[:-1]).tolist()
-    # Blocks 1..n-1 are walked when scored, and blocks 1..n-2 by the past
-    # trees once more when revealed.  With no cap no row is left out of a
-    # round's sample, so no other walk visits a row.
-    want = []
-    for k in range(1, n):
-        want += [sizes[k]] * (2 if k < n - 1 else 1)
-    assert walked == want
+    # Blocks 1..n-1 are walked when scored, and a revealed block joins the
+    # pool with the margins its scoring walked, so it is not walked again.
+    # With no cap no row is left out of a round's sample, so no other walk
+    # visits a row.
+    assert walked == sizes[1:]
 
 
 def test_learning_a_scored_block_matches_learning_alone():
@@ -1122,6 +1120,29 @@ def test_learning_a_scored_block_matches_learning_alone():
     assert interleaved.ensemble.n_trees == alone.ensemble.n_trees
     for got, want in zip(interleaved.ensemble.trees, alone.ensemble.trees):
         assert_same_tree(got, want)
+
+
+def test_a_refused_learn_leaves_the_predictor_as_it_was():
+    # A learn refused for its labels grew the vocabularies and dropped the
+    # scored block before the labels were checked, so the retry trained on
+    # another matrix than an uninterrupted run.
+    ds = generate_drift_stream(UNSEEN_SPEC)
+    ranges = plan_blocks(len(ds), UNSEEN_SPEC.n_blocks)
+    cfg = BaselineConfig(seed=6, **TINY)
+    refused, uninterrupted = BaselinePredictor(cfg), BaselinePredictor(cfg)
+    for k, (lo, hi) in enumerate(ranges[:-1]):
+        rows, labels = ds.block(lo, hi), ds.labels[lo:hi]
+        if k:
+            refused.predict(rows)
+            uninterrupted.predict(rows)
+        with pytest.raises(ValueError, match="labels, one per row"):
+            refused.learn(rows, labels[:-1], ds.schema, 600.0)
+        refused.learn(rows, labels, ds.schema, 600.0)
+        uninterrupted.learn(rows, labels, ds.schema, 600.0)
+    assert np.array_equal(refused.ensemble.pool.X, uninterrupted.ensemble.pool.X)
+    assert refused.encoders == uninterrupted.encoders
+    last = ds.block(*ranges[-1])
+    assert np.array_equal(refused.predict(last), uninterrupted.predict(last))
 
 
 def test_rows_read_back_from_a_file_reuse_the_scored_matrix(tmp_path, monkeypatch):
@@ -1157,6 +1178,7 @@ def test_a_value_is_unseen_in_the_block_that_brings_it():
         pred.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
     X = pred.ensemble.pool.X
     assert X.shape[0] == ranges[-1][1]
+    rows = ds.rows
     brought: dict = {}   # (column, value) -> the block that brought it
     unseen = coded_later = 0
     for j, name in enumerate(ds.schema.names):
@@ -1164,12 +1186,12 @@ def test_a_value_is_unseen_in_the_block_that_brings_it():
             continue
         for k, (lo, hi) in enumerate(ranges):
             for i in range(lo, hi):
-                first = brought.setdefault((j, ds.rows[i][j]), k)
+                first = brought.setdefault((j, rows[i][j]), k)
                 if 0 < first == k:
                     assert X[i, j] == 0
                     unseen += 1
                 else:
-                    assert X[i, j] == pred.encoders[name][ds.rows[i][j]] >= 1
+                    assert X[i, j] == pred.encoders[name][rows[i][j]] >= 1
                     coded_later += first > 0
     assert unseen and coded_later
 

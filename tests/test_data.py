@@ -12,8 +12,10 @@ from driftbench.data import (
     read_schema,
     read_unlabeled,
     save_dataset,
+    write_rows,
     write_schema,
 )
+from driftbench import data as data_module
 from driftbench.synth import desk_spec, generate_drift_stream
 
 
@@ -134,6 +136,65 @@ def test_reader_format_errors_name_file_and_row(tmp_path, text, message):
     assert str(info.value) == f"{data}: {message}"
 
 
+@pytest.mark.parametrize("body, where", [
+    (b"x,color,y\n1.0,red,0\n2.0,bl\xffue,1\n", "row 1"),
+    (b"x,col\xc3or,y\n1.0,red,0\n", "header"),
+    (b"x,color,y\r\n1.0,red,0\r\n2.0,blue,1\r\n3.0,caf\xc3", "row 2"),
+], ids=["row", "header", "cut-short-at-end"])
+def test_non_utf8_byte_names_file_and_row(tmp_path, body, where):
+    # Read as text, such a file raised a bare UnicodeDecodeError with a
+    # byte position, which a suite reported as a predictor error.
+    data, schema = write_pair(tmp_path, "", SCHEMA_2COL)
+    data.write_bytes(body)
+    with pytest.raises(DatasetFormatError) as info:
+        load_dataset(data, schema)
+    assert str(info.value) == f"{data}: {where} is not UTF-8 text"
+
+
+def test_utf8_cells_load_across_decode_chunks(tmp_path, monkeypatch):
+    # Chunks of 3 bytes cut each two-byte character somewhere.
+    monkeypatch.setattr(data_module, "_UTF8_CHUNK", 3)
+    text = "x,color,y\n1.0,caf\u00e9,0\n2.0,\u00fcber,1\n"
+    data, schema = write_pair(tmp_path, "", SCHEMA_2COL)
+    data.write_bytes(text.encode("utf-8"))
+    ds = load_dataset(data, schema)
+    assert ds.rows == (("1.0", "caf\u00e9"), ("2.0", "\u00fcber"))
+    assert ds.labels.tolist() == [0, 1]
+
+
+def test_block_parses_rows_in_schema_order(tmp_path):
+    data, schema = write_pair(
+        tmp_path, "color,y,x\r\n" + "".join(f"c{i},{i % 2},{i}.5\r\n" for i in range(7)),
+        SCHEMA_2COL)
+    ds = load_dataset(data, schema)
+    assert len(ds) == 7
+    assert ds.block(2, 5) == (("2.5", "c2"), ("3.5", "c3"), ("4.5", "c4"))
+    assert ds.block(3, 3) == ()
+    assert ds.rows == ds.block(0, 4) + ds.block(4, 7)
+
+
+def test_dataset_from_rows_holds_the_bytes_write_rows_writes(tmp_path):
+    ds = generate_drift_stream(desk_spec("E", n_rows=120, n_blocks=4, seed=3))
+    write_rows(tmp_path / "rows.csv", ds.schema, ds.rows, ds.labels)
+    assert ds.text == (tmp_path / "rows.csv").read_bytes()
+    save_dataset(ds, tmp_path / "saved.csv", tmp_path / "saved.schema.csv")
+    assert (tmp_path / "saved.csv").read_bytes() == ds.text
+    assert ds.block(30, 60) == ds.rows[30:60]
+
+
+@pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\rb", "\r\n"])
+def test_dataset_from_rows_refuses_a_separator_in_a_cell(cell):
+    # Such a cell ran in memory, and its saved file failed to load
+    # ("row 1 has 3 cells, expected 2").
+    rows = (("1.0", "red"), ("2.0", cell), ("3.0", "blue"))
+    schema = FeatureSchema((("x", FeatureKind.NUMERICAL), ("color", FeatureKind.CATEGORICAL)),
+                           "y")
+    with pytest.raises(DatasetFormatError) as info:
+        ChronoDataset.from_rows(schema, rows, [0, 1, 0])
+    assert str(info.value) == (f"row 1, column 'color': {cell!r} holds a comma or a line "
+                               "break, which a data file cannot hold")
+
+
 def test_unknown_kind_token(tmp_path):
     data, schema = write_pair(
         tmp_path, "x,y\n1.0,0\n", "x,numeric\ny,label\n"
@@ -206,7 +267,7 @@ def test_load_preserves_chronological_order(tmp_path):
 def test_mismatched_rows_and_labels_rejected():
     schema = FeatureSchema((("x", FeatureKind.NUMERICAL),), "y")
     with pytest.raises(DatasetFormatError):
-        ChronoDataset(schema, (("1.0",), ("2.0",)), np.array([0]))
+        ChronoDataset.from_rows(schema, (("1.0",), ("2.0",)), np.array([0]))
 
 
 # ---------------------------------------------------------------------------

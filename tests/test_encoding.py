@@ -11,7 +11,7 @@ def _schema(kinds):
 
 
 def _dataset(rows, labels, kinds=("num", "cat")):
-    return ChronoDataset(_schema(kinds), tuple(rows), np.asarray(labels))
+    return ChronoDataset.from_rows(_schema(kinds), tuple(rows), np.asarray(labels))
 
 
 def _fit(values, column="cat"):

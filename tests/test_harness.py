@@ -27,7 +27,7 @@ def indexed_dataset(n=30):
     """Rows carry their own index so tests can identify blocks exactly."""
     rows = tuple((str(i),) for i in range(n))
     labels = np.arange(n) % 2
-    return ChronoDataset(SCHEMA, rows, labels, provenance="indexed")
+    return ChronoDataset.from_rows(SCHEMA, rows, labels, provenance="indexed")
 
 
 class RecordingPredictor:
@@ -92,7 +92,7 @@ def test_oracle_predictor_scores_one_everywhere():
 def test_single_class_block_gets_half_and_flag():
     rows = tuple((str(i),) for i in range(30))
     labels = np.array([0, 1] * 10 + [1] * 10)  # last block all positive
-    ds = ChronoDataset(SCHEMA, rows, labels)
+    ds = ChronoDataset.from_rows(SCHEMA, rows, labels)
     trace = run_lifelong(ds, 3, RecordingPredictor(), budget_seconds=60)
     assert trace.steps[-1].single_class
     assert trace.steps[-1].auc == 0.5

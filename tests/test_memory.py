@@ -1,17 +1,20 @@
-"""Peak-memory regression tests: the judge holds one stream at a time.
+"""Peak-memory regression tests: the judge holds one stream at a time,
+and of that stream its file's bytes and at most two parsed blocks.
 
 ``generate`` saves and frees each stream before it synthesizes the next,
 ``run_suite`` frees a dataset and its predictor before it loads the next,
-and the data reader never holds a file's text beside the rows it builds.
-So three streams peak about where one does.  Peaks are read with
-``tracemalloc``, which sees Python objects and numpy buffers alike.
+a load keeps the file's bytes and an index of its lines, not parsed rows,
+and ``run_lifelong`` parses each block once, when it is scored, and lets
+it go after it is revealed.  So three streams peak about where one does,
+and one stream peaks at about its file plus two blocks.  Peaks are read
+with ``tracemalloc``, which sees Python objects and numpy buffers alike.
 """
 
 import json
 import tracemalloc
 
 from driftbench.cli import main
-from driftbench.data import load_dataset, save_dataset
+from driftbench.data import load_dataset, plan_blocks, read_unlabeled, save_dataset, write_rows
 from driftbench.harness import ConstantPredictor, DatasetRef, run_suite
 from driftbench.synth import desk_spec, generate_drift_stream
 
@@ -78,3 +81,19 @@ def test_load_peaks_at_what_it_returns(tmp_path):
     dataset, peak, kept = traced(lambda: load_dataset(ref.data_path, ref.schema_path))
     assert len(dataset) == ROWS
     assert peak < 1.05 * kept
+
+
+def test_evaluation_peaks_at_the_file_and_two_blocks(tmp_path):
+    # Rows parsed for the whole stream, as a tuple of row tuples, held
+    # about 11 times the file's bytes for the whole run.
+    (ref,) = shape_a_refs(tmp_path, 1)
+    dataset = load_dataset(ref.data_path, ref.schema_path)
+    lo, hi = plan_blocks(len(dataset), 10)[0]                      # the largest block
+    block_file = tmp_path / "block.csv"
+    write_rows(block_file, dataset.schema, dataset.rows[lo:hi])
+    _, _, block = traced(lambda: read_unlabeled(block_file, dataset.schema))
+    del dataset
+    run_suite([ref], 10, lambda ref: ConstantPredictor())          # warm caches
+    (trace,), peak, _ = traced(lambda: run_suite([ref], 10, lambda ref: ConstantPredictor()))
+    assert trace.outcome == "completed"
+    assert peak < 1.15 * (ref.data_path.stat().st_size + 2 * block)
