@@ -24,7 +24,7 @@ import operator
 from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -95,6 +95,10 @@ class FeatureSchema:
 
     def __post_init__(self) -> None:
         names = [name for name, _ in self.columns]
+        for what, name in [("column", name) for name in names] + [("label", self.label)]:
+            if "," in name or "\n" in name or "\r" in name:
+                raise DatasetFormatError(f"{what} name {name!r} holds a comma or a line break, "
+                                         "which a schema file cannot hold")
         if len(set(names)) != len(names):
             raise DatasetFormatError("duplicate column names in schema")
         if self.label in names:
@@ -138,19 +142,22 @@ class ChronoDataset:
     provenance: str = ""
 
     @classmethod
-    def from_rows(cls, schema: FeatureSchema, rows: Sequence[tuple[str, ...]], labels,
+    def from_rows(cls, schema: FeatureSchema, rows: Iterable[tuple[str, ...]], labels,
                   provenance: str = "") -> "ChronoDataset":
         """The dataset of ``rows`` (cells in schema order) and ``labels``,
         held as the bytes :func:`write_rows` writes for them.
 
-        Raises :class:`DatasetFormatError` for a count of labels other than
-        one per row, and naming the row for a label other than 0 or 1, a
-        row of another width than the schema's, or a cell holding ``,``,
-        ``\\n`` or ``\\r``, which would not read back from the file.
+        ``rows`` may be any iterable, a generator included: each row is
+        written as it arrives and none is kept, so a dataset built from a
+        generator peaks at about its bytes plus the rows the generator
+        holds.  Raises :class:`DatasetFormatError` for a count of rows other
+        than the count of labels, giving both, and naming the row for a
+        label other than 0 or 1, a row of another width than the schema's,
+        or a cell holding ``,``, ``\\n`` or ``\\r``, which would not read
+        back from the file.
         """
         labels = np.asarray(labels, dtype=np.int64)
-        if len(rows) != labels.shape[0]:
-            raise DatasetFormatError(f"{len(rows)} rows but {labels.shape[0]} labels")
+        n = labels.shape[0]
         bad = np.flatnonzero((labels != 0) & (labels != 1))
         if bad.size:
             raise DatasetFormatError(f"non-binary label at row {int(bad[0])}")
@@ -158,7 +165,9 @@ class ChronoDataset:
         out = io.BytesIO()
         starts = array("q", [out.write((",".join(schema.names + (schema.label,))
                                         + "\n").encode("utf-8"))])
-        for i, (row, y) in enumerate(zip(rows, labels.tolist())):
+        rows = iter(rows)
+        # Labels first: zip stops at their end before it takes a row too many.
+        for i, (y, row) in enumerate(zip(labels.tolist(), rows)):
             if len(row) != width:
                 raise DatasetFormatError(
                     f"row {i} has {len(row)} cells, schema declares {width} features")
@@ -169,6 +178,9 @@ class ChronoDataset:
                 raise DatasetFormatError(f"row {i}, column {name!r}: {cell!r} holds a comma "
                                          "or a line break, which a data file cannot hold")
             starts.append(starts[-1] + out.write(f"{line},{y}\n".encode("utf-8")))
+        n_rows = len(starts) - 1 + sum(1 for _ in rows)
+        if n_rows != n:
+            raise DatasetFormatError(f"{n_rows} rows but {n} labels")
         # getvalue hands over the buffer the lines were written to, uncopied.
         return cls(schema, out.getvalue(), np.frombuffer(starts, dtype=np.int64),
                    tuple(range(width)), labels, provenance)

@@ -10,6 +10,7 @@ distribution, which is what large real-world id-like columns look like.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -22,6 +23,10 @@ DRIFT_PROFILES = ("none", "gradual", "abrupt")
 LABEL_SHARPNESS = 3.0
 #: Tokens drawn per multi-valued cell: 1 to this many, duplicates dropped.
 MVC_MAX_TOKENS = 3
+#: Rows whose cell strings are made at a time.  Every draw is made for the
+#: whole stream first, so the bytes do not depend on it; it bounds the cell
+#: strings alive at once.
+_CHUNK_ROWS = 256
 
 #: Feature-type mix (cat, num, mvc, time) and time budget in seconds of the
 #: five public challenge streams; used to shape desk-scale analogs.
@@ -101,16 +106,17 @@ def _rotated(theta_a: np.ndarray, theta_b: np.ndarray, angle: np.ndarray) -> np.
 def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
     """Generate one stream per ``spec``; deterministic given the seed.
 
-    Every feature column is built once, as a list of cells in schema order,
-    and the rows are its transpose, held as their data file's bytes (see
-    :meth:`ChronoDataset.from_rows`).  A categorical column's effect is
-    looked up per row, ``cos(angle) * e_a[codes] + sin(angle) * e_b[codes]``:
-    elementwise the operations of ``_rotated(e_a, e_b, angle)[rows, codes]``,
-    so the same bits, without a rows x cardinality table.  A multi-valued
-    column does the same over its (rows, 3) draws.  Category cells come
-    from one name table ``v1 .. v{cardinality}`` by index, numeric cells
-    from one ``%.6f`` format call per column, and multi-valued cells from
-    the name table and the draws' keep mask.
+    Every random draw and every effect on the score is made for the whole
+    stream, column by column; only the cell strings are made a chunk of
+    ``_CHUNK_ROWS`` rows at a time (see :func:`_rows`), and the rows go
+    straight into their data file's bytes (see
+    :meth:`ChronoDataset.from_rows`), so no cell of the whole stream is held
+    as a ``str``.  A categorical column's effect is looked up per row,
+    ``cos(angle) * e_a[codes] + sin(angle) * e_b[codes]``: elementwise the
+    operations of ``_rotated(e_a, e_b, angle)[rows, codes]``, so the same
+    bits, without a rows x cardinality table.  A multi-valued column does
+    the same over its (rows, 3) draws, and keeps which draws its cells hold
+    as a mask.
     """
     rng = np.random.default_rng(spec.seed)
     n, card = spec.n_rows, spec.cat_cardinality
@@ -135,23 +141,18 @@ def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
     probs = power_law_probs(card, spec.power_exponent)
     cat_eff = [(rng.standard_normal(card), rng.standard_normal(card)) for _ in range(spec.n_cat)]
     mvc_eff = [(rng.standard_normal(card), rng.standard_normal(card)) for _ in range(spec.n_mvc)]
-    names = np.array([f"v{code + 1}" for code in range(card)], dtype=object)
 
     score = np.zeros(n)
-    columns: list[list[str]] = []
-    # One draw for all categorical columns reads the same stream as one per
-    # column; made before any cell string, it also keeps peak memory down.
-    for (e_a, e_b), codes in zip(cat_eff, rng.choice(card, size=(spec.n_cat, n), p=probs)):
+    # One draw for all categorical columns reads the same stream as one per column.
+    cat_codes = rng.choice(card, size=(spec.n_cat, n), p=probs)
+    for (e_a, e_b), codes in zip(cat_eff, cat_codes):
         score += cos * e_a[codes] + sin * e_b[codes]
-        columns.append(names[codes].tolist())
 
     x_num = rng.standard_normal((n, spec.n_num))
     if spec.n_num:
         score += np.einsum("ij,ij->i", x_num, _rotated(w_a, w_b, angle))
-    cell_format = ",".join(["%.6f"] * n)
-    columns += [(cell_format % tuple(col.tolist())).split(",") for col in x_num.T]
 
-    joined_names = MVC_SEPARATOR + names
+    mvc_draws = []
     for e_a, e_b in mvc_eff:
         counts = rng.integers(1, MVC_MAX_TOKENS + 1, size=n)
         draws = rng.choice(card, size=(n, MVC_MAX_TOKENS), p=probs)
@@ -161,18 +162,14 @@ def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
         # the same operations, so the same bits, as a mean per row.
         keep = np.arange(MVC_MAX_TOKENS) < counts[:, None]
         total = eff[:, 0].copy()
-        cells = names[draws[:, 0]]
         for j in range(1, MVC_MAX_TOKENS):
             kept = keep[:, j]   # a view: a duplicate dropped here is dropped from keep
             kept &= (draws[:, :j] != draws[:, j:j + 1]).all(axis=1)
             np.add(total, eff[:, j], out=total, where=kept)
-            cells[kept] += joined_names[draws[kept, j]]
         score += total / keep.sum(axis=1)
-        columns.append(cells.tolist())
+        mvc_draws.append((draws, keep))
 
-    for _ in range(spec.n_time):
-        ticks = np.cumsum(rng.integers(0, 3, size=n))
-        columns.append(list(map(str, (1_600_000_000 + ticks).tolist())))
+    times = [1_600_000_000 + np.cumsum(rng.integers(0, 3, size=n)) for _ in range(spec.n_time)]
 
     # Only a score that varies above rounding level is standardized.  A
     # constant one (one category, no numeric column), or one that a drift
@@ -187,10 +184,44 @@ def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
         p = 1.0 / (1.0 + np.exp(-LABEL_SHARPNESS * score))
     labels = (rng.random(n) < p).astype(np.int64)
 
+    names = np.array([f"v{code + 1}" for code in range(card)], dtype=object)
     return ChronoDataset.from_rows(
-        build_schema(spec), tuple(zip(*columns)), labels,
+        build_schema(spec), _rows(names, cat_codes, x_num, mvc_draws, times), labels,
         provenance=f"{spec.dataset_id}(seed={spec.seed},drift={spec.drift})",
     )
+
+
+def _rows(names: np.ndarray, cat_codes: np.ndarray, x_num: np.ndarray,
+          mvc_draws: list[tuple[np.ndarray, np.ndarray]],
+          times: list[np.ndarray]) -> Iterator[tuple[str, ...]]:
+    """The stream's rows, as tuples of cells in schema order, made
+    ``_CHUNK_ROWS`` rows at a time from its whole-stream draws.
+
+    Within a chunk, each column's cells are made at once and the rows are
+    their transpose.  Category cells come from the name table ``names`` by
+    index, the numeric cells of a chunk from one ``%.6f`` format call, and
+    multi-valued cells from the name table, the draws and their keep mask.
+    """
+    n, n_num = x_num.shape
+    joined_names = MVC_SEPARATOR + names
+    chunk_format = ",".join(["%.6f"] * (_CHUNK_ROWS * n_num))
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n)
+        columns = names[cat_codes[:, lo:hi]].tolist()
+        if n_num:
+            cell_format = (chunk_format if hi - lo == _CHUNK_ROWS
+                           else ",".join(["%.6f"] * ((hi - lo) * n_num)))
+            # Row-major, so column c is every n_num-th cell from the c-th.
+            num_cells = (cell_format % tuple(x_num[lo:hi].ravel().tolist())).split(",")
+            columns += [num_cells[c::n_num] for c in range(n_num)]
+        for draws, keep in mvc_draws:
+            cells = names[draws[lo:hi, 0]]
+            for j in range(1, MVC_MAX_TOKENS):
+                kept = keep[lo:hi, j]
+                cells[kept] += joined_names[draws[lo:hi, j][kept]]
+            columns.append(cells.tolist())
+        columns += [list(map(str, ticks[lo:hi].tolist())) for ticks in times]
+        yield from zip(*columns)
 
 
 def shape_columns(shape: str) -> dict[str, int]:

@@ -180,6 +180,10 @@ def test_dataset_from_rows_holds_the_bytes_write_rows_writes(tmp_path):
     save_dataset(ds, tmp_path / "saved.csv", tmp_path / "saved.schema.csv")
     assert (tmp_path / "saved.csv").read_bytes() == ds.text
     assert ds.block(30, 60) == ds.rows[30:60]
+    streamed = ChronoDataset.from_rows(ds.schema, (row for row in ds.rows), ds.labels)
+    assert streamed.text == ds.text
+    assert np.array_equal(streamed.starts, ds.starts)
+    assert np.array_equal(streamed.labels, ds.labels)
 
 
 @pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\rb", "\r\n"])
@@ -230,6 +234,17 @@ def test_schema_roundtrip(tmp_path):
     path = tmp_path / "s.csv"
     write_schema(schema, path)
     assert read_schema(path) == schema
+    # A name holding a separator would write a file that reads back as
+    # another schema or not at all, so it is refused when the schema is made.
+    for name in ("a,b", "a\nb", "a\rb"):
+        with pytest.raises(DatasetFormatError) as info:
+            FeatureSchema(((name, FeatureKind.NUMERICAL),), "y")
+        assert str(info.value) == (f"column name {name!r} holds a comma or a line break, "
+                                   "which a schema file cannot hold")
+        with pytest.raises(DatasetFormatError) as info:
+            FeatureSchema((("a", FeatureKind.NUMERICAL),), name)
+        assert str(info.value) == (f"label name {name!r} holds a comma or a line break, "
+                                   "which a schema file cannot hold")
 
 
 def test_duplicate_column_rejected():
@@ -268,6 +283,11 @@ def test_mismatched_rows_and_labels_rejected():
     schema = FeatureSchema((("x", FeatureKind.NUMERICAL),), "y")
     with pytest.raises(DatasetFormatError):
         ChronoDataset.from_rows(schema, (("1.0",), ("2.0",)), np.array([0]))
+    # A generator's rows are counted as they arrive, those past the labels too.
+    for n_rows, message in ((2, "^2 rows but 3 labels$"), (4, "^4 rows but 3 labels$")):
+        rows = ((f"{i}.0",) for i in range(n_rows))
+        with pytest.raises(DatasetFormatError, match=message):
+            ChronoDataset.from_rows(schema, rows, np.array([0, 1, 0]))
 
 
 # ---------------------------------------------------------------------------

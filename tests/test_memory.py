@@ -1,13 +1,17 @@
 """Peak-memory regression tests: the judge holds one stream at a time,
-and of that stream its file's bytes and at most two parsed blocks.
+and of that stream its file's bytes and at most two parsed blocks, and
+synthesis holds a stream's draws and its bytes, not its cells.
 
 ``generate`` saves and frees each stream before it synthesizes the next,
-``run_suite`` frees a dataset and its predictor before it loads the next,
-a load keeps the file's bytes and an index of its lines, not parsed rows,
-and ``run_lifelong`` parses each block once, when it is scored, and lets
-it go after it is revealed.  So three streams peak about where one does,
-and one stream peaks at about its file plus two blocks.  Peaks are read
-with ``tracemalloc``, which sees Python objects and numpy buffers alike.
+and synthesis makes every draw for the whole stream but the cell strings
+only a chunk of rows at a time, writing each row into the bytes as it is
+made.  ``run_suite`` frees a dataset and its predictor before it loads the
+next, a load keeps the file's bytes and an index of its lines, not parsed
+rows, and ``run_lifelong`` parses each block once, when it is scored, and
+lets it go after it is revealed.  So three streams peak about where one
+does, one stream's synthesis peaks at a few times its file, and its
+evaluation at about its file plus two blocks.  Peaks are read with
+``tracemalloc``, which sees Python objects and numpy buffers alike.
 """
 
 import json
@@ -73,6 +77,16 @@ def test_generate_peaks_at_one_stream(tmp_path):
     code_three, peak_three, _ = traced(lambda: main(["generate", "--config", three]))
     assert (code_one, code_three) == (0, 0)
     assert peak_three < 1.2 * peak_one
+
+
+def test_synthesis_peaks_at_a_few_times_its_file():
+    # Cells made for the whole stream, as one str each, then a tuple per
+    # row, peaked at 9.8 times the file; D is the widest numeric shape.
+    spec = desk_spec("D", 2000, n_blocks=6, drift="abrupt", drift_magnitude=2.5, seed=1)
+    generate_drift_stream(desk_spec("D", 50, seed=1))               # warm caches
+    dataset, peak, _ = traced(lambda: generate_drift_stream(spec))
+    assert len(dataset) == 2000
+    assert peak < 5 * len(dataset.text)
 
 
 def test_load_peaks_at_what_it_returns(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from driftbench.baseline import BaselineConfig, fit_initial, predict_scores
 from driftbench.data import FeatureKind, plan_blocks, save_dataset
 from driftbench.encoding import fit_dataset_encoders, transform_rows
+from driftbench import synth
 from driftbench.metrics import auc
 from driftbench.synth import (
     DATASET_SHAPES,
@@ -221,7 +222,7 @@ def test_abrupt_drift_degrades_stale_model():
 
 
 # ---------------------------------------------------------------------------
-# the row-by-row generator, kept as the oracle for the column-wise one
+# the row-by-row generator, kept as the oracle for the chunked one
 
 
 def _reference_generate(spec):
@@ -315,12 +316,17 @@ def _reference_generate(spec):
 
 
 def _assert_matches_reference(spec):
-    ds = generate_drift_stream(spec)
+    # Cells are made a chunk of rows at a time: the default chunk, one row,
+    # and a chunk that leaves a partial last one all give the oracle's rows.
     schema, rows, labels, provenance = _reference_generate(spec)
-    assert ds.schema == schema
-    assert ds.rows == rows
-    assert ds.labels.dtype == labels.dtype and np.array_equal(ds.labels, labels)
-    assert ds.provenance == provenance
+    for chunk_rows in (synth._CHUNK_ROWS, 1, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(synth, "_CHUNK_ROWS", chunk_rows)
+            ds = generate_drift_stream(spec)
+        assert ds.schema == schema
+        assert ds.rows == rows
+        assert ds.labels.dtype == labels.dtype and np.array_equal(ds.labels, labels)
+        assert ds.provenance == provenance
 
 
 DRIFTS = (("none", 0.0), ("none", 1.5), ("gradual", 0.8), ("gradual", 0.0),
@@ -354,8 +360,11 @@ def test_column_generator_matches_reference(shape):
                  drift="gradual", drift_magnitude=3.0, power_exponent=0.2, seed=9),
     DriftGenSpec(n_rows=50, n_cat=2, n_num=0, n_mvc=0, n_time=1, n_blocks=5,
                  cat_cardinality=1, seed=18),
+    # Two whole default chunks and a partial third.
+    DriftGenSpec(n_rows=2 * synth._CHUNK_ROWS + 89, n_cat=2, n_num=3, n_mvc=2, n_time=2,
+                 n_blocks=7, drift="gradual", drift_magnitude=1.2, cat_cardinality=12, seed=10),
 ], ids=["cardinality-1", "num-only", "cat-only", "mvc-only", "time-only",
-        "one-row", "one-row-blocks", "constant-score"])
+        "one-row", "one-row-blocks", "constant-score", "longer-than-a-chunk"])
 def test_column_generator_matches_reference_edge_specs(spec):
     _assert_matches_reference(spec)
 
