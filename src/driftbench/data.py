@@ -2,11 +2,13 @@
 
 File formats (shared by every tool in the package):
 
-* data file -- comma-separated UTF-8 text, first line is the header, one
-  row per line, ``\\n`` terminated.  A multi-valued cell joins its tokens
-  with ``|`` inside the field; an empty cell means missing.
+* data file -- comma-separated UTF-8 text, one row per line, ``\\n``
+  terminated, under a header of exactly the schema's feature names, then
+  its label name if labeled.  A multi-valued cell joins its tokens with
+  ``|`` inside the field; an empty cell means missing.
 * schema file -- one ``name,kind`` line per column with kind one of
-  ``num``, ``cat``, ``mvc``, ``time``, ``label``.  Exactly one label line.
+  ``num``, ``cat``, ``mvc``, ``time``, ``label``; exactly one label line
+  and at least one other.
 
 A :class:`ChronoDataset` holds its data file's bytes, an index of where
 each row's line starts, and the labels.  Rows are parsed from the bytes a
@@ -19,8 +21,8 @@ from __future__ import annotations
 import codecs
 import enum
 import io
+import itertools
 import numbers
-import operator
 from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -33,6 +35,10 @@ MVC_SEPARATOR = "|"
 
 class DatasetFormatError(ValueError):
     """A data or schema file violates the documented format."""
+
+
+#: What ends a cell or a line in a data or schema file, so no cell or name may hold it.
+_SEPARATORS = frozenset(",\n\r")
 
 
 class BlockPlanError(ValueError):
@@ -94,9 +100,11 @@ class FeatureSchema:
     label: str
 
     def __post_init__(self) -> None:
+        if not self.columns:
+            raise DatasetFormatError("schema declares no feature column")
         names = [name for name, _ in self.columns]
         for what, name in [("column", name) for name in names] + [("label", self.label)]:
-            if "," in name or "\n" in name or "\r" in name:
+            if not _SEPARATORS.isdisjoint(name):
                 raise DatasetFormatError(f"{what} name {name!r} holds a comma or a line break, "
                                          "which a schema file cannot hold")
         if len(set(names)) != len(names):
@@ -126,9 +134,8 @@ class ChronoDataset:
     ``text`` is the data file as UTF-8, with its newlines read as text mode
     reads them (``\\r\\n`` and ``\\r`` are ``\\n``) and a newline after its
     last line: the header line, then one line per row.  Row ``i`` is the
-    line from ``starts[i]`` up to ``starts[i + 1]``, and ``positions`` gives
-    each schema column's cell index in a line.  :meth:`block` parses rows
-    when they are asked for, and nothing parsed is kept.
+    line from ``starts[i]`` up to ``starts[i + 1]``.  :meth:`block` parses
+    rows when they are asked for, and nothing parsed is kept.
 
     :func:`load_dataset` and :meth:`from_rows` build datasets, and both
     check every row, so the fields always describe a well-formed file.
@@ -137,7 +144,6 @@ class ChronoDataset:
     schema: FeatureSchema
     text: bytes
     starts: np.ndarray          # shape (n + 1,): each row's line start, then len(text)
-    positions: tuple[int, ...]
     labels: np.ndarray          # shape (n,), values in {0, 1}
     provenance: str = ""
 
@@ -161,29 +167,18 @@ class ChronoDataset:
         bad = np.flatnonzero((labels != 0) & (labels != 1))
         if bad.size:
             raise DatasetFormatError(f"non-binary label at row {int(bad[0])}")
-        width = schema.n_features
         out = io.BytesIO()
-        starts = array("q", [out.write((",".join(schema.names + (schema.label,))
-                                        + "\n").encode("utf-8"))])
         rows = iter(rows)
-        # Labels first: zip stops at their end before it takes a row too many.
-        for i, (y, row) in enumerate(zip(labels.tolist(), rows)):
-            if len(row) != width:
-                raise DatasetFormatError(
-                    f"row {i} has {len(row)} cells, schema declares {width} features")
-            line = ",".join(row)
-            if line.count(",") != width - 1 or "\n" in line or "\r" in line:
-                name, cell = next((name, cell) for name, cell in zip(schema.names, row)
-                                  if "," in cell or "\n" in cell or "\r" in cell)
-                raise DatasetFormatError(f"row {i}, column {name!r}: {cell!r} holds a comma "
-                                         "or a line break, which a data file cannot hold")
-            starts.append(starts[-1] + out.write(f"{line},{y}\n".encode("utf-8")))
+        lines = _data_lines(schema, rows, labels.tolist())
+        starts = array("q", [out.write(next(lines))])
+        for line in lines:
+            starts.append(starts[-1] + out.write(line))
         n_rows = len(starts) - 1 + sum(1 for _ in rows)
         if n_rows != n:
             raise DatasetFormatError(f"{n_rows} rows but {n} labels")
         # getvalue hands over the buffer the lines were written to, uncopied.
-        return cls(schema, out.getvalue(), np.frombuffer(starts, dtype=np.int64),
-                   tuple(range(width)), labels, provenance)
+        return cls(schema, out.getvalue(), np.frombuffer(starts, dtype=np.int64), labels,
+                   provenance)
 
     def __len__(self) -> int:
         return self.labels.shape[0]
@@ -191,7 +186,7 @@ class ChronoDataset:
     def block(self, lo: int, hi: int) -> tuple[tuple[str, ...], ...]:
         """Rows ``lo .. hi - 1`` as tuples of cells in schema order, parsed
         anew at each call."""
-        return _parse_lines(self.text, self.starts[lo], self.starts[hi], self.positions)
+        return _parse_lines(self.text, self.starts[lo], self.starts[hi], self.schema.n_features)
 
     @property
     def rows(self) -> tuple[tuple[str, ...], ...]:
@@ -226,10 +221,10 @@ def plan_blocks(n_rows: int, n_blocks: int) -> tuple[tuple[int, int], ...]:
 
 
 def read_schema(path: str | Path) -> FeatureSchema:
-    lines = _read_lines(path)
     columns: list[tuple[str, FeatureKind]] = []
     label = None
-    for lineno, line in enumerate(lines, start=1):
+    # Text mode reads every newline as "\n"; blank lines, the last one included, are skipped.
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
         if not line:
             continue
         parts = line.split(",")
@@ -270,15 +265,15 @@ def load_dataset(data_path: str | Path, schema_path: str | Path,
     the offending row or column on any format violation.
     """
     schema = read_schema(schema_path)
-    text, starts, positions, labels = _read_data(data_path, schema, with_labels=True)
-    return ChronoDataset(schema, text, starts, positions, labels,
+    text, starts, labels = _read_data(data_path, schema, with_labels=True)
+    return ChronoDataset(schema, text, starts, labels,
                          provenance if provenance is not None else str(data_path))
 
 
 def read_unlabeled(data_path: str | Path, schema: FeatureSchema) -> tuple[tuple[str, ...], ...]:
     """Read a data file that carries feature columns only (no label)."""
-    text, starts, positions, _ = _read_data(data_path, schema, with_labels=False)
-    return _parse_lines(text, starts[0], starts[-1], positions)
+    text, starts, _ = _read_data(data_path, schema, with_labels=False)
+    return _parse_lines(text, starts[0], starts[-1], schema.n_features)
 
 
 def save_dataset(dataset: ChronoDataset, data_path: str | Path,
@@ -290,30 +285,39 @@ def save_dataset(dataset: ChronoDataset, data_path: str | Path,
 def write_rows(path: str | Path, schema: FeatureSchema,
                rows: Sequence[tuple[str, ...]],
                labels: Sequence[int] | np.ndarray | None = None) -> None:
-    """Write a data file; include the label column iff ``labels`` is given."""
-    header = list(schema.names)
+    """Write a data file; include the label column iff ``labels`` is given.
+    Rows are checked as :meth:`ChronoDataset.from_rows` checks them, and the
+    counts of rows and labels before the file is opened."""
     if labels is not None:
-        header.append(schema.label)
         if len(labels) != len(rows):
             raise DatasetFormatError(f"{len(rows)} rows but {len(labels)} labels")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        if labels is None:
-            fh.writelines(",".join(row) + "\n" for row in rows)
-        else:
-            fh.writelines(f"{','.join(row)},{int(y)}\n" for row, y in zip(rows, labels))
+        labels = np.asarray(labels, dtype=np.int64).tolist()
+    with open(path, "wb") as fh:
+        fh.writelines(_data_lines(schema, rows, labels))
 
 
-def _read_lines(path: str | Path) -> Iterator[str]:
-    """The file's lines, one at a time, without their newline.
-
-    Universal newlines; a final empty line is dropped (the file's last
-    newline ends a line, it does not start one), and a blank line anywhere
-    else is kept.
-    """
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            yield line.rstrip("\n")
+def _data_lines(schema: FeatureSchema, rows: Iterable[Sequence[str]],
+                labels: list[int] | None) -> Iterator[bytes]:
+    """The data file of ``rows`` as UTF-8 lines, each with its newline: the
+    header, then each row, ended by its label if ``labels`` is given."""
+    width = schema.n_features
+    if labels is None:
+        header, ends = schema.names, itertools.repeat("\n")
+    else:
+        header, ends = schema.names + (schema.label,), (f",{y}\n" for y in labels)
+    yield (",".join(header) + "\n").encode("utf-8")
+    # Ends first: zip stops at the labels' end before it takes a row too many.
+    for i, (end, row) in enumerate(zip(ends, rows)):
+        if len(row) != width:
+            raise DatasetFormatError(
+                f"row {i} has {len(row)} cells, schema declares {width} features")
+        line = ",".join(row)
+        if line.count(",") != width - 1 or "\n" in line or "\r" in line:
+            name, cell = next((name, cell) for name, cell in zip(schema.names, row)
+                              if not _SEPARATORS.isdisjoint(cell))
+            raise DatasetFormatError(f"row {i}, column {name!r}: {cell!r} holds a comma "
+                                     "or a line break, which a data file cannot hold")
+        yield (line + end).encode("utf-8")
 
 
 #: Bytes decoded at a time when a data file's text is checked as UTF-8.
@@ -322,15 +326,15 @@ _UTF8_CHUNK = 1 << 20
 
 def _read_data(path: str | Path, schema: FeatureSchema, *, with_labels: bool):
     """Index a data file: its text as :class:`ChronoDataset` holds it, each
-    row's line start followed by the text's length, each schema column's
-    position in a line, and the labels (none without labels).
+    row's line start followed by the text's length, and the labels (none
+    without labels).
 
-    One pass over the bytes checks the text is UTF-8, the header names each
-    expected column once, and every line has the header's number of cells
-    and, with labels, a label of 0 or 1, so each format error comes here
-    and names the file and the row.  Only the header and the label cells
-    are decoded, and nothing decoded is kept beside the bytes: a load peaks
-    at about the file's size.
+    One pass over the bytes checks the text is UTF-8, the header is the
+    schema's, and every line has the header's number of cells and, with
+    labels, a label of 0 or 1, so each format error comes here and names
+    the file and the row.  Only the header and the label cells are decoded,
+    and nothing decoded is kept beside the bytes: a load peaks at about the
+    file's size.
     """
     with open(path, "rb") as fh:
         text = fh.read()
@@ -344,21 +348,13 @@ def _read_data(path: str | Path, schema: FeatureSchema, *, with_labels: bool):
         _check_utf8(path, text)
     head = text.find(b"\n")
     header = text[:head].decode("utf-8").split(",")
-    repeated = [name for i, name in enumerate(header) if name in header[:i]]
-    if repeated:
-        # header.index below would read the first copy and silently drop the rest.
-        raise DatasetFormatError(f"{path}: header repeats column {repeated[0]!r}")
     expected = list(schema.names) + ([schema.label] if with_labels else [])
-    missing = [name for name in expected if name not in header]
-    if missing:
-        raise DatasetFormatError(f"{path}: header is missing column {missing[0]!r}")
-    extra = [name for name in header if name not in expected]
-    if extra:
-        raise DatasetFormatError(f"{path}: header has undeclared column {extra[0]!r}")
-    positions = tuple(header.index(name) for name in schema.names)
+    for i, (got, want) in enumerate(itertools.zip_longest(header, expected)):
+        if got != want:
+            raise DatasetFormatError(
+                f"{path}: header cell {i + 1} is {'missing' if got is None else repr(got)}, "
+                f"the schema expects {'no cell' if want is None else repr(want)} there")
     width = len(header)
-    # The label is a line's k-th cell from the end.
-    k = width - header.index(schema.label) if with_labels else 0
 
     starts = array("q", [head + 1])
     labels = array("q")
@@ -369,16 +365,15 @@ def _read_data(path: str | Path, schema: FeatureSchema, *, with_labels: bool):
         if cells != width:
             raise DatasetFormatError(
                 f"{path}: row {len(starts) - 1} has {cells} cells, expected {width}")
-        if k:
-            raw = text[pos:end].rsplit(b",", k)[-k]
+        if with_labels:
+            raw = text[text.rfind(b",", pos, end) + 1:end]
             if raw != b"0" and raw != b"1":
                 raise DatasetFormatError(
                     f"{path}: row {len(starts) - 1} has non-binary label {raw.decode()!r}")
             labels.append(raw == b"1")
         pos = end + 1
         starts.append(pos)
-    return (text, np.frombuffer(starts, dtype=np.int64), positions,
-            np.frombuffer(labels, dtype=np.int64))
+    return text, np.frombuffer(starts, dtype=np.int64), np.frombuffer(labels, dtype=np.int64)
 
 
 def _check_utf8(path: str | Path, text: bytes) -> None:
@@ -398,14 +393,9 @@ def _check_utf8(path: str | Path, text: bytes) -> None:
             raise DatasetFormatError(f"{path}: {where} is not UTF-8 text") from None
 
 
-def _parse_lines(text: bytes, lo: int, hi: int,
-                 positions: tuple[int, ...]) -> tuple[tuple[str, ...], ...]:
+def _parse_lines(text: bytes, lo: int, hi: int, width: int) -> tuple[tuple[str, ...], ...]:
     """The lines of ``text[lo:hi]``, which ends in a newline, as tuples of
-    the cells at ``positions``."""
+    their first ``width`` cells."""
     lines = str(memoryview(text)[lo:hi], "utf-8").split("\n")
     lines.pop()  # the newline that ends the last line starts no other
-    # itemgetter builds a tuple only from two or more positions; with one it
-    # returns the bare cell.
-    pick = (operator.itemgetter(*positions) if len(positions) > 1
-            else lambda cells: tuple([cells[p] for p in positions]))
-    return tuple([pick(line.split(",")) for line in lines])
+    return tuple([tuple(line.split(",")[:width]) for line in lines])

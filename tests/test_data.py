@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftbench.data import (
     BlockPlanError,
@@ -45,17 +47,20 @@ def test_load_small_dataset(tmp_path):
 
 
 def test_column_order_follows_schema_not_file(tmp_path):
+    # The schema alone gives the column order: a file whose header lists
+    # the same columns in another order is refused, not reordered.
     data, schema = write_pair(
         tmp_path,
         "color,y,x\nred,0,1.5\nblue,1,2.0\n",
         SCHEMA_2COL,
     )
-    ds = load_dataset(data, schema)
-    assert ds.rows[0] == ("1.5", "red")
+    with pytest.raises(DatasetFormatError) as info:
+        load_dataset(data, schema)
+    assert str(info.value) == f"{data}: header cell 1 is 'color', the schema expects 'x' there"
 
 
 def test_one_feature_file_loads_as_one_tuples(tmp_path):
-    data, schema = write_pair(tmp_path, "y,color\n0,red\n1,\n", "color,cat\ny,label\n")
+    data, schema = write_pair(tmp_path, "color,y\nred,0\n,1\n", "color,cat\ny,label\n")
     ds = load_dataset(data, schema)
     assert ds.rows == (("red",), ("",))
     unlabeled = tmp_path / "u.csv"
@@ -83,6 +88,10 @@ def test_missing_column_in_header(tmp_path):
     data, schema = write_pair(tmp_path, "x,y\n1.0,0\n", SCHEMA_2COL)
     with pytest.raises(DatasetFormatError, match="color"):
         load_dataset(data, schema)
+    data.write_text("x,color\n1.0,red\n")
+    with pytest.raises(DatasetFormatError) as info:
+        load_dataset(data, schema)
+    assert str(info.value) == f"{data}: header cell 3 is missing, the schema expects 'y' there"
 
 
 @pytest.mark.parametrize("header, column", [("x,color,x,y", "x"), ("x,color,y,y", "y")])
@@ -90,7 +99,9 @@ def test_repeated_header_column_names_file_and_column(tmp_path, header, column):
     data, schema = write_pair(tmp_path, f"{header}\n1.0,red,0,1\n", SCHEMA_2COL)
     with pytest.raises(DatasetFormatError) as info:
         load_dataset(data, schema)
-    assert str(info.value) == f"{data}: header repeats column {column!r}"
+    cell, expected = (3, "'y'") if column == "x" else (4, "no cell")
+    assert str(info.value) == (f"{data}: header cell {cell} is {column!r}, "
+                               f"the schema expects {expected} there")
 
 
 # What the reader accepts, line by line, and the errors it gives.
@@ -164,7 +175,7 @@ def test_utf8_cells_load_across_decode_chunks(tmp_path, monkeypatch):
 
 def test_block_parses_rows_in_schema_order(tmp_path):
     data, schema = write_pair(
-        tmp_path, "color,y,x\r\n" + "".join(f"c{i},{i % 2},{i}.5\r\n" for i in range(7)),
+        tmp_path, "x,color,y\r\n" + "".join(f"{i}.5,c{i},{i % 2}\r\n" for i in range(7)),
         SCHEMA_2COL)
     ds = load_dataset(data, schema)
     assert len(ds) == 7
@@ -186,17 +197,57 @@ def test_dataset_from_rows_holds_the_bytes_write_rows_writes(tmp_path):
     assert np.array_equal(streamed.labels, ds.labels)
 
 
-@pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\rb", "\r\n"])
-def test_dataset_from_rows_refuses_a_separator_in_a_cell(cell):
+#: The three writers of a data file, each given the schema, rows and a path.
+ROW_WRITERS = {
+    "from_rows": lambda schema, rows, path: ChronoDataset.from_rows(schema, rows, [0, 1, 0]),
+    "write_rows": lambda schema, rows, path: write_rows(path, schema, rows, [0, 1, 0]),
+    "write_rows-unlabeled": lambda schema, rows, path: write_rows(path, schema, rows),
+}
+
+
+@pytest.mark.parametrize("writer, cell", [
+    pytest.param(writer, cell, id=cell if writer == "from_rows" else f"{writer}-{cell}")
+    for writer in ROW_WRITERS for cell in ["a,b", "a\nb", "a\rb", "\r\n"]])
+def test_dataset_from_rows_refuses_a_separator_in_a_cell(tmp_path, writer, cell):
     # Such a cell ran in memory, and its saved file failed to load
-    # ("row 1 has 3 cells, expected 2").
+    # ("row 1 has 3 cells, expected 2"); write_rows wrote such a file for a
+    # step of an external predictor without a word.
     rows = (("1.0", "red"), ("2.0", cell), ("3.0", "blue"))
     schema = FeatureSchema((("x", FeatureKind.NUMERICAL), ("color", FeatureKind.CATEGORICAL)),
                            "y")
     with pytest.raises(DatasetFormatError) as info:
-        ChronoDataset.from_rows(schema, rows, [0, 1, 0])
+        ROW_WRITERS[writer](schema, rows, tmp_path / "rows.csv")
     assert str(info.value) == (f"row 1, column 'color': {cell!r} holds a comma or a line "
                                "break, which a data file cannot hold")
+
+
+# Column names and cells that a data file can hold, non-ASCII and empty ones included.
+FILE_TEXT = st.text(st.characters(codec="utf-8", exclude_characters=",\n\r"), max_size=6)
+
+
+@st.composite
+def schemas_rows_and_labels(draw):
+    names = draw(st.lists(FILE_TEXT, min_size=2, max_size=5, unique=True))
+    kinds = draw(st.lists(st.sampled_from(FeatureKind), min_size=len(names) - 1,
+                          max_size=len(names) - 1))
+    schema = FeatureSchema(tuple(zip(names[:-1], kinds)), names[-1])
+    rows = draw(st.lists(st.tuples(*[FILE_TEXT] * schema.n_features), max_size=8))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    return schema, rows, labels
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(schemas_rows_and_labels())
+def test_written_rows_read_back(tmp_path_factory, drawn):
+    schema, rows, labels = drawn
+    tmp_path = tmp_path_factory.mktemp("roundtrip")
+    write_schema(schema, tmp_path / "s.csv")
+    write_rows(tmp_path / "d.csv", schema, rows, labels)
+    assert ChronoDataset.from_rows(schema, rows, labels).text == (tmp_path / "d.csv").read_bytes()
+    loaded = load_dataset(tmp_path / "d.csv", tmp_path / "s.csv")
+    assert (loaded.rows, loaded.labels.tolist()) == (tuple(rows), labels)
+    write_rows(tmp_path / "u.csv", schema, rows)
+    assert read_unlabeled(tmp_path / "u.csv", schema) == tuple(rows)
 
 
 def test_unknown_kind_token(tmp_path):
@@ -215,6 +266,16 @@ def test_schema_needs_exactly_one_label(tmp_path):
     schema.write_text("x,num\ny,label\nz,label\n")
     with pytest.raises(DatasetFormatError, match="more than one label"):
         read_schema(schema)
+
+
+def test_schema_needs_a_feature_column(tmp_path):
+    # Without one, from_rows crashed on its first row (StopIteration) and
+    # write_rows wrote lines of two cells under a header of one.
+    schema = tmp_path / "s.csv"
+    schema.write_text("y,label\n")
+    for make in (lambda: read_schema(schema), lambda: FeatureSchema((), "y")):
+        with pytest.raises(DatasetFormatError, match="^schema declares no feature column$"):
+            make()
 
 
 def test_schema_unknown_kind_names_file_line_and_token(tmp_path):
