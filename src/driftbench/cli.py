@@ -5,8 +5,8 @@ All randomness flows from the single top-level seed in the config file, so
 any command rerun with identical inputs writes byte-identical outputs
 (wall-clock fields aside).  Relative paths inside a config file resolve
 against the directory containing that file.  Exit codes: 0 on completion,
-2 when any evaluated dataset was disqualified, 1 on configuration errors
-and on a path the command cannot read or write.
+2 when any evaluated dataset was disqualified, 1 on usage and
+configuration errors and on a path the command cannot read or write.
 """
 
 from __future__ import annotations
@@ -66,9 +66,6 @@ class RunConfig:
     datasets: tuple[DatasetSpec, ...]
     predictors: tuple[PredictorSpec, ...]
 
-    def phase_datasets(self, phase: str) -> tuple[DatasetSpec, ...]:
-        return tuple(d for d in self.datasets if d.phase == phase)
-
     def predictor(self, name: str) -> PredictorSpec:
         for p in self.predictors:
             if p.name == name:
@@ -108,7 +105,7 @@ def _derived_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
-def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig:
+def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -131,7 +128,6 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         output_dir = typed_scalar("output_dir", raw.get("output_dir", "out"), str)
     except TypeError as exc:
         raise ConfigError(str(exc))
-    seed = seed if seed_override is None else seed_override
     if seed < 0:
         # Every stream's seed is derived from it, and SeedSequence takes none below 0.
         raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -300,7 +296,7 @@ def cmd_evaluate(config: RunConfig, phase_name: str, predictor_names: list[str],
         raise ConfigError("--predictor given more than once: " + ", ".join(repeated))
     if phase_name not in PHASES:
         raise ConfigError(f"unknown phase {phase_name!r}; expected one of {PHASES}")
-    refs = [spec.ref for spec in config.phase_datasets(phase_name)]
+    refs = [spec.ref for spec in config.datasets if spec.phase == phase_name]
     if not refs:
         raise ConfigError(f"no datasets configured for phase {phase_name!r}")
     for ref in refs:
@@ -403,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="synthesize the configured datasets")
     gen.add_argument("--config", required=True)
-    gen.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     ev = sub.add_parser("evaluate", help="run predictors through a phase")
     ev.add_argument("--config", required=True)
@@ -416,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--jobs", type=int, default=1,
                     help="predictors evaluated concurrently, each in a process of its "
                          "own (capped at the usable CPUs)")
-    ev.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     lb = sub.add_parser("leaderboard", help="rank scored submissions")
     lb.add_argument("score_dirs", nargs="+",
@@ -428,21 +422,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse printed the help or a usage error; 2 would mean "disqualified".
+        return 1 if exc.code else 0
     try:
         if args.command == "generate":
-            config = load_config(args.config, seed_override=args.seed)
+            config = load_config(args.config)
             return cmd_generate(config)
         if args.command == "evaluate":
-            config = load_config(args.config, seed_override=args.seed)
+            config = load_config(args.config)
             out_dir = Path(args.out) if args.out else config.output_dir
             workdir = Path(args.workdir) if args.workdir else out_dir / "work"
             return cmd_evaluate(config, args.phase, args.predictor, out_dir,
                                 workdir, args.jobs)
-        if args.command == "leaderboard":
-            return cmd_leaderboard([Path(d) for d in args.score_dirs],
-                                   args.merge, Path(args.out))
-        raise ConfigError(f"unknown command {args.command!r}")
+        # argparse allows no other command.
+        return cmd_leaderboard([Path(d) for d in args.score_dirs], args.merge, Path(args.out))
     except (ConfigError, OSError) as exc:
         # An OSError here is an input or output path the command cannot
         # use, such as a --out that is an existing file.

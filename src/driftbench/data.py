@@ -37,8 +37,8 @@ class DatasetFormatError(ValueError):
     """A data or schema file violates the documented format."""
 
 
-#: What ends a cell or a line in a data or schema file, so no cell or name may hold it.
-_SEPARATORS = frozenset(",\n\r")
+#: What ends a cell or a line in a comma-separated file, so no cell or name may hold it.
+SEPARATORS = frozenset(",\n\r")
 
 
 class BlockPlanError(ValueError):
@@ -104,11 +104,12 @@ class FeatureSchema:
             raise DatasetFormatError("schema declares no feature column")
         names = [name for name, _ in self.columns]
         for what, name in [("column", name) for name in names] + [("label", self.label)]:
-            if not _SEPARATORS.isdisjoint(name):
+            if not SEPARATORS.isdisjoint(name):
                 raise DatasetFormatError(f"{what} name {name!r} holds a comma or a line break, "
                                          "which a schema file cannot hold")
         if len(set(names)) != len(names):
-            raise DatasetFormatError("duplicate column names in schema")
+            name = next(name for name in names if names.count(name) > 1)
+            raise DatasetFormatError(f"duplicate column name {name!r} in schema")
         if self.label in names:
             raise DatasetFormatError(f"label column {self.label!r} also listed as a feature")
 
@@ -244,7 +245,10 @@ def read_schema(path: str | Path) -> FeatureSchema:
             columns.append((name, kind))
     if label is None:
         raise DatasetFormatError(f"{path}: schema declares no label column")
-    return FeatureSchema(tuple(columns), label)
+    try:
+        return FeatureSchema(tuple(columns), label)
+    except DatasetFormatError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
 
 
 def write_schema(schema: FeatureSchema, path: str | Path) -> None:
@@ -314,7 +318,7 @@ def _data_lines(schema: FeatureSchema, rows: Iterable[Sequence[str]],
         line = ",".join(row)
         if line.count(",") != width - 1 or "\n" in line or "\r" in line:
             name, cell = next((name, cell) for name, cell in zip(schema.names, row)
-                              if not _SEPARATORS.isdisjoint(cell))
+                              if not SEPARATORS.isdisjoint(cell))
             raise DatasetFormatError(f"row {i}, column {name!r}: {cell!r} holds a comma "
                                      "or a line break, which a data file cannot hold")
         yield (line + end).encode("utf-8")

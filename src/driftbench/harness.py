@@ -323,8 +323,8 @@ class SubprocessPredictor:
     request cannot pass for its answer.  The wait from request to answer
     is billed, and step 1 also bills the launch; staging and reading the
     predictions file accumulate in ``unbilled_seconds``.  The whole group
-    is killed the moment the remaining budget expires.
-    :meth:`close` ends the program once the dataset's run is over.
+    is killed the moment the remaining budget expires, billed up to the
+    kill; :meth:`close` ends and reaps the program, killed or not.
     """
 
     def __init__(self, command: Sequence[str], workdir: str | Path):
@@ -441,13 +441,10 @@ class SubprocessPredictor:
         raise PredictorError(f"exit code {code}" + (f"; stderr: {' | '.join(tail)}" if tail else ""))
 
     def _kill(self, start: float) -> NoReturn:
-        """Kill the child's process group and raise PredictorTimeout; the
-        step is billed up to the kill, not through the reaping."""
+        """Kill the child's process group and raise PredictorTimeout, so
+        the step is billed up to the kill; :meth:`close` reaps the child."""
         os.killpg(self._proc.pid, signal.SIGKILL)
-        killed = time.perf_counter()
-        self._proc.wait()
-        self.unbilled_seconds += time.perf_counter() - killed
-        raise PredictorTimeout(f"killed after {killed - start:.2f}s "
+        raise PredictorTimeout(f"killed after {time.perf_counter() - start:.2f}s "
                                f"(remaining budget was {self._remaining:.2f}s)")
 
     def close(self) -> None:
@@ -455,7 +452,7 @@ class SubprocessPredictor:
         its stdout reaches end of file, reading and dropping any late
         output, for at most a short grace; then kill whatever is left of
         its process group, so no helper it started outlives the dataset,
-        and reap it."""
+        and reap the child: the one place it is reaped, killed or not."""
         proc, self._proc = self._proc, None
         if proc is None:
             return

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .data import typed_scalar
+from .data import SEPARATORS, typed_scalar
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ def plain_name(what: str, name: str) -> str:
     comma or a line break."""
     if name in ("", ".", "..") or any(c in name for c in ("/", os.sep, "\0")):
         raise ValueError(f"{what} {name!r} is not a plain file name")
-    if any(c in name for c in ",\n\r"):
+    if not SEPARATORS.isdisjoint(name):
         raise ValueError(f"{what} {name!r} holds a comma or line break, "
                          "which a leaderboard cell cannot")
     return name

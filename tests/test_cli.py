@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from driftbench.cli import load_config, main
+from driftbench.cli import build_parser, load_config, main
 from driftbench.ranking import SubmissionEntry, write_submission
 
 from published_results import DATASETS, FEEDBACK_TOP10, FEEDBACK_TOP6, FIELD_FILLER
@@ -72,24 +73,53 @@ def test_generate_is_idempotent(tmp_path):
     assert (tmp_path / "data" / "d0.data.csv").read_bytes() == first
 
 
-def test_generate_seed_override_changes_data(tmp_path):
-    config = write_config(tmp_path)
-    main(["generate", "--config", str(config)])
-    first = (tmp_path / "data" / "d0.data.csv").read_bytes()
-    main(["generate", "--config", str(config), "--seed", "99"])
-    assert (tmp_path / "data" / "d0.data.csv").read_bytes() != first
+def test_config_seed_changes_data(tmp_path):
+    data = []
+    for seed in (11, 99):
+        root = tmp_path / f"seed{seed}"
+        root.mkdir()
+        assert main(["generate", "--config", str(write_config(root, seed=seed))]) == 0
+        data.append((root / "data" / "d0.data.csv").read_bytes())
+    assert data[0] != data[1]
 
 
 @pytest.mark.parametrize("command", ["generate", "evaluate"])
-def test_negative_seed_override_is_config_error(tmp_path, capsys, command):
-    config = write_config(tmp_path, n_datasets=1)
-    argv = [command, "--config", str(config), "--seed", "-5"]
+def test_negative_config_seed_is_config_error(tmp_path, capsys, command):
+    config = write_config(tmp_path, n_datasets=1, seed=-5)
+    argv = [command, "--config", str(config)]
     if command == "evaluate":
         argv += ["--predictor", "baseline"]
     assert main(argv) == 1
     assert "error: seed must be >= 0, got -5" in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
     assert not (tmp_path / "out").exists()
+
+
+def test_removed_seed_flag_is_a_usage_error(tmp_path, capsys):
+    # The seed comes only from the config; exit 2 would read as a
+    # disqualification.
+    config = write_config(tmp_path, n_datasets=1)
+    assert main(["generate", "--config", str(config), "--seed", "3"]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_missing_config_is_a_usage_error(capsys):
+    assert main(["evaluate"]) == 1
+    assert "--config" in capsys.readouterr().err
+    assert main(["evaluate", "--help"]) == 0
+    assert "--predictor" in capsys.readouterr().out
+
+
+def test_readme_quickstart_flags_match_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command-line quickstart\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices.values()
+    accepted = {flag for command in commands for action in command._actions
+                for flag in action.option_strings} - {"-h", "--help"}
+    assert documented == accepted
 
 
 def test_generate_table_shaped_specs(tmp_path, capsys):

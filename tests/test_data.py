@@ -273,9 +273,25 @@ def test_schema_needs_a_feature_column(tmp_path):
     # write_rows wrote lines of two cells under a header of one.
     schema = tmp_path / "s.csv"
     schema.write_text("y,label\n")
-    for make in (lambda: read_schema(schema), lambda: FeatureSchema((), "y")):
-        with pytest.raises(DatasetFormatError, match="^schema declares no feature column$"):
-            make()
+    with pytest.raises(DatasetFormatError) as info:
+        read_schema(schema)
+    assert str(info.value) == f"{schema}: schema declares no feature column"
+    with pytest.raises(DatasetFormatError, match="^schema declares no feature column$"):
+        FeatureSchema((), "y")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x,num\nx,cat\ny,label\n", "duplicate column name 'x' in schema"),
+    ("x,num\ny,num\ny,label\n", "label column 'y' also listed as a feature"),
+], ids=["repeated-column", "label-as-feature"])
+def test_schema_file_errors_name_the_file(tmp_path, text, message):
+    # Over several datasets, an error without the path does not say which
+    # schema is at fault.
+    schema = tmp_path / "s.csv"
+    schema.write_text(text)
+    with pytest.raises(DatasetFormatError) as info:
+        read_schema(schema)
+    assert str(info.value) == f"{schema}: {message}"
 
 
 def test_schema_unknown_kind_names_file_line_and_token(tmp_path):
