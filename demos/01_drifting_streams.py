@@ -19,9 +19,11 @@ spec = desk_spec("B", n_rows=2000, n_blocks=10, seed=7)
 ds = generate_drift_stream(spec)
 print(f"stream {ds.provenance}: {len(ds)} rows x {ds.schema.n_features} features,"
       f" positives {np.mean(ds.labels):.2%}")
-# A dataset holds its data file's bytes and parses rows a block at a time.
+# A dataset holds its data file's bytes; a block is a run of its lines,
+# and its columns are cut from one split of their text.
 print(f"held as its data file: {len(ds.text)} bytes")
-print("first row:", ds.block(0, 1)[0][:6], "...")
+first = ds.block(0, 1)
+print("first row:", tuple(column[0] for column in first.columns[:6]), "...")
 
 print("\nblock plan (10 blocks, earliest blocks absorb any remainder):")
 print("  ", plan_blocks(len(ds), 10))
@@ -32,7 +34,7 @@ for name, shape in DATASET_SHAPES.items():
 
 # Power-law categorical frequencies: the most frequent value dominates,
 # the tail is long - the signature of id-like columns.
-cat0 = Counter(row[0] for row in ds.rows)
+cat0 = Counter(ds.block(0, len(ds)).columns[0])
 top = cat0.most_common(5)
 print("\nmost frequent values of cat_00:", top)
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import FeatureSchema, check_field_types
+from .data import Block, FeatureSchema, check_field_types
 from .encoding import extend_ordinal, fit_dataset_encoders, transform_rows
 
 DRIFT_POLICIES = ("grow-full-history", "sliding-window", "adaptive-lr")
@@ -542,9 +542,14 @@ class BaselinePredictor:
     row lacks its margin, and each boosting round bins its sample once for
     the binned split search of all its trees.
     Beyond what the drift policy retains, it keeps the last block it scored
-    with that block's matrix and margins, because the lifelong loop reveals
-    the same rows at the next ``learn``, which then trains on that matrix
-    and those margins unchanged and walks no past tree.
+    with that block's matrix, margins and unseen cells, keyed by the block's
+    label-free lines, because the lifelong loop reveals the same rows at the
+    next ``learn``, which then trains on that matrix and those margins
+    unchanged, splits no text and walks no past tree.  The lines' bytes are
+    the key, not where the block came from, so rows an external program
+    reads back from the judge's train file are recognised too; in process
+    the revealed block holds the very bytes object that was scored, and the
+    comparison is an identity check.
     A ``learn`` that is refused (labels not one per row, no rows) leaves
     the predictor as it was: vocabularies grow only once the ensemble has
     taken the block in.
@@ -557,46 +562,41 @@ class BaselinePredictor:
         self.schema: FeatureSchema | None = None
         self.encoders: dict[str, dict[str, int]] = {}
         self.ensemble: BoostedEnsemble | None = None
-        self._scored: tuple[Sequence[tuple[str, ...]], np.ndarray, np.ndarray] | None = None
+        self._scored: tuple[bytes | memoryview, np.ndarray, np.ndarray,
+                            dict[str, list[str]]] | None = None
 
-    def learn(self, rows: Sequence[tuple[str, ...]], labels, schema: FeatureSchema,
+    def learn(self, block: Block, labels, schema: FeatureSchema,
               remaining_budget_seconds: float) -> None:
         if self.ensemble is None:
             self.schema = schema
-            self.encoders = fit_dataset_encoders(schema, rows)
+            self.encoders = fit_dataset_encoders(schema, block)
         elif self.freeze_after_initial:
             return
-        X, margin = self._revealed_matrix(rows)
+        scored = self._scored
+        if scored is not None and scored[0] == block.feature_lines:
+            _, X, margin, unseen = scored
+        else:
+            X = transform_rows(self.schema, block, self.encoders)
+            margin, unseen = None, self._unseen_cells(block, X)
         y = np.asarray(labels, dtype=np.float64)
         self.ensemble = (fit_initial(X, y, self.config) if self.ensemble is None
                          else extend(self.ensemble, X, y, self.config, margin))
         self._scored = None
-        # Each vocabulary takes in the block's unseen cells, in row order:
-        # only a cell coded 0 brings a new value.
-        for j, name in enumerate(self.schema.names):
-            codes = self.encoders.get(name)
-            if codes is None:
-                continue
-            new = np.flatnonzero(X[:, j] == 0).tolist()
-            if new:
-                self.encoders[name] = extend_ordinal(codes, [rows[i][j] for i in new])
+        for name, cells in unseen.items():
+            if cells:
+                self.encoders[name] = extend_ordinal(self.encoders[name], cells)
 
-    def _revealed_matrix(self, rows: Sequence[tuple[str, ...]]):
-        """``rows`` encoded under the current encoders, as ``predict``
-        scored them, and their margins under the ensemble, or None.
+    def _unseen_cells(self, block: Block, X: np.ndarray) -> dict[str, list[str]]:
+        """Each vocabulary's cells of ``block`` that ``X`` codes 0 (unseen),
+        in row order: the only cells that can bring a new value."""
+        columns = block.columns
+        return {name: [columns[j][i] for i in np.flatnonzero(X[:, j] == 0).tolist()]
+                for j, name in enumerate(self.schema.names) if name in self.encoders}
 
-        Both are the ones ``predict`` computed when ``rows`` (by content)
-        was the block it last scored, else the matrix is a fresh transform
-        and the margins are left to ``extend``.
-        """
-        if self._scored is not None and self._scored[0] == rows:
-            return self._scored[1], self._scored[2]
-        return transform_rows(self.schema, rows, self.encoders), None
-
-    def predict(self, rows: Sequence[tuple[str, ...]]) -> np.ndarray:
+    def predict(self, block: Block) -> np.ndarray:
         if self.ensemble is None:
             raise RuntimeError("predict before any learn call")
-        X = transform_rows(self.schema, rows, self.encoders)
+        X = transform_rows(self.schema, block, self.encoders)
         margin = ensemble_margin(self.ensemble, X)
-        self._scored = (rows, X, margin)
+        self._scored = (block.feature_lines, X, margin, self._unseen_cells(block, X))
         return sigmoid(margin)

@@ -11,9 +11,11 @@ File formats (shared by every tool in the package):
   and at least one other.
 
 A :class:`ChronoDataset` holds its data file's bytes, an index of where
-each row's line starts, and the labels.  Rows are parsed from the bytes a
-block at a time, so the judge holds a stream at about its file's size plus
-the blocks it is working on.
+each row's line starts, and the labels.  A :class:`Block` is a run of its
+rows held as their lines' bytes, cut from the dataset's without a copy, so
+the judge holds a stream at about its file's size plus the label-free
+copies of the blocks it is working on.  Cells become strings only when a
+block's columns are asked for, from one split of its text.
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ import enum
 import io
 import itertools
 import numbers
+import re
 from array import array
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -107,6 +111,9 @@ class FeatureSchema:
             if not SEPARATORS.isdisjoint(name):
                 raise DatasetFormatError(f"{what} name {name!r} holds a comma or a line break, "
                                          "which a schema file cannot hold")
+            if not _encodes(name):
+                raise DatasetFormatError(f"{what} name {name!r} holds a character UTF-8 "
+                                         "cannot encode, which a schema file cannot hold")
         if len(set(names)) != len(names):
             name = next(name for name in names if names.count(name) > 1)
             raise DatasetFormatError(f"duplicate column name {name!r} in schema")
@@ -135,8 +142,9 @@ class ChronoDataset:
     ``text`` is the data file as UTF-8, with its newlines read as text mode
     reads them (``\\r\\n`` and ``\\r`` are ``\\n``) and a newline after its
     last line: the header line, then one line per row.  Row ``i`` is the
-    line from ``starts[i]`` up to ``starts[i + 1]``.  :meth:`block` parses
-    rows when they are asked for, and nothing parsed is kept.
+    line from ``starts[i]`` up to ``starts[i + 1]``.  :meth:`block` cuts
+    rows from the text as a :class:`Block`, and no cell is parsed until a
+    block's columns are asked for.
 
     :func:`load_dataset` and :meth:`from_rows` build datasets, and both
     check every row, so the fields always describe a well-formed file.
@@ -152,7 +160,8 @@ class ChronoDataset:
     def from_rows(cls, schema: FeatureSchema, rows: Iterable[tuple[str, ...]], labels,
                   provenance: str = "") -> "ChronoDataset":
         """The dataset of ``rows`` (cells in schema order) and ``labels``,
-        held as the bytes :func:`write_rows` writes for them.
+        held as the bytes of its data file: the header, then each row's
+        cells and label joined by commas, one line a row.
 
         ``rows`` may be any iterable, a generator included: each row is
         written as it arrives and none is kept, so a dataset built from a
@@ -161,7 +170,8 @@ class ChronoDataset:
         than the count of labels, giving both, and naming the row for a
         label other than 0 or 1, a row of another width than the schema's,
         or a cell holding ``,``, ``\\n`` or ``\\r``, which would not read
-        back from the file.
+        back from the file, and the row and column for a cell UTF-8 cannot
+        encode (a lone surrogate).
         """
         labels = np.asarray(labels, dtype=np.int64)
         n = labels.shape[0]
@@ -184,15 +194,69 @@ class ChronoDataset:
     def __len__(self) -> int:
         return self.labels.shape[0]
 
-    def block(self, lo: int, hi: int) -> tuple[tuple[str, ...], ...]:
-        """Rows ``lo .. hi - 1`` as tuples of cells in schema order, parsed
-        anew at each call."""
-        return _parse_lines(self.text, self.starts[lo], self.starts[hi], self.schema.n_features)
+    def block(self, lo: int, hi: int) -> "Block":
+        """Rows ``lo .. hi - 1`` as a labeled :class:`Block`, whose lines
+        are a view of :attr:`text`, not a copy."""
+        lines = memoryview(self.text)[self.starts[lo]:self.starts[hi]]
+        return Block(self.schema, lines, hi - lo, labeled=True)
 
-    @property
-    def rows(self) -> tuple[tuple[str, ...], ...]:
-        """Every row, parsed anew at each call (see :meth:`block`)."""
-        return self.block(0, len(self))
+
+#: A labeled line's label cell with the newline that ends the line.  A
+#: newline ends every line and no cell holds one, so each match is a label.
+_LABEL_CELL = re.compile(rb",[01]\n")
+
+
+@dataclass(frozen=True, eq=False)
+class Block:
+    """Consecutive rows of a data file, held as their lines' bytes.
+
+    ``lines`` is the rows' lines exactly as the file holds them, each ended
+    by a newline, and each ended by its label cell as well when
+    ``labeled``.  A block is cut from a dataset or an unlabeled file that
+    was checked when it was made or read, so every line holds the schema's
+    cells (and a label of 0 or 1) and the bytes are UTF-8.
+
+    :attr:`columns` cuts every feature column from one split of the text;
+    :meth:`unlabeled` is the same rows without their label cells.  The
+    columns and the label-free lines are computed once per block and kept
+    with it, so a block is split at most once however many readers it has.
+    """
+
+    schema: FeatureSchema
+    lines: bytes | memoryview
+    n_rows: int
+    labeled: bool
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    @cached_property
+    def feature_lines(self) -> bytes | memoryview:
+        """The lines without their label cells (``lines`` itself when the
+        block carries none): one ``re.sub`` over the bytes."""
+        return _LABEL_CELL.sub(b"\n", self.lines) if self.labeled else self.lines
+
+    def unlabeled(self) -> "Block":
+        """The same rows without their label cells: what a predictor is
+        shown of a block it scores."""
+        if not self.labeled:
+            return self
+        return Block(self.schema, self.feature_lines, self.n_rows, labeled=False)
+
+    @cached_property
+    def columns(self) -> list[list[str]]:
+        """Each feature column's cells in row order, in schema order.
+
+        The text is split once, at every comma and newline; a row's cells
+        then lie ``width`` apart (one more with a label cell), so column
+        ``j`` is every such cell from the ``j``-th on.
+        """
+        width = self.schema.n_features
+        if not self.n_rows:
+            return [[] for _ in range(width)]
+        stride = width + self.labeled
+        flat = str(self.lines[:-1], "utf-8").replace("\n", ",").split(",")
+        return [flat[j::stride] for j in range(width)]
 
 
 def plan_blocks(n_rows: int, n_blocks: int) -> tuple[tuple[int, int], ...]:
@@ -274,10 +338,11 @@ def load_dataset(data_path: str | Path, schema_path: str | Path,
                          provenance if provenance is not None else str(data_path))
 
 
-def read_unlabeled(data_path: str | Path, schema: FeatureSchema) -> tuple[tuple[str, ...], ...]:
-    """Read a data file that carries feature columns only (no label)."""
+def read_unlabeled(data_path: str | Path, schema: FeatureSchema) -> Block:
+    """Read a data file that carries feature columns only (no label) as
+    one :class:`Block`, checked as :func:`load_dataset` checks a file."""
     text, starts, _ = _read_data(data_path, schema, with_labels=False)
-    return _parse_lines(text, starts[0], starts[-1], schema.n_features)
+    return Block(schema, text[starts[0]:], starts.shape[0] - 1, labeled=False)
 
 
 def save_dataset(dataset: ChronoDataset, data_path: str | Path,
@@ -286,32 +351,39 @@ def save_dataset(dataset: ChronoDataset, data_path: str | Path,
     write_schema(dataset.schema, schema_path)
 
 
-def write_rows(path: str | Path, schema: FeatureSchema,
-               rows: Sequence[tuple[str, ...]],
-               labels: Sequence[int] | np.ndarray | None = None) -> None:
-    """Write a data file; include the label column iff ``labels`` is given.
-    Rows are checked as :meth:`ChronoDataset.from_rows` checks them, and the
-    counts of rows and labels before the file is opened."""
-    if labels is not None:
-        if len(labels) != len(rows):
-            raise DatasetFormatError(f"{len(rows)} rows but {len(labels)} labels")
-        labels = np.asarray(labels, dtype=np.int64).tolist()
+def write_rows(path: str | Path, schema: FeatureSchema, block: Block) -> None:
+    """Write ``block`` as a data file: ``schema``'s header, with its label
+    name iff the block carries label cells, then the block's lines byte for
+    byte.  The lines were checked when the block's dataset or file was, so
+    they are not checked again; ``schema`` is the block's."""
     with open(path, "wb") as fh:
-        fh.writelines(_data_lines(schema, rows, labels))
+        fh.write(_header_line(schema, block.labeled))
+        fh.write(block.lines)
 
 
-def _data_lines(schema: FeatureSchema, rows: Iterable[Sequence[str]],
-                labels: list[int] | None) -> Iterator[bytes]:
+def _header_line(schema: FeatureSchema, labeled: bool) -> bytes:
+    """A data file's header line: the schema's names, then its label name
+    iff the file carries labels."""
+    return (",".join(schema.names + ((schema.label,) if labeled else ())) + "\n").encode()
+
+
+def _encodes(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``: a lone surrogate it cannot."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _data_lines(schema: FeatureSchema, rows: Iterable[tuple[str, ...]],
+                labels: list[int]) -> Iterator[bytes]:
     """The data file of ``rows`` as UTF-8 lines, each with its newline: the
-    header, then each row, ended by its label if ``labels`` is given."""
+    header, then each row ended by its label."""
     width = schema.n_features
-    if labels is None:
-        header, ends = schema.names, itertools.repeat("\n")
-    else:
-        header, ends = schema.names + (schema.label,), (f",{y}\n" for y in labels)
-    yield (",".join(header) + "\n").encode("utf-8")
-    # Ends first: zip stops at the labels' end before it takes a row too many.
-    for i, (end, row) in enumerate(zip(ends, rows)):
+    yield _header_line(schema, labeled=True)
+    # Labels first: zip stops at their end before it takes a row too many.
+    for i, (y, row) in enumerate(zip(labels, rows)):
         if len(row) != width:
             raise DatasetFormatError(
                 f"row {i} has {len(row)} cells, schema declares {width} features")
@@ -321,7 +393,15 @@ def _data_lines(schema: FeatureSchema, rows: Iterable[Sequence[str]],
                               if not SEPARATORS.isdisjoint(cell))
             raise DatasetFormatError(f"row {i}, column {name!r}: {cell!r} holds a comma "
                                      "or a line break, which a data file cannot hold")
-        yield (line + end).encode("utf-8")
+        try:
+            encoded = f"{line},{y}\n".encode("utf-8")
+        except UnicodeEncodeError:
+            name, cell = next((name, cell) for name, cell in zip(schema.names, row)
+                              if not _encodes(cell))
+            raise DatasetFormatError(f"row {i}, column {name!r}: {cell!r} holds a character "
+                                     "UTF-8 cannot encode, which a data file cannot hold"
+                                     ) from None
+        yield encoded
 
 
 #: Bytes decoded at a time when a data file's text is checked as UTF-8.
@@ -395,11 +475,3 @@ def _check_utf8(path: str | Path, text: bytes) -> None:
             line = text.count(b"\n", 0, pos + exc.start)
             where = f"row {line - 1}" if line else "header"
             raise DatasetFormatError(f"{path}: {where} is not UTF-8 text") from None
-
-
-def _parse_lines(text: bytes, lo: int, hi: int, width: int) -> tuple[tuple[str, ...], ...]:
-    """The lines of ``text[lo:hi]``, which ends in a newline, as tuples of
-    their first ``width`` cells."""
-    lines = str(memoryview(text)[lo:hi], "utf-8").split("\n")
-    lines.pop()  # the newline that ends the last line starts no other
-    return tuple([tuple(line.split(",")[:width]) for line in lines])

@@ -5,17 +5,19 @@ each value seen so far to a 1-based code in order of first appearance, and
 any other value maps to 0, so transforms cannot fail on later blocks of a
 stream.  A multi-valued cell is coded whole, as one value.  A vocabulary
 grows only through :func:`extend_ordinal`, which returns a new dict.
-:func:`transform_rows` encodes one whole column at a time.
+:func:`transform_rows` encodes one whole column at a time, each cut from
+one split of a block's text.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import DatasetFormatError, FeatureKind, FeatureSchema
+from .data import Block, DatasetFormatError, FeatureKind, FeatureSchema
 
 
 def extend_ordinal(codes: Mapping[str, int], values: Sequence[str]) -> dict[str, int]:
@@ -32,11 +34,11 @@ def extend_ordinal(codes: Mapping[str, int], values: Sequence[str]) -> dict[str,
     return grown
 
 
-def fit_dataset_encoders(schema: FeatureSchema,
-                         rows: Sequence[tuple[str, ...]]) -> dict[str, dict[str, int]]:
-    """The codes of each categorical / multi-valued column of ``rows``,
+def fit_dataset_encoders(schema: FeatureSchema, block: Block) -> dict[str, dict[str, int]]:
+    """The codes of each categorical / multi-valued column of ``block``,
     in order of first appearance."""
-    return {name: extend_ordinal({}, [row[j] for row in rows])
+    columns = block.columns
+    return {name: extend_ordinal({}, columns[j])
             for j, (name, kind) in enumerate(schema.columns)
             if kind is FeatureKind.CATEGORICAL or kind is FeatureKind.MULTI_CATEGORICAL}
 
@@ -57,14 +59,24 @@ def _parse_cell(parse, name: str, kind: FeatureKind, i: int, cell: str) -> float
         ) from None
 
 
-def _parse_column(name: str, kind: FeatureKind, cells: Sequence[str]) -> np.ndarray:
-    """Numeric or time column as finite floats (missing -> 0)."""
-    parse = float if kind is FeatureKind.NUMERICAL else _int_float
+def _parse_column(name: str, kind: FeatureKind, cells: list[str]) -> np.ndarray:
+    """Numeric or time column as finite floats (missing -> 0).
+
+    numpy parses the whole column: a numeric cell as ``float()`` reads it,
+    a time cell as ``int()`` does, into int64.  A column numpy refuses (a
+    bad cell, or a time past int64) is parsed again a cell at a time, which
+    reads a time cell as ``float(int(cell))`` and names the first bad row.
+    """
+    filled = [c or "0" for c in cells] if "" in cells else cells
     try:
-        values = [parse(c) if c else 0.0 for c in cells]
-    except (ValueError, OverflowError):  # scan again to name the first bad row
-        values = [_parse_cell(parse, name, kind, i, c) for i, c in enumerate(cells)]
-    column = np.array(values, dtype=np.float64)
+        if kind is FeatureKind.NUMERICAL:
+            column = np.array(filled, dtype=np.float64)
+        else:
+            column = np.array(filled, dtype=np.int64).astype(np.float64)
+    except (ValueError, OverflowError):
+        parse = float if kind is FeatureKind.NUMERICAL else _int_float
+        column = np.array([_parse_cell(parse, name, kind, i, c) for i, c in enumerate(cells)],
+                          dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(column))
     if bad.size:
         i = int(bad[0])
@@ -72,22 +84,23 @@ def _parse_column(name: str, kind: FeatureKind, cells: Sequence[str]) -> np.ndar
     return column
 
 
-def transform_rows(schema: FeatureSchema,
-                   rows: Sequence[tuple[str, ...]],
+def transform_rows(schema: FeatureSchema, block: Block,
                    encoders: Mapping[str, Mapping[str, int]]) -> np.ndarray:
     """Assemble the C-ordered ``(rows, features)`` float matrix for
-    ``rows``, one column per schema feature in schema order.
+    ``block``, one column per schema feature in schema order, each filled
+    whole from the block's :attr:`~driftbench.data.Block.columns`.
 
     Numeric cells parse to finite floats (missing -> 0), time cells to
     int, and each categorical / multi-valued cell becomes its column's
-    code, 0 when unseen.
+    code, 0 when unseen.  A cell that does not parse names its row in the
+    block and its column.
     """
-    out = np.empty((len(rows), schema.n_features), dtype=np.float64)
+    columns = block.columns
+    out = np.empty((len(block), schema.n_features), dtype=np.float64)
     for j, (name, kind) in enumerate(schema.columns):
-        cells = [row[j] for row in rows]
         if kind is FeatureKind.NUMERICAL or kind is FeatureKind.TIME:
-            out[:, j] = _parse_column(name, kind, cells)
+            out[:, j] = _parse_column(name, kind, columns[j])
         else:
-            get = encoders[name].get
-            out[:, j] = [get(c, 0) for c in cells]
+            out[:, j] = np.fromiter(map(encoders[name].get, columns[j], repeat(0)),
+                                    np.float64, len(block))
     return out

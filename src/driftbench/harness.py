@@ -37,8 +37,8 @@ from typing import Callable, NoReturn, Protocol, Sequence
 
 import numpy as np
 
-from .data import (ChronoDataset, FeatureSchema, check_field_types, load_dataset, plan_blocks,
-                   write_rows, write_schema)
+from .data import (Block, ChronoDataset, FeatureSchema, check_field_types, load_dataset,
+                   plan_blocks, write_rows, write_schema)
 from .metrics import UndefinedAUCError, auc
 
 OUTCOME_COMPLETED = "completed"
@@ -56,18 +56,22 @@ class PredictorTimeout(RuntimeError):
 class PredictorAdapter(Protocol):
     """Behavioral contract every predictor implements.
 
-    ``learn`` receives only the newly revealed labeled block; the adapter
-    holds all cross-step state.  ``predict`` returns exactly one finite
-    real per input row.  Adapters may accumulate time the harness should
-    not bill (their own file staging) in an ``unbilled_seconds`` attribute,
-    and may offer ``close()``, which the harness calls, unbilled, once the
+    ``learn`` receives only the newly revealed block, a
+    :class:`~driftbench.data.Block` that carries its label cells, with the
+    same labels as an array; the adapter holds all cross-step state.
+    ``predict`` receives the block to score, without label cells, and
+    returns exactly one finite real per row (``len(block)``).  A block's
+    cells are read through its ``columns``, and its bytes are its lines in
+    the data file.  Adapters may accumulate time the harness should not
+    bill (their own file staging) in an ``unbilled_seconds`` attribute, and
+    may offer ``close()``, which the harness calls, unbilled, once the
     dataset's run is over.
     """
 
-    def learn(self, rows: Sequence[tuple[str, ...]], labels, schema: FeatureSchema,
+    def learn(self, block: Block, labels, schema: FeatureSchema,
               remaining_budget_seconds: float) -> None: ...
 
-    def predict(self, rows: Sequence[tuple[str, ...]]) -> Sequence[float]: ...
+    def predict(self, block: Block) -> Sequence[float]: ...
 
 
 class ConstantPredictor:
@@ -76,11 +80,11 @@ class ConstantPredictor:
     def __init__(self, value: float = 0.5):
         self.value = value
 
-    def learn(self, rows, labels, schema, remaining_budget_seconds) -> None:
+    def learn(self, block, labels, schema, remaining_budget_seconds) -> None:
         pass
 
-    def predict(self, rows):
-        return np.full(len(rows), self.value)
+    def predict(self, block):
+        return np.full(len(block), self.value)
 
 
 @dataclass(frozen=True)
@@ -176,9 +180,12 @@ def run_lifelong(dataset: ChronoDataset, n_blocks: int, predictor: PredictorAdap
     The dataset is cut with :func:`plan_blocks` into ``n_blocks`` blocks
     before the predictor is called, so a cut that cannot be made raises
     BlockPlanError untouched.  Steps 1..N-1: reveal block k-1 to
-    ``learn``, score ``predict`` on block k.  Each block is parsed from the
-    dataset once: the rows scored at step k are the very tuple revealed at
-    step k+1, so the loop holds at most two parsed blocks.  Aborts on
+    ``learn``, score ``predict`` on block k.  No cell is parsed here: a
+    block is a view of the dataset's bytes, and block k is scored as its
+    lines with their label cells removed (one ``re.sub``), a copy kept with
+    the labeled block that step k+1 reveals and let go after that
+    ``learn``.  So beside the dataset's bytes the loop holds the label-free
+    copy of one block at a time.  Aborts on
     budget overrun (timed-out) or any predictor failure (predictor-error),
     with an error that names the step; either way the dataset scores 0.
     The trace is named by ``dataset.provenance``.  The predictor's optional
@@ -190,24 +197,23 @@ def run_lifelong(dataset: ChronoDataset, n_blocks: int, predictor: PredictorAdap
     steps: list[StepRecord] = []
     outcome = OUTCOME_COMPLETED
     error = ""
-    test_rows = dataset.block(*ranges[0])
+    block = dataset.block(*ranges[0])
     try:
         for k in range(1, n_blocks):
             reveal_lo, reveal_hi = ranges[k - 1]
             test_lo, test_hi = ranges[k]
-            # The last step's revealed block is let go before the next one is parsed.
-            revealed = test_rows
-            test_rows = dataset.block(test_lo, test_hi)
             step_start = clock.consumed
             try:
                 clock.charge(
                     "learn", predictor, predictor.learn,
-                    revealed,
+                    block,
                     dataset.labels[reveal_lo:reveal_hi],
                     dataset.schema,
                     clock.remaining,
                 )
-                scores = clock.charge("predict", predictor, predictor.predict, test_rows)
+                # The revealed block is let go before the next one is cut.
+                block = dataset.block(test_lo, test_hi)
+                scores = clock.charge("predict", predictor, predictor.predict, block.unlabeled())
                 _check_predictions(scores, test_hi - test_lo)
             except PredictorTimeout as exc:
                 outcome, error = OUTCOME_TIMED_OUT, f"step {k}: {exc}"
@@ -316,7 +322,9 @@ class SubprocessPredictor:
     At step 1 the program is launched as ``<command> --schema F --workdir
     D`` in a process group of its own, with its stderr going to
     ``<workdir>/stderr.txt``.  Each step stages the newly revealed train
-    block and the pending test block as files, removes the step's stale
+    block and the pending test block as files (each the header and the
+    block's lines, byte for byte, through :func:`write_rows`; the test
+    file without label cells), removes the step's stale
     predictions file, writes one JSON request line to the program's stdin
     and waits for the answer line ``{"token": T}`` that echoes the
     request's fresh token T, so a line written before the child read the
@@ -338,14 +346,14 @@ class SubprocessPredictor:
         self._proc: subprocess.Popen | None = None
         self._answers = bytearray()     # stdout bytes not yet consumed as answers
 
-    def learn(self, rows, labels, schema, remaining_budget_seconds: float) -> None:
-        self._pending = (rows, labels, schema)
+    def learn(self, block, labels, schema, remaining_budget_seconds: float) -> None:
+        self._pending = (block, schema)
         self._remaining = remaining_budget_seconds
 
-    def predict(self, rows) -> np.ndarray:
+    def predict(self, block) -> np.ndarray:
         if self._pending is None:
             raise PredictorError("protocol violation: predict before learn")
-        train_rows, train_labels, schema = self._pending
+        train_block, schema = self._pending
         self._pending = None
         self._step += 1
 
@@ -354,8 +362,8 @@ class SubprocessPredictor:
         test_path = self.workdir / f"test_{self._step:03d}.csv"
         pred_path = self.workdir / f"pred_{self._step:03d}.txt"
         schema_path = self.workdir / "schema.csv"
-        write_rows(train_path, schema, train_rows, train_labels)
-        write_rows(test_path, schema, rows, None)
+        write_rows(train_path, schema, train_block)
+        write_rows(test_path, schema, block.unlabeled())
         pred_path.unlink(missing_ok=True)
         if self._proc is None:
             write_schema(schema, schema_path)
@@ -395,9 +403,9 @@ class SubprocessPredictor:
                     ln = ln.rstrip("\n")
                     if not ln:
                         continue
-                    if len(scores) == len(rows):
+                    if len(scores) == len(block):
                         raise PredictorError(
-                            f"predictions file holds more than {len(rows)} predictions")
+                            f"predictions file holds more than {len(block)} predictions")
                     try:
                         scores.append(float(ln))
                     except ValueError:

@@ -39,6 +39,7 @@ from driftbench.ranking import SubmissionEntry, build_leaderboard
 from driftbench.synth import DriftGenSpec, generate_drift_stream
 
 from published_results import DATASETS, FEEDBACK_TOP6, FINAL_ROWS
+from test_data import all_rows
 from test_harness import JOURNAL_SCRIPT, RecordingPredictor, indexed_dataset, script_predictor
 from test_metrics import pairwise_auc
 
@@ -139,10 +140,11 @@ def test_criterion_4_label_reveal_monotonicity(tmp_path):
     in_process = RecordingPredictor()
     run_lifelong(ds, 10, in_process, budget_seconds=60)
     revealed = []
+    every = all_rows(ds)
     for k, (rows, _labels) in enumerate(in_process.learned, start=1):
         revealed.extend(rows)
-        assert tuple(revealed) == ds.rows[: ranges[k - 1][1]]
-        assert in_process.predicted[k - 1] == ds.rows[slice(*ranges[k])]
+        assert tuple(revealed) == every[: ranges[k - 1][1]]
+        assert in_process.predicted[k - 1] == every[slice(*ranges[k])]
 
     external = script_predictor(tmp_path, JOURNAL_SCRIPT, "journal")
     trace = run_lifelong(ds, 10, external, budget_seconds=60)

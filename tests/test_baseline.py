@@ -40,7 +40,15 @@ from driftbench.metrics import auc
 from driftbench.harness import OUTCOME_PREDICTOR_ERROR, SubprocessPredictor, run_lifelong
 from driftbench.synth import DriftGenSpec, desk_spec, generate_drift_stream
 
+from test_data import all_rows, rows_of
+
 FAST = dict(initial_trees=30, trees_per_block=8, max_depth=3, learning_rate=0.2)
+
+
+def encode_all(ds):
+    """The matrix of every row of ``ds``, with codes fitted on all of them."""
+    block = ds.block(0, len(ds))
+    return transform_rows(ds.schema, block, fit_dataset_encoders(ds.schema, block))
 
 
 def toy_pool(rows_per_block=1000, n_blocks=10, width=2):
@@ -581,7 +589,7 @@ def reference_tree_fit(cls, X, residual, max_depth, bins=None, out=None):
 def test_boosting_matches_reference_fit(shape, options, monkeypatch):
     ds = generate_drift_stream(desk_spec(shape, 450, n_blocks=3, drift="gradual",
                                          drift_magnitude=1.0, seed=5))
-    X = transform_rows(ds.schema, ds.rows, fit_dataset_encoders(ds.schema, ds.rows))
+    X = encode_all(ds)
     y = np.asarray(ds.labels, float)
     cfg = BaselineConfig(initial_trees=6, trees_per_block=3, max_depth=4,
                          learning_rate=0.3, seed=5, **options)
@@ -719,7 +727,7 @@ def test_fit_deterministic_given_seed():
     spec = DriftGenSpec(n_rows=600, n_cat=2, n_num=3, n_mvc=0, n_time=0,
                         n_blocks=3, seed=4)
     ds = generate_drift_stream(spec)
-    X = transform_rows(ds.schema, ds.rows, fit_dataset_encoders(ds.schema, ds.rows))
+    X = encode_all(ds)
     y = np.asarray(ds.labels, float)
     cfg = BaselineConfig(seed=77, **FAST)
     e1 = fit_initial(X, y, cfg)
@@ -781,11 +789,11 @@ def test_labels_must_match_rows():
     pred = BaselinePredictor(cfg)
     with pytest.raises(ValueError, match=rf"^expected {hi - lo} labels, one per row, "
                                          rf"got shape \({hi - lo + 1},\)$"):
-        pred.learn(ds.rows[lo:hi], ds.labels[lo:hi + 1], ds.schema, 600.0)
-    pred.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
+        pred.learn(ds.block(lo, hi), ds.labels[lo:hi + 1], ds.schema, 600.0)
+    pred.learn(ds.block(lo, hi), ds.labels[lo:hi], ds.schema, 600.0)
     with pytest.raises(ValueError, match=rf"^expected {nhi - nlo} labels, one per row, "
                                          rf"got shape \({nhi - nlo - 1},\)$"):
-        pred.learn(ds.rows[nlo:nhi], ds.labels[nlo:nhi - 1], ds.schema, 600.0)
+        pred.learn(ds.block(nlo, nhi), ds.labels[nlo:nhi - 1], ds.schema, 600.0)
 
 
 @pytest.mark.parametrize("shape", [(10,), (0, 2), (3, 2, 2)], ids=["1-D", "no-rows", "3-D"])
@@ -824,7 +832,7 @@ def test_training_loss_non_increasing_per_iteration():
     spec = DriftGenSpec(n_rows=900, n_cat=2, n_num=3, n_mvc=1, n_time=1,
                         n_blocks=3, seed=6)
     ds = generate_drift_stream(spec)
-    X = transform_rows(ds.schema, ds.rows, fit_dataset_encoders(ds.schema, ds.rows))
+    X = encode_all(ds)
     y = np.asarray(ds.labels, float)
     ranges = plan_blocks(len(ds), 3)
     cfg = BaselineConfig(seed=5, **FAST)
@@ -999,7 +1007,7 @@ def test_non_finite_numeric_cell_is_a_predictor_error():
     name = ds.schema.columns[j][0]
     lo, hi = ranges[0]
     rows = tuple(row[:j] + ("inf",) + row[j + 1:] if lo <= i < hi and ds.labels[i] == 1
-                 else row for i, row in enumerate(ds.rows))
+                 else row for i, row in enumerate(all_rows(ds)))
     poisoned = ChronoDataset.from_rows(ds.schema, rows, ds.labels)
     trace = run_lifelong(poisoned, spec.n_blocks, BaselinePredictor(BaselineConfig(seed=4, **FAST)),
                          budget_seconds=600)
@@ -1038,11 +1046,11 @@ def reference_learned_matrices(ds, ranges):
     encoders = fit_dataset_encoders(ds.schema, ds.block(*ranges[0]))
     matrices = []
     for lo, hi in ranges:
-        rows = ds.block(lo, hi)
-        matrices.append(transform_rows(ds.schema, rows, encoders))
+        block = ds.block(lo, hi)
+        matrices.append(transform_rows(ds.schema, block, encoders))
         for j, name in enumerate(ds.schema.names):
             if name in encoders:
-                encoders[name] = extend_ordinal(encoders[name], [r[j] for r in rows])
+                encoders[name] = extend_ordinal(encoders[name], block.columns[j])
     return matrices, encoders
 
 
@@ -1051,7 +1059,8 @@ def test_every_block_brings_unseen_categories():
     cat = [j for j, (_, kind) in enumerate(ds.schema.columns) if kind is FeatureKind.CATEGORICAL]
     seen: set = set()
     for k, (lo, hi) in enumerate(plan_blocks(len(ds), UNSEEN_SPEC.n_blocks)):
-        cells = {(j, row[j]) for row in ds.rows[lo:hi] for j in cat}
+        columns = ds.block(lo, hi).columns
+        cells = {(j, cell) for j in cat for cell in columns[j]}
         assert k == 0 or cells - seen, f"block {k} brings no unseen category"
         seen |= cells
 
@@ -1110,9 +1119,9 @@ def test_learning_a_scored_block_matches_learning_alone():
     interleaved, alone = BaselinePredictor(cfg), BaselinePredictor(cfg)
     for k, (lo, hi) in enumerate(ranges):
         if k:
-            interleaved.predict(ds.rows[lo:hi])
-        interleaved.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
-        alone.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
+            interleaved.predict(ds.block(lo, hi))
+        interleaved.learn(ds.block(lo, hi), ds.labels[lo:hi], ds.schema, 600.0)
+        alone.learn(ds.block(lo, hi), ds.labels[lo:hi], ds.schema, 600.0)
     matrices, encoders = reference_learned_matrices(ds, ranges)
     assert np.array_equal(interleaved.ensemble.pool.X, np.concatenate(matrices))
     assert np.array_equal(alone.ensemble.pool.X, np.concatenate(matrices))
@@ -1150,18 +1159,19 @@ def test_rows_read_back_from_a_file_reuse_the_scored_matrix(tmp_path, monkeypatc
     (lo, hi), (nlo, nhi) = plan_blocks(len(ds), UNSEEN_SPEC.n_blocks)[:2]
     pred, alone = (BaselinePredictor(BaselineConfig(**TINY)) for _ in range(2))
     for p in (pred, alone):
-        p.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
-    pred.predict(ds.rows[nlo:nhi])
+        p.learn(ds.block(lo, hi), ds.labels[lo:hi], ds.schema, 600.0)
+    pred.predict(ds.block(nlo, nhi))
     # As an external child sees it: the revealed block is read anew from a file.
-    write_rows(tmp_path / "train.csv", ds.schema, ds.rows[nlo:nhi], ds.labels[nlo:nhi])
+    write_rows(tmp_path / "train.csv", ds.schema, ds.block(nlo, nhi))
     write_schema(ds.schema, tmp_path / "schema.csv")
     revealed = load_dataset(tmp_path / "train.csv", tmp_path / "schema.csv")
-    assert revealed.rows == ds.rows[nlo:nhi]
-    assert revealed.rows[0] is not ds.rows[nlo] and revealed.rows[0][0] is not ds.rows[nlo][0]
+    block = revealed.block(0, len(revealed))
+    assert rows_of(block) == rows_of(ds.block(nlo, nhi))
+    assert block.lines.obj is revealed.text and block.lines.obj is not ds.text
     calls = counting_transforms(monkeypatch)
-    pred.learn(revealed.rows, revealed.labels, ds.schema, 600.0)
+    pred.learn(block, revealed.labels, ds.schema, 600.0)
     assert calls == []
-    alone.learn(ds.rows[nlo:nhi], ds.labels[nlo:nhi], ds.schema, 600.0)
+    alone.learn(ds.block(nlo, nhi), ds.labels[nlo:nhi], ds.schema, 600.0)
     assert np.array_equal(pred.ensemble.pool.X, alone.ensemble.pool.X)
     assert pred.encoders == alone.encoders
 
@@ -1174,11 +1184,11 @@ def test_a_value_is_unseen_in_the_block_that_brings_it():
     pred = BaselinePredictor(BaselineConfig(**TINY))
     for k, (lo, hi) in enumerate(ranges):
         if k:
-            pred.predict(ds.rows[lo:hi])
-        pred.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
+            pred.predict(ds.block(lo, hi))
+        pred.learn(ds.block(lo, hi), ds.labels[lo:hi], ds.schema, 600.0)
     X = pred.ensemble.pool.X
     assert X.shape[0] == ranges[-1][1]
-    rows = ds.rows
+    rows = all_rows(ds)
     brought: dict = {}   # (column, value) -> the block that brought it
     unseen = coded_later = 0
     for j, name in enumerate(ds.schema.names):
@@ -1209,8 +1219,8 @@ def test_the_baseline_scores_alike_over_the_wire_and_in_process(tmp_path, monkey
         for (lo, hi), (nlo, nhi) in zip(ranges, ranges[1:]):
             scores = []
             for pred in (wire, inproc):
-                pred.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
-                scores.append(np.asarray(pred.predict(ds.rows[nlo:nhi])))
+                pred.learn(ds.block(lo, hi), ds.labels[lo:hi], ds.schema, 600.0)
+                scores.append(np.asarray(pred.predict(ds.block(nlo, nhi))))
             assert np.max(np.abs(scores[0] - scores[1])) <= 1e-9
     finally:
         wire.close()
@@ -1222,10 +1232,10 @@ def test_learning_other_rows_than_the_scored_block_encodes_them_afresh(monkeypat
     cfg = BaselineConfig(**TINY)
     pred = BaselinePredictor(cfg)
     (lo, hi), (mlo, mhi), (nlo, nhi) = ranges[:3]
-    pred.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
-    pred.predict(ds.rows[nlo:nhi])                     # scores block 2 ...
+    pred.learn(ds.block(lo, hi), ds.labels[lo:hi], ds.schema, 600.0)
+    pred.predict(ds.block(nlo, nhi))                     # scores block 2 ...
     calls = counting_transforms(monkeypatch)
-    pred.learn(ds.rows[mlo:mhi], ds.labels[mlo:mhi], ds.schema, 600.0)   # ... learns block 1
+    pred.learn(ds.block(mlo, mhi), ds.labels[mlo:mhi], ds.schema, 600.0)   # ... learns block 1
     assert calls == [mhi - mlo]
     matrices, encoders = reference_learned_matrices(ds, ranges[:2])
     assert np.array_equal(pred.ensemble.pool.X, np.concatenate(matrices))
@@ -1261,6 +1271,6 @@ def test_predictions_are_pinned(shape, policy, cap):
     digest = hashlib.sha256()
     ranges = plan_blocks(len(ds), 6)
     for (lo, hi), (nlo, nhi) in zip(ranges, ranges[1:]):
-        pred.learn(ds.rows[lo:hi], ds.labels[lo:hi], ds.schema, 600.0)
-        digest.update(pred.predict(ds.rows[nlo:nhi]).tobytes())
+        pred.learn(ds.block(lo, hi), ds.labels[lo:hi], ds.schema, 600.0)
+        digest.update(pred.predict(ds.block(nlo, nhi)).tobytes())
     assert digest.hexdigest() == PREDICTION_PINS[shape, policy, cap]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from driftbench.data import (
     ChronoDataset,
     DatasetFormatError,
     FeatureKind,
+    SEPARATORS,
     FeatureSchema,
     load_dataset,
     plan_blocks,
@@ -19,6 +22,17 @@ from driftbench.data import (
 )
 from driftbench import data as data_module
 from driftbench.synth import desk_spec, generate_drift_stream
+
+
+def rows_of(block):
+    """A block's rows as tuples of cells in schema order: how a test reads
+    what a block holds."""
+    return tuple(zip(*block.columns))
+
+
+def all_rows(ds):
+    """Every row of ``ds`` as tuples of cells in schema order."""
+    return rows_of(ds.block(0, len(ds)))
 
 
 def write_pair(tmp_path, data_text, schema_text):
@@ -42,7 +56,7 @@ def test_load_small_dataset(tmp_path):
     assert len(ds) == 4
     assert ds.schema.names == ("x", "color")
     assert ds.schema.kinds == (FeatureKind.NUMERICAL, FeatureKind.CATEGORICAL)
-    assert ds.rows[0] == ("1.5", "red")
+    assert rows_of(ds.block(0, 1)) == (("1.5", "red"),)
     assert ds.labels.tolist() == [0, 1, 0, 1]
 
 
@@ -62,10 +76,11 @@ def test_column_order_follows_schema_not_file(tmp_path):
 def test_one_feature_file_loads_as_one_tuples(tmp_path):
     data, schema = write_pair(tmp_path, "color,y\nred,0\n,1\n", "color,cat\ny,label\n")
     ds = load_dataset(data, schema)
-    assert ds.rows == (("red",), ("",))
+    assert all_rows(ds) == (("red",), ("",))
     unlabeled = tmp_path / "u.csv"
     unlabeled.write_text("color\nblue\n")
-    assert read_unlabeled(unlabeled, ds.schema) == (("blue",),)
+    block = read_unlabeled(unlabeled, ds.schema)
+    assert (rows_of(block), len(block), block.labeled) == ((("blue",),), 1, False)
 
 
 def test_non_binary_label_names_row(tmp_path):
@@ -117,7 +132,7 @@ def test_reader_line_ends(tmp_path, body):
     data, schema = write_pair(tmp_path, "", SCHEMA_2COL)
     data.write_bytes(body)
     ds = load_dataset(data, schema)
-    assert ds.rows == FORMAT_ROWS
+    assert all_rows(ds) == FORMAT_ROWS
     assert ds.labels.tolist() == [0, 1]
 
 
@@ -125,9 +140,10 @@ def test_reader_line_ends(tmp_path, body):
 def test_reader_header_only_file_has_no_rows(tmp_path, end):
     data, schema = write_pair(tmp_path, "x,color,y" + end, SCHEMA_2COL)
     ds = load_dataset(data, schema)
-    assert (ds.rows, ds.labels.tolist()) == ((), [])
+    assert (all_rows(ds), ds.labels.tolist()) == ((), [])
     data.write_text("x,color" + end)
-    assert read_unlabeled(data, ds.schema) == ()
+    block = read_unlabeled(data, ds.schema)
+    assert (rows_of(block), len(block), block.columns) == ((), 0, [[], []])
 
 
 @pytest.mark.parametrize("text, message", [
@@ -169,7 +185,7 @@ def test_utf8_cells_load_across_decode_chunks(tmp_path, monkeypatch):
     data, schema = write_pair(tmp_path, "", SCHEMA_2COL)
     data.write_bytes(text.encode("utf-8"))
     ds = load_dataset(data, schema)
-    assert ds.rows == (("1.0", "caf\u00e9"), ("2.0", "\u00fcber"))
+    assert all_rows(ds) == (("1.0", "caf\u00e9"), ("2.0", "\u00fcber"))
     assert ds.labels.tolist() == [0, 1]
 
 
@@ -179,46 +195,53 @@ def test_block_parses_rows_in_schema_order(tmp_path):
         SCHEMA_2COL)
     ds = load_dataset(data, schema)
     assert len(ds) == 7
-    assert ds.block(2, 5) == (("2.5", "c2"), ("3.5", "c3"), ("4.5", "c4"))
-    assert ds.block(3, 3) == ()
-    assert ds.rows == ds.block(0, 4) + ds.block(4, 7)
+    block = ds.block(2, 5)
+    assert (len(block), block.labeled) == (3, True)
+    assert bytes(block.lines) == b"2.5,c2,0\n3.5,c3,1\n4.5,c4,0\n"
+    assert block.columns == [["2.5", "3.5", "4.5"], ["c2", "c3", "c4"]]
+    assert bytes(block.unlabeled().lines) == b"2.5,c2\n3.5,c3\n4.5,c4\n"
+    assert block.unlabeled().columns == block.columns
+    assert rows_of(ds.block(3, 3)) == ()
+    assert all_rows(ds) == rows_of(ds.block(0, 4)) + rows_of(ds.block(4, 7))
 
 
 def test_dataset_from_rows_holds_the_bytes_write_rows_writes(tmp_path):
     ds = generate_drift_stream(desk_spec("E", n_rows=120, n_blocks=4, seed=3))
-    write_rows(tmp_path / "rows.csv", ds.schema, ds.rows, ds.labels)
+    write_rows(tmp_path / "rows.csv", ds.schema, ds.block(0, len(ds)))
     assert ds.text == (tmp_path / "rows.csv").read_bytes()
     save_dataset(ds, tmp_path / "saved.csv", tmp_path / "saved.schema.csv")
     assert (tmp_path / "saved.csv").read_bytes() == ds.text
-    assert ds.block(30, 60) == ds.rows[30:60]
-    streamed = ChronoDataset.from_rows(ds.schema, (row for row in ds.rows), ds.labels)
+    assert rows_of(ds.block(30, 60)) == all_rows(ds)[30:60]
+    streamed = ChronoDataset.from_rows(ds.schema, (row for row in all_rows(ds)), ds.labels)
     assert streamed.text == ds.text
     assert np.array_equal(streamed.starts, ds.starts)
     assert np.array_equal(streamed.labels, ds.labels)
 
 
-#: The three writers of a data file, each given the schema, rows and a path.
-ROW_WRITERS = {
-    "from_rows": lambda schema, rows, path: ChronoDataset.from_rows(schema, rows, [0, 1, 0]),
-    "write_rows": lambda schema, rows, path: write_rows(path, schema, rows, [0, 1, 0]),
-    "write_rows-unlabeled": lambda schema, rows, path: write_rows(path, schema, rows),
-}
-
-
-@pytest.mark.parametrize("writer, cell", [
-    pytest.param(writer, cell, id=cell if writer == "from_rows" else f"{writer}-{cell}")
-    for writer in ROW_WRITERS for cell in ["a,b", "a\nb", "a\rb", "\r\n"]])
-def test_dataset_from_rows_refuses_a_separator_in_a_cell(tmp_path, writer, cell):
+@pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\rb", "\r\n"])
+def test_dataset_from_rows_refuses_a_separator_in_a_cell(cell):
     # Such a cell ran in memory, and its saved file failed to load
-    # ("row 1 has 3 cells, expected 2"); write_rows wrote such a file for a
-    # step of an external predictor without a word.
+    # ("row 1 has 3 cells, expected 2").  The only other writer of a data
+    # file, write_rows, writes a block's lines, which come from such a
+    # dataset or a checked file.
     rows = (("1.0", "red"), ("2.0", cell), ("3.0", "blue"))
     schema = FeatureSchema((("x", FeatureKind.NUMERICAL), ("color", FeatureKind.CATEGORICAL)),
                            "y")
     with pytest.raises(DatasetFormatError) as info:
-        ROW_WRITERS[writer](schema, rows, tmp_path / "rows.csv")
+        ChronoDataset.from_rows(schema, rows, [0, 1, 0])
     assert str(info.value) == (f"row 1, column 'color': {cell!r} holds a comma or a line "
                                "break, which a data file cannot hold")
+
+
+def test_dataset_from_rows_refuses_a_cell_utf8_cannot_encode():
+    # A lone surrogate ended from_rows in a bare UnicodeEncodeError.
+    rows = (("1.0", "red"), ("2.0", "x\ud800"), ("3.0", "blue"))
+    schema = FeatureSchema((("x", FeatureKind.NUMERICAL), ("color", FeatureKind.CATEGORICAL)),
+                           "y")
+    with pytest.raises(DatasetFormatError) as info:
+        ChronoDataset.from_rows(schema, rows, [0, 1, 0])
+    assert str(info.value) == ("row 1, column 'color': 'x\\ud800' holds a character UTF-8 "
+                               "cannot encode, which a data file cannot hold")
 
 
 # Column names and cells that a data file can hold, non-ASCII and empty ones included.
@@ -226,12 +249,12 @@ FILE_TEXT = st.text(st.characters(codec="utf-8", exclude_characters=",\n\r"), ma
 
 
 @st.composite
-def schemas_rows_and_labels(draw):
+def schemas_rows_and_labels(draw, cells=FILE_TEXT):
     names = draw(st.lists(FILE_TEXT, min_size=2, max_size=5, unique=True))
     kinds = draw(st.lists(st.sampled_from(FeatureKind), min_size=len(names) - 1,
                           max_size=len(names) - 1))
     schema = FeatureSchema(tuple(zip(names[:-1], kinds)), names[-1])
-    rows = draw(st.lists(st.tuples(*[FILE_TEXT] * schema.n_features), max_size=8))
+    rows = draw(st.lists(st.tuples(*[cells] * schema.n_features), max_size=8))
     labels = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
     return schema, rows, labels
 
@@ -242,12 +265,90 @@ def test_written_rows_read_back(tmp_path_factory, drawn):
     schema, rows, labels = drawn
     tmp_path = tmp_path_factory.mktemp("roundtrip")
     write_schema(schema, tmp_path / "s.csv")
-    write_rows(tmp_path / "d.csv", schema, rows, labels)
-    assert ChronoDataset.from_rows(schema, rows, labels).text == (tmp_path / "d.csv").read_bytes()
+    ds = ChronoDataset.from_rows(schema, rows, labels)
+    write_rows(tmp_path / "d.csv", schema, ds.block(0, len(ds)))
+    assert ds.text == (tmp_path / "d.csv").read_bytes()
     loaded = load_dataset(tmp_path / "d.csv", tmp_path / "s.csv")
-    assert (loaded.rows, loaded.labels.tolist()) == (tuple(rows), labels)
-    write_rows(tmp_path / "u.csv", schema, rows)
-    assert read_unlabeled(tmp_path / "u.csv", schema) == tuple(rows)
+    assert (all_rows(loaded), loaded.labels.tolist()) == (tuple(rows), labels)
+    write_rows(tmp_path / "u.csv", schema, ds.block(0, len(ds)).unlabeled())
+    assert rows_of(read_unlabeled(tmp_path / "u.csv", schema)) == tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the row encoder that staged a step's files before blocks were
+# written as their bytes
+
+
+def oracle_data_lines(schema, rows, labels):
+    width = schema.n_features
+    if labels is None:
+        header, ends = schema.names, itertools.repeat("\n")
+    else:
+        header, ends = schema.names + (schema.label,), (f",{y}\n" for y in labels)
+    yield (",".join(header) + "\n").encode("utf-8")
+    for i, (end, row) in enumerate(zip(ends, rows)):
+        if len(row) != width:
+            raise DatasetFormatError(
+                f"row {i} has {len(row)} cells, schema declares {width} features")
+        line = ",".join(row)
+        if line.count(",") != width - 1 or "\n" in line or "\r" in line:
+            name, cell = next((name, cell) for name, cell in zip(schema.names, row)
+                              if not SEPARATORS.isdisjoint(cell))
+            raise DatasetFormatError(f"row {i}, column {name!r}: {cell!r} holds a comma "
+                                     "or a line break, which a data file cannot hold")
+        yield (line + end).encode("utf-8")
+
+
+def assert_staged_bytes_match_the_oracle(ds, ranges, tmp_path):
+    """Each block of ``ds`` written labeled and unlabeled, as a step's train
+    and test files are, holds the bytes the row encoder wrote."""
+    rows, labels = all_rows(ds), ds.labels.tolist()
+    for lo, hi in ranges:
+        block = ds.block(lo, hi)
+        write_rows(tmp_path / "train.csv", ds.schema, block)
+        write_rows(tmp_path / "test.csv", ds.schema, block.unlabeled())
+        train = b"".join(oracle_data_lines(ds.schema, rows[lo:hi], labels[lo:hi]))
+        test = b"".join(oracle_data_lines(ds.schema, rows[lo:hi], None))
+        assert (tmp_path / "train.csv").read_bytes() == train
+        assert (tmp_path / "test.csv").read_bytes() == test
+
+
+def crlf_sourced(ds, tmp_path):
+    """``ds`` as loaded from a file written with ``\\r\\n`` line ends."""
+    data, schema = tmp_path / "crlf.csv", tmp_path / "crlf.schema.csv"
+    data.write_bytes(ds.text.replace(b"\n", b"\r\n"))
+    write_schema(ds.schema, schema)
+    loaded = load_dataset(data, schema)
+    assert loaded.text == ds.text
+    return loaded
+
+
+@pytest.mark.parametrize("shape", "ABCDE")
+def test_staged_bytes_match_the_row_encoder_on_generated_streams(tmp_path, shape):
+    ds = generate_drift_stream(desk_spec(shape, n_rows=300, n_blocks=4, seed=11))
+    ranges = plan_blocks(len(ds), 4)
+    assert_staged_bytes_match_the_oracle(ds, ranges, tmp_path)
+    assert_staged_bytes_match_the_oracle(crlf_sourced(ds, tmp_path), ranges, tmp_path)
+
+
+#: Cells whose last bytes look like a label cell, or that are not ASCII.
+LABEL_LIKE = st.sampled_from(["0", "1", "", "10", "01", ",", "x,0", "1\u00e9", "\u00e9", " 1"])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(schemas_rows_and_labels(st.one_of(LABEL_LIKE.filter(lambda c: "," not in c), FILE_TEXT)),
+       st.integers(2, 3))
+def test_staged_bytes_match_the_row_encoder_on_drawn_tables(tmp_path_factory, drawn, n_blocks):
+    # A last feature cell of "0" or "1" ends its unlabeled line as a label
+    # cell does: stripping ",0\n" and then ",1\n" in two passes would eat it.
+    schema, rows, labels = drawn
+    tmp_path = tmp_path_factory.mktemp("staged")
+    ds = ChronoDataset.from_rows(schema, rows, labels)
+    ranges = ((0, len(ds)),)
+    if len(ds) >= n_blocks:
+        ranges += plan_blocks(len(ds), n_blocks)
+    assert_staged_bytes_match_the_oracle(ds, ranges, tmp_path)
+    assert_staged_bytes_match_the_oracle(crlf_sourced(ds, tmp_path), ranges, tmp_path)
 
 
 def test_unknown_kind_token(tmp_path):
@@ -324,6 +425,18 @@ def test_schema_roundtrip(tmp_path):
                                    "which a schema file cannot hold")
 
 
+@pytest.mark.parametrize("what", ["column", "label"])
+def test_schema_refuses_a_name_utf8_cannot_encode(tmp_path, what):
+    # FeatureSchema took a lone surrogate, and write_schema then ended in a
+    # bare UnicodeEncodeError.
+    name = "x\ud800"
+    columns = ((name if what == "column" else "a", FeatureKind.NUMERICAL),)
+    with pytest.raises(DatasetFormatError) as info:
+        FeatureSchema(columns, name if what == "label" else "y")
+    assert str(info.value) == (f"{what} name 'x\\ud800' holds a character UTF-8 cannot "
+                               "encode, which a schema file cannot hold")
+
+
 def test_duplicate_column_rejected():
     with pytest.raises(DatasetFormatError, match="duplicate"):
         FeatureSchema((("a", FeatureKind.NUMERICAL), ("a", FeatureKind.CATEGORICAL)), "y")
@@ -342,7 +455,7 @@ def test_dataset_roundtrip_is_byte_identical(tmp_path):
     ds = generate_drift_stream(spec)
     save_dataset(ds, tmp_path / "b1.csv", tmp_path / "b1.schema.csv")
     loaded = load_dataset(tmp_path / "b1.csv", tmp_path / "b1.schema.csv")
-    assert loaded.rows == ds.rows
+    assert all_rows(loaded) == all_rows(ds)
     assert loaded.labels.tolist() == ds.labels.tolist()
     save_dataset(loaded, tmp_path / "b2.csv", tmp_path / "b2.schema.csv")
     assert (tmp_path / "b1.csv").read_bytes() == (tmp_path / "b2.csv").read_bytes()
@@ -353,7 +466,7 @@ def test_load_preserves_chronological_order(tmp_path):
     rows = "\n".join(f"{i}.0,c{i},{i % 2}" for i in range(20))
     data, schema = write_pair(tmp_path, "x,color,y\n" + rows + "\n", SCHEMA_2COL)
     ds = load_dataset(data, schema)
-    assert [r[0] for r in ds.rows] == [f"{i}.0" for i in range(20)]
+    assert ds.block(0, len(ds)).columns[0] == [f"{i}.0" for i in range(20)]
 
 
 def test_mismatched_rows_and_labels_rejected():

@@ -20,6 +20,8 @@ from driftbench.harness import (
 )
 from driftbench.synth import DriftGenSpec, generate_drift_stream
 
+from test_data import all_rows, crlf_sourced, oracle_data_lines, rows_of
+
 SCHEMA = FeatureSchema((("idx", FeatureKind.NUMERICAL),), "y")
 
 
@@ -31,7 +33,8 @@ def indexed_dataset(n=30):
 
 
 class RecordingPredictor:
-    """Instrumented adapter capturing every learn/predict payload."""
+    """Instrumented adapter capturing every learn/predict payload: each
+    block's rows, and whether it carried label cells."""
 
     name = "recorder"
 
@@ -39,15 +42,18 @@ class RecordingPredictor:
         self.learned: list[tuple] = []
         self.predicted: list[tuple] = []
         self.remaining: list[float] = []
-        self.score_fn = score_fn if score_fn else lambda rows: np.full(len(rows), 0.5)
+        self.labeled: list[tuple[str, bool]] = []    # (call, whether its block had labels)
+        self.score_fn = score_fn if score_fn else lambda block: np.full(len(block), 0.5)
 
-    def learn(self, rows, labels, schema, remaining_budget_seconds):
-        self.learned.append((tuple(rows), tuple(int(v) for v in labels)))
+    def learn(self, block, labels, schema, remaining_budget_seconds):
+        self.learned.append((rows_of(block), tuple(int(v) for v in labels)))
+        self.labeled.append(("learn", block.labeled))
         self.remaining.append(remaining_budget_seconds)
 
-    def predict(self, rows):
-        self.predicted.append(tuple(rows))
-        return self.score_fn(rows)
+    def predict(self, block):
+        self.predicted.append(rows_of(block))
+        self.labeled.append(("predict", block.labeled))
+        return self.score_fn(block)
 
 
 def test_protocol_reveals_blocks_in_order():
@@ -55,8 +61,11 @@ def test_protocol_reveals_blocks_in_order():
     pred = RecordingPredictor()
     trace = run_lifelong(ds, 3, pred, budget_seconds=60)
     assert trace.outcome == "completed"
-    assert [r for r, _ in pred.learned] == [ds.rows[0:10], ds.rows[10:20]]
-    assert pred.predicted == [ds.rows[10:20], ds.rows[20:30]]
+    rows = all_rows(ds)
+    assert [r for r, _ in pred.learned] == [rows[0:10], rows[10:20]]
+    assert pred.predicted == [rows[10:20], rows[20:30]]
+    # A revealed block carries its label cells; a scored one carries none.
+    assert pred.labeled == [("learn", True), ("predict", False)] * 2
     assert [s.step for s in trace.steps] == [1, 2]
     assert [s.trained_rows for s in trace.steps] == [10, 20]
 
@@ -70,20 +79,21 @@ def test_label_reveal_monotonicity_certified_for_every_step():
         trace = run_lifelong(ds, n_blocks, pred, budget_seconds=60)
         assert len(pred.learned) == len(pred.predicted) == n_blocks - 1
         revealed: list[tuple] = []
+        every = all_rows(ds)
         for k, (rows, labels) in enumerate(pred.learned, start=1):
             revealed.extend(rows)
             lo, hi = ranges[k - 1]
-            assert rows == ds.rows[lo:hi]
+            assert rows == every[lo:hi]
             # everything revealed so far is exactly blocks 0..k-1, nothing more
-            assert tuple(revealed) == ds.rows[: hi]
-            assert pred.predicted[k - 1] == ds.rows[slice(*ranges[k])]
+            assert tuple(revealed) == every[: hi]
+            assert pred.predicted[k - 1] == every[slice(*ranges[k])]
             assert trace.steps[k - 1].trained_rows == hi
 
 
 def test_oracle_predictor_scores_one_everywhere():
     ds = indexed_dataset(30)
     pred = RecordingPredictor(
-        score_fn=lambda rows: np.array([float(ds.labels[int(r[0])]) for r in rows]))
+        score_fn=lambda block: np.array([float(ds.labels[int(c)]) for c in block.columns[0]]))
     trace = run_lifelong(ds, 3, pred, budget_seconds=60)
     assert [s.auc for s in trace.steps] == [1.0, 1.0]
     assert trace.mean_auc == 1.0
@@ -118,11 +128,11 @@ class SleepyPredictor(RecordingPredictor):
         self.sleep_seconds = sleep_seconds
         self._step = 0
 
-    def learn(self, rows, labels, schema, remaining_budget_seconds):
+    def learn(self, block, labels, schema, remaining_budget_seconds):
         self._step += 1
         if self._step == self.sleep_at_step:
             time.sleep(self.sleep_seconds)
-        super().learn(rows, labels, schema, remaining_budget_seconds)
+        super().learn(block, labels, schema, remaining_budget_seconds)
 
 
 def test_overrunning_predictor_is_timed_out_and_zeroed():
@@ -136,18 +146,18 @@ def test_overrunning_predictor_is_timed_out_and_zeroed():
 
 
 class CrashingPredictor(RecordingPredictor):
-    def predict(self, rows):
+    def predict(self, block):
         raise RuntimeError("boom")
 
 
 class ShortPredictor(RecordingPredictor):
-    def predict(self, rows):
-        return np.full(len(rows) - 1, 0.5)
+    def predict(self, block):
+        return np.full(len(block) - 1, 0.5)
 
 
 class NaNPredictor(RecordingPredictor):
-    def predict(self, rows):
-        out = np.full(len(rows), 0.5)
+    def predict(self, block):
+        out = np.full(len(block), 0.5)
         out[0] = np.nan
         return out
 
@@ -162,7 +172,7 @@ def test_bad_predictors_score_zero(cls):
 
 
 class SlowCrashPredictor(RecordingPredictor):
-    def predict(self, rows):
+    def predict(self, block):
         time.sleep(0.2)
         raise RuntimeError("boom")
 
@@ -176,9 +186,9 @@ def test_call_that_raises_is_billed_and_names_its_step():
 
 
 class SlowShortPredictor(RecordingPredictor):
-    def predict(self, rows):
+    def predict(self, block):
         time.sleep(0.3)
-        return np.full(len(rows) - 1, 0.5)
+        return np.full(len(block) - 1, 0.5)
 
 
 def test_overrun_is_checked_before_the_predictions():
@@ -196,11 +206,11 @@ class StagingPredictor(RecordingPredictor):
         self.unbilled_seconds = 0.0
         self.stage_seconds = stage_seconds
 
-    def learn(self, rows, labels, schema, remaining_budget_seconds):
+    def learn(self, block, labels, schema, remaining_budget_seconds):
         t0 = time.perf_counter()
         time.sleep(self.stage_seconds)
         self.unbilled_seconds += time.perf_counter() - t0
-        super().learn(rows, labels, schema, remaining_budget_seconds)
+        super().learn(block, labels, schema, remaining_budget_seconds)
 
 
 def test_unbilled_staging_time_is_not_charged():
@@ -419,6 +429,27 @@ def test_subprocess_sees_exactly_the_revealed_blocks(tmp_path):
         assert e["train_ids"] == [str(i) for i in range(lo, hi)]
         t_lo, t_hi = ranges[k]
         assert e["test_ids"] == [str(i) for i in range(t_lo, t_hi)]
+
+
+@pytest.mark.parametrize("source", ["generated", "crlf-file"])
+def test_staged_step_files_are_the_row_encoders_bytes(tmp_path, source):
+    # Each step's train and test files are the header and the block's
+    # bytes, as the row encoder wrote them before blocks stayed bytes.
+    ds = generate_drift_stream(DriftGenSpec(n_rows=240, n_cat=2, n_num=2, n_mvc=1, n_time=1,
+                                            n_blocks=4, seed=3))
+    if source == "crlf-file":
+        ds = crlf_sourced(ds, tmp_path)
+    pred = SubprocessPredictor([sys.executable, "-m", "driftbench.echo_predictor"],
+                               workdir=tmp_path / "echo")
+    assert run_lifelong(ds, 4, pred, budget_seconds=60).outcome == "completed"
+    rows, labels = all_rows(ds), ds.labels.tolist()
+    ranges = plan_blocks(len(ds), 4)
+    for k in range(1, 4):
+        (lo, hi), (t_lo, t_hi) = ranges[k - 1], ranges[k]
+        train = b"".join(oracle_data_lines(ds.schema, rows[lo:hi], labels[lo:hi]))
+        test = b"".join(oracle_data_lines(ds.schema, rows[t_lo:t_hi], None))
+        assert (tmp_path / "echo" / f"train_{k:03d}.csv").read_bytes() == train
+        assert (tmp_path / "echo" / f"test_{k:03d}.csv").read_bytes() == test
 
 
 def test_sleeping_subprocess_is_killed_at_budget(tmp_path):

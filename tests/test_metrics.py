@@ -110,17 +110,17 @@ class ScriptedPredictor:
         self.learn_seconds = learn_seconds
         self.step = 0
 
-    def learn(self, rows, labels, schema, remaining_budget_seconds):
+    def learn(self, block, labels, schema, remaining_budget_seconds):
         self.clock.now += self.learn_seconds
 
-    def predict(self, rows):
+    def predict(self, block):
         self.step += 1
         target = self.aucs[self.step - 1]
         if target is None:
             raise RuntimeError("boom")
         if target == 1.0:
-            return np.array([float(int(r[0]) % 2) for r in rows])
-        return np.full(len(rows), 0.5)
+            return np.array([float(int(c) % 2) for c in block.columns[0]])
+        return np.full(len(block), 0.5)
 
 
 def scripted_run(clock, aucs, budget_seconds):

@@ -22,6 +22,8 @@ from driftbench.synth import (
     power_law_probs,
 )
 
+from test_data import all_rows
+
 SMALL = dict(n_rows=2500, n_cat=3, n_num=4, n_mvc=1, n_time=1, n_blocks=10,
              cat_cardinality=20, power_exponent=1.3)
 
@@ -31,7 +33,7 @@ def test_determinism_bit_identical(tmp_path):
                         n_blocks=5, drift="gradual", drift_magnitude=1.0, seed=9)
     a = generate_drift_stream(spec)
     b = generate_drift_stream(spec)
-    assert a.rows == b.rows
+    assert all_rows(a) == all_rows(b)
     assert np.array_equal(a.labels, b.labels)
     save_dataset(a, tmp_path / "a.csv", tmp_path / "a.schema.csv")
     save_dataset(b, tmp_path / "b.csv", tmp_path / "b.schema.csv")
@@ -41,7 +43,7 @@ def test_determinism_bit_identical(tmp_path):
 def test_different_seeds_differ():
     a = generate_drift_stream(DriftGenSpec(seed=1, **SMALL))
     b = generate_drift_stream(DriftGenSpec(seed=2, **SMALL))
-    assert a.rows != b.rows
+    assert all_rows(a) != all_rows(b)
 
 
 def test_schema_layout_and_widths():
@@ -50,7 +52,7 @@ def test_schema_layout_and_widths():
     kinds = ds.schema.kinds
     assert kinds == (FeatureKind.CATEGORICAL,) * 2 + (FeatureKind.NUMERICAL,) * 3 \
         + (FeatureKind.MULTI_CATEGORICAL,) + (FeatureKind.TIME,) * 2
-    assert all(len(row) == 8 for row in ds.rows)
+    assert all(line.count(b",") == 8 for line in ds.text.splitlines())  # and the label
     assert set(ds.labels.tolist()) <= {0, 1}
 
 
@@ -59,7 +61,7 @@ def test_time_columns_monotone_non_decreasing():
                                             n_time=2, n_blocks=4, seed=2))
     for name in ("time_00", "time_01"):
         j = ds.schema.names.index(name)
-        values = [int(row[j]) for row in ds.rows]
+        values = [int(cell) for cell in ds.block(0, len(ds)).columns[j]]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -69,7 +71,7 @@ def test_power_law_frequency_slope():
     spec = DriftGenSpec(n_rows=120_000, n_cat=1, n_num=1, n_mvc=0, n_time=0,
                         n_blocks=10, cat_cardinality=60, power_exponent=1.2, seed=3)
     ds = generate_drift_stream(spec)
-    freq = sorted(Counter(row[0] for row in ds.rows).values(), reverse=True)
+    freq = sorted(Counter(ds.block(0, len(ds)).columns[0]).values(), reverse=True)
     ranks = np.arange(1, 21)
     slope = np.polyfit(np.log(ranks), np.log(np.asarray(freq[:20], float)), 1)[0]
     assert abs(slope - (-1.2)) < 0.3
@@ -174,8 +176,8 @@ def test_score_varying_only_by_rounding_is_labeled_as_constant(seed):
 
 def _linear_scores(ds, fit_rows):
     """Least-squares linear scorer; low-variance reference predictor."""
-    X = transform_rows(ds.schema, ds.rows,
-                       fit_dataset_encoders(ds.schema, ds.rows[:fit_rows]))
+    X = transform_rows(ds.schema, ds.block(0, len(ds)),
+                       fit_dataset_encoders(ds.schema, ds.block(0, fit_rows)))
     y = np.asarray(ds.labels, dtype=np.float64)
     A = np.hstack([X, np.ones((len(ds), 1))])
     w, *_ = np.linalg.lstsq(A[:fit_rows], y[:fit_rows], rcond=None)
@@ -205,8 +207,8 @@ def test_abrupt_drift_degrades_stale_model():
         ranges = plan_blocks(len(ds), spec.n_blocks)
         mid = spec.n_blocks // 2
         train_hi = ranges[mid - 2][1]
-        X = transform_rows(ds.schema, ds.rows,
-                           fit_dataset_encoders(ds.schema, ds.rows[:train_hi]))
+        X = transform_rows(ds.schema, ds.block(0, len(ds)),
+                           fit_dataset_encoders(ds.schema, ds.block(0, train_hi)))
         y = np.asarray(ds.labels, dtype=np.float64)
         config = BaselineConfig(initial_trees=30, trees_per_block=8, max_depth=3,
                                 learning_rate=0.2, seed=seed)
@@ -324,7 +326,7 @@ def _assert_matches_reference(spec):
             patch.setattr(synth, "_CHUNK_ROWS", chunk_rows)
             ds = generate_drift_stream(spec)
         assert ds.schema == schema
-        assert ds.rows == rows
+        assert all_rows(ds) == rows
         assert ds.labels.dtype == labels.dtype and np.array_equal(ds.labels, labels)
         assert ds.provenance == provenance
 
