@@ -5,8 +5,8 @@ or load chronologically ordered binary-classification streams, cut them
 into blocks, drive predictors through the predict-then-reveal protocol
 under per-dataset time budgets, score blocks with ROC AUC, and turn many
 scored submissions into tie-broken, mergeable leaderboards.  An
-incrementally grown gradient-boosted tree baseline with pluggable drift
-policies ships both as an in-process adapter and as an external program
+incrementally grown gradient-boosted tree baseline with two drift policies
+ships both as an in-process adapter and as an external program
 answering the harness request loop.
 """
 

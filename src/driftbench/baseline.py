@@ -4,13 +4,12 @@ The ensemble starts with ``initial_trees`` weak learners fitted on the
 first labeled block and appends ``trees_per_block`` more each time a block
 is revealed.  Each weak learner is a regression tree fitted to the negative
 gradient of the logistic loss (the residual ``y - p``) on a capped,
-policy-driven subsample of the retained history.  Three drift policies are
+policy-driven subsample of the retained history.  Two drift policies are
 available:
 
 * ``grow-full-history`` -- keep every block, subsample with recency bias;
 * ``sliding-window``    -- train only on the rows of the last
-  ``window_blocks`` blocks (trees fitted before the window keep voting);
-* ``adaptive-lr``       -- full history, learning rate decayed per block.
+  ``window_blocks`` blocks (trees fitted before the window keep voting).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from .data import Block, FeatureSchema, check_field_types
 from .encoding import extend_ordinal, fit_dataset_encoders, transform_rows
 
-DRIFT_POLICIES = ("grow-full-history", "sliding-window", "adaptive-lr")
+DRIFT_POLICIES = ("grow-full-history", "sliding-window")
 
 _PRIOR_CLIP = 1e-6
 
@@ -57,7 +56,7 @@ class BaselineConfig:
     subsample_cap: int = 100_000      # max rows used by any single fit call
     policy: str = "grow-full-history"
     window_blocks: int = 2
-    decay: float = 0.8                # recency sampling weight and lr decay base
+    decay: float = 0.8                # recency weight of a capped grow-full-history sample
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -309,9 +308,9 @@ def _tree_outputs(trees: Sequence[RegressionTree], X: np.ndarray) -> np.ndarray:
 
 
 def _add_trees(margin: np.ndarray, trees: Sequence[RegressionTree],
-               rates: Sequence[float], X: np.ndarray) -> np.ndarray:
-    """``margin`` plus each tree's weighted output, added in tree order."""
-    for rate, out in zip(rates, _tree_outputs(trees, X)):
+               rate: float, X: np.ndarray) -> np.ndarray:
+    """``margin`` plus each tree's output times ``rate``, added in tree order."""
+    for out in _tree_outputs(trees, X):
         margin += rate * out
     return margin
 
@@ -359,7 +358,7 @@ class TrainingPool:
 
 
 def select_training_pool(pool: TrainingPool, cap: int, seed, *,
-                         decay: float | None = 0.8) -> np.ndarray:
+                         decay: float | None) -> np.ndarray:
     """Ids of at most ``cap`` pool rows for one fit call, ascending: every
     row when the pool holds no more than ``cap``.
 
@@ -394,15 +393,16 @@ class BoostedEnsemble:
     """Immutable boosted ensemble; ``extend`` returns a grown copy and
     never touches existing trees.
 
-    Scores are ``sigmoid(base_score + sum(rate_t * tree_t(x)))``.  After
-    block 0 and k more revealed blocks the ensemble holds
-    ``initial_trees + k * trees_per_block`` trees and k + 1 loss curves
-    exactly, under every policy and whatever classes a block holds.
+    Scores are ``sigmoid(base_score + sum(learning_rate * tree_t(x)))``,
+    tree outputs added in tree order.  After block 0 and k more revealed
+    blocks the ensemble holds ``initial_trees + k * trees_per_block``
+    trees and k + 1 loss curves exactly, under every policy and whatever
+    classes a block holds.
     """
 
     base_score: float
     trees: tuple[RegressionTree, ...]
-    tree_rates: tuple[float, ...]
+    learning_rate: float
     pool: TrainingPool
     loss_history: tuple[np.ndarray, ...] = ()
 
@@ -422,15 +422,15 @@ class BoostedEnsemble:
 
 
 def ensemble_margin(ensemble: BoostedEnsemble, X: np.ndarray) -> np.ndarray:
-    """Raw additive score: the base score plus every tree's weighted output,
-    summed in tree order."""
+    """Raw additive score: the base score plus every tree's output times
+    the learning rate, summed in tree order."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != ensemble.n_features:
         raise ValueError(
             f"expected rows of width {ensemble.n_features}, got shape {X.shape}"
         )
     margin = np.full(X.shape[0], ensemble.base_score, dtype=np.float64)
-    return _add_trees(margin, ensemble.trees, ensemble.tree_rates, X)
+    return _add_trees(margin, ensemble.trees, ensemble.learning_rate, X)
 
 
 def predict_scores(ensemble: BoostedEnsemble, X: np.ndarray) -> np.ndarray:
@@ -468,15 +468,16 @@ def fit_initial(X: np.ndarray, y: np.ndarray, config: BaselineConfig) -> Boosted
     """Fit the starting ensemble on the first labeled block.
 
     This is ``extend`` applied to an empty ensemble whose base score is the
-    block's (clipped) log-odds; the block's shape is checked before its
-    width or its prior is read.  A single-class block is boosted like any
-    other: every residual is equal, so no split gains and its trees are
-    leaves.
+    block's (clipped) log-odds and whose learning rate is the config's; the
+    block's shape is checked before its width or its prior is read.  A
+    single-class block is boosted like any other: every residual is equal,
+    so no split gains and its trees are leaves.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_block(X)
-    empty = BoostedEnsemble(_prior_logit(y), (), (), TrainingPool.empty(X.shape[1]))
+    empty = BoostedEnsemble(_prior_logit(y), (), config.learning_rate,
+                            TrainingPool.empty(X.shape[1]))
     return extend(empty, X, y, config)
 
 
@@ -486,14 +487,14 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
 
     Appends ``initial_trees`` trees for block 0 and ``trees_per_block`` for
     every later block, fitted on the policy's training pool, whatever
-    classes it holds; prior trees and the base score are untouched.  A
-    block that is not 2-D or has no rows is refused.  The new rows go
-    through the ensemble once, as they join the pool, unless the caller
-    passes their ``margin``, which must be ``ensemble_margin(ensemble,
-    X_new)`` (as scoring the block computed it).  The round's sample
-    is binned once and its trees split on those bins; the sampled rows'
-    margins come out of boosting grown, and only rows left out of a capped
-    sample walk the new trees.
+    classes it holds, at the ensemble's learning rate; prior trees and the
+    base score are untouched.  A block that is not 2-D or has no rows is
+    refused.  The new rows go through the ensemble once, as they join the
+    pool, unless the caller passes their ``margin``, which must be
+    ``ensemble_margin(ensemble, X_new)`` (as scoring the block computed
+    it).  The round's sample is binned once and its trees split on those
+    bins; the sampled rows' margins come out of boosting grown, and only
+    rows left out of a capped sample walk the new trees.
     """
     X_new = np.asarray(X_new, dtype=np.float64)
     y_new = np.asarray(y_new, dtype=np.float64)
@@ -512,19 +513,15 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
         pool, config.subsample_cap, np.random.SeedSequence((config.seed, k)),
         decay=None if config.policy == "sliding-window" else config.decay,
     )
-    rate = config.learning_rate
-    if config.policy == "adaptive-lr":
-        rate = config.learning_rate * config.decay ** k
+    rate = ensemble.learning_rate
     n_trees = config.initial_trees if k == 0 else config.trees_per_block
     trees, losses, boosted = _boost(pool.take(pick), n_trees, rate, config.max_depth)
-    rates = (rate,) * len(trees)
     rest = np.delete(np.arange(margin.size), pick)
     margin[pick] = boosted
-    margin[rest] = _add_trees(margin[rest], trees, rates, pool.X[rest])
+    margin[rest] = _add_trees(margin[rest], trees, rate, pool.X[rest])
     return replace(
         ensemble,
         trees=ensemble.trees + tuple(trees),
-        tree_rates=ensemble.tree_rates + rates,
         pool=pool,
         loss_history=ensemble.loss_history + (losses,),
     )

@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ def toy_pool(rows_per_block=1000, n_blocks=10, width=2):
 
 def sampled(pool, cap, seed):
     """Features, labels and margins of the rows ``select_training_pool`` picks."""
-    sample = pool.take(select_training_pool(pool, cap=cap, seed=seed))
+    sample = pool.take(select_training_pool(pool, cap=cap, seed=seed, decay=0.8))
     return sample.X, sample.y, sample.margin
 
 
@@ -140,7 +141,8 @@ def test_pool_keeps_a_margin_per_row(data):
         assert_aligned(pool)
         assert_aligned(pool.keep_last(data.draw(st.integers(1, k + 1), label="window")))
     cap = data.draw(st.integers(1, pool.ids.size), label="cap")
-    pick = select_training_pool(pool, cap, seed=data.draw(st.integers(0, 99), label="seed"))
+    pick = select_training_pool(pool, cap, seed=data.draw(st.integers(0, 99), label="seed"),
+                                decay=0.8)
     assert np.array_equal(np.unique(pick), pick) and pick.size == cap
     assert_aligned(pool.take(pick))
 
@@ -633,8 +635,8 @@ def reference_predict(tree, X):
 
 def reference_margin(ensemble, X):
     margin = np.full(X.shape[0], ensemble.base_score)
-    for tree, rate in zip(ensemble.trees, ensemble.tree_rates):
-        margin += rate * reference_predict(tree, X)
+    for tree in ensemble.trees:
+        margin += ensemble.learning_rate * reference_predict(tree, X)
     return margin
 
 
@@ -649,9 +651,9 @@ def random_ensemble(rng, width):
         X[rng.random((n, width)) < 0.1] = np.nan
         residual = rng.normal(size=n) * 10.0 ** rng.integers(-6, 7, size=n)
         trees.append(RegressionTree.fit(X, residual, int(rng.integers(0, 6))))
-    rates = tuple(float(r) for r in rng.uniform(0.01, 1.0, size=len(trees)))
     return BoostedEnsemble(base_score=float(rng.normal()), trees=tuple(trees),
-                           tree_rates=rates, pool=TrainingPool.empty(width))
+                           learning_rate=float(rng.uniform(0.01, 1.0)),
+                           pool=TrainingPool.empty(width))
 
 
 def test_one_walk_matches_tree_by_tree():
@@ -670,7 +672,7 @@ def test_one_walk_matches_tree_by_tree():
 
 def test_empty_ensemble_and_no_rows():
     rng = np.random.default_rng(5)
-    empty = BoostedEnsemble(base_score=-0.7, trees=(), tree_rates=(),
+    empty = BoostedEnsemble(base_score=-0.7, trees=(), learning_rate=0.1,
                             pool=TrainingPool.empty(3))
     assert np.array_equal(ensemble_margin(empty, rng.normal(size=(4, 3))), np.full(4, -0.7))
     assert ensemble_margin(empty, np.zeros((0, 3))).shape == (0,)
@@ -740,7 +742,7 @@ def test_fit_deterministic_given_seed():
 
 
 def test_empty_ensemble_scores_at_base():
-    ens = BoostedEnsemble(base_score=0.3, trees=(), tree_rates=(),
+    ens = BoostedEnsemble(base_score=0.3, trees=(), learning_rate=0.1,
                           pool=TrainingPool.empty(2))
     scores = predict_scores(ens, np.random.default_rng(0).normal(size=(7, 2)))
     assert scores == pytest.approx(np.full(7, sigmoid(np.array([0.3]))[0]))
@@ -750,7 +752,7 @@ def test_manual_stump_scores():
     stump = RegressionTree(feature=[0, -1, -1], threshold=[0.0, 0.0, 0.0],
                            left=[1, -1, -1], right=[2, -1, -1],
                            value=[0.0, -2.0, 2.0])
-    ens = BoostedEnsemble(base_score=0.0, trees=(stump,), tree_rates=(1.0,),
+    ens = BoostedEnsemble(base_score=0.0, trees=(stump,), learning_rate=1.0,
                           pool=TrainingPool.empty(1))
     scores = predict_scores(ens, np.array([[-1.0], [0.0], [1.0]]))
     lo, hi = 1 / (1 + np.exp(2)), 1 / (1 + np.exp(-2))
@@ -877,9 +879,16 @@ def test_extend_never_changes_prior_trees():
     before = ensemble_margin(ens, X[200:])
     grown = extend(ens, X[200:300], y[200:300], cfg)
     assert grown.trees[:ens.n_trees] == ens.trees
-    assert grown.tree_rates[:ens.n_trees] == ens.tree_rates
     assert grown.base_score == ens.base_score
     assert np.array_equal(ensemble_margin(ens, X[200:]), before)
+    # The ensemble boosts at the rate it was fitted with, whatever the
+    # config passed to a later extend says.
+    regrown = extend(ens, X[200:300], y[200:300], replace(cfg, learning_rate=0.9))
+    assert regrown.n_trees == grown.n_trees
+    for got, want in zip(regrown.trees, grown.trees):
+        assert_same_tree(got, want)
+    assert np.array_equal(regrown.pool.margin, grown.pool.margin)
+    assert regrown.learning_rate == cfg.learning_rate
 
 
 # Blocks of unequal sizes; block 0 holds one class, and so do blocks 3 and 4,
@@ -925,18 +934,6 @@ def test_extend_walks_past_trees_over_new_rows_only(monkeypatch):
     for lo in (100, 200, 300):
         ens = extend(ens, X[lo:lo + 100], y[lo:lo + 100], cfg)
     assert walked == [100, 100, 100]
-
-
-def test_adaptive_lr_decays_per_block():
-    X, y = separable_data(n=400, seed=5)
-    cfg = BaselineConfig(initial_trees=3, trees_per_block=2, max_depth=2,
-                         learning_rate=0.4, policy="adaptive-lr", decay=0.5, seed=0)
-    ens = fit_initial(X[:100], y[:100], cfg)
-    ens = extend(ens, X[100:200], y[100:200], cfg)
-    ens = extend(ens, X[200:300], y[200:300], cfg)
-    assert ens.tree_rates[:3] == (0.4, 0.4, 0.4)
-    assert ens.tree_rates[3:5] == (0.2, 0.2)       # 0.4 * 0.5
-    assert ens.tree_rates[5:7] == (0.1, 0.1)       # 0.4 * 0.5**2
 
 
 def test_config_validation():
@@ -1250,14 +1247,10 @@ PREDICTION_PINS = {
     ("A", "grow-full-history", 150): "736de77c080c0a8ee48d4a434e26fb6717f54e2c622f83f24ec2cd5c4e540871",
     ("A", "sliding-window", 100_000): "4480e857496bec6ab5d07c4d4c8a2880d7bd2e268da8cce144247bd55e1a090a",
     ("A", "sliding-window", 150): "44f10c0d22bbf9460a6ede559d9056d3934b9810b2e2d76abcffe68541cb6edd",
-    ("A", "adaptive-lr", 100_000): "5861459dc9168f80c4cfd4313d92ab0dc0c0ad45065ed6eaf45904596a03a879",
-    ("A", "adaptive-lr", 150): "8be9f0bc76a8ac73523b397417a7ae33d857310745707025e3d70f393930ed3d",
     ("D", "grow-full-history", 100_000): "28e04e865f5779c118aa21c455b3a0e047354c4f922bb590541481a3c860b447",
     ("D", "grow-full-history", 150): "5308c3df46047eb68dcd5ade83207795dd1751a52a09fa424c1ed929be0ff685",
     ("D", "sliding-window", 100_000): "9b20759d13eb60c17d892b8c37c9ad407f9f9907131965db8d929aed9c9ee807",
     ("D", "sliding-window", 150): "d9eed0f789222dc1a8370a52c6197a9081958da24e61c79536ccebd8c3719b86",
-    ("D", "adaptive-lr", 100_000): "82537e311d54b5f4998c9f17cb1074de5a3b24a57732e2bf59d25595dc1c4955",
-    ("D", "adaptive-lr", 150): "b589c2a9d10c2c74c1d97800c3dadca0fcf642ab9fbf8aaaf29b0dd7898e028b",
 }
 
 

@@ -531,12 +531,15 @@ def _with_key(raw, index, **entry):
     (lambda raw: _with_key(raw, 0, options={"cat_encoder": "onehot"}),
      "predictor baseline: BaselineConfig.__init__() got an unexpected keyword argument "
      "'cat_encoder'"),
-    (lambda raw: _with_key(raw, 0, options={"policy": "adaptive-lr", "decay": 0}),
+    (lambda raw: _with_key(raw, 0, options={"decay": 0}),
      "predictor baseline: decay must be in (0, 1], got 0"),
     (lambda raw: _with_key(raw, 0, options={"decay": -0.5}),
      "predictor baseline: decay must be in (0, 1], got -0.5"),
     (lambda raw: _with_key(raw, 0, options={"decay": 1.5}),
      "predictor baseline: decay must be in (0, 1], got 1.5"),
+    (lambda raw: _with_key(raw, 0, options={"policy": "adaptive-lr"}),
+     "predictor baseline: policy must be one of ('grow-full-history', 'sliding-window'), "
+     "got 'adaptive-lr'"),
     (lambda raw: _with_key(raw, 0, options={"target_smoothing": -1}),
      "predictor baseline: BaselineConfig.__init__() got an unexpected keyword argument "
      "'target_smoothing'"),
@@ -597,7 +600,7 @@ def _with_key(raw, index, **entry):
 ], ids=["not-an-object", "unknown-key", "seed-not-int", "n-blocks-not-int", "n-blocks-below-2",
         "datasets-int", "predictors-int", "datasets-object", "options-list",
         "unknown-option", "invalid-option", "unknown-encoder", "decay-zero", "decay-negative",
-        "decay-above-one", "smoothing-negative", "smoothing-nan", "options-on-command",
+        "decay-above-one", "removed-policy", "smoothing-negative", "smoothing-nan", "options-on-command",
         "command-on-baseline", "initial-trees-float", "max-depth-float", "window-float",
         "cap-float", "decay-bool", "option-seed-str", "learning-rate-str", "seed-negative",
         "option-seed-negative", "learning-rate-huge", "data-dir-int", "output-dir-list",
@@ -616,10 +619,10 @@ def test_top_level_config_fault_is_config_error(tmp_path, capsys, edit, message)
 def test_options_reach_the_baseline(tmp_path):
     config = write_config(tmp_path, n_datasets=1)
     raw = json.loads(config.read_text())
-    raw["predictors"][0]["options"] = dict(FAST_BASELINE, policy="adaptive-lr", decay=0.5)
+    raw["predictors"][0]["options"] = dict(FAST_BASELINE, policy="sliding-window", decay=0.5)
     config.write_text(json.dumps(raw))
     baseline = load_config(config).predictor("baseline").baseline
-    assert (baseline.policy, baseline.decay) == ("adaptive-lr", 0.5)
+    assert (baseline.policy, baseline.decay) == ("sliding-window", 0.5)
     assert baseline.seed == 11
 
 
