@@ -35,7 +35,7 @@ for name, predictor in predictors.items():
 # The budget is enforced: this predictor naps through its allowance and the
 # dataset is zeroed.
 class Napper(ConstantPredictor):
-    def learn(self, block, labels, schema, remaining_budget_seconds):
+    def learn(self, block, remaining_budget_seconds):
         time.sleep(0.3)
 
 trace = run_lifelong(ds, spec.n_blocks, Napper(), budget_seconds=0.2)

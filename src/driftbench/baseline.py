@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Block, FeatureSchema, check_field_types
+from .data import Block, check_field_types
 from .encoding import extend_ordinal, fit_dataset_encoders, transform_rows
 
 DRIFT_POLICIES = ("grow-full-history", "sliding-window")
@@ -546,38 +546,36 @@ class BaselinePredictor:
     the key, not where the block came from, so rows an external program
     reads back from the judge's train file are recognised too; in process
     the revealed block holds the very bytes object that was scored, and the
-    comparison is an identity check.
-    A ``learn`` that is refused (labels not one per row, no rows) leaves
-    the predictor as it was: vocabularies grow only once the ensemble has
-    taken the block in.
+    comparison is an identity check.  Each block is read by its own schema
+    and trained on its own labels.  A ``learn`` that is refused (labels not
+    one per row, no rows) leaves the predictor as it was: vocabularies are
+    made or grown only once the ensemble has taken the block in.
     """
 
     def __init__(self, config: BaselineConfig | None = None,
                  freeze_after_initial: bool = False):
         self.config = config if config is not None else BaselineConfig()
         self.freeze_after_initial = freeze_after_initial
-        self.schema: FeatureSchema | None = None
         self.encoders: dict[str, dict[str, int]] = {}
         self.ensemble: BoostedEnsemble | None = None
         self._scored: tuple[bytes | memoryview, np.ndarray, np.ndarray,
                             dict[str, list[str]]] | None = None
 
-    def learn(self, block: Block, labels, schema: FeatureSchema,
-              remaining_budget_seconds: float) -> None:
+    def learn(self, block: Block, remaining_budget_seconds: float) -> None:
         if self.ensemble is None:
-            self.schema = schema
-            self.encoders = fit_dataset_encoders(schema, block)
-        elif self.freeze_after_initial:
+            encoders = fit_dataset_encoders(block)  # no cell of the block is unseen
+            X = transform_rows(block, encoders)
+            self.ensemble, self.encoders = fit_initial(X, block.labels, self.config), encoders
+            return
+        if self.freeze_after_initial:
             return
         scored = self._scored
         if scored is not None and scored[0] == block.feature_lines:
             _, X, margin, unseen = scored
         else:
-            X = transform_rows(self.schema, block, self.encoders)
+            X = transform_rows(block, self.encoders)
             margin, unseen = None, self._unseen_cells(block, X)
-        y = np.asarray(labels, dtype=np.float64)
-        self.ensemble = (fit_initial(X, y, self.config) if self.ensemble is None
-                         else extend(self.ensemble, X, y, self.config, margin))
+        self.ensemble = extend(self.ensemble, X, block.labels, self.config, margin)
         self._scored = None
         for name, cells in unseen.items():
             if cells:
@@ -588,12 +586,12 @@ class BaselinePredictor:
         in row order: the only cells that can bring a new value."""
         columns = block.columns
         return {name: [columns[j][i] for i in np.flatnonzero(X[:, j] == 0).tolist()]
-                for j, name in enumerate(self.schema.names) if name in self.encoders}
+                for j, name in enumerate(block.schema.names) if name in self.encoders}
 
     def predict(self, block: Block) -> np.ndarray:
         if self.ensemble is None:
             raise RuntimeError("predict before any learn call")
-        X = transform_rows(self.schema, block, self.encoders)
+        X = transform_rows(block, self.encoders)
         margin = ensemble_margin(self.ensemble, X)
         self._scored = (block.feature_lines, X, margin, self._unseen_cells(block, X))
         return sigmoid(margin)

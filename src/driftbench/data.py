@@ -12,10 +12,11 @@ File formats (shared by every tool in the package):
 
 A :class:`ChronoDataset` holds its data file's bytes, an index of where
 each row's line starts, and the labels.  A :class:`Block` is a run of its
-rows held as their lines' bytes, cut from the dataset's without a copy, so
-the judge holds a stream at about its file's size plus the label-free
-copies of the blocks it is working on.  Cells become strings only when a
-block's columns are asked for, from one split of its text.
+rows held as their lines' bytes and their labels, cut from the dataset's
+without a copy, so the judge holds a stream at about its file's size plus
+the label-free copies of the blocks it is working on.  Cells become
+strings only when a block's columns are asked for, from one split of its
+text.
 """
 
 from __future__ import annotations
@@ -196,9 +197,9 @@ class ChronoDataset:
 
     def block(self, lo: int, hi: int) -> "Block":
         """Rows ``lo .. hi - 1`` as a labeled :class:`Block`, whose lines
-        are a view of :attr:`text`, not a copy."""
+        and labels are views of the dataset's, not copies."""
         lines = memoryview(self.text)[self.starts[lo]:self.starts[hi]]
-        return Block(self.schema, lines, hi - lo, labeled=True)
+        return Block(self.schema, lines, hi - lo, self.labels[lo:hi])
 
 
 #: A labeled line's label cell with the newline that ends the line.  A
@@ -211,10 +212,11 @@ class Block:
     """Consecutive rows of a data file, held as their lines' bytes.
 
     ``lines`` is the rows' lines exactly as the file holds them, each ended
-    by a newline, and each ended by its label cell as well when
-    ``labeled``.  A block is cut from a dataset or an unlabeled file that
-    was checked when it was made or read, so every line holds the schema's
-    cells (and a label of 0 or 1) and the bytes are UTF-8.
+    by a newline, and by its label cell as well when ``labels`` holds the
+    rows' labels; an unlabeled block, as a predictor scores it, has
+    ``labels`` None.  A block is cut from a dataset or an unlabeled file
+    that was checked when it was made or read, so every line holds the
+    schema's cells (and its label) and the bytes are UTF-8.
 
     :attr:`columns` cuts every feature column from one split of the text;
     :meth:`unlabeled` is the same rows without their label cells.  The
@@ -225,10 +227,14 @@ class Block:
     schema: FeatureSchema
     lines: bytes | memoryview
     n_rows: int
-    labeled: bool
+    labels: np.ndarray | None   # shape (n_rows,), or None without label cells
 
     def __len__(self) -> int:
         return self.n_rows
+
+    @property
+    def labeled(self) -> bool:
+        return self.labels is not None
 
     @cached_property
     def feature_lines(self) -> bytes | memoryview:
@@ -241,7 +247,7 @@ class Block:
         shown of a block it scores."""
         if not self.labeled:
             return self
-        return Block(self.schema, self.feature_lines, self.n_rows, labeled=False)
+        return Block(self.schema, self.feature_lines, self.n_rows, labels=None)
 
     @cached_property
     def columns(self) -> list[list[str]]:
@@ -342,7 +348,7 @@ def read_unlabeled(data_path: str | Path, schema: FeatureSchema) -> Block:
     """Read a data file that carries feature columns only (no label) as
     one :class:`Block`, checked as :func:`load_dataset` checks a file."""
     text, starts, _ = _read_data(data_path, schema, with_labels=False)
-    return Block(schema, text[starts[0]:], starts.shape[0] - 1, labeled=False)
+    return Block(schema, text[starts[0]:], starts.shape[0] - 1, labels=None)
 
 
 def save_dataset(dataset: ChronoDataset, data_path: str | Path,

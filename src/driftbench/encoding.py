@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Block, DatasetFormatError, FeatureKind, FeatureSchema
+from .data import Block, DatasetFormatError, FeatureKind
 
 
 def extend_ordinal(codes: Mapping[str, int], values: Sequence[str]) -> dict[str, int]:
@@ -34,12 +34,12 @@ def extend_ordinal(codes: Mapping[str, int], values: Sequence[str]) -> dict[str,
     return grown
 
 
-def fit_dataset_encoders(schema: FeatureSchema, block: Block) -> dict[str, dict[str, int]]:
-    """The codes of each categorical / multi-valued column of ``block``,
-    in order of first appearance."""
+def fit_dataset_encoders(block: Block) -> dict[str, dict[str, int]]:
+    """The codes of each categorical / multi-valued column of ``block``
+    (named by the block's schema), in order of first appearance."""
     columns = block.columns
     return {name: extend_ordinal({}, columns[j])
-            for j, (name, kind) in enumerate(schema.columns)
+            for j, (name, kind) in enumerate(block.schema.columns)
             if kind is FeatureKind.CATEGORICAL or kind is FeatureKind.MULTI_CATEGORICAL}
 
 
@@ -84,11 +84,10 @@ def _parse_column(name: str, kind: FeatureKind, cells: list[str]) -> np.ndarray:
     return column
 
 
-def transform_rows(schema: FeatureSchema, block: Block,
-                   encoders: Mapping[str, Mapping[str, int]]) -> np.ndarray:
+def transform_rows(block: Block, encoders: Mapping[str, Mapping[str, int]]) -> np.ndarray:
     """Assemble the C-ordered ``(rows, features)`` float matrix for
-    ``block``, one column per schema feature in schema order, each filled
-    whole from the block's :attr:`~driftbench.data.Block.columns`.
+    ``block``, one column per feature of the block's own schema in order,
+    each filled whole from its :attr:`~driftbench.data.Block.columns`.
 
     Numeric cells parse to finite floats (missing -> 0), time cells to
     int, and each categorical / multi-valued cell becomes its column's
@@ -96,8 +95,8 @@ def transform_rows(schema: FeatureSchema, block: Block,
     block and its column.
     """
     columns = block.columns
-    out = np.empty((len(block), schema.n_features), dtype=np.float64)
-    for j, (name, kind) in enumerate(schema.columns):
+    out = np.empty((len(block), block.schema.n_features), dtype=np.float64)
+    for j, (name, kind) in enumerate(block.schema.columns):
         if kind is FeatureKind.NUMERICAL or kind is FeatureKind.TIME:
             out[:, j] = _parse_column(name, kind, columns[j])
         else:

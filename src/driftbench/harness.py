@@ -37,8 +37,8 @@ from typing import Callable, NoReturn, Protocol, Sequence
 
 import numpy as np
 
-from .data import (Block, ChronoDataset, FeatureSchema, check_field_types, load_dataset,
-                   plan_blocks, write_rows, write_schema)
+from .data import (Block, ChronoDataset, check_field_types, load_dataset, plan_blocks,
+                   write_rows, write_schema)
 from .metrics import UndefinedAUCError, auc
 
 OUTCOME_COMPLETED = "completed"
@@ -57,19 +57,19 @@ class PredictorAdapter(Protocol):
     """Behavioral contract every predictor implements.
 
     ``learn`` receives only the newly revealed block, a
-    :class:`~driftbench.data.Block` that carries its label cells, with the
-    same labels as an array; the adapter holds all cross-step state.
-    ``predict`` receives the block to score, without label cells, and
-    returns exactly one finite real per row (``len(block)``).  A block's
-    cells are read through its ``columns``, and its bytes are its lines in
-    the data file.  Adapters may accumulate time the harness should not
-    bill (their own file staging) in an ``unbilled_seconds`` attribute, and
-    may offer ``close()``, which the harness calls, unbilled, once the
-    dataset's run is over.
+    :class:`~driftbench.data.Block` that carries its rows, their labels
+    (``block.labels``) and its schema (``block.schema``); the adapter holds
+    all cross-step state.  ``predict`` receives the block to score, whose
+    ``labels`` is None and whose lines hold no label cells, and returns
+    exactly one finite real per row (``len(block)``).  A block's cells are
+    read through its ``columns``, and its bytes are its lines in the data
+    file.  Adapters may accumulate time the harness should not bill (their
+    own file staging) in an ``unbilled_seconds`` attribute, and may offer
+    ``close()``, which the harness calls, unbilled, once the dataset's run
+    is over.
     """
 
-    def learn(self, block: Block, labels, schema: FeatureSchema,
-              remaining_budget_seconds: float) -> None: ...
+    def learn(self, block: Block, remaining_budget_seconds: float) -> None: ...
 
     def predict(self, block: Block) -> Sequence[float]: ...
 
@@ -80,7 +80,7 @@ class ConstantPredictor:
     def __init__(self, value: float = 0.5):
         self.value = value
 
-    def learn(self, block, labels, schema, remaining_budget_seconds) -> None:
+    def learn(self, block, remaining_budget_seconds) -> None:
         pass
 
     def predict(self, block):
@@ -180,14 +180,15 @@ def run_lifelong(dataset: ChronoDataset, n_blocks: int, predictor: PredictorAdap
     The dataset is cut with :func:`plan_blocks` into ``n_blocks`` blocks
     before the predictor is called, so a cut that cannot be made raises
     BlockPlanError untouched.  Steps 1..N-1: reveal block k-1 to
-    ``learn``, score ``predict`` on block k.  No cell is parsed here: a
-    block is a view of the dataset's bytes, and block k is scored as its
-    lines with their label cells removed (one ``re.sub``), a copy kept with
-    the labeled block that step k+1 reveals and let go after that
+    ``learn``, have ``predict`` score block k, and take the AUC of those
+    scores against block k's own labels.  No cell is parsed here: a block
+    is a view of the dataset's bytes and labels, and block k is scored as
+    its lines with their label cells removed (one ``re.sub``), a copy kept
+    with the labeled block that step k+1 reveals and let go after that
     ``learn``.  So beside the dataset's bytes the loop holds the label-free
-    copy of one block at a time.  Aborts on
-    budget overrun (timed-out) or any predictor failure (predictor-error),
-    with an error that names the step; either way the dataset scores 0.
+    copy of one block at a time.  Aborts on budget overrun (timed-out) or
+    any predictor failure (predictor-error), with an error that names the
+    step; either way the dataset scores 0.
     The trace is named by ``dataset.provenance``.  The predictor's optional
     ``close()`` runs last, whatever the outcome, and is not billed.
     """
@@ -200,21 +201,13 @@ def run_lifelong(dataset: ChronoDataset, n_blocks: int, predictor: PredictorAdap
     block = dataset.block(*ranges[0])
     try:
         for k in range(1, n_blocks):
-            reveal_lo, reveal_hi = ranges[k - 1]
-            test_lo, test_hi = ranges[k]
             step_start = clock.consumed
             try:
-                clock.charge(
-                    "learn", predictor, predictor.learn,
-                    block,
-                    dataset.labels[reveal_lo:reveal_hi],
-                    dataset.schema,
-                    clock.remaining,
-                )
+                clock.charge("learn", predictor, predictor.learn, block, clock.remaining)
                 # The revealed block is let go before the next one is cut.
-                block = dataset.block(test_lo, test_hi)
+                block = dataset.block(*ranges[k])
                 scores = clock.charge("predict", predictor, predictor.predict, block.unlabeled())
-                _check_predictions(scores, test_hi - test_lo)
+                _check_predictions(scores, len(block))
             except PredictorTimeout as exc:
                 outcome, error = OUTCOME_TIMED_OUT, f"step {k}: {exc}"
                 break
@@ -222,16 +215,15 @@ def run_lifelong(dataset: ChronoDataset, n_blocks: int, predictor: PredictorAdap
                 outcome, error = OUTCOME_PREDICTOR_ERROR, f"step {k}: {type(exc).__name__}: {exc}"
                 break
 
-            block_labels = dataset.labels[test_lo:test_hi]
             try:
-                block_auc = auc(block_labels, np.asarray(scores, dtype=np.float64))
+                block_auc = auc(block.labels, np.asarray(scores, dtype=np.float64))
                 single_class = False
             except UndefinedAUCError:
                 block_auc = 0.5
                 single_class = True
             steps.append(StepRecord(
                 step=k,
-                trained_rows=reveal_hi,
+                trained_rows=ranges[k][0],
                 auc=block_auc,
                 elapsed_seconds=clock.consumed - step_start,
                 single_class=single_class,
@@ -321,9 +313,10 @@ class SubprocessPredictor:
 
     At step 1 the program is launched as ``<command> --schema F --workdir
     D`` in a process group of its own, with its stderr going to
-    ``<workdir>/stderr.txt``.  Each step stages the newly revealed train
-    block and the pending test block as files (each the header and the
-    block's lines, byte for byte, through :func:`write_rows`; the test
+    ``<workdir>/stderr.txt``.  ``learn`` keeps the revealed block until
+    the next ``predict``.  Each step stages that train block and the test
+    block as files under the train block's schema (each the header and
+    the block's lines, byte for byte, through :func:`write_rows`; the test
     file without label cells), removes the step's stale
     predictions file, writes one JSON request line to the program's stdin
     and waits for the answer line ``{"token": T}`` that echoes the
@@ -341,20 +334,19 @@ class SubprocessPredictor:
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.unbilled_seconds = 0.0
         self._step = 0
-        self._pending: tuple | None = None
+        self._pending: Block | None = None
         self._remaining = math.inf
         self._proc: subprocess.Popen | None = None
         self._answers = bytearray()     # stdout bytes not yet consumed as answers
 
-    def learn(self, block, labels, schema, remaining_budget_seconds: float) -> None:
-        self._pending = (block, schema)
+    def learn(self, block, remaining_budget_seconds: float) -> None:
+        self._pending = block
         self._remaining = remaining_budget_seconds
 
     def predict(self, block) -> np.ndarray:
         if self._pending is None:
             raise PredictorError("protocol violation: predict before learn")
-        train_block, schema = self._pending
-        self._pending = None
+        train_block, self._pending = self._pending, None
         self._step += 1
 
         t0 = time.perf_counter()
@@ -362,6 +354,7 @@ class SubprocessPredictor:
         test_path = self.workdir / f"test_{self._step:03d}.csv"
         pred_path = self.workdir / f"pred_{self._step:03d}.txt"
         schema_path = self.workdir / "schema.csv"
+        schema = train_block.schema
         write_rows(train_path, schema, train_block)
         write_rows(test_path, schema, block.unlabeled())
         pred_path.unlink(missing_ok=True)

@@ -49,7 +49,7 @@ FAST = dict(initial_trees=30, trees_per_block=8, max_depth=3, learning_rate=0.2)
 def encode_all(ds):
     """The matrix of every row of ``ds``, with codes fitted on all of them."""
     block = ds.block(0, len(ds))
-    return transform_rows(ds.schema, block, fit_dataset_encoders(ds.schema, block))
+    return transform_rows(block, fit_dataset_encoders(block))
 
 
 def toy_pool(rows_per_block=1000, n_blocks=10, width=2):
@@ -791,11 +791,12 @@ def test_labels_must_match_rows():
     pred = BaselinePredictor(cfg)
     with pytest.raises(ValueError, match=rf"^expected {hi - lo} labels, one per row, "
                                          rf"got shape \({hi - lo + 1},\)$"):
-        pred.learn(ds.block(lo, hi), ds.labels[lo:hi + 1], ds.schema, 600.0)
-    pred.learn(ds.block(lo, hi), ds.labels[lo:hi], ds.schema, 600.0)
+        pred.learn(replace(ds.block(lo, hi), labels=ds.labels[lo:hi + 1]), 600.0)
+    pred.learn(ds.block(lo, hi), 600.0)
+    later = ds.block(nlo, nhi)
     with pytest.raises(ValueError, match=rf"^expected {nhi - nlo} labels, one per row, "
                                          rf"got shape \({nhi - nlo - 1},\)$"):
-        pred.learn(ds.block(nlo, nhi), ds.labels[nlo:nhi - 1], ds.schema, 600.0)
+        pred.learn(replace(later, labels=later.labels[:-1]), 600.0)
 
 
 @pytest.mark.parametrize("shape", [(10,), (0, 2), (3, 2, 2)], ids=["1-D", "no-rows", "3-D"])
@@ -1031,8 +1032,7 @@ def counting_transforms(monkeypatch):
     calls = []
     fresh = baseline.transform_rows
     monkeypatch.setattr(baseline, "transform_rows",
-                        lambda schema, rows, enc: calls.append(len(rows))
-                        or fresh(schema, rows, enc))
+                        lambda block, enc: calls.append(len(block)) or fresh(block, enc))
     return calls
 
 
@@ -1040,11 +1040,11 @@ def reference_learned_matrices(ds, ranges):
     """Each block's matrix and the final encoders by the plain route: encode
     a block as it was scored, then grow every vocabulary over all of its
     cells."""
-    encoders = fit_dataset_encoders(ds.schema, ds.block(*ranges[0]))
+    encoders = fit_dataset_encoders(ds.block(*ranges[0]))
     matrices = []
     for lo, hi in ranges:
         block = ds.block(lo, hi)
-        matrices.append(transform_rows(ds.schema, block, encoders))
+        matrices.append(transform_rows(block, encoders))
         for j, name in enumerate(ds.schema.names):
             if name in encoders:
                 encoders[name] = extend_ordinal(encoders[name], block.columns[j])
@@ -1117,8 +1117,8 @@ def test_learning_a_scored_block_matches_learning_alone():
     for k, (lo, hi) in enumerate(ranges):
         if k:
             interleaved.predict(ds.block(lo, hi))
-        interleaved.learn(ds.block(lo, hi), ds.labels[lo:hi], ds.schema, 600.0)
-        alone.learn(ds.block(lo, hi), ds.labels[lo:hi], ds.schema, 600.0)
+        interleaved.learn(ds.block(lo, hi), 600.0)
+        alone.learn(ds.block(lo, hi), 600.0)
     matrices, encoders = reference_learned_matrices(ds, ranges)
     assert np.array_equal(interleaved.ensemble.pool.X, np.concatenate(matrices))
     assert np.array_equal(alone.ensemble.pool.X, np.concatenate(matrices))
@@ -1137,18 +1137,31 @@ def test_a_refused_learn_leaves_the_predictor_as_it_was():
     cfg = BaselineConfig(seed=6, **TINY)
     refused, uninterrupted = BaselinePredictor(cfg), BaselinePredictor(cfg)
     for k, (lo, hi) in enumerate(ranges[:-1]):
-        rows, labels = ds.block(lo, hi), ds.labels[lo:hi]
+        block = ds.block(lo, hi)
         if k:
-            refused.predict(rows)
-            uninterrupted.predict(rows)
+            refused.predict(block)
+            uninterrupted.predict(block)
         with pytest.raises(ValueError, match="labels, one per row"):
-            refused.learn(rows, labels[:-1], ds.schema, 600.0)
-        refused.learn(rows, labels, ds.schema, 600.0)
-        uninterrupted.learn(rows, labels, ds.schema, 600.0)
+            refused.learn(replace(block, labels=block.labels[:-1]), 600.0)
+        refused.learn(block, 600.0)
+        uninterrupted.learn(block, 600.0)
     assert np.array_equal(refused.ensemble.pool.X, uninterrupted.ensemble.pool.X)
     assert refused.encoders == uninterrupted.encoders
     last = ds.block(*ranges[-1])
     assert np.array_equal(refused.predict(last), uninterrupted.predict(last))
+
+
+def test_a_refused_first_learn_leaves_the_predictor_empty():
+    # The first block's vocabularies were kept although fit_initial refused
+    # the block, so a predictor that had learned nothing held codes.
+    ds = generate_drift_stream(UNSEEN_SPEC)
+    block = ds.block(*plan_blocks(len(ds), UNSEEN_SPEC.n_blocks)[0])
+    pred = BaselinePredictor(BaselineConfig(**TINY))
+    with pytest.raises(ValueError, match="labels, one per row"):
+        pred.learn(replace(block, labels=block.labels[:-1]), 600.0)
+    assert pred.encoders == {} and pred.ensemble is None
+    with pytest.raises(RuntimeError, match="predict before any learn call"):
+        pred.predict(block.unlabeled())
 
 
 def test_rows_read_back_from_a_file_reuse_the_scored_matrix(tmp_path, monkeypatch):
@@ -1156,7 +1169,7 @@ def test_rows_read_back_from_a_file_reuse_the_scored_matrix(tmp_path, monkeypatc
     (lo, hi), (nlo, nhi) = plan_blocks(len(ds), UNSEEN_SPEC.n_blocks)[:2]
     pred, alone = (BaselinePredictor(BaselineConfig(**TINY)) for _ in range(2))
     for p in (pred, alone):
-        p.learn(ds.block(lo, hi), ds.labels[lo:hi], ds.schema, 600.0)
+        p.learn(ds.block(lo, hi), 600.0)
     pred.predict(ds.block(nlo, nhi))
     # As an external child sees it: the revealed block is read anew from a file.
     write_rows(tmp_path / "train.csv", ds.schema, ds.block(nlo, nhi))
@@ -1166,9 +1179,9 @@ def test_rows_read_back_from_a_file_reuse_the_scored_matrix(tmp_path, monkeypatc
     assert rows_of(block) == rows_of(ds.block(nlo, nhi))
     assert block.lines.obj is revealed.text and block.lines.obj is not ds.text
     calls = counting_transforms(monkeypatch)
-    pred.learn(block, revealed.labels, ds.schema, 600.0)
+    pred.learn(block, 600.0)
     assert calls == []
-    alone.learn(ds.block(nlo, nhi), ds.labels[nlo:nhi], ds.schema, 600.0)
+    alone.learn(ds.block(nlo, nhi), 600.0)
     assert np.array_equal(pred.ensemble.pool.X, alone.ensemble.pool.X)
     assert pred.encoders == alone.encoders
 
@@ -1182,7 +1195,7 @@ def test_a_value_is_unseen_in_the_block_that_brings_it():
     for k, (lo, hi) in enumerate(ranges):
         if k:
             pred.predict(ds.block(lo, hi))
-        pred.learn(ds.block(lo, hi), ds.labels[lo:hi], ds.schema, 600.0)
+        pred.learn(ds.block(lo, hi), 600.0)
     X = pred.ensemble.pool.X
     assert X.shape[0] == ranges[-1][1]
     rows = all_rows(ds)
@@ -1216,7 +1229,7 @@ def test_the_baseline_scores_alike_over_the_wire_and_in_process(tmp_path, monkey
         for (lo, hi), (nlo, nhi) in zip(ranges, ranges[1:]):
             scores = []
             for pred in (wire, inproc):
-                pred.learn(ds.block(lo, hi), ds.labels[lo:hi], ds.schema, 600.0)
+                pred.learn(ds.block(lo, hi), 600.0)
                 scores.append(np.asarray(pred.predict(ds.block(nlo, nhi))))
             assert np.max(np.abs(scores[0] - scores[1])) <= 1e-9
     finally:
@@ -1229,10 +1242,10 @@ def test_learning_other_rows_than_the_scored_block_encodes_them_afresh(monkeypat
     cfg = BaselineConfig(**TINY)
     pred = BaselinePredictor(cfg)
     (lo, hi), (mlo, mhi), (nlo, nhi) = ranges[:3]
-    pred.learn(ds.block(lo, hi), ds.labels[lo:hi], ds.schema, 600.0)
+    pred.learn(ds.block(lo, hi), 600.0)
     pred.predict(ds.block(nlo, nhi))                     # scores block 2 ...
     calls = counting_transforms(monkeypatch)
-    pred.learn(ds.block(mlo, mhi), ds.labels[mlo:mhi], ds.schema, 600.0)   # ... learns block 1
+    pred.learn(ds.block(mlo, mhi), 600.0)                # ... learns block 1
     assert calls == [mhi - mlo]
     matrices, encoders = reference_learned_matrices(ds, ranges[:2])
     assert np.array_equal(pred.ensemble.pool.X, np.concatenate(matrices))
@@ -1264,6 +1277,6 @@ def test_predictions_are_pinned(shape, policy, cap):
     digest = hashlib.sha256()
     ranges = plan_blocks(len(ds), 6)
     for (lo, hi), (nlo, nhi) in zip(ranges, ranges[1:]):
-        pred.learn(ds.block(lo, hi), ds.labels[lo:hi], ds.schema, 600.0)
+        pred.learn(ds.block(lo, hi), 600.0)
         digest.update(pred.predict(ds.block(nlo, nhi)).tobytes())
     assert digest.hexdigest() == PREDICTION_PINS[shape, policy, cap]

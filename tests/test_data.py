@@ -205,6 +205,18 @@ def test_block_parses_rows_in_schema_order(tmp_path):
     assert all_rows(ds) == rows_of(ds.block(0, 4)) + rows_of(ds.block(4, 7))
 
 
+def test_an_unlabeled_block_carries_no_labels(tmp_path):
+    data, schema = write_pair(tmp_path, "x,color,y\n1.5,red,0\n2.0,blue,1\n", SCHEMA_2COL)
+    ds = load_dataset(data, schema)
+    block = ds.block(0, 2)
+    assert (block.labels.tolist(), block.labeled) == ([0, 1], True)
+    assert (block.unlabeled().labels, block.unlabeled().labeled) == (None, False)
+    write_rows(tmp_path / "u.csv", ds.schema, block.unlabeled())
+    read = read_unlabeled(tmp_path / "u.csv", ds.schema)
+    assert (read.labels, read.labeled) == (None, False)
+    assert read.unlabeled() is read
+
+
 def test_dataset_from_rows_holds_the_bytes_write_rows_writes(tmp_path):
     ds = generate_drift_stream(desk_spec("E", n_rows=120, n_blocks=4, seed=3))
     write_rows(tmp_path / "rows.csv", ds.schema, ds.block(0, len(ds)))
@@ -329,6 +341,27 @@ def test_staged_bytes_match_the_row_encoder_on_generated_streams(tmp_path, shape
     ranges = plan_blocks(len(ds), 4)
     assert_staged_bytes_match_the_oracle(ds, ranges, tmp_path)
     assert_staged_bytes_match_the_oracle(crlf_sourced(ds, tmp_path), ranges, tmp_path)
+
+
+@pytest.fixture(scope="module")
+def generated_streams(tmp_path_factory):
+    """Shapes A-E at desk scale, each also as loaded from a CRLF file."""
+    streams = []
+    for shape in "ABCDE":
+        ds = generate_drift_stream(desk_spec(shape, n_rows=300, n_blocks=4, seed=11))
+        streams += [ds, crlf_sourced(ds, tmp_path_factory.mktemp(shape))]
+    return streams
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_a_blocks_labels_are_its_lines_label_cells(generated_streams, data):
+    ds = data.draw(st.sampled_from(generated_streams))
+    lo = data.draw(st.integers(0, len(ds)))
+    hi = data.draw(st.integers(lo, len(ds)))
+    block = ds.block(lo, hi)
+    cells = [int(line.rsplit(b",", 1)[1]) for line in bytes(block.lines).split(b"\n")[:-1]]
+    assert block.labels.tolist() == cells == ds.labels[lo:hi].tolist()
 
 
 #: Cells whose last bytes look like a label cell, or that are not ASCII.

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+# Text a demo's output must hold, where a broken demo could still exit 0.
+EXPECTED_OUTPUT = {"02_lifelong_evaluation": "outcome=timed-out"}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -15,3 +17,4 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert EXPECTED_OUTPUT.get(demo.stem, "") in proc.stdout, proc.stdout[-2000:]

@@ -28,18 +28,17 @@ def _column_block(values, column):
 
 def _fit(values, column="cat"):
     """The codes of a one-column table of ``values``."""
-    return fit_dataset_encoders(_schema((column,)), _column_block(values, column))["c0"]
+    return fit_dataset_encoders(_column_block(values, column))["c0"]
 
 
 def _transform(encoder, values, column="cat"):
-    return transform_rows(_schema((column,)), _column_block(values, column),
-                          {"c0": encoder})[:, 0]
+    return transform_rows(_column_block(values, column), {"c0": encoder})[:, 0]
 
 
 def _encode(ds):
     block = ds.block(0, len(ds))
-    encoders = fit_dataset_encoders(ds.schema, block)
-    return transform_rows(ds.schema, block, encoders), encoders
+    encoders = fit_dataset_encoders(block)
+    return transform_rows(block, encoders), encoders
 
 
 def test_ordinal_first_appearance_codes():
@@ -122,7 +121,7 @@ def test_extend_ordinal_appends_without_renumbering():
 
 def test_fit_dataset_encoders_skips_numeric_columns():
     ds = generate_drift_stream(desk_spec("B", n_rows=60, seed=2))
-    encoders = fit_dataset_encoders(ds.schema, ds.block(0, len(ds)))
+    encoders = fit_dataset_encoders(ds.block(0, len(ds)))
     assert set(encoders) == {
         name for name, kind in ds.schema.columns
         if kind in (FeatureKind.CATEGORICAL, FeatureKind.MULTI_CATEGORICAL)
@@ -180,9 +179,9 @@ def test_column_pass_matches_reference_bytes():
     # values the fit never saw.
     for case, ds, fit_hi in _reference_cases():
         schema, rows = ds.schema, oracle_rows(ds.text, ds.starts[0], ds.starts[-1], ds.schema)
-        encoders = fit_dataset_encoders(schema, ds.block(0, fit_hi))
+        encoders = fit_dataset_encoders(ds.block(0, fit_hi))
         reference = reference_fit(schema, rows[:fit_hi])
-        got = transform_rows(schema, ds.block(0, len(ds)), encoders)
+        got = transform_rows(ds.block(0, len(ds)), encoders)
         want = reference_transform_rows(schema, rows, reference)
         assert got.flags.c_contiguous and got.dtype == np.float64, case
         assert got.shape == want.shape, case
@@ -292,14 +291,14 @@ def assert_columns_match_the_oracle(ds, n_blocks):
     ranges = plan_blocks(len(ds), n_blocks) if n_blocks > 1 else ((0, len(ds)),)
     first = oracle_rows(ds.text, ds.starts[0], ds.starts[ranges[0][1]], ds.schema)
     encoders = reference_fit(ds.schema, first)
-    assert fit_dataset_encoders(ds.schema, ds.block(*ranges[0])) == encoders
+    assert fit_dataset_encoders(ds.block(*ranges[0])) == encoders
     for lo, hi in ranges:
         rows = oracle_rows(ds.text, ds.starts[lo], ds.starts[hi], ds.schema)
         want = _outcome(oracle_transform_rows, ds.schema, rows, encoders)
         block = ds.block(lo, hi)
         assert block.columns == [list(column) for column in zip(*rows)]
-        assert _outcome(transform_rows, ds.schema, block, encoders) == want
-        assert _outcome(transform_rows, ds.schema, block.unlabeled(), encoders) == want
+        assert _outcome(transform_rows, block, encoders) == want
+        assert _outcome(transform_rows, block.unlabeled(), encoders) == want
 
 
 @pytest.mark.parametrize("shape", "ABCDE")
@@ -330,5 +329,5 @@ def test_a_bad_cell_names_its_row_in_the_block(kind, cell, message):
     rows = [("1",), ("2",), ("3",), (cell,), ("5",)]
     ds = _dataset(rows, [0, 1, 0, 1, 0], kinds=(kind,))
     with pytest.raises(DatasetFormatError) as info:
-        transform_rows(ds.schema, ds.block(2, 5), {})
+        transform_rows(ds.block(2, 5), {})
     assert str(info.value) == f"row 1, column 'c0': {message}"

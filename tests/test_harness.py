@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -9,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from driftbench.baseline import BaselinePredictor
 from driftbench.data import (BlockPlanError, ChronoDataset, FeatureKind, FeatureSchema, plan_blocks,
                              save_dataset)
 from driftbench.harness import (
     ConstantPredictor,
     DatasetRef,
+    PredictorAdapter,
     SubprocessPredictor,
     run_lifelong,
     run_suite,
@@ -34,25 +37,24 @@ def indexed_dataset(n=30):
 
 class RecordingPredictor:
     """Instrumented adapter capturing every learn/predict payload: each
-    block's rows, and whether it carried label cells."""
+    block's rows and labels."""
 
     name = "recorder"
 
     def __init__(self, score_fn=None):
-        self.learned: list[tuple] = []
+        self.learned: list[tuple] = []              # (rows, labels) of each revealed block
         self.predicted: list[tuple] = []
+        self.predicted_labels: list = []            # each scored block's labels
         self.remaining: list[float] = []
-        self.labeled: list[tuple[str, bool]] = []    # (call, whether its block had labels)
         self.score_fn = score_fn if score_fn else lambda block: np.full(len(block), 0.5)
 
-    def learn(self, block, labels, schema, remaining_budget_seconds):
-        self.learned.append((rows_of(block), tuple(int(v) for v in labels)))
-        self.labeled.append(("learn", block.labeled))
+    def learn(self, block, remaining_budget_seconds):
+        self.learned.append((rows_of(block), tuple(block.labels.tolist())))
         self.remaining.append(remaining_budget_seconds)
 
     def predict(self, block):
         self.predicted.append(rows_of(block))
-        self.labeled.append(("predict", block.labeled))
+        self.predicted_labels.append(block.labels)
         return self.score_fn(block)
 
 
@@ -64,10 +66,21 @@ def test_protocol_reveals_blocks_in_order():
     rows = all_rows(ds)
     assert [r for r, _ in pred.learned] == [rows[0:10], rows[10:20]]
     assert pred.predicted == [rows[10:20], rows[20:30]]
-    # A revealed block carries its label cells; a scored one carries none.
-    assert pred.labeled == [("learn", True), ("predict", False)] * 2
+    # A revealed block carries its own rows' labels; a scored one carries
+    # none, so an in-process predictor cannot read the labels it is scored by.
+    assert [labels for _, labels in pred.learned] == [tuple(ds.labels[0:10].tolist()),
+                                                      tuple(ds.labels[10:20].tolist())]
+    assert pred.predicted_labels == [None, None]
     assert [s.step for s in trace.steps] == [1, 2]
     assert [s.trained_rows for s in trace.steps] == [10, 20]
+
+
+@pytest.mark.parametrize("adapter", [ConstantPredictor, SubprocessPredictor, BaselinePredictor])
+def test_adapters_take_the_contracts_parameters(adapter):
+    for method in ("learn", "predict"):
+        want = inspect.signature(getattr(PredictorAdapter, method)).parameters
+        got = inspect.signature(getattr(adapter, method)).parameters
+        assert list(got) == list(want), f"{adapter.__name__}.{method}"
 
 
 def test_label_reveal_monotonicity_certified_for_every_step():
@@ -128,11 +141,11 @@ class SleepyPredictor(RecordingPredictor):
         self.sleep_seconds = sleep_seconds
         self._step = 0
 
-    def learn(self, block, labels, schema, remaining_budget_seconds):
+    def learn(self, block, remaining_budget_seconds):
         self._step += 1
         if self._step == self.sleep_at_step:
             time.sleep(self.sleep_seconds)
-        super().learn(block, labels, schema, remaining_budget_seconds)
+        super().learn(block, remaining_budget_seconds)
 
 
 def test_overrunning_predictor_is_timed_out_and_zeroed():
@@ -206,11 +219,11 @@ class StagingPredictor(RecordingPredictor):
         self.unbilled_seconds = 0.0
         self.stage_seconds = stage_seconds
 
-    def learn(self, block, labels, schema, remaining_budget_seconds):
+    def learn(self, block, remaining_budget_seconds):
         t0 = time.perf_counter()
         time.sleep(self.stage_seconds)
         self.unbilled_seconds += time.perf_counter() - t0
-        super().learn(block, labels, schema, remaining_budget_seconds)
+        super().learn(block, remaining_budget_seconds)
 
 
 def test_unbilled_staging_time_is_not_charged():

@@ -110,7 +110,7 @@ class ScriptedPredictor:
         self.learn_seconds = learn_seconds
         self.step = 0
 
-    def learn(self, block, labels, schema, remaining_budget_seconds):
+    def learn(self, block, remaining_budget_seconds):
         self.clock.now += self.learn_seconds
 
     def predict(self, block):

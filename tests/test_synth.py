@@ -176,8 +176,8 @@ def test_score_varying_only_by_rounding_is_labeled_as_constant(seed):
 
 def _linear_scores(ds, fit_rows):
     """Least-squares linear scorer; low-variance reference predictor."""
-    X = transform_rows(ds.schema, ds.block(0, len(ds)),
-                       fit_dataset_encoders(ds.schema, ds.block(0, fit_rows)))
+    X = transform_rows(ds.block(0, len(ds)),
+                       fit_dataset_encoders(ds.block(0, fit_rows)))
     y = np.asarray(ds.labels, dtype=np.float64)
     A = np.hstack([X, np.ones((len(ds), 1))])
     w, *_ = np.linalg.lstsq(A[:fit_rows], y[:fit_rows], rcond=None)
@@ -207,8 +207,8 @@ def test_abrupt_drift_degrades_stale_model():
         ranges = plan_blocks(len(ds), spec.n_blocks)
         mid = spec.n_blocks // 2
         train_hi = ranges[mid - 2][1]
-        X = transform_rows(ds.schema, ds.block(0, len(ds)),
-                           fit_dataset_encoders(ds.schema, ds.block(0, train_hi)))
+        X = transform_rows(ds.block(0, len(ds)),
+                           fit_dataset_encoders(ds.block(0, train_hi)))
         y = np.asarray(ds.labels, dtype=np.float64)
         config = BaselineConfig(initial_trees=30, trees_per_block=8, max_depth=3,
                                 learning_rate=0.2, seed=seed)
