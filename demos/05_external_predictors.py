@@ -16,6 +16,12 @@ stderr, which lands in ``<workdir>/stderr.txt``.  The harness then reads
 one score per line from ``pred_out``.  The program keeps its model in
 memory between steps; it is killed the moment the remaining budget runs
 out, and told to exit by the end of its stdin once the run is over.
+Closing its stdout is how it says it is done: the harness then kills
+what is left of its process group instead of waiting out the
+interpreter's teardown.  ``serve``, the loop both programs below run,
+closes stdout from an exit hook it registers as its loop starts, so a
+hook registered before then (at import, say) may be cut short; a
+program that keeps stdout open gets a second's grace.
 
 Two external predictors ship with the package:
 

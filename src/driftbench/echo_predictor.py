@@ -10,7 +10,9 @@ unimported.
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
+import os
 import sys
 
 
@@ -23,16 +25,36 @@ def serve(description: str, step_fn, argv=None) -> int:
     score per test row to ``request["pred_out"]``, then answers
     ``{"token": T}`` on stdout, echoing the request's token.  Stdout carries
     only answers: ``step_fn`` must log to stderr.
+
+    Closing stdout is how a program says it is done, and the judge then
+    kills what is left of its process group rather than wait out the
+    interpreter's teardown.  So as the loop starts, ``serve`` registers an
+    exit hook that closes stdout.  Exit hooks run last in, first out: the
+    signal goes after the code that runs once ``main`` returns and after
+    every hook ``step_fn`` registers, while a hook registered before the
+    loop (at import, say) may be cut short.
     """
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--schema", required=True)
     parser.add_argument("--workdir", required=True)
     args = parser.parse_args(argv)
+    atexit.register(_close_stdout)
     for line in sys.stdin:
         request = json.loads(line)
         step_fn(args, request)
         print(json.dumps({"token": request["token"]}), flush=True)
     return 0
+
+
+def _close_stdout() -> None:
+    """Flush stdout and close the pipe behind it.  Closing ``sys.stdout``
+    would leave descriptor 1 open, since the interpreter opens it with
+    ``closefd=False``; pointing 1 at the null device closes the pipe and
+    lets a later write or the final flush go nowhere, without an error."""
+    sys.stdout.flush()
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, 1)
+    os.close(null)
 
 
 def _score_half(args, request) -> None:

@@ -18,7 +18,12 @@ file (without), sends one JSON request line on the program's stdin
 with the request's token, then reads one decimal score per test row
 from the predictions file, never more than one score past the block.
 The program keeps its model in memory between steps; closing its stdin
-tells it to exit.  An error quotes at most ``_QUOTE_MAX_CHARS``
+tells it to exit, and closing its stdout is how it says it is done, so
+the judge kills what is left of its process group without waiting out
+its teardown.  :func:`~driftbench.echo_predictor.serve` closes stdout
+from an exit hook it registers as its loop starts, so a hook registered
+before then may be cut short; a program that keeps stdout open gets
+``_CLOSE_GRACE_SECONDS``.  An error quotes at most ``_QUOTE_MAX_CHARS``
 characters of a line the program wrote.
 """
 
@@ -449,11 +454,11 @@ class SubprocessPredictor:
                                f"(remaining budget was {self._remaining:.2f}s)")
 
     def close(self) -> None:
-        """Close the child's stdin, which asks it to exit, and wait until
-        its stdout reaches end of file, reading and dropping any late
-        output, for at most a short grace; then kill whatever is left of
-        its process group, so no helper it started outlives the dataset,
-        and reap the child: the one place it is reaped, killed or not."""
+        """Close the child's stdin, which asks it to exit, and wait, dropping
+        late output, until it says it is done by closing stdout (``serve``
+        does so from an exit hook), or a short grace ends if it keeps stdout
+        open; then kill what is left of its process group, so no helper
+        outlives the dataset, and reap the child, killed or not."""
         proc, self._proc = self._proc, None
         if proc is None:
             return

@@ -26,7 +26,14 @@ def _config_from_env() -> BaselineConfig:
     raw = os.environ.get("DRIFTBENCH_BASELINE_CONFIG", "")
     if not raw:
         return BaselineConfig()
-    return BaselineConfig(**json.loads(raw))
+    try:
+        options = json.loads(raw)
+    except ValueError as exc:
+        raise ValueError(f"DRIFTBENCH_BASELINE_CONFIG is not valid JSON ({exc})") from None
+    if not isinstance(options, dict):
+        raise ValueError("DRIFTBENCH_BASELINE_CONFIG must be a JSON object, "
+                         f"got {type(options).__name__}")
+    return BaselineConfig(**options)
 
 
 def main(argv=None) -> int:

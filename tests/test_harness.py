@@ -422,6 +422,8 @@ def test_echo_predictor_scores_half(tmp_path):
     trace = run_lifelong(ds, 4, pred, budget_seconds=60)
     assert trace.outcome == "completed"
     assert [s.auc for s in trace.steps] == [0.5, 0.5, 0.5]
+    # Saying it is done by closing stdout leaves the final flush no error to write.
+    assert (tmp_path / "echo" / "stderr.txt").read_bytes() == b""
 
 
 def test_subprocess_sees_exactly_the_revealed_blocks(tmp_path):
@@ -616,6 +618,22 @@ def test_reference_predictor_rejects_a_negative_seed(tmp_path, monkeypatch):
     trace = run_lifelong(ds, 3, pred, budget_seconds=60)
     assert trace.outcome == "predictor-error"
     assert "seed must be >= 0, got -1" in trace.error
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("[1, 2]", "DRIFTBENCH_BASELINE_CONFIG must be a JSON object, got list"),
+    ("nope", "DRIFTBENCH_BASELINE_CONFIG is not valid JSON "
+             "(Expecting value: line 1 column 1 (char 0))"),
+], ids=["list", "not-json"])
+def test_reference_predictor_rejects_a_config_that_is_not_an_object(tmp_path, monkeypatch,
+                                                                    raw, message):
+    monkeypatch.setenv("DRIFTBENCH_BASELINE_CONFIG", raw)
+    ds = generate_drift_stream(DriftGenSpec(n_rows=60, n_cat=1, n_num=1, n_blocks=3, seed=0))
+    pred = SubprocessPredictor([sys.executable, "-m", "driftbench.reference_predictor"],
+                               workdir=tmp_path / "ref")
+    trace = run_lifelong(ds, 3, pred, budget_seconds=60)
+    assert trace.outcome == "predictor-error"
+    assert message in trace.error
 
 
 HOLD_SCRIPT = PRELUDE + """
@@ -865,3 +883,75 @@ def test_close_leaves_no_process_of_the_childs_group(tmp_path):
     finally:
         if helper in live_group_members(pgid):
             os.kill(helper, 9)
+
+
+# A child built on ``serve``: ``{before}`` runs before the loop starts and
+# ``{during}`` at the start of every step.
+SERVE_SCRIPT = """\
+import atexit, os, sys, time
+from driftbench.echo_predictor import serve
+workdir = sys.argv[sys.argv.index("--workdir") + 1]
+{before}
+
+def step(args, request):
+    {during}
+    n_rows = len(open(request["test"]).read().splitlines()) - 1
+    with open(request["pred_out"], "w") as fh:
+        fh.write("0.5\\n" * n_rows)
+
+sys.exit(serve("scripted child", step))
+"""
+
+
+def test_a_served_child_is_not_waited_for_past_its_exit_hooks(tmp_path):
+    # A hook registered before the loop runs after ``serve``'s, which says
+    # the child is done, so the judge does not wait out the sleep.
+    script = SERVE_SCRIPT.format(before="atexit.register(time.sleep, 3)", during="pass")
+    pred = script_predictor(tmp_path, script, "served")
+    seconds, close = [], pred.close
+
+    def timed_close():
+        t0 = time.perf_counter()
+        close()
+        seconds.append(time.perf_counter() - t0)
+
+    pred.close = timed_close
+    trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=60)
+    assert trace.outcome == "completed"
+    assert len(seconds) == 1 and seconds[0] < 0.5
+
+
+def test_exit_hooks_the_steps_register_finish_before_the_kill(tmp_path):
+    # Registered after ``serve``'s own hook, so it runs first, sleep and all.
+    during = """if request["step"] == 1:
+        atexit.register(lambda: (time.sleep(0.2), open(os.path.join(workdir, "hooked"), "w")))"""
+    pred = script_predictor(tmp_path, SERVE_SCRIPT.format(before="", during=during), "served")
+    assert run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=60).outcome == "completed"
+    assert (tmp_path / "served_work" / "hooked").exists()
+
+
+# A launcher in the pattern of the benchmark's ``bench/child_shim.py``: it
+# imports a module built on ``serve``, runs its ``main``, and writes its
+# record once ``main`` returns, before the interpreter's exit hooks run.
+WRAPPER_SCRIPT = """\
+import importlib, os, sys, time
+module_name, argv = sys.argv[1], sys.argv[2:]
+workdir = argv[argv.index("--workdir") + 1]
+module = importlib.import_module(module_name)
+try:
+    code = module.main(argv)
+finally:
+    time.sleep(0.2)  # a record that takes a while to write
+    with open(os.path.join(workdir, "record"), "w") as fh:
+        fh.write("done")
+sys.exit(code)
+"""
+
+
+def test_a_wrappers_record_written_after_main_survives_the_close(tmp_path):
+    script = tmp_path / "wrapper.py"
+    script.write_text(WRAPPER_SCRIPT)
+    pred = SubprocessPredictor([sys.executable, str(script), "driftbench.echo_predictor"],
+                               workdir=tmp_path / "work")
+    assert run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=60).outcome == "completed"
+    assert (tmp_path / "work" / "record").read_text() == "done"
