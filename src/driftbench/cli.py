@@ -240,35 +240,23 @@ def _evaluate_one(datasets: list[DatasetRef], n_blocks: int, pred: PredictorSpec
     pred_dir = out_dir / pred.name
     pred_dir.mkdir(parents=True, exist_ok=True)
     for trace in traces:
-        shared = {
-            "dataset": trace.dataset_id,
-            "outcome": trace.outcome,
-            "budget_seconds": trace.budget_seconds,
-            "total_elapsed_seconds": trace.total_elapsed_seconds,
-        }
+        # What was scored, and how the run went: only `dataset` is in both,
+        # so the score file holds no wall-clock value.
         score_payload = {
-            **shared,
+            "dataset": trace.dataset_id,
             "mean_auc": trace.mean_auc,
             "disqualified": trace.disqualified,
-            "blocks": [
-                {"block": s.step, "auc": s.auc, "elapsed_seconds": s.elapsed_seconds}
-                for s in trace.steps
-            ],
+            "blocks": [{"block": s.step, "auc": s.auc, "single_class": s.single_class}
+                       for s in trace.steps],
         }
         trace_payload = {
-            **shared,
+            "dataset": trace.dataset_id,
+            "outcome": trace.outcome,
             "error": trace.error,
-            "steps": [
-                {
-                    "step": s.step,
-                    "trained_rows": s.trained_rows,
-                    "block": s.step,
-                    "auc": s.auc,
-                    "elapsed_seconds": s.elapsed_seconds,
-                    "single_class": s.single_class,
-                }
-                for s in trace.steps
-            ],
+            "budget_seconds": trace.budget_seconds,
+            "total_elapsed_seconds": trace.total_elapsed_seconds,
+            "steps": [{"step": s.step, "trained_rows": s.trained_rows,
+                       "elapsed_seconds": s.elapsed_seconds} for s in trace.steps],
         }
         for suffix, payload in (("score", score_payload), ("trace", trace_payload)):
             out = pred_dir / f"{trace.dataset_id}.{suffix}.json"

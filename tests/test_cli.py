@@ -186,10 +186,10 @@ def test_evaluate_writes_scores_and_exits_zero(tmp_path):
     assert len(list(out.glob("*.score.json"))) == 5
     for name in ("d0", "d1", "d2", "d3", "d4"):
         score = json.loads((out / f"{name}.score.json").read_text())
-        assert score["outcome"] == "completed"
         assert not score["disqualified"]
         assert len(score["blocks"]) == 5
         trace = json.loads((out / f"{name}.trace.json").read_text())
+        assert trace["outcome"] == "completed"
         assert [s["step"] for s in trace["steps"]] == [1, 2, 3, 4, 5]
     submission = json.loads((out / "submission.json").read_text())
     assert submission["team"] == "baseline"
@@ -200,8 +200,10 @@ def test_evaluate_writes_scores_and_exits_zero(tmp_path):
 # --merge` write under data/ and out/ (work/ left out) for write_config's
 # config at seed 11, with wall-clock values masked as criterion 8 masks
 # them.  Any other changed output byte fails here; update the pin only
-# together with a note saying why the outputs changed.
-PINNED_OUTPUT_SHA256 = "0119798d8d9cade2eb66f12fd29345c35dfec801a9e22d8febace31dd0e594b3"
+# together with a note saying why the outputs changed.  Last re-recorded
+# when score.json and trace.json stopped sharing keys other than `dataset`
+# (data/, submission.json and leaderboard bytes unchanged).
+PINNED_OUTPUT_SHA256 = "83f91c36656f2e49e2af355519c7108795be761be26e0e72e3453703873224b5"
 
 
 def _pinned_bytes(path: Path) -> bytes:
@@ -230,6 +232,43 @@ def test_pipeline_output_bytes_are_pinned(tmp_path):
     assert digest.hexdigest() == PINNED_OUTPUT_SHA256
 
 
+@pytest.fixture(scope="module")
+def score_and_trace_files(tmp_path_factory):
+    """(score, trace) payload pairs from one baseline + echo evaluate."""
+    root = tmp_path_factory.mktemp("evaluated")
+    config = write_config(root, n_datasets=2)
+    assert main(["generate", "--config", str(config)]) == 0
+    assert main(["evaluate", "--config", str(config), "--predictor", "baseline",
+                 "--predictor", "echo"]) == 0
+    return [tuple(json.loads((root / "out" / pred / f"{ds}.{kind}.json").read_text())
+                  for kind in ("score", "trace"))
+            for pred in ("baseline", "echo") for ds in ("d0", "d1")]
+
+
+def test_score_and_trace_files_share_only_the_dataset(score_and_trace_files):
+    for score, trace in score_and_trace_files:
+        assert set(score) & set(trace) == {"dataset"}
+        assert [b["block"] for b in score["blocks"]] == [s["step"] for s in trace["steps"]]
+        keys = set(score).union(*score["blocks"])
+        assert not any(part in key for key in keys for part in MASKED_KEY_PARTS)
+
+
+def test_readme_score_and_trace_keys_match_the_files(score_and_trace_files):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n**Score / trace files**", 1)[1].split("\n\n**", 1)[0]
+    documented = {}
+    for kind, listed, entry in re.findall(
+            r"^\* `<dataset>\.(\w+)\.json`(.*?)\{(.*?)\}", section, re.M | re.S):
+        documented[kind] = (set(re.findall(r"`(\w+)`", listed)),
+                            set(re.split(r",\s*", entry)))
+    assert set(documented) == {"score", "trace"}
+    for score, trace in score_and_trace_files:
+        for kind, payload, entries in (("score", score, score["blocks"]),
+                                       ("trace", trace, trace["steps"])):
+            assert set(payload) == documented[kind][0], kind
+            assert all(set(e) == documented[kind][1] for e in entries), kind
+
+
 def test_evaluate_final_phase_uses_private_datasets(tmp_path):
     config = write_config(tmp_path)
     main(["generate", "--config", str(config)])
@@ -254,8 +293,9 @@ def test_evaluate_disqualification_exit_code(tmp_path):
                "--predictor", "sleeper"])
     assert rc == 2
     score = json.loads((tmp_path / "out" / "sleeper" / "d0.score.json").read_text())
-    assert score["disqualified"] and score["outcome"] == "timed-out"
-    assert score["mean_auc"] == 0.0
+    assert score["disqualified"] and score["mean_auc"] == 0.0
+    trace = json.loads((tmp_path / "out" / "sleeper" / "d0.trace.json").read_text())
+    assert trace["outcome"] == "timed-out"
 
 
 def test_evaluate_unknown_predictor_is_config_error(tmp_path, capsys):
@@ -706,9 +746,10 @@ def test_evaluate_parallel_jobs_match_serial(tmp_path):
     assert rc == 0
     for pred in ("baseline", "echo"):
         for ds in ("d0", "d1"):
-            a = json.loads((tmp_path / "serial" / pred / f"{ds}.score.json").read_text())
-            b = json.loads((tmp_path / "parallel" / pred / f"{ds}.score.json").read_text())
-            assert a["mean_auc"] == b["mean_auc"]
+            # A score file holds no wall-clock value, so it is compared unmasked.
+            a = (tmp_path / "serial" / pred / f"{ds}.score.json").read_bytes()
+            b = (tmp_path / "parallel" / pred / f"{ds}.score.json").read_bytes()
+            assert a == b
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
