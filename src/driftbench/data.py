@@ -147,8 +147,11 @@ class ChronoDataset:
     rows from the text as a :class:`Block`, and no cell is parsed until a
     block's columns are asked for.
 
-    :func:`load_dataset` and :meth:`from_rows` build datasets, and both
-    check every row, so the fields always describe a well-formed file.
+    :func:`load_dataset`, :meth:`from_rows` and stream synthesis
+    (:func:`driftbench.synth.generate_drift_stream`) build datasets, and
+    each checks every row, synthesis by one numpy check per chunk of rows
+    that each line holds the schema's commas and one newline in ASCII, so
+    the fields always describe a well-formed file.
     """
 
     schema: FeatureSchema

@@ -5,17 +5,23 @@ per-category effects.  Drift rotates the latent parameters toward an
 orthogonal direction: gradually block by block, or all at once at the
 midpoint block.  Categorical values follow a power-law frequency
 distribution, which is what large real-world id-like columns look like.
+
+A stream is written as its data file's bytes straight from numpy arrays,
+never as one Python string per cell: each chunk of rows is a block of
+fixed-width byte fields, one per cell, gathered from byte tables (category
+names, digit pairs), and written with its filler bytes dropped.  The bytes
+are those of the cells ``v{code}``, ``"%.6f" % x`` and ``str(tick)``.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .data import (MVC_SEPARATOR, ChronoDataset, FeatureKind, FeatureSchema, check_field_types,
-                   plan_blocks)
+from .data import (MVC_SEPARATOR, ChronoDataset, DatasetFormatError, FeatureKind, FeatureSchema,
+                   _header_line, check_field_types, plan_blocks)
 
 DRIFT_PROFILES = ("none", "gradual", "abrupt")
 
@@ -23,9 +29,9 @@ DRIFT_PROFILES = ("none", "gradual", "abrupt")
 LABEL_SHARPNESS = 3.0
 #: Tokens drawn per multi-valued cell: 1 to this many, duplicates dropped.
 MVC_MAX_TOKENS = 3
-#: Rows whose cell strings are made at a time.  Every draw is made for the
-#: whole stream first, so the bytes do not depend on it; it bounds the cell
-#: strings alive at once.
+#: Rows whose bytes are made at a time.  Every draw is made for the whole
+#: stream first, so the bytes do not depend on it; it bounds the byte fields
+#: alive at once.
 _CHUNK_ROWS = 256
 
 #: Feature-type mix (cat, num, mvc, time) and time budget in seconds of the
@@ -107,11 +113,13 @@ def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
     """Generate one stream per ``spec``; deterministic given the seed.
 
     Every random draw and every effect on the score is made for the whole
-    stream, column by column; only the cell strings are made a chunk of
-    ``_CHUNK_ROWS`` rows at a time (see :func:`_rows`), and the rows go
-    straight into their data file's bytes (see
-    :meth:`ChronoDataset.from_rows`), so no cell of the whole stream is held
-    as a ``str``.  A categorical column's effect is looked up per row,
+    stream, column by column.  The data file's bytes are then made a chunk
+    of ``_CHUNK_ROWS`` rows at a time, as one ``(rows, bytes)`` block of
+    byte fields (see :func:`_line_block`) that is checked as
+    :meth:`ChronoDataset.from_rows` checks rows (see :func:`_check_lines`)
+    and written with its filler dropped; each row's line start comes from
+    its count of bytes written.  No cell is ever held as a ``str``.
+    A categorical column's effect is looked up per row,
     ``cos(angle) * e_a[codes] + sin(angle) * e_b[codes]``: elementwise the
     operations of ``_rotated(e_a, e_b, angle)[rows, codes]``, so the same
     bits, without a rows x cardinality table.  A multi-valued column does
@@ -184,44 +192,145 @@ def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
         p = 1.0 / (1.0 + np.exp(-LABEL_SHARPNESS * score))
     labels = (rng.random(n) < p).astype(np.int64)
 
-    names = np.array([f"v{code + 1}" for code in range(card)], dtype=object)
-    return ChronoDataset.from_rows(
-        build_schema(spec), _rows(names, cat_codes, x_num, mvc_draws, times), labels,
-        provenance=f"{spec.dataset_id}(seed={spec.seed},drift={spec.drift})",
-    )
-
-
-def _rows(names: np.ndarray, cat_codes: np.ndarray, x_num: np.ndarray,
-          mvc_draws: list[tuple[np.ndarray, np.ndarray]],
-          times: list[np.ndarray]) -> Iterator[tuple[str, ...]]:
-    """The stream's rows, as tuples of cells in schema order, made
-    ``_CHUNK_ROWS`` rows at a time from its whole-stream draws.
-
-    Within a chunk, each column's cells are made at once and the rows are
-    their transpose.  Category cells come from the name table ``names`` by
-    index, the numeric cells of a chunk from one ``%.6f`` format call, and
-    multi-valued cells from the name table, the draws and their keep mask.
-    """
-    n, n_num = x_num.shape
-    joined_names = MVC_SEPARATOR + names
-    chunk_format = ",".join(["%.6f"] * (_CHUNK_ROWS * n_num))
+    schema = build_schema(spec)
+    out = io.BytesIO()
+    starts = np.empty(n + 1, dtype=np.int64)
+    starts[0] = out.write(_header_line(schema, labeled=True))
+    names = _name_table(card)
+    # A multi-valued cell's first token has no separator; a later one is
+    # "|"-prefixed, and a dropped duplicate is the all-filler last row.
+    mvc_offset = np.array([0, card, card])
     for lo in range(0, n, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, n)
-        columns = names[cat_codes[:, lo:hi]].tolist()
-        if n_num:
-            cell_format = (chunk_format if hi - lo == _CHUNK_ROWS
-                           else ",".join(["%.6f"] * ((hi - lo) * n_num)))
-            # Row-major, so column c is every n_num-th cell from the c-th.
-            num_cells = (cell_format % tuple(x_num[lo:hi].ravel().tolist())).split(",")
-            columns += [num_cells[c::n_num] for c in range(n_num)]
-        for draws, keep in mvc_draws:
-            cells = names[draws[lo:hi, 0]]
-            for j in range(1, MVC_MAX_TOKENS):
-                kept = keep[lo:hi, j]
-                cells[kept] += joined_names[draws[lo:hi, j][kept]]
-            columns.append(cells.tolist())
-        columns += [list(map(str, ticks[lo:hi].tolist())) for ticks in times]
-        yield from zip(*columns)
+        cells = [names[cat_codes[:, lo:hi].T], _fixed6_cells(x_num[lo:hi])]
+        cells += [names[np.where(keep[lo:hi], draws[lo:hi] + mvc_offset, 2 * card)]
+                  .reshape(hi - lo, 1, -1) for draws, keep in mvc_draws]
+        cells.append(_int_cells(np.stack([ticks[lo:hi] for ticks in times + [labels]], axis=1)))
+        block = _line_block(cells)
+        _check_lines(block, spec.n_features, lo)
+        written = block != 0
+        out.write(block[written])
+        starts[lo + 1:hi + 1] = starts[lo] + np.cumsum(written.sum(axis=1))
+    # getvalue hands over the buffer the blocks were written to, uncopied.
+    return ChronoDataset(schema, out.getvalue(), starts, labels,
+                         f"{spec.dataset_id}(seed={spec.seed},drift={spec.drift})")
+
+
+# ---------------------------------------------------------------------------
+# cells as bytes: each cell is a fixed-width field of ASCII bytes, padded
+# anywhere with filler, zero bytes, which are dropped when a block is
+# written (numpy's zeroed arrays and "S" strings pad with them)
+
+
+#: Entry ``i`` is the two ASCII digits of ``i``, for ``i`` in 0 .. 99, as
+#: one 2-byte item, so a digit pair is written by one gather.
+_DIGIT_PAIRS = np.array([f"{i:02d}" for i in range(100)], dtype="S2").view(np.uint16)
+#: ``|x|·1e6`` below this is exact to 2**-23 in float64, far inside the
+#: 1e-6 margin the fast path keeps from a rounding tie.
+_FAST_LIMIT = 2.0 ** 30
+_FAST_WIDTH = 12     # sign, four integer digits, ".", six decimals
+
+
+def _name_table(cardinality: int) -> np.ndarray:
+    """The category names as byte fields, one row each: ``v1 ..
+    v{cardinality}``, then the same names ``"|"``-prefixed, then one row
+    of filler only."""
+    names = [f"v{code + 1}" for code in range(cardinality)]
+    width = len(names[-1]) + 1
+    return (np.array(names + [MVC_SEPARATOR + name for name in names] + [""], dtype=f"S{width}")
+            .view(np.uint8).reshape(-1, width))
+
+
+def _digit_pairs(values: np.ndarray, n_pairs: int) -> np.ndarray:
+    """The last ``2 * n_pairs`` decimal digits of the non-negative ints
+    ``values``, zero-padded, as ASCII: shape ``values.shape + (2 * n_pairs,)``."""
+    pairs = np.empty(values.shape + (n_pairs,), dtype=np.uint16)
+    for k in range(n_pairs - 1, -1, -1):
+        # Floor division and a product: much faster than np.divmod.
+        rest = values // 100
+        pairs[..., k] = _DIGIT_PAIRS[values - rest * 100]
+        values = rest
+    return pairs.view(np.uint8)
+
+
+def _int_digits(values: np.ndarray, n_pairs: int) -> np.ndarray:
+    """:func:`_digit_pairs` with the leading zeros but the last digit
+    turned to filler: the digits ``str`` gives, right-aligned."""
+    digits = _digit_pairs(values, n_pairs)
+    seen = np.zeros(values.shape, dtype=bool)   # a nonzero digit was left of here
+    for i in range(2 * n_pairs - 1):
+        digit = digits[..., i]
+        seen |= digit != ord("0")
+        digit *= seen
+    return digits
+
+
+def _int_cells(values: np.ndarray) -> np.ndarray:
+    """The cells ``str(v)`` of the non-negative ints ``values`` as byte
+    fields: shape ``values.shape + (width,)``."""
+    return _int_digits(values, (len(str(int(values.max(initial=0)))) + 1) // 2)
+
+
+def _fixed6_cells(x: np.ndarray) -> np.ndarray:
+    """The cells ``"%.6f" % v`` of the floats ``x`` as byte fields: shape
+    ``x.shape + (width,)``, ``width`` at least 12.
+
+    A value is written from ``np.rint(|x|·1e6)`` by digit pairs, with the
+    sign of ``np.signbit`` (so ``-0.0`` and ``-1e-9`` give ``-0.000000``),
+    where ``|x|·1e6 < 2**30`` and its fraction is more than 1e-6 from .5:
+    there the product's rounding error (at most 2**-23) cannot move it
+    across a rounding tie, so rint rounds as ``%.6f`` does.  Every other
+    value (about 2 in 10**6 standard-normal draws, and any large or
+    non-finite one) is formatted by Python.
+    """
+    # Clipped first, so no product overflows and no huge value is cast.
+    scaled = np.minimum(np.abs(x), 2 * _FAST_LIMIT / 1e6) * 1e6
+    ticks = np.rint(scaled)
+    fast = (scaled < _FAST_LIMIT) & (np.abs(ticks - scaled) < 0.5 - 1e-6)
+    micros = np.where(fast, ticks, 0).astype(np.int64)
+    whole = micros // 1_000_000
+    slow = [b"%.6f" % v for v in x[~fast].tolist()]
+    width = max([_FAST_WIDTH] + [len(cell) for cell in slow])
+    cells = np.zeros(x.shape + (width,), dtype=np.uint8)
+    cells[..., 0] = np.where(np.signbit(x), ord("-"), 0)
+    cells[..., 1:5] = _int_digits(whole, 2)
+    cells[..., 5] = ord(".")
+    cells[..., 6:12] = _digit_pairs(micros - whole * 1_000_000, 3)
+    if slow:
+        cells[~fast] = np.array(slow, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    return cells
+
+
+def _line_block(cells: list[np.ndarray]) -> np.ndarray:
+    """Rows of lines from their cells: each of ``cells`` is a
+    ``(rows, columns, width)`` array of byte fields, in line order.  Every
+    field is followed by a comma, but a row's last by its newline."""
+    rows = cells[0].shape[0]
+    block = np.empty((rows, sum(k * (w + 1) for _, k, w in (c.shape for c in cells))),
+                     dtype=np.uint8)
+    lo = 0
+    for part in cells:
+        _, k, w = part.shape
+        # A run of whole columns of a row-major array reshapes as a view.
+        fields = block[:, lo:lo + k * (w + 1)].reshape(rows, k, w + 1)
+        fields[..., :w] = part
+        fields[..., w] = ord(",")
+        lo += k * (w + 1)
+    block[:, -1] = ord("\n")
+    return block
+
+
+def _check_lines(block: np.ndarray, n_features: int, first_row: int) -> None:
+    """Raise :class:`DatasetFormatError` naming the first row of ``block``
+    (row ``first_row`` of the stream) whose line does not hold exactly
+    ``n_features`` commas and one line break, or holds a byte that is not
+    ASCII: what :meth:`ChronoDataset.from_rows` checks of each row."""
+    bad = (((block == ord(",")).sum(axis=1) != n_features)
+           | (((block == ord("\n")) | (block == ord("\r"))).sum(axis=1) != 1)
+           | (block >= 0x80).any(axis=1))
+    if bad.any():
+        raise DatasetFormatError(f"row {first_row + int(np.argmax(bad))} of the generated "
+                                 "stream is not a line of its schema's cells in ASCII")
 
 
 def shape_columns(shape: str) -> dict[str, int]:

@@ -3,9 +3,9 @@ and of that stream its file's bytes and about two blocks' bytes, and
 synthesis holds a stream's draws and its bytes, not its cells.
 
 ``generate`` saves and frees each stream before it synthesizes the next,
-and synthesis makes every draw for the whole stream but the cell strings
-only a chunk of rows at a time, writing each row into the bytes as it is
-made.  ``run_suite`` frees a dataset and its predictor before it loads the
+and synthesis makes every draw for the whole stream but its bytes only a
+chunk of rows at a time, as one block of byte fields written into the
+stream's bytes and let go, and no cell as a string.  ``run_suite`` frees a dataset and its predictor before it loads the
 next, a load keeps the file's bytes and an index of its lines, not parsed
 rows, and ``run_lifelong`` parses no cell: a block is a view of the bytes,
 and only the label-free copy of the block being scored is made, once,
@@ -84,7 +84,10 @@ def test_generate_peaks_at_one_stream(tmp_path):
 
 def test_synthesis_peaks_at_a_few_times_its_file():
     # Cells made for the whole stream, as one str each, then a tuple per
-    # row, peaked at 9.8 times the file; D is the widest numeric shape.
+    # row, peaked at 9.8 times the file, and cell strings made 256 rows at
+    # a time at 3.8.  Byte blocks of 256 rows peak at 3.4: the whole-stream
+    # draws (1.2), the bytes (1) and one chunk's byte fields and their
+    # temporaries.  D is the widest numeric shape.
     spec = desk_spec("D", 2000, n_blocks=6, drift="abrupt", drift_magnitude=2.5, seed=1)
     generate_drift_stream(desk_spec("D", 50, seed=1))               # warm caches
     dataset, peak, _ = traced(lambda: generate_drift_stream(spec))

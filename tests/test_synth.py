@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftbench.baseline import BaselineConfig, fit_initial, predict_scores
-from driftbench.data import FeatureKind, plan_blocks, save_dataset
+from driftbench.data import ChronoDataset, DatasetFormatError, FeatureKind, plan_blocks, save_dataset
 from driftbench.encoding import fit_dataset_encoders, transform_rows
 from driftbench import synth
 from driftbench.metrics import auc
@@ -318,15 +319,21 @@ def _reference_generate(spec):
 
 
 def _assert_matches_reference(spec):
-    # Cells are made a chunk of rows at a time: the default chunk, one row,
-    # and a chunk that leaves a partial last one all give the oracle's rows.
+    # Bytes are made a chunk of rows at a time: the default chunk, one row,
+    # and a chunk that leaves a partial last one all give the oracle's rows,
+    # and the very bytes and line starts from_rows makes of them, which a
+    # comparison of cells alone would not see a wrong line start in.
     schema, rows, labels, provenance = _reference_generate(spec)
+    expected = ChronoDataset.from_rows(schema, rows, labels)
     for chunk_rows in (synth._CHUNK_ROWS, 1, 7):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(synth, "_CHUNK_ROWS", chunk_rows)
             ds = generate_drift_stream(spec)
         assert ds.schema == schema
         assert all_rows(ds) == rows
+        assert ds.text == expected.text
+        assert ds.starts.dtype == expected.starts.dtype
+        assert np.array_equal(ds.starts, expected.starts)
         assert ds.labels.dtype == labels.dtype and np.array_equal(ds.labels, labels)
         assert ds.provenance == provenance
 
@@ -395,3 +402,68 @@ def small_specs(draw):
 @given(small_specs())
 def test_column_generator_matches_reference_on_random_specs(spec):
     _assert_matches_reference(spec)
+
+
+# ---------------------------------------------------------------------------
+# the byte writers
+
+
+def _cell_strings(fields):
+    """Each byte field of ``fields`` (last axis) as its cell's text, filler dropped."""
+    return [bytes(field[field != 0]).decode("ascii")
+            for field in fields.reshape(-1, fields.shape[-1])]
+
+
+def test_numeric_cells_equal_python_fixed_formatting():
+    # Exact ties on the 1e-6 grid, negative zero and a negative value that
+    # rounds to it, carries into the integer digits, the fast path's limit
+    # and beyond, then 10**5 standard-normal draws.
+    limit = 2.0 ** 30 / 1e6
+    near_ties = [2.5e-6, -2.5e-6, 3.5e-6, 1.25e-5]
+    edges = near_ties + [
+        1 / 128, -1 / 128, 3 / 128, -3 / 128, 0.0, -0.0, 1e-9, -1e-9, 5e-7, -5e-7,
+        0.9999996, -0.9999996, 9.9999996, 99.9999996, 999.9999996, 0.0000004,
+        np.nextafter(limit, 0), limit, -limit, 1e4, -1e4, 1e12, -1e12, 123.456789]
+    values = np.concatenate([edges, np.random.default_rng(5).standard_normal(10**5)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fields = synth._fixed6_cells(values.reshape(-1, 4))   # as a chunk of rows
+    assert fields.shape[:2] == (values.size // 4, 4) and fields.dtype == np.uint8
+    assert _cell_strings(fields) == ["%.6f" % v for v in values.tolist()]
+    assert _cell_strings(synth._fixed6_cells(np.array([-0.0, -1e-9]))) == ["-0.000000"] * 2
+    assert _cell_strings(synth._fixed6_cells(np.array([0.9999996, 9.9999996]))) == \
+        ["1.000000", "10.000000"]
+    # The fallback ran: rint of the product rounds each near tie the wrong
+    # way (2.5e-6 * 1e6 rounds to the tie 2.5, and rint makes it 2, where
+    # the double just above 2.5e-6 is "0.000003"), and 1e4 and 1e12 have
+    # more integer digits than the fast path writes.
+    for v in near_ties:
+        assert "%.6f" % (np.rint(abs(v) * 1e6) / 1e6) != "%.6f" % abs(v)
+    assert _cell_strings(synth._fixed6_cells(np.array([1e4, -1e12]))) == \
+        ["10000.000000", "-1000000000000.000000"]
+
+
+def test_integer_cells_equal_str():
+    values = np.array([[0, 1, 9, 10], [99, 100, 12345, 1_600_000_000],
+                       [10**17, 10**18 - 1, 7, 2**62]], dtype=np.int64)
+    assert _cell_strings(synth._int_cells(values)) == [str(v) for v in values.ravel().tolist()]
+    assert synth._int_cells(np.zeros((3, 0), dtype=np.int64)).shape[:2] == (3, 0)
+
+
+@pytest.mark.parametrize("name", ["v,2", "v\n2", "v\u00e92"],
+                         ids=["comma", "line-break", "non-ASCII"])
+@pytest.mark.parametrize("chunk_rows", [synth._CHUNK_ROWS, 1, 2])
+def test_synthesis_refuses_a_line_its_bytes_break(monkeypatch, name, chunk_rows):
+    # The per-chunk check names the first row whose line is not the
+    # schema's commas and one newline in ASCII.  A broken name for the
+    # second category stands in for a broken byte table; seed 3 first
+    # draws that category at row 2, which starts the second 2-row chunk.
+    spec = DriftGenSpec(n_rows=600, n_cat=1, n_num=1, n_mvc=0, n_time=1, n_blocks=2,
+                        cat_cardinality=2, seed=3)
+    assert generate_drift_stream(spec).block(0, 3).columns[0] == ["v1", "v1", "v2"]
+    names = [b"v1", name.encode(), b"|v1", b"|" + name.encode(), b""]
+    monkeypatch.setattr(synth, "_name_table",
+                        lambda cardinality: np.array(names, dtype="S5").view(np.uint8).reshape(5, 5))
+    monkeypatch.setattr(synth, "_CHUNK_ROWS", chunk_rows)
+    with pytest.raises(DatasetFormatError, match=r"^row 2 of the generated stream"):
+        generate_drift_stream(spec)
