@@ -538,18 +538,18 @@ class BaselinePredictor:
     once and whole, with its rows' margins under the past trees, so no pool
     row lacks its margin, and each boosting round bins its sample once for
     the binned split search of all its trees.
-    Beyond what the drift policy retains, it keeps the last block it scored
-    with that block's matrix, margins and unseen cells, keyed by the block's
-    label-free lines, because the lifelong loop reveals the same rows at the
-    next ``learn``, which then trains on that matrix and those margins
-    unchanged, splits no text and walks no past tree.  The lines' bytes are
-    the key, not where the block came from, so rows an external program
-    reads back from the judge's train file are recognised too; in process
-    the revealed block holds the very bytes object that was scored, and the
-    comparison is an identity check.  Each block is read by its own schema
-    and trained on its own labels.  A ``learn`` that is refused (labels not
-    one per row, no rows) leaves the predictor as it was: vocabularies are
-    made or grown only once the ensemble has taken the block in.
+    ``_read`` reads a block once, and ``predict`` keeps its read keyed by
+    the block's label-free lines, because the lifelong loop reveals the
+    same rows at the next ``learn``, which then trains on that matrix and
+    those margins unchanged, splits no text and walks no past tree.  The
+    lines' bytes are the key, not where the block came from, so rows an
+    external program reads back from the judge's train file are recognised
+    too; in process the revealed block holds the very bytes object that
+    was scored, and the comparison is an identity check.  Each block is
+    read by its own schema and trained on its own labels.  ``learn`` sets
+    the ensemble, the vocabularies and the kept read in one assignment,
+    after the ensemble has taken the block in, so a ``learn`` that is
+    refused (labels not one per row, no rows) leaves the predictor as it was.
     """
 
     def __init__(self, config: BaselineConfig | None = None,
@@ -558,40 +558,39 @@ class BaselinePredictor:
         self.freeze_after_initial = freeze_after_initial
         self.encoders: dict[str, dict[str, int]] = {}
         self.ensemble: BoostedEnsemble | None = None
-        self._scored: tuple[bytes | memoryview, np.ndarray, np.ndarray,
-                            dict[str, list[str]]] | None = None
+        self._scored: tuple | None = None   # the read of the last block scored
+
+    def _read(self, block: Block):
+        """The block's label-free lines, its matrix, its margins under the
+        ensemble and the vocabularies grown in row order by the cells the
+        matrix codes 0: the only ones that can be new.  Before the first
+        ``learn`` the read is never kept, so it has no lines and no
+        margins, and its vocabularies are the block's own."""
+        if self.ensemble is None:
+            encoders = fit_dataset_encoders(block)
+            return None, transform_rows(block, encoders), None, encoders
+        X = transform_rows(block, self.encoders)
+        lines = bytes(block.feature_lines)   # a memoryview compares a byte at a time
+        encoders, columns = dict(self.encoders), block.columns
+        for j, name in enumerate(block.schema.names):
+            unseen = np.flatnonzero(X[:, j] == 0).tolist() if name in encoders else ()
+            if unseen:
+                encoders[name] = extend_ordinal(encoders[name], [columns[j][i] for i in unseen])
+        return lines, X, ensemble_margin(self.ensemble, X), encoders
 
     def learn(self, block: Block, remaining_budget_seconds: float) -> None:
-        if self.ensemble is None:
-            encoders = fit_dataset_encoders(block)  # no cell of the block is unseen
-            X = transform_rows(block, encoders)
-            self.ensemble, self.encoders = fit_initial(X, block.labels, self.config), encoders
+        if self.freeze_after_initial and self.ensemble is not None:
             return
-        if self.freeze_after_initial:
-            return
-        scored = self._scored
-        if scored is not None and scored[0] == block.feature_lines:
-            _, X, margin, unseen = scored
-        else:
-            X = transform_rows(block, self.encoders)
-            margin, unseen = None, self._unseen_cells(block, X)
-        self.ensemble = extend(self.ensemble, X, block.labels, self.config, margin)
-        self._scored = None
-        for name, cells in unseen.items():
-            if cells:
-                self.encoders[name] = extend_ordinal(self.encoders[name], cells)
-
-    def _unseen_cells(self, block: Block, X: np.ndarray) -> dict[str, list[str]]:
-        """Each vocabulary's cells of ``block`` that ``X`` codes 0 (unseen),
-        in row order: the only cells that can bring a new value."""
-        columns = block.columns
-        return {name: [columns[j][i] for i in np.flatnonzero(X[:, j] == 0).tolist()]
-                for j, name in enumerate(block.schema.names) if name in self.encoders}
+        read = self._scored
+        if read is None or read[0] != block.feature_lines:
+            read = self._read(block)
+        _, X, margin, encoders = read
+        ensemble = (fit_initial(X, block.labels, self.config) if self.ensemble is None
+                    else extend(self.ensemble, X, block.labels, self.config, margin))
+        self.ensemble, self.encoders, self._scored = ensemble, encoders, None
 
     def predict(self, block: Block) -> np.ndarray:
         if self.ensemble is None:
             raise RuntimeError("predict before any learn call")
-        X = transform_rows(block, self.encoders)
-        margin = ensemble_margin(self.ensemble, X)
-        self._scored = (block.feature_lines, X, margin, self._unseen_cells(block, X))
-        return sigmoid(margin)
+        self._scored = self._read(block)
+        return sigmoid(self._scored[2])

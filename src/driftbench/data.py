@@ -349,9 +349,10 @@ def load_dataset(data_path: str | Path, schema_path: str | Path,
 
 def read_unlabeled(data_path: str | Path, schema: FeatureSchema) -> Block:
     """Read a data file that carries feature columns only (no label) as
-    one :class:`Block`, checked as :func:`load_dataset` checks a file."""
+    one :class:`Block`, checked as :func:`load_dataset` checks a file.  The
+    block's lines are a view of the file's bytes past the header, not a copy."""
     text, starts, _ = _read_data(data_path, schema, with_labels=False)
-    return Block(schema, text[starts[0]:], starts.shape[0] - 1, labels=None)
+    return Block(schema, memoryview(text)[starts[0]:], starts.shape[0] - 1, labels=None)
 
 
 def save_dataset(dataset: ChronoDataset, data_path: str | Path,

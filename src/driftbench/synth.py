@@ -151,8 +151,10 @@ def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
     mvc_eff = [(rng.standard_normal(card), rng.standard_normal(card)) for _ in range(spec.n_mvc)]
 
     score = np.zeros(n)
+    # Codes in the smallest type that holds them: as int64 they were most of the peak.
+    code_type = np.min_scalar_type(card)
     # One draw for all categorical columns reads the same stream as one per column.
-    cat_codes = rng.choice(card, size=(spec.n_cat, n), p=probs)
+    cat_codes = rng.choice(card, size=(spec.n_cat, n), p=probs).astype(code_type)
     for (e_a, e_b), codes in zip(cat_eff, cat_codes):
         score += cos * e_a[codes] + sin * e_b[codes]
 
@@ -163,7 +165,7 @@ def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
     mvc_draws = []
     for e_a, e_b in mvc_eff:
         counts = rng.integers(1, MVC_MAX_TOKENS + 1, size=n)
-        draws = rng.choice(card, size=(n, MVC_MAX_TOKENS), p=probs)
+        draws = rng.choice(card, size=(n, MVC_MAX_TOKENS), p=probs).astype(code_type)
         eff = cos[:, None] * e_a[draws] + sin[:, None] * e_b[draws]
         # A cell's tokens are its first `count` draws, duplicates dropped.
         # Their effects are summed in draw order and divided by their count:

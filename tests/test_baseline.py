@@ -33,6 +33,7 @@ from driftbench.data import (
     FeatureKind,
     load_dataset,
     plan_blocks,
+    read_unlabeled,
     write_rows,
     write_schema,
 )
@@ -1066,11 +1067,18 @@ def test_each_block_is_encoded_once_per_run(monkeypatch):
     ds = generate_drift_stream(UNSEEN_SPEC)
     n = UNSEEN_SPEC.n_blocks
     calls = counting_transforms(monkeypatch)
+    fitted = []
+    fresh_fit = baseline.fit_dataset_encoders
+    monkeypatch.setattr(baseline, "fit_dataset_encoders",
+                        lambda block: fitted.append(len(block)) or fresh_fit(block))
     trace = run_lifelong(ds, n, BaselinePredictor(BaselineConfig(**TINY)),
                          budget_seconds=600)
     assert trace.outcome == "completed"
     # Block 0 when learned, blocks 1..n-1 when scored; never again when revealed.
     assert len(calls) == n
+    # Vocabularies are fitted on block 0 only, and grown from its codes on.
+    lo, hi = plan_blocks(len(ds), n)[0]
+    assert fitted == [hi - lo]
 
 
 def counting_bins(monkeypatch):
@@ -1164,14 +1172,36 @@ def test_a_refused_first_learn_leaves_the_predictor_empty():
         pred.predict(block.unlabeled())
 
 
+def test_a_frozen_predictor_keeps_its_first_block():
+    ds = generate_drift_stream(UNSEEN_SPEC)
+    ranges = plan_blocks(len(ds), UNSEEN_SPEC.n_blocks)
+    cfg = BaselineConfig(**TINY)
+    frozen = BaselinePredictor(cfg, freeze_after_initial=True)
+    first_only = BaselinePredictor(cfg)
+    first = ds.block(*ranges[0])
+    frozen.learn(first, 600.0)
+    first_only.learn(first, 600.0)
+    for lo, hi in ranges[1:]:
+        block = ds.block(lo, hi)
+        scores = frozen.predict(block.unlabeled())
+        assert np.array_equal(scores, first_only.predict(block.unlabeled()))
+        frozen.learn(block, 600.0)
+    assert frozen.encoders == fit_dataset_encoders(first)
+    assert frozen.ensemble.n_trees == cfg.initial_trees
+
+
 def test_rows_read_back_from_a_file_reuse_the_scored_matrix(tmp_path, monkeypatch):
     ds = generate_drift_stream(UNSEEN_SPEC)
     (lo, hi), (nlo, nhi) = plan_blocks(len(ds), UNSEEN_SPEC.n_blocks)[:2]
     pred, alone = (BaselinePredictor(BaselineConfig(**TINY)) for _ in range(2))
     for p in (pred, alone):
         p.learn(ds.block(lo, hi), 600.0)
-    pred.predict(ds.block(nlo, nhi))
-    # As an external child sees it: the revealed block is read anew from a file.
+    # As an external child sees them: the scored block is a view of the test
+    # file's bytes, and the revealed block is read anew from the train file.
+    write_rows(tmp_path / "test.csv", ds.schema, ds.block(nlo, nhi).unlabeled())
+    scored = read_unlabeled(tmp_path / "test.csv", ds.schema)
+    assert isinstance(scored.lines, memoryview)
+    pred.predict(scored)
     write_rows(tmp_path / "train.csv", ds.schema, ds.block(nlo, nhi))
     write_schema(ds.schema, tmp_path / "schema.csv")
     revealed = load_dataset(tmp_path / "train.csv", tmp_path / "schema.csv")

@@ -21,7 +21,7 @@ import json
 import tracemalloc
 
 from driftbench.cli import main
-from driftbench.data import load_dataset, plan_blocks, save_dataset
+from driftbench.data import load_dataset, plan_blocks, read_unlabeled, save_dataset, write_rows
 from driftbench.harness import ConstantPredictor, DatasetRef, run_suite
 from driftbench.synth import desk_spec, generate_drift_stream
 
@@ -85,9 +85,10 @@ def test_generate_peaks_at_one_stream(tmp_path):
 def test_synthesis_peaks_at_a_few_times_its_file():
     # Cells made for the whole stream, as one str each, then a tuple per
     # row, peaked at 9.8 times the file, and cell strings made 256 rows at
-    # a time at 3.8.  Byte blocks of 256 rows peak at 3.4: the whole-stream
-    # draws (1.2), the bytes (1) and one chunk's byte fields and their
-    # temporaries.  D is the widest numeric shape.
+    # a time at 3.8.  Byte blocks of 256 rows peaked at 3.4 with int64
+    # category codes, and at 3.2 with codes in the smallest type: the
+    # whole-stream draws, the bytes (1) and one chunk's byte fields and
+    # their temporaries.  D is the widest numeric shape.
     spec = desk_spec("D", 2000, n_blocks=6, drift="abrupt", drift_magnitude=2.5, seed=1)
     generate_drift_stream(desk_spec("D", 50, seed=1))               # warm caches
     dataset, peak, _ = traced(lambda: generate_drift_stream(spec))
@@ -100,6 +101,20 @@ def test_load_peaks_at_what_it_returns(tmp_path):
     load_dataset(ref.data_path, ref.schema_path)                    # warm caches
     dataset, peak, kept = traced(lambda: load_dataset(ref.data_path, ref.schema_path))
     assert len(dataset) == ROWS
+    assert peak < 1.05 * kept
+
+
+def test_read_unlabeled_peaks_at_what_it_returns(tmp_path):
+    # The block's lines were a copy of the file's bytes past the header,
+    # which peaked at 2.0 times what the read keeps.
+    (ref,) = shape_a_refs(tmp_path, 1)
+    dataset = load_dataset(ref.data_path, ref.schema_path)
+    path, schema = tmp_path / "unlabeled.csv", dataset.schema
+    write_rows(path, schema, dataset.block(0, len(dataset)).unlabeled())
+    del dataset
+    read_unlabeled(path, schema)                                     # warm caches
+    block, peak, kept = traced(lambda: read_unlabeled(path, schema))
+    assert len(block) == ROWS
     assert peak < 1.05 * kept
 
 

@@ -47,11 +47,18 @@ def test_unused_imports_are_found():
         ["line 1: math", "line 3: c"]
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+#: The files checked for unused imports, by test id: a package module by
+#: its name, a test or a demo by its path from the repository root.
+IMPORTING = {**{p.name: p for p in PACKAGE.glob("*.py")},
+             **{p.relative_to(ROOT).as_posix(): p
+                for folder in ("tests", "demos") for p in (ROOT / folder).glob("*.py")}}
+
+
+@pytest.mark.parametrize("module", sorted(IMPORTING))
 def test_package_modules_import_only_what_they_use(module):
     # Most changes here delete code; an import the deleted code needed
     # would otherwise stay behind unnoticed.
-    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+    assert unused_imports(IMPORTING[module].read_text(encoding="utf-8")) == []
 
 
 def test_benchmark_trace_targets_resolve():
