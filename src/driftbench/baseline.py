@@ -544,8 +544,9 @@ class BaselinePredictor:
     those margins unchanged, splits no text and walks no past tree.  The
     lines' bytes are the key, not where the block came from, so rows an
     external program reads back from the judge's train file are recognised
-    too; in process the revealed block holds the very bytes object that
-    was scored, and the comparison is an identity check.  Each block is
+    too.  The scored block's lines are a view, so the key is a copy of
+    them, and the revealed block's label-free lines are ``bytes`` too, so
+    the check is one ``memcmp``.  Each block is
     read by its own schema and trained on its own labels.  ``learn`` sets
     the ensemble, the vocabularies and the kept read in one assignment,
     after the ensemble has taken the block in, so a ``learn`` that is

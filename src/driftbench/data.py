@@ -1,4 +1,4 @@
-"""Tabular stream data model: schemas, chronological datasets, block plans.
+"""Tabular stream data model: schemas, blocks of rows, block plans.
 
 File formats (shared by every tool in the package):
 
@@ -10,13 +10,13 @@ File formats (shared by every tool in the package):
   ``num``, ``cat``, ``mvc``, ``time``, ``label``; exactly one label line
   and at least one other.
 
-A :class:`ChronoDataset` holds its data file's bytes, an index of where
-each row's line starts, and the labels.  A :class:`Block` is a run of its
-rows held as their lines' bytes and their labels, cut from the dataset's
-without a copy, so the judge holds a stream at about its file's size plus
-the label-free copies of the blocks it is working on.  Cells become
-strings only when a block's columns are asked for, from one split of its
-text.
+A :class:`Block` holds rows of a data file as the file's bytes, an index
+of where each row's line starts, and the labels.  A whole file is one
+block, and a run of its rows is a block cut from it without a copy, so the
+judge holds a stream at about its file's size plus the label-free copies
+of the blocks it is working on.  Labels are stripped by the line starts,
+two bytes before each line's end, and cells become strings only when a
+block's columns are asked for, from one split of its lines.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import enum
 import io
 import itertools
 import numbers
-import re
 from array import array
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -135,40 +134,49 @@ class FeatureSchema:
 
 
 @dataclass(frozen=True, eq=False)
-class ChronoDataset:
-    """A time-ordered labeled table, held as the bytes of its data file.
-    Row order is chronological and is never permuted by any operation in
-    this package.
+class Block:
+    """Consecutive rows of a time-ordered table, held as the bytes of their
+    data file.  Row order is chronological and is never permuted by any
+    operation in this package.
 
-    ``text`` is the data file as UTF-8, with its newlines read as text mode
-    reads them (``\\r\\n`` and ``\\r`` are ``\\n``) and a newline after its
-    last line: the header line, then one line per row.  Row ``i`` is the
-    line from ``starts[i]`` up to ``starts[i + 1]``.  :meth:`block` cuts
-    rows from the text as a :class:`Block`, and no cell is parsed until a
-    block's columns are asked for.
+    ``text`` holds the rows' lines as UTF-8, with newlines read as text
+    mode reads them (``\\r\\n`` and ``\\r`` are ``\\n``), each ended by a
+    newline, and by its label cell as well when ``labels`` holds the rows'
+    labels; a block a predictor scores has ``labels`` None and no label
+    cells.  Row ``i`` is the line from ``starts[i]`` up to
+    ``starts[i + 1]``.  A whole file, as :func:`load_dataset`,
+    :func:`read_unlabeled`, :meth:`from_rows` and stream synthesis
+    (:func:`driftbench.synth.generate_drift_stream`) make it, is one block
+    whose text starts with the header line; :meth:`block` cuts rows from
+    it as a block that shares the text, so no row is copied and no cell is
+    parsed until a block's columns are asked for.
 
-    :func:`load_dataset`, :meth:`from_rows` and stream synthesis
-    (:func:`driftbench.synth.generate_drift_stream`) build datasets, and
-    each checks every row, synthesis by one numpy check per chunk of rows
-    that each line holds the schema's commas and one newline in ASCII, so
-    the fields always describe a well-formed file.
+    Each maker checks every row, synthesis by one numpy check per chunk of
+    rows that each line holds the schema's commas and one newline in
+    ASCII, so every line holds the schema's cells (and its label) and the
+    fields always describe a well-formed file.
+
+    :attr:`columns` cuts every feature column from one split of the lines;
+    :meth:`unlabeled` is the same rows without their label cells.  The
+    columns and the label-free lines are computed once per block and kept
+    with it, so a block is split at most once however many readers it has.
     """
 
     schema: FeatureSchema
     text: bytes
-    starts: np.ndarray          # shape (n + 1,): each row's line start, then len(text)
-    labels: np.ndarray          # shape (n,), values in {0, 1}
+    starts: np.ndarray          # shape (n + 1,): each row's line start, then where the last ends
+    labels: np.ndarray | None   # shape (n,), values in {0, 1}, or None without label cells
     provenance: str = ""
 
     @classmethod
     def from_rows(cls, schema: FeatureSchema, rows: Iterable[tuple[str, ...]], labels,
-                  provenance: str = "") -> "ChronoDataset":
-        """The dataset of ``rows`` (cells in schema order) and ``labels``,
-        held as the bytes of its data file: the header, then each row's
-        cells and label joined by commas, one line a row.
+                  provenance: str = "") -> "Block":
+        """The data file of ``rows`` (cells in schema order) and ``labels``
+        as one block: the header, then each row's cells and label joined by
+        commas, one line a row.
 
         ``rows`` may be any iterable, a generator included: each row is
-        written as it arrives and none is kept, so a dataset built from a
+        written as it arrives and none is kept, so a block built from a
         generator peaks at about its bytes plus the rows the generator
         holds.  Raises :class:`DatasetFormatError` for a count of rows other
         than the count of labels, giving both, and naming the row for a
@@ -196,72 +204,52 @@ class ChronoDataset:
                    provenance)
 
     def __len__(self) -> int:
-        return self.labels.shape[0]
-
-    def block(self, lo: int, hi: int) -> "Block":
-        """Rows ``lo .. hi - 1`` as a labeled :class:`Block`, whose lines
-        and labels are views of the dataset's, not copies."""
-        lines = memoryview(self.text)[self.starts[lo]:self.starts[hi]]
-        return Block(self.schema, lines, hi - lo, self.labels[lo:hi])
-
-
-#: A labeled line's label cell with the newline that ends the line.  A
-#: newline ends every line and no cell holds one, so each match is a label.
-_LABEL_CELL = re.compile(rb",[01]\n")
-
-
-@dataclass(frozen=True, eq=False)
-class Block:
-    """Consecutive rows of a data file, held as their lines' bytes.
-
-    ``lines`` is the rows' lines exactly as the file holds them, each ended
-    by a newline, and by its label cell as well when ``labels`` holds the
-    rows' labels; an unlabeled block, as a predictor scores it, has
-    ``labels`` None.  A block is cut from a dataset or an unlabeled file
-    that was checked when it was made or read, so every line holds the
-    schema's cells (and its label) and the bytes are UTF-8.
-
-    :attr:`columns` cuts every feature column from one split of the text;
-    :meth:`unlabeled` is the same rows without their label cells.  The
-    columns and the label-free lines are computed once per block and kept
-    with it, so a block is split at most once however many readers it has.
-    """
-
-    schema: FeatureSchema
-    lines: bytes | memoryview
-    n_rows: int
-    labels: np.ndarray | None   # shape (n_rows,), or None without label cells
-
-    def __len__(self) -> int:
-        return self.n_rows
+        return self.starts.shape[0] - 1
 
     @property
     def labeled(self) -> bool:
         return self.labels is not None
 
+    @property
+    def lines(self) -> memoryview:
+        """The rows' lines exactly as the text holds them: a view, not a copy."""
+        return memoryview(self.text)[self.starts[0]:self.starts[-1]]
+
+    def block(self, lo: int, hi: int) -> "Block":
+        """Rows ``lo .. hi - 1``, as a block that shares this one's text
+        and whose line starts and labels are views of its own."""
+        labels = self.labels[lo:hi] if self.labeled else None
+        return Block(self.schema, self.text, self.starts[lo:hi + 1], labels, self.provenance)
+
     @cached_property
     def feature_lines(self) -> bytes | memoryview:
         """The lines without their label cells (``lines`` itself when the
-        block carries none): one ``re.sub`` over the bytes."""
-        return _LABEL_CELL.sub(b"\n", self.lines) if self.labeled else self.lines
+        block carries none).  A labeled line ends ``,0\\n`` or ``,1\\n``,
+        so the two bytes before each line's end are deleted."""
+        if not self.labeled:
+            return self.lines
+        ends = self.starts[1:] - self.starts[0]
+        label_bytes = np.concatenate((ends - 3, ends - 2))
+        return np.delete(np.frombuffer(self.lines, dtype=np.uint8), label_bytes).tobytes()
 
     def unlabeled(self) -> "Block":
         """The same rows without their label cells: what a predictor is
-        shown of a block it scores."""
+        shown of a block it scores.  Each line is two bytes shorter."""
         if not self.labeled:
             return self
-        return Block(self.schema, self.feature_lines, self.n_rows, labels=None)
+        starts = self.starts - self.starts[0] - 2 * np.arange(len(self) + 1)
+        return Block(self.schema, self.feature_lines, starts, None, self.provenance)
 
     @cached_property
     def columns(self) -> list[list[str]]:
         """Each feature column's cells in row order, in schema order.
 
-        The text is split once, at every comma and newline; a row's cells
+        The lines are split once, at every comma and newline; a row's cells
         then lie ``width`` apart (one more with a label cell), so column
         ``j`` is every such cell from the ``j``-th on.
         """
         width = self.schema.n_features
-        if not self.n_rows:
+        if not len(self):
             return [[] for _ in range(width)]
         stride = width + self.labeled
         flat = str(self.lines[:-1], "utf-8").replace("\n", ",").split(",")
@@ -335,37 +323,34 @@ def write_schema(schema: FeatureSchema, path: str | Path) -> None:
 
 
 def load_dataset(data_path: str | Path, schema_path: str | Path,
-                 provenance: str | None = None) -> ChronoDataset:
-    """Load a labeled data file against its schema file.
+                 provenance: str | None = None) -> Block:
+    """Load a labeled data file against its schema file as one
+    :class:`Block`.
 
     Row order equals file order.  Raises :class:`DatasetFormatError` naming
     the offending row or column on any format violation.
     """
     schema = read_schema(schema_path)
-    text, starts, labels = _read_data(data_path, schema, with_labels=True)
-    return ChronoDataset(schema, text, starts, labels,
-                         provenance if provenance is not None else str(data_path))
+    return Block(schema, *_read_data(data_path, schema, with_labels=True),
+                 provenance if provenance is not None else str(data_path))
 
 
 def read_unlabeled(data_path: str | Path, schema: FeatureSchema) -> Block:
     """Read a data file that carries feature columns only (no label) as
-    one :class:`Block`, checked as :func:`load_dataset` checks a file.  The
-    block's lines are a view of the file's bytes past the header, not a copy."""
-    text, starts, _ = _read_data(data_path, schema, with_labels=False)
-    return Block(schema, memoryview(text)[starts[0]:], starts.shape[0] - 1, labels=None)
+    one :class:`Block`, checked as :func:`load_dataset` checks a file."""
+    return Block(schema, *_read_data(data_path, schema, with_labels=False))
 
 
-def save_dataset(dataset: ChronoDataset, data_path: str | Path,
-                 schema_path: str | Path) -> None:
-    Path(data_path).write_bytes(dataset.text)
+def save_dataset(dataset: Block, data_path: str | Path, schema_path: str | Path) -> None:
+    write_rows(data_path, dataset.schema, dataset)
     write_schema(dataset.schema, schema_path)
 
 
 def write_rows(path: str | Path, schema: FeatureSchema, block: Block) -> None:
     """Write ``block`` as a data file: ``schema``'s header, with its label
     name iff the block carries label cells, then the block's lines byte for
-    byte.  The lines were checked when the block's dataset or file was, so
-    they are not checked again; ``schema`` is the block's."""
+    byte.  The lines were checked when the block's file was made or read,
+    so they are not checked again; ``schema`` is the block's."""
     with open(path, "wb") as fh:
         fh.write(_header_line(schema, block.labeled))
         fh.write(block.lines)
@@ -419,9 +404,9 @@ _UTF8_CHUNK = 1 << 20
 
 
 def _read_data(path: str | Path, schema: FeatureSchema, *, with_labels: bool):
-    """Index a data file: its text as :class:`ChronoDataset` holds it, each
-    row's line start followed by the text's length, and the labels (none
-    without labels).
+    """Index a data file: its text as :class:`Block` holds it, each row's
+    line start followed by the text's length, and the labels (None without
+    labels).
 
     One pass over the bytes checks the text is UTF-8, the header is the
     schema's, and every line has the header's number of cells and, with
@@ -467,7 +452,8 @@ def _read_data(path: str | Path, schema: FeatureSchema, *, with_labels: bool):
             labels.append(raw == b"1")
         pos = end + 1
         starts.append(pos)
-    return text, np.frombuffer(starts, dtype=np.int64), np.frombuffer(labels, dtype=np.int64)
+    return (text, np.frombuffer(starts, dtype=np.int64),
+            np.frombuffer(labels, dtype=np.int64) if with_labels else None)
 
 
 def _check_utf8(path: str | Path, text: bytes) -> None:

@@ -42,8 +42,8 @@ from typing import Callable, NoReturn, Protocol, Sequence
 
 import numpy as np
 
-from .data import (Block, ChronoDataset, check_field_types, load_dataset, plan_blocks,
-                   write_rows, write_schema)
+from .data import (Block, check_field_types, load_dataset, plan_blocks, write_rows,
+                   write_schema)
 from .metrics import UndefinedAUCError, auc
 
 OUTCOME_COMPLETED = "completed"
@@ -178,7 +178,7 @@ class _BudgetClock:
         return result
 
 
-def run_lifelong(dataset: ChronoDataset, n_blocks: int, predictor: PredictorAdapter,
+def run_lifelong(dataset: Block, n_blocks: int, predictor: PredictorAdapter,
                  budget_seconds: float) -> EvaluationTrace:
     """Run the predict-then-reveal loop for one dataset and predictor.
 
@@ -188,10 +188,11 @@ def run_lifelong(dataset: ChronoDataset, n_blocks: int, predictor: PredictorAdap
     ``learn``, have ``predict`` score block k, and take the AUC of those
     scores against block k's own labels.  No cell is parsed here: a block
     is a view of the dataset's bytes and labels, and block k is scored as
-    its lines with their label cells removed (one ``re.sub``), a copy kept
-    with the labeled block that step k+1 reveals and let go after that
-    ``learn``.  So beside the dataset's bytes the loop holds the label-free
-    copy of one block at a time.  Aborts on budget overrun (timed-out) or
+    its lines with their label cells removed (the two bytes before each
+    line's end, found from its line starts), a copy kept with the labeled
+    block that step k+1 reveals and let go after that ``learn``.  So
+    beside the dataset's bytes the loop holds the label-free copy of one
+    block at a time.  Aborts on budget overrun (timed-out) or
     any predictor failure (predictor-error), with an error that names the
     step; either way the dataset scores 0.
     The trace is named by ``dataset.provenance``.  The predictor's optional

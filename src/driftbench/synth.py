@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (MVC_SEPARATOR, ChronoDataset, DatasetFormatError, FeatureKind, FeatureSchema,
+from .data import (MVC_SEPARATOR, Block, DatasetFormatError, FeatureKind, FeatureSchema,
                    _header_line, check_field_types, plan_blocks)
 
 DRIFT_PROFILES = ("none", "gradual", "abrupt")
@@ -109,14 +109,14 @@ def _rotated(theta_a: np.ndarray, theta_b: np.ndarray, angle: np.ndarray) -> np.
     return np.cos(angle)[:, None] * theta_a[None, :] + np.sin(angle)[:, None] * theta_b[None, :]
 
 
-def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
+def generate_drift_stream(spec: DriftGenSpec) -> Block:
     """Generate one stream per ``spec``; deterministic given the seed.
 
     Every random draw and every effect on the score is made for the whole
     stream, column by column.  The data file's bytes are then made a chunk
     of ``_CHUNK_ROWS`` rows at a time, as one ``(rows, bytes)`` block of
     byte fields (see :func:`_line_block`) that is checked as
-    :meth:`ChronoDataset.from_rows` checks rows (see :func:`_check_lines`)
+    :meth:`Block.from_rows` checks rows (see :func:`_check_lines`)
     and written with its filler dropped; each row's line start comes from
     its count of bytes written.  No cell is ever held as a ``str``.
     A categorical column's effect is looked up per row,
@@ -214,8 +214,8 @@ def generate_drift_stream(spec: DriftGenSpec) -> ChronoDataset:
         out.write(block[written])
         starts[lo + 1:hi + 1] = starts[lo] + np.cumsum(written.sum(axis=1))
     # getvalue hands over the buffer the blocks were written to, uncopied.
-    return ChronoDataset(schema, out.getvalue(), starts, labels,
-                         f"{spec.dataset_id}(seed={spec.seed},drift={spec.drift})")
+    return Block(schema, out.getvalue(), starts, labels,
+                 f"{spec.dataset_id}(seed={spec.seed},drift={spec.drift})")
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +326,7 @@ def _check_lines(block: np.ndarray, n_features: int, first_row: int) -> None:
     """Raise :class:`DatasetFormatError` naming the first row of ``block``
     (row ``first_row`` of the stream) whose line does not hold exactly
     ``n_features`` commas and one line break, or holds a byte that is not
-    ASCII: what :meth:`ChronoDataset.from_rows` checks of each row."""
+    ASCII: what :meth:`Block.from_rows` checks of each row."""
     bad = (((block == ord(",")).sum(axis=1) != n_features)
            | (((block == ord("\n")) | (block == ord("\r"))).sum(axis=1) != 1)
            | (block >= 0x80).any(axis=1))

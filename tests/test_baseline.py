@@ -29,7 +29,7 @@ from driftbench.baseline import (
     sigmoid,
 )
 from driftbench.data import (
-    ChronoDataset,
+    Block,
     FeatureKind,
     load_dataset,
     plan_blocks,
@@ -1007,7 +1007,7 @@ def test_non_finite_numeric_cell_is_a_predictor_error():
     lo, hi = ranges[0]
     rows = tuple(row[:j] + ("inf",) + row[j + 1:] if lo <= i < hi and ds.labels[i] == 1
                  else row for i, row in enumerate(all_rows(ds)))
-    poisoned = ChronoDataset.from_rows(ds.schema, rows, ds.labels)
+    poisoned = Block.from_rows(ds.schema, rows, ds.labels)
     trace = run_lifelong(poisoned, spec.n_blocks, BaselinePredictor(BaselineConfig(seed=4, **FAST)),
                          budget_seconds=600)
     assert trace.outcome == OUTCOME_PREDICTOR_ERROR

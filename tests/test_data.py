@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from driftbench.data import (
     BlockPlanError,
-    ChronoDataset,
+    Block,
     DatasetFormatError,
     FeatureKind,
     SEPARATORS,
@@ -224,7 +224,7 @@ def test_dataset_from_rows_holds_the_bytes_write_rows_writes(tmp_path):
     save_dataset(ds, tmp_path / "saved.csv", tmp_path / "saved.schema.csv")
     assert (tmp_path / "saved.csv").read_bytes() == ds.text
     assert rows_of(ds.block(30, 60)) == all_rows(ds)[30:60]
-    streamed = ChronoDataset.from_rows(ds.schema, (row for row in all_rows(ds)), ds.labels)
+    streamed = Block.from_rows(ds.schema, (row for row in all_rows(ds)), ds.labels)
     assert streamed.text == ds.text
     assert np.array_equal(streamed.starts, ds.starts)
     assert np.array_equal(streamed.labels, ds.labels)
@@ -240,7 +240,7 @@ def test_dataset_from_rows_refuses_a_separator_in_a_cell(cell):
     schema = FeatureSchema((("x", FeatureKind.NUMERICAL), ("color", FeatureKind.CATEGORICAL)),
                            "y")
     with pytest.raises(DatasetFormatError) as info:
-        ChronoDataset.from_rows(schema, rows, [0, 1, 0])
+        Block.from_rows(schema, rows, [0, 1, 0])
     assert str(info.value) == (f"row 1, column 'color': {cell!r} holds a comma or a line "
                                "break, which a data file cannot hold")
 
@@ -251,7 +251,7 @@ def test_dataset_from_rows_refuses_a_cell_utf8_cannot_encode():
     schema = FeatureSchema((("x", FeatureKind.NUMERICAL), ("color", FeatureKind.CATEGORICAL)),
                            "y")
     with pytest.raises(DatasetFormatError) as info:
-        ChronoDataset.from_rows(schema, rows, [0, 1, 0])
+        Block.from_rows(schema, rows, [0, 1, 0])
     assert str(info.value) == ("row 1, column 'color': 'x\\ud800' holds a character UTF-8 "
                                "cannot encode, which a data file cannot hold")
 
@@ -277,7 +277,7 @@ def test_written_rows_read_back(tmp_path_factory, drawn):
     schema, rows, labels = drawn
     tmp_path = tmp_path_factory.mktemp("roundtrip")
     write_schema(schema, tmp_path / "s.csv")
-    ds = ChronoDataset.from_rows(schema, rows, labels)
+    ds = Block.from_rows(schema, rows, labels)
     write_rows(tmp_path / "d.csv", schema, ds.block(0, len(ds)))
     assert ds.text == (tmp_path / "d.csv").read_bytes()
     loaded = load_dataset(tmp_path / "d.csv", tmp_path / "s.csv")
@@ -376,7 +376,7 @@ def test_staged_bytes_match_the_row_encoder_on_drawn_tables(tmp_path_factory, dr
     # cell does: stripping ",0\n" and then ",1\n" in two passes would eat it.
     schema, rows, labels = drawn
     tmp_path = tmp_path_factory.mktemp("staged")
-    ds = ChronoDataset.from_rows(schema, rows, labels)
+    ds = Block.from_rows(schema, rows, labels)
     ranges = ((0, len(ds)),)
     if len(ds) >= n_blocks:
         ranges += plan_blocks(len(ds), n_blocks)
@@ -505,12 +505,12 @@ def test_load_preserves_chronological_order(tmp_path):
 def test_mismatched_rows_and_labels_rejected():
     schema = FeatureSchema((("x", FeatureKind.NUMERICAL),), "y")
     with pytest.raises(DatasetFormatError):
-        ChronoDataset.from_rows(schema, (("1.0",), ("2.0",)), np.array([0]))
+        Block.from_rows(schema, (("1.0",), ("2.0",)), np.array([0]))
     # A generator's rows are counted as they arrive, those past the labels too.
     for n_rows, message in ((2, "^2 rows but 3 labels$"), (4, "^4 rows but 3 labels$")):
         rows = ((f"{i}.0",) for i in range(n_rows))
         with pytest.raises(DatasetFormatError, match=message):
-            ChronoDataset.from_rows(schema, rows, np.array([0, 1, 0]))
+            Block.from_rows(schema, rows, np.array([0, 1, 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftbench.data import ChronoDataset, DatasetFormatError, FeatureKind, FeatureSchema, plan_blocks
+from driftbench.data import Block, DatasetFormatError, FeatureKind, FeatureSchema, plan_blocks
 from driftbench.encoding import extend_ordinal, fit_dataset_encoders, transform_rows
 from driftbench.synth import desk_spec, generate_drift_stream
 
@@ -17,7 +17,7 @@ def _schema(kinds):
 
 
 def _dataset(rows, labels, kinds=("num", "cat")):
-    return ChronoDataset.from_rows(_schema(kinds), tuple(rows), np.asarray(labels))
+    return Block.from_rows(_schema(kinds), tuple(rows), np.asarray(labels))
 
 
 def _column_block(values, column):
@@ -171,7 +171,7 @@ def _reference_cases():
         ds = generate_drift_stream(desk_spec(shape, n_rows=240, n_blocks=3, seed=7))
         yield shape, ds, 80
     hand = _schema(("num", "cat", "mvc", "time"))
-    yield "hand", ChronoDataset.from_rows(hand, _HAND_ROWS, [0, 1] * 3), 4
+    yield "hand", Block.from_rows(hand, _HAND_ROWS, [0, 1] * 3), 4
 
 
 def test_column_pass_matches_reference_bytes():
@@ -282,7 +282,7 @@ def tables(draw):
         else:
             columns.append(draw(st.lists(CELLS[kind], min_size=n, max_size=n)))
     labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    return ChronoDataset.from_rows(schema, list(zip(*columns)), labels)
+    return Block.from_rows(schema, list(zip(*columns)), labels)
 
 
 def assert_columns_match_the_oracle(ds, n_blocks):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from driftbench.baseline import BaselinePredictor
-from driftbench.data import (BlockPlanError, ChronoDataset, FeatureKind, FeatureSchema, plan_blocks,
+from driftbench.data import (BlockPlanError, Block, FeatureKind, FeatureSchema, plan_blocks,
                              save_dataset)
 from driftbench.harness import (
     ConstantPredictor,
@@ -32,7 +32,7 @@ def indexed_dataset(n=30):
     """Rows carry their own index so tests can identify blocks exactly."""
     rows = tuple((str(i),) for i in range(n))
     labels = np.arange(n) % 2
-    return ChronoDataset.from_rows(SCHEMA, rows, labels, provenance="indexed")
+    return Block.from_rows(SCHEMA, rows, labels, provenance="indexed")
 
 
 class RecordingPredictor:
@@ -115,7 +115,7 @@ def test_oracle_predictor_scores_one_everywhere():
 def test_single_class_block_gets_half_and_flag():
     rows = tuple((str(i),) for i in range(30))
     labels = np.array([0, 1] * 10 + [1] * 10)  # last block all positive
-    ds = ChronoDataset.from_rows(SCHEMA, rows, labels)
+    ds = Block.from_rows(SCHEMA, rows, labels)
     trace = run_lifelong(ds, 3, RecordingPredictor(), budget_seconds=60)
     assert trace.steps[-1].single_class
     assert trace.steps[-1].auc == 0.5

@@ -12,8 +12,8 @@ and only the label-free copy of the block being scored is made, once,
 and let go after the block is revealed.  So three streams peak about where
 one does, one stream's synthesis peaks at a few times its file, and its
 evaluation at its file plus about three blocks' bytes (1 500 shape-A rows
-in 10 blocks: 0.66 MB and 3.1 times a 66 KB block, of which the
-``re.sub`` that strips a block's labels briefly takes 2.5).  Peaks are read
+in 10 blocks: 0.66 MB and 2.7 times a 66 KB block, of which the strip of
+a block's labels by its line starts briefly takes 2.1).  Peaks are read
 with ``tracemalloc``, which sees Python objects and numpy buffers alike.
 """
 
@@ -116,6 +116,19 @@ def test_read_unlabeled_peaks_at_what_it_returns(tmp_path):
     block, peak, kept = traced(lambda: read_unlabeled(path, schema))
     assert len(block) == ROWS
     assert peak < 1.05 * kept
+
+
+def test_label_strip_peaks_at_about_two_blocks(tmp_path):
+    # One re.sub over a block's lines peaked at 2.47 times the block; the
+    # strip by line starts peaks at the bytes kept, their array and its mask.
+    (ref,) = shape_a_refs(tmp_path, 1)
+    dataset = load_dataset(ref.data_path, ref.schema_path)
+    (lo, hi), (next_lo, next_hi) = plan_blocks(len(dataset), 10)[:2]
+    dataset.block(next_lo, next_hi).unlabeled()                     # warm caches
+    block = dataset.block(lo, hi)
+    unlabeled, peak, _ = traced(block.unlabeled)
+    assert len(unlabeled) == hi - lo
+    assert peak < 2.2 * len(block.lines)
 
 
 def test_evaluation_peaks_at_the_file_and_two_blocks(tmp_path):

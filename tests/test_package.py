@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +60,52 @@ def test_package_modules_import_only_what_they_use(module):
     # Most changes here delete code; an import the deleted code needed
     # would otherwise stay behind unnoticed.
     assert unused_imports(IMPORTING[module].read_text(encoding="utf-8")) == []
+
+
+#: A Sphinx cross-reference in a docstring, e.g. ``:func:`load_dataset```.
+DOC_REF = re.compile(r":(?:class|func|meth|attr|data):`~?([^`]+)`")
+_MISSING = object()
+
+
+def _lookup(owner, dotted: str):
+    for part in dotted.split("."):
+        owner = getattr(owner, part, _MISSING)
+        if owner is _MISSING:
+            break
+    return owner
+
+
+def resolves(module, name: str) -> bool:
+    """Whether ``name`` names something from ``module``: an attribute of
+    the module, of a class it defines (a method referred to from its
+    class's docstring) or an absolute ``driftbench.*`` name."""
+    classes = [v for v in vars(module).values()
+               if isinstance(v, type) and v.__module__ == module.__name__]
+    if any(_lookup(owner, name) is not _MISSING for owner in [module, *classes]):
+        return True
+    parts = name.split(".")
+    for i in range(len(parts) - 1, 0, -1):
+        try:
+            owner = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        return _lookup(owner, ".".join(parts[i:])) is not _MISSING
+    return False
+
+
+def test_unresolved_doc_refs_are_found():
+    data = importlib.import_module("driftbench.data")
+    assert [resolves(data, name) for name in (
+        "Block.from_rows", "block", "driftbench.synth.generate_drift_stream",
+        "Rows", "Block.rows", "driftbench.synth.nothing")] == [True] * 3 + [False] * 3
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_package_doc_refs_resolve(module):
+    # A rename leaves the docstrings that name the old name behind.
+    owner = importlib.import_module(f"driftbench.{module}")
+    refs = DOC_REF.findall((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert [name for name in refs if not resolves(owner, name)] == []
 
 
 def test_benchmark_trace_targets_resolve():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftbench.baseline import BaselineConfig, fit_initial, predict_scores
-from driftbench.data import ChronoDataset, DatasetFormatError, FeatureKind, plan_blocks, save_dataset
+from driftbench.data import Block, DatasetFormatError, FeatureKind, plan_blocks, save_dataset
 from driftbench.encoding import fit_dataset_encoders, transform_rows
 from driftbench import synth
 from driftbench.metrics import auc
@@ -324,7 +324,7 @@ def _assert_matches_reference(spec):
     # and the very bytes and line starts from_rows makes of them, which a
     # comparison of cells alone would not see a wrong line start in.
     schema, rows, labels, provenance = _reference_generate(spec)
-    expected = ChronoDataset.from_rows(schema, rows, labels)
+    expected = Block.from_rows(schema, rows, labels)
     for chunk_rows in (synth._CHUNK_ROWS, 1, 7):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(synth, "_CHUNK_ROWS", chunk_rows)
