@@ -56,7 +56,9 @@ class BaselineConfig:
     subsample_cap: int = 100_000      # max rows used by any single fit call
     policy: str = "grow-full-history"
     window_blocks: int = 2
-    decay: float = 0.8                # recency weight of a capped grow-full-history sample
+    # A capped sample draws rows without replacement in proportion to
+    # decay ** age (age in blocks); sliding-window weights its rows equally.
+    decay: float = 0.8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -357,33 +359,25 @@ class TrainingPool:
         return TrainingPool(self.X[rows], self.y[rows], self.ids[rows], self.margin[rows])
 
 
-def select_training_pool(pool: TrainingPool, cap: int, seed, *,
-                         decay: float | None) -> np.ndarray:
+def select_training_pool(pool: TrainingPool, cap: int, seed, *, decay: float) -> np.ndarray:
     """Ids of at most ``cap`` pool rows for one fit call, ascending: every
     row when the pool holds no more than ``cap``.
 
-    Rows are sampled with probability proportional to ``decay ** age``
-    (age in blocks, newest is 0), so recent rows are preferred, or
-    uniformly when ``decay`` is None.  Deterministic given the seed.
+    Above the cap, rows are drawn without replacement in proportion to
+    ``decay ** age`` (age in blocks, newest is 0) by taking the ``cap``
+    largest keys ``age * log(decay) - log(E)``, one seeded standard
+    exponential ``E`` a row (Efraimidis and Spirakis 2006); ``decay`` 1,
+    which ``sliding-window`` uses, weights every row equally.  The keys are log-weights, so a weight too
+    small for a float still orders rows by age.  Deterministic given the
+    seed.
     """
     n = pool.X.shape[0]
     if n <= cap:
         return np.arange(n)
-    rng = np.random.default_rng(seed)
-    if decay is None:
-        pick = rng.choice(n, size=cap, replace=False)
-    else:
-        age = pool.ids.max() - pool.ids
-        weights = decay ** age.astype(np.float64)
-        p = weights / weights.sum()
-        live = np.flatnonzero(p)
-        if live.size < cap:
-            # Old blocks' weights underflowed to 0: keep every row that
-            # still has one and fill up uniformly from the rest.
-            rest = rng.choice(np.flatnonzero(p == 0), size=cap - live.size, replace=False)
-            pick = np.concatenate([live, rest])
-        else:
-            pick = rng.choice(n, size=cap, replace=False, p=p)
+    draw = np.random.default_rng(seed).standard_exponential(n)
+    with np.errstate(divide="ignore"):  # a draw of 0 is the key +inf: taken
+        key = (pool.ids[-1] - pool.ids) * np.log(decay) - np.log(draw)
+    pick = np.argpartition(key, n - cap)[n - cap:]
     pick.sort()  # keep chronological order inside the sample
     return pick
 
@@ -511,7 +505,7 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
     margin = pool.margin  # new with this pool: grown in place
     pick = select_training_pool(
         pool, config.subsample_cap, np.random.SeedSequence((config.seed, k)),
-        decay=None if config.policy == "sliding-window" else config.decay,
+        decay=1.0 if config.policy == "sliding-window" else config.decay,
     )
     rate = ensemble.learning_rate
     n_trees = config.initial_trees if k == 0 else config.trees_per_block

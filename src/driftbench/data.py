@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import codecs
 import enum
-import io
 import itertools
 import numbers
 from array import array
@@ -175,10 +174,7 @@ class Block:
         as one block: the header, then each row's cells and label joined by
         commas, one line a row.
 
-        ``rows`` may be any iterable, a generator included: each row is
-        written as it arrives and none is kept, so a block built from a
-        generator peaks at about its bytes plus the rows the generator
-        holds.  Raises :class:`DatasetFormatError` for a count of rows other
+        Raises :class:`DatasetFormatError` for a count of rows other
         than the count of labels, giving both, and naming the row for a
         label other than 0 or 1, a row of another width than the schema's,
         or a cell holding ``,``, ``\\n`` or ``\\r``, which would not read
@@ -190,18 +186,12 @@ class Block:
         bad = np.flatnonzero((labels != 0) & (labels != 1))
         if bad.size:
             raise DatasetFormatError(f"non-binary label at row {int(bad[0])}")
-        out = io.BytesIO()
-        rows = iter(rows)
-        lines = _data_lines(schema, rows, labels.tolist())
-        starts = array("q", [out.write(next(lines))])
-        for line in lines:
-            starts.append(starts[-1] + out.write(line))
-        n_rows = len(starts) - 1 + sum(1 for _ in rows)
-        if n_rows != n:
-            raise DatasetFormatError(f"{n_rows} rows but {n} labels")
-        # getvalue hands over the buffer the lines were written to, uncopied.
-        return cls(schema, out.getvalue(), np.frombuffer(starts, dtype=np.int64), labels,
-                   provenance)
+        rows = list(rows)
+        if len(rows) != n:
+            raise DatasetFormatError(f"{len(rows)} rows but {n} labels")
+        lines = list(_data_lines(schema, rows, labels.tolist()))
+        starts = np.cumsum([len(line) for line in lines], dtype=np.int64)
+        return cls(schema, b"".join(lines), starts, labels, provenance)
 
     def __len__(self) -> int:
         return self.starts.shape[0] - 1
@@ -377,8 +367,7 @@ def _data_lines(schema: FeatureSchema, rows: Iterable[tuple[str, ...]],
     header, then each row ended by its label."""
     width = schema.n_features
     yield _header_line(schema, labeled=True)
-    # Labels first: zip stops at their end before it takes a row too many.
-    for i, (y, row) in enumerate(zip(labels, rows)):
+    for i, (row, y) in enumerate(zip(rows, labels)):
         if len(row) != width:
             raise DatasetFormatError(
                 f"row {i} has {len(row)} cells, schema declares {width} features")

@@ -13,10 +13,11 @@ External predictors answer a request loop.  The harness launches
 for every step.  Per step it writes a train file (with labels) and a test
 file (without), sends one JSON request line on the program's stdin
 (``step``, ``token``, ``train``, ``test``, ``pred_out``,
-``remaining_budget``), takes the next line on its stdout (at most
-``_ANSWER_MAX_BYTES`` long) as the answer, which must be ``{"token": T}``
-with the request's token, then reads one decimal score per test row
-from the predictions file, never more than one score past the block.
+``remaining_budget``), takes the next line on its stdout as the answer,
+which must be ``{"token": T}`` with the request's token, then reads one
+decimal score per test row from the predictions file, never more than
+one score past the block.  Every line the program writes, answer or
+prediction, is at most ``_ANSWER_MAX_BYTES`` (64 KiB) long.
 The program keeps its model in memory between steps; closing its stdin
 tells it to exit, and closing its stdout is how it says it is done, so
 the judge kills what is left of its process group without waiting out
@@ -299,8 +300,8 @@ def _run_dataset(ref: DatasetRef, n_blocks: int,
 _CLOSE_GRACE_SECONDS = 1.0
 # How much of the end of ``stderr.txt`` a failure's error quotes.
 _STDERR_TAIL_BYTES = 4096
-# The longest answer line the judge reads; a child that writes more
-# without a newline is a predictor error at once, not a growing buffer.
+# The longest line, answer or prediction, the judge reads from a child; a
+# child that writes more is a predictor error at once, not a growing buffer.
 _ANSWER_MAX_BYTES = 65536
 # How many characters of a child-written line an error quotes.
 _QUOTE_MAX_CHARS = 200
@@ -391,15 +392,20 @@ class SubprocessPredictor:
 
         # A short count and finiteness are left to the harness, as for any
         # adapter; the file is read at most one prediction past the block,
-        # so a child cannot grow the judge's memory with it.
+        # and a line at most one byte past ``_ANSWER_MAX_BYTES``, so a
+        # child cannot grow the judge's memory with it.
         t1 = time.perf_counter()
         try:
             if not pred_path.exists():
                 raise PredictorError("predictions file not written")
             scores = []
-            with pred_path.open(encoding="utf-8", newline="\n") as fh:
-                for ln in fh:
-                    ln = ln.rstrip("\n")
+            with pred_path.open("rb") as fh:
+                while ln := fh.readline(_ANSWER_MAX_BYTES + 1):
+                    ln = ln.rstrip(b"\n")
+                    if len(ln) > _ANSWER_MAX_BYTES:
+                        head = ln.decode("utf-8", "replace")[:_QUOTE_MAX_CHARS]
+                        raise PredictorError(f"prediction line longer than {_ANSWER_MAX_BYTES} "
+                                             f"bytes: {head!r}...")
                     if not ln:
                         continue
                     if len(scores) == len(block):
@@ -408,7 +414,8 @@ class SubprocessPredictor:
                     try:
                         scores.append(float(ln))
                     except ValueError:
-                        raise PredictorError(f"unparseable prediction: {_quote(ln)}") from None
+                        text = _quote(ln.decode("utf-8", "replace"))
+                        raise PredictorError(f"unparseable prediction: {text}") from None
             return np.asarray(scores, dtype=np.float64)
         finally:
             self.unbilled_seconds += time.perf_counter() - t1

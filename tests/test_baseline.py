@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -97,12 +98,15 @@ def test_selection_deterministic_given_seed():
     assert np.array_equal(a, b)
 
 
-def test_selection_fills_up_when_old_weights_underflow():
-    # 1e-200 ** 2 underflows to 0: only the newest two blocks keep a weight.
+def test_selection_orders_rows_by_age_when_weights_underflow():
+    # 1e-200 ** 2 underflows to 0 in linear space, but the keys are
+    # log-weights: the newest two blocks are kept whole, and the other five
+    # rows come from the next newest, block 1 (age 2).
     pool = toy_pool(rows_per_block=10, n_blocks=4)
     pick = select_training_pool(pool, cap=25, seed=3, decay=1e-200)
     assert pick.size == 25 and np.all(np.diff(pick) > 0)
     assert set(range(20, 40)) <= set(pick.tolist())
+    assert np.array_equal(pool.ids[pick], [1] * 5 + [2] * 10 + [3] * 10)
     assert np.array_equal(pick, select_training_pool(pool, cap=25, seed=3, decay=1e-200))
     X, y = separable_data(n=40, seed=2)
     cfg = BaselineConfig(initial_trees=2, trees_per_block=1, max_depth=2, subsample_cap=25,
@@ -111,6 +115,50 @@ def test_selection_fills_up_when_old_weights_underflow():
     for lo in (10, 20, 30):
         ens = extend(ens, X[lo:lo + 10], y[lo:lo + 10], cfg)
     assert ens.revealed_blocks == 3
+
+
+def successive_inclusion(sizes, weights, cap):
+    """Each block's exact inclusion rate when ``cap`` rows are drawn one at
+    a time without replacement, each draw in proportion to the weight of
+    its row's block: a walk over how many rows each block has given."""
+    layer = {(0,) * len(sizes): 1.0}
+    for _ in range(cap):
+        grown = {}
+        for taken, p in layer.items():
+            left = [(size - t) * w for size, t, w in zip(sizes, taken, weights)]
+            for b, mass in enumerate(left):
+                if mass:
+                    key = taken[:b] + (taken[b] + 1,) + taken[b + 1:]
+                    grown[key] = grown.get(key, 0.0) + p * mass / sum(left)
+        layer = grown
+    return sum(p * np.array(taken) for taken, p in layer.items()) / np.asarray(sizes)
+
+
+@pytest.mark.parametrize("decay", [0.5, 1.0])
+def test_selection_draws_in_proportion_to_the_weights(decay):
+    # 5 blocks of 4 rows, cap 6, over 20 000 fixed seeds.  A block's rate
+    # has a standard error of at most sqrt(0.25 / 20 000) = 0.0035, so
+    # 0.01 is about three of them.  Decay 1 weights every row equally.
+    pool = toy_pool(rows_per_block=4, n_blocks=5)
+    taken = np.zeros(5)
+    for seed in range(20_000):
+        taken += np.bincount(pool.ids[select_training_pool(pool, 6, seed, decay=decay)],
+                             minlength=5)
+    exact = successive_inclusion([4] * 5, [decay ** (4 - b) for b in range(5)], 6)
+    assert np.max(np.abs(taken / (4 * 20_000) - exact)) < 0.01
+    if decay == 1.0:
+        assert np.allclose(exact, 0.3)
+
+
+def test_selection_takes_the_newest_rows_when_weights_vanish():
+    # 1e-300 ** age is 0 in linear space from age 2 on; 50 blocks put the
+    # oldest key near -34 000.  The newest block is kept whole and the
+    # remaining rows follow in age order.
+    pool = toy_pool(rows_per_block=4, n_blocks=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pick = select_training_pool(pool, 10, seed=5, decay=1e-300)
+    assert np.array_equal(pool.ids[pick], [47] * 2 + [48] * 4 + [49] * 4)
 
 
 def test_sliding_window_restricts_to_newest_blocks():
@@ -1287,13 +1335,13 @@ def test_learning_other_rows_than_the_scored_block_encodes_them_afresh(monkeypat
 # sample and the margins of the rows it leaves out are pinned too.
 PREDICTION_PINS = {
     ("A", "grow-full-history", 100_000): "e2fce4a1b1ee1198374bee6b7e7b0450a889ca83c28adeb2d2cd324c68418c98",
-    ("A", "grow-full-history", 150): "736de77c080c0a8ee48d4a434e26fb6717f54e2c622f83f24ec2cd5c4e540871",
+    ("A", "grow-full-history", 150): "9176513802b8a5b4f53e69951d5cfcf36d0e8a46fd7d8da16e72b615f471507f",
     ("A", "sliding-window", 100_000): "4480e857496bec6ab5d07c4d4c8a2880d7bd2e268da8cce144247bd55e1a090a",
-    ("A", "sliding-window", 150): "44f10c0d22bbf9460a6ede559d9056d3934b9810b2e2d76abcffe68541cb6edd",
+    ("A", "sliding-window", 150): "1242317e93d2a3d08686dab94da05ad57f4ac4074a422233fd0ae05304c2555f",
     ("D", "grow-full-history", 100_000): "28e04e865f5779c118aa21c455b3a0e047354c4f922bb590541481a3c860b447",
-    ("D", "grow-full-history", 150): "5308c3df46047eb68dcd5ade83207795dd1751a52a09fa424c1ed929be0ff685",
+    ("D", "grow-full-history", 150): "f0c2ff34e6af969a810571bd23f74b81b9d1ccf1b02ac712d05821f7f15857c5",
     ("D", "sliding-window", 100_000): "9b20759d13eb60c17d892b8c37c9ad407f9f9907131965db8d929aed9c9ee807",
-    ("D", "sliding-window", 150): "d9eed0f789222dc1a8370a52c6197a9081958da24e61c79536ccebd8c3719b86",
+    ("D", "sliding-window", 150): "f3711bc541035251fff96f335edd2a644f121b21105271f79f6500f4c91e205c",
 }
 
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -774,18 +775,26 @@ def test_evaluate_parallel_jobs_bill_like_serial(tmp_path):
     assert main(["generate", "--config", str(config)]) == 0
 
     def billed(jobs, run=0):
+        """The run's billed seconds and its CPU seconds: this process's for
+        a serial run, its reaped workers' for a parallel one."""
         out = tmp_path / f"jobs{jobs}-{run}"
+        who = resource.RUSAGE_SELF if jobs == 1 else resource.RUSAGE_CHILDREN
+        before = resource.getrusage(who)
         assert main(["evaluate", "--config", str(config), "--predictor", "one",
                      "--predictor", "two", "--jobs", str(jobs), "--out", str(out)]) == 0
-        return sum(json.loads((out / name / "submission.json").read_text())["duration_seconds"]
-                   for name in ("one", "two"))
+        after = resource.getrusage(who)
+        cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+        return (sum(json.loads((out / name / "submission.json").read_text())["duration_seconds"]
+                    for name in ("one", "two")), cpu)
 
     billed(1)
     billed(2)
     runs = [(billed(1, run), billed(2, run)) for run in range(1, 4)]
-    serial = statistics.median(pair[0] for pair in runs)
-    parallel = statistics.median(pair[1] for pair in runs)
-    assert parallel < 1.5 * serial, runs
+    serial = statistics.median(pair[0][0] for pair in runs)
+    parallel = statistics.median(pair[1][0] for pair in runs)
+    assert parallel < 1.5 * serial, [
+        f"serial {s:.2f} s billed, {s_cpu:.2f} s CPU; --jobs 2 {p:.2f} s billed, "
+        f"{p_cpu:.2f} s CPU" for (s, s_cpu), (p, p_cpu) in runs]
 
 
 # ---------------------------------------------------------------------------

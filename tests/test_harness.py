@@ -24,6 +24,7 @@ from driftbench.harness import (
 from driftbench.synth import DriftGenSpec, generate_drift_stream
 
 from test_data import all_rows, crlf_sourced, oracle_data_lines, rows_of
+from test_memory import traced
 
 SCHEMA = FeatureSchema((("idx", FeatureKind.NUMERICAL),), "y")
 
@@ -817,8 +818,26 @@ for request in sys.stdin:
     pred = script_predictor(tmp_path, script, "long_prediction")
     trace = run_lifelong(indexed_dataset(30), 3, pred, budget_seconds=60)
     assert trace.outcome == "predictor-error"
-    assert trace.error == (f"step 1: PredictorError: unparseable prediction: "
-                           f"{'0.5x' * 50!r}... (100000 characters)")
+    assert trace.error == (f"step 1: PredictorError: prediction line longer than 65536 bytes: "
+                           f"{'0.5x' * 50!r}...")
+
+
+def test_prediction_line_is_read_no_further_than_the_cap(tmp_path):
+    # One 8 MB line without a newline ends the step, and the judge holds at
+    # most about the cap of it: reading the line whole peaked past 8 MB.
+    script = PRELUDE + """
+for request in sys.stdin:
+    request = json.loads(request)
+    with open(request["pred_out"], "w") as fh:
+        fh.write("5" * (8 << 20))
+    print(json.dumps({"token": request["token"]}), flush=True)
+"""
+    pred = script_predictor(tmp_path, script, "huge_prediction")
+    trace, peak, _ = traced(lambda: run_lifelong(indexed_dataset(30), 3, pred,
+                                                 budget_seconds=60))
+    assert trace.outcome == "predictor-error"
+    assert trace.error.startswith("step 1: PredictorError: prediction line longer than 65536 bytes")
+    assert peak < 4 * 65536, peak
 
 
 LINGER_SCRIPT = JOURNAL_SCRIPT + """
