@@ -369,7 +369,8 @@ def select_training_pool(pool: TrainingPool, cap: int, seed, *, decay: float) ->
     exponential ``E`` a row (Efraimidis and Spirakis 2006); ``decay`` 1,
     which ``sliding-window`` uses, weights every row equally.  The keys are log-weights, so a weight too
     small for a float still orders rows by age.  Deterministic given the
-    seed.
+    seed, which is anything ``np.random.default_rng`` takes; it is read
+    only above the cap, so a pool below it never imports ``numpy.random``.
     """
     n = pool.X.shape[0]
     if n <= cap:
@@ -504,7 +505,7 @@ def extend(ensemble: BoostedEnsemble, X_new: np.ndarray, y_new: np.ndarray,
 
     margin = pool.margin  # new with this pool: grown in place
     pick = select_training_pool(
-        pool, config.subsample_cap, np.random.SeedSequence((config.seed, k)),
+        pool, config.subsample_cap, (config.seed, k),
         decay=1.0 if config.policy == "sliding-window" else config.decay,
     )
     rate = ensemble.learning_rate

@@ -12,7 +12,6 @@ configuration errors and on a path the command cannot read or write.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import os
@@ -274,6 +273,12 @@ def _evaluate_one(datasets: list[DatasetRef], n_blocks: int, pred: PredictorSpec
     return traces
 
 
+def _pin_worker(cpus) -> None:
+    """Pool initializer: pin this worker, and every process it starts, to
+    the next CPU of ``cpus``, one a worker."""
+    os.sched_setaffinity(0, {cpus.get()})
+
+
 def cmd_evaluate(config: RunConfig, phase_name: str, predictor_names: list[str],
                  out_dir: Path, workdir: Path, jobs: int) -> int:
     if jobs < 1:
@@ -298,16 +303,24 @@ def cmd_evaluate(config: RunConfig, phase_name: str, predictor_names: list[str],
     evaluate = functools.partial(_evaluate_one, refs, config.n_blocks,
                                  out_dir=out_dir, workdir=workdir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Each worker is a process of its own, so one predictor's billed time
+    # Each worker is a process of its own, pinned where the platform can
+    # pin to a CPU no other worker holds, so one predictor's billed time
     # does not include waiting for another's; more workers than usable
-    # CPUs would make them wait for each other anyway.  concurrent.futures
-    # imports ProcessPoolExecutor, and multiprocessing with it, on first
-    # use, so a serial run does not load them.
+    # CPUs would make them wait for each other anyway.  The pool's modules
+    # are imported only here, so a serial run loads none of them.
     usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1)
     workers = min(jobs, len(predictors), usable)
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        import concurrent.futures
+        import multiprocessing
+        pin = {}
+        if hasattr(os, "sched_setaffinity"):
+            cpus = multiprocessing.SimpleQueue()
+            for cpu in sorted(os.sched_getaffinity(0))[:workers]:
+                cpus.put(cpu)
+            pin = {"initializer": _pin_worker, "initargs": (cpus,)}
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers, **pin) as pool:
             all_scores = list(pool.map(evaluate, predictors))
     else:
         all_scores = [evaluate(p) for p in predictors]
@@ -398,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="scratch root for external predictors (default: <out>/work)")
     ev.add_argument("--jobs", type=int, default=1,
                     help="predictors evaluated concurrently, each in a process of its "
-                         "own (capped at the usable CPUs)")
+                         "own pinned to one CPU (capped at the usable CPUs)")
 
     lb = sub.add_parser("leaderboard", help="rank scored submissions")
     lb.add_argument("score_dirs", nargs="+",

@@ -150,10 +150,11 @@ class Block:
     it as a block that shares the text, so no row is copied and no cell is
     parsed until a block's columns are asked for.
 
-    Each maker checks every row, synthesis by one numpy check per chunk of
-    rows that each line holds the schema's commas and one newline in
-    ASCII, so every line holds the schema's cells (and its label) and the
-    fields always describe a well-formed file.
+    Every reader (:func:`load_dataset`, :func:`read_unlabeled`,
+    :meth:`from_rows`) checks every row it takes in, and synthesis writes
+    only bytes from fixed alphabets, so every line holds the schema's
+    cells (and its label) and the fields always describe a well-formed
+    file.
 
     :attr:`columns` cuts every feature column from one split of the lines;
     :meth:`unlabeled` is the same rows without their label cells.  The

@@ -753,6 +753,32 @@ def test_evaluate_parallel_jobs_match_serial(tmp_path):
             assert a == b
 
 
+#: A command predictor that writes the CPUs it may run on to the file its
+#: first argument names, then answers as the echo predictor does.
+RECORD_CPUS = ("import json, os, sys; from driftbench.echo_predictor import main; "
+               "open(sys.argv[1], 'w').write(json.dumps(sorted(os.sched_getaffinity(0)))); "
+               "sys.exit(main(sys.argv[2:]))")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs affinity calls and 2 usable CPUs")
+def test_evaluate_parallel_jobs_pin_each_worker_to_its_own_cpu(tmp_path):
+    # Two workers the OS put on one CPU would each be billed for the
+    # other's time; a predictor program inherits its worker's pin.  The
+    # caller's own process is left as it was.
+    recorders = [{"name": name, "type": "command",
+                  "command": [sys.executable, "-c", RECORD_CPUS, str(tmp_path / f"{name}.cpus")]}
+                 for name in ("one", "two")]
+    config = write_config(tmp_path, n_datasets=1, extra_predictors=recorders)
+    assert main(["generate", "--config", str(config)]) == 0
+    before = os.sched_getaffinity(0)
+    assert main(["evaluate", "--config", str(config), "--predictor", "one",
+                 "--predictor", "two", "--jobs", "2"]) == 0
+    assert os.sched_getaffinity(0) == before
+    one, two = (json.loads((tmp_path / f"{name}.cpus").read_text()) for name in ("one", "two"))
+    assert len(one) == len(two) == 1 and one != two
+
+
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
 def test_evaluate_parallel_jobs_bill_like_serial(tmp_path):
     # Two learners on shape-A streams, run side by side with --jobs 2: in

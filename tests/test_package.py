@@ -28,6 +28,43 @@ def test_echo_predictor_import_leaves_numpy_out():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_serial_cli_import_leaves_the_process_pool_out():
+    # Only --jobs above 1 starts a pool; every other run of the CLI, and
+    # every test that calls main, would pay for importing it.
+    code = "import sys, driftbench.cli; assert 'concurrent.futures' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+LEARNER_BELOW_ITS_CAP = """
+import sys
+from driftbench import reference_predictor
+from driftbench.baseline import BaselineConfig, BaselinePredictor
+from driftbench.data import load_dataset, plan_blocks
+
+ds = load_dataset(sys.argv[1], sys.argv[2])
+pred = BaselinePredictor(BaselineConfig(initial_trees=2, trees_per_block=1, max_depth=2))
+blocks = [ds.block(lo, hi) for lo, hi in plan_blocks(len(ds), 4)]
+for block, scored in zip(blocks, blocks[1:]):
+    pred.learn(block, 600.0)
+    pred.predict(scored.unlabeled())
+assert 'numpy.random' not in sys.modules
+"""
+
+
+def test_learner_below_its_cap_leaves_numpy_random_out(tmp_path):
+    # A learner child starts once per dataset and its launch is billed;
+    # only a pool above the sample cap draws, so only it needs numpy.random.
+    from driftbench.data import save_dataset
+    from driftbench.synth import desk_spec, generate_drift_stream
+
+    data, schema = tmp_path / "d.csv", tmp_path / "s.csv"
+    save_dataset(generate_drift_stream(desk_spec("B", 200, seed=1)), data, schema)
+    proc = subprocess.run([sys.executable, "-c", LEARNER_BELOW_ITS_CAP, str(data), str(schema)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def unused_imports(source: str) -> list[str]:
     """The names an ``import`` in ``source`` binds that no expression reads."""
     tree = ast.parse(source)
